@@ -57,8 +57,3 @@ def load_checkpoint(path) -> MoEClassifier:
                 raise ValueError(f"checkpoint shape mismatch for {name}")
             p.data = stored.astype(np.float64)
     return model
-
-
-def checkpoint_extra(path) -> dict:
-    with np.load(path, allow_pickle=False) as archive:
-        return json.loads(str(archive["__meta__"]))["extra"]

@@ -1,11 +1,14 @@
 """Command-line experiment runner.
 
-Subcommands: train, eval, ood, stability, sweep-temp, efficiency.  Every
-run validates its config up front, derives all randomness from the seed,
-writes artifacts plus a manifest into the output directory, and removes
-partial outputs if anything fails (exit code 0 means every requested
-artifact was written).  CSV outputs use UTF-8, LF line endings, and fixed
-column orders; floats are written in shortest round-trip form.
+Subcommands: train, eval, ood, stability, sweep-temp, efficiency.  Each one
+runs through :func:`_run`, which loads and validates the config, hands the
+subcommand an :class:`ArtifactWriter`, and writes a manifest of every
+artifact into the output directory.  The writer tracks each file before it
+is written, so when anything fails the runner removes all of them, prints
+``error: ...`` and exits 1 (exit code 0 means every requested artifact was
+written).  All randomness derives from the seed.  CSV outputs use UTF-8, LF
+line endings, and fixed column orders; floats are written in shortest
+round-trip form.
 """
 from __future__ import annotations
 
@@ -16,8 +19,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .checkpoint import load_checkpoint
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
@@ -27,8 +28,7 @@ from .efficiency import (ArchSpec, VARIANT_ORDER, cost_report, granite_preset,
                          validate_cost_report)
 from .experiment import (build_splits, build_suite, evaluate_calibration,
                          ood_detection_rows, run_training)
-from .stability import (PerturbationSpec, fixed_temperature_layer_sweep,
-                        layerwise_stability)
+from .stability import fixed_temperature_layer_sweep, layerwise_stability
 
 
 def _fmt(value) -> str:
@@ -48,33 +48,28 @@ class ArtifactWriter:
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def write_csv(self, name: str, columns: list[str], rows: list[dict]) -> str:
+    def claim(self, name: str) -> str:
+        """Track ``name`` before it is written, so cleanup also removes a file
+        that a failure leaves half written; returns its path."""
         path = self.path(name)
+        self.files.append(path)
+        return path
+
+    def write_csv(self, name: str, columns: list[str], rows: list[dict]) -> str:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        self.files.append(path)
-        return path
+        return self.write_text(name, "\n".join(lines) + "\n")
 
     def write_json(self, name: str, payload: dict) -> str:
-        path = self.path(name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        self.files.append(path)
-        return path
+        return self.write_text(name, json.dumps(payload, indent=2,
+                                                sort_keys=True) + "\n")
 
     def write_text(self, name: str, text: str) -> str:
-        path = self.path(name)
+        path = self.claim(name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        self.files.append(path)
         return path
-
-    def track(self, path: str) -> None:
-        self.files.append(path)
 
     def cleanup(self) -> None:
         for path in self.files:
@@ -125,47 +120,48 @@ def _svg_line_chart(series: dict, x_label: str, y_label: str,
     return "\n".join(parts) + "\n"
 
 
-def _threads_cap() -> int:
-    """Parallelism cap from VROUTE_THREADS; execution here is serial, so any
-    cap >= 1 is honoured trivially, but the value is validated and recorded."""
-    raw = os.environ.get("VROUTE_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"VROUTE_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("VROUTE_THREADS must be >= 1")
-    return cap
-
-
-def _start_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(config_hash=config_hash(cfg), code_version=__version__,
-                       seed=cfg.seed, started_at=time.time())
-
-
-def _finish(writer: ArtifactWriter, manifest: RunManifest, name: str) -> None:
-    for path in writer.files:
-        manifest.add_file(path)
-    manifest.finish()
-    write_manifest(manifest, writer.path(name))
-
-
 def _load_experiment(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
-    if getattr(args, "variant", None):
+    if args.variant:
         cfg = dataclasses.replace(cfg, variants=[args.variant])
     return cfg
 
 
-def _checkpoint_path(cfg, args) -> str:
-    if args.checkpoint:
-        return args.checkpoint
-    variant = getattr(args, "variant", None) or cfg.variants[0]
-    return os.path.join(cfg.out_dir, f"model_{variant}.npz")
+def _run(args) -> int:
+    """Run one subcommand: load and validate its config (subcommands with
+    ``--config``), let it compute and write its artifacts, then write the
+    manifest listing them.  On any failure, remove every tracked file,
+    print ``error: ...`` and return 1."""
+    writer = None
+    try:
+        cfg = _load_experiment(args) if hasattr(args, "config") else None
+        writer = ArtifactWriter(cfg.out_dir if cfg else args.out or ".")
+        manifest = RunManifest(
+            config_hash=config_hash(cfg) if cfg else "-",
+            code_version=__version__, seed=cfg.seed if cfg else 0,
+            started_at=time.time())
+        args.fn(args, cfg, writer)
+        for path in writer.files:
+            manifest.add_file(path)
+        manifest.finish()
+        write_manifest(manifest, writer.claim(args.manifest))
+        return 0
+    except Exception as exc:                                # noqa: BLE001
+        if writer is not None:
+            writer.cleanup()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _load_model(args, cfg):
+    """``--checkpoint``, or OUT/model_VARIANT.npz."""
+    path = args.checkpoint or os.path.join(cfg.out_dir,
+                                           f"model_{cfg.variants[0]}.npz")
+    return load_checkpoint(path)
 
 
 # --------------------------------------------------------------------------
@@ -173,210 +169,129 @@ def _checkpoint_path(cfg, args) -> str:
 # --------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    cfg = _load_experiment(args)
-    _threads_cap()
-    writer = ArtifactWriter(cfg.out_dir)
-    manifest = _start_manifest(cfg)
-    try:
-        outcome = run_training(cfg, out_dir=cfg.out_dir)
-        for path in outcome.checkpoints.values():
-            writer.track(path)
-        rows = []
-        for stats in outcome.stage1.epochs:
-            rows.append({"stage": "stage1", "variant": "map",
-                         "epoch": stats.epoch, "train_loss": stats.train_loss,
-                         "val_nll": stats.val_nll, "val_acc": stats.val_acc,
-                         "val_kl": stats.val_kl})
-        for run in outcome.runs:
-            if run.stage2 is None:
-                continue
-            for stats in run.stage2.epochs:
-                rows.append({"stage": "stage2", "variant": run.variant,
-                             "epoch": stats.epoch,
-                             "train_loss": stats.train_loss,
-                             "val_nll": stats.val_nll,
-                             "val_acc": stats.val_acc,
-                             "val_kl": stats.val_kl})
-        writer.write_csv("metrics_train.csv",
-                         ["stage", "variant", "epoch", "train_loss",
-                          "val_nll", "val_acc", "val_kl"], rows)
-        if outcome.ranking_cells:
-            writer.write_csv(
-                "ranking.csv",
-                ["layer", "gamma", "mean_jaccard", "selected"],
-                [{"layer": c.layer, "gamma": c.gamma,
-                  "mean_jaccard": c.mean_jaccard,
-                  "selected": int(c.layer in outcome.selected_layers)}
-                 for c in outcome.ranking_cells])
-        writer.write_json("config_resolved.json", config_to_dict(cfg))
-        _finish(writer, manifest, "manifest_train.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_train(args, cfg, writer) -> None:
+    outcome = run_training(cfg, writer)
+    logs = [("map", outcome.stage1)] + [(run.variant, run.stage2)
+                                        for run in outcome.runs
+                                        if run.stage2 is not None]
+    writer.write_csv("metrics_train.csv",
+                     ["stage", "variant", "epoch", "train_loss",
+                      "val_nll", "val_acc", "val_kl"],
+                     [{"stage": log.stage, "variant": variant,
+                       "epoch": stats.epoch, "train_loss": stats.train_loss,
+                       "val_nll": stats.val_nll, "val_acc": stats.val_acc,
+                       "val_kl": stats.val_kl}
+                      for variant, log in logs for stats in log.epochs])
+    if outcome.ranking_cells:
+        writer.write_csv(
+            "ranking.csv",
+            ["layer", "gamma", "mean_jaccard", "selected"],
+            [{"layer": c.layer, "gamma": c.gamma,
+              "mean_jaccard": c.mean_jaccard,
+              "selected": int(c.layer in outcome.selected_layers)}
+             for c in outcome.ranking_cells])
+    writer.write_json("config_resolved.json", config_to_dict(cfg))
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_experiment(args)
-    _threads_cap()
-    writer = ArtifactWriter(cfg.out_dir)
-    manifest = _start_manifest(cfg)
-    try:
-        model = load_checkpoint(_checkpoint_path(cfg, args))
-        if args.data:
-            dataset = load_csv(args.data, cfg.data.feature_dim,
-                               cfg.data.num_classes)
-        else:
-            dataset = build_splits(cfg)[args.split]
-        samples = args.samples or cfg.router.eval_samples
-        report = evaluate_calibration(model, dataset, samples, cfg.seed)
-        tag = getattr(args, "variant", None) or cfg.variants[0]
-        writer.write_json(f"eval_{tag}.json", report.to_json_dict())
-        writer.write_csv(f"eval_{tag}.csv",
-                         ["accuracy", "nll", "ece", "mce"],
-                         [report.csv_row()])
-        writer.write_csv(f"eval_bins_{tag}.csv",
-                         ["bin_lo", "bin_hi", "confidence", "accuracy",
-                          "count"],
-                         [{"bin_lo": report.bin_edges[i],
-                           "bin_hi": report.bin_edges[i + 1],
-                           "confidence": report.bin_confidence[i],
-                           "accuracy": report.bin_accuracy[i],
-                           "count": report.bin_count[i]}
-                          for i in range(len(report.bin_count))])
-        _finish(writer, manifest, "manifest_eval.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_eval(args, cfg, writer) -> None:
+    model = _load_model(args, cfg)
+    if args.data:
+        dataset = load_csv(args.data, cfg.data.feature_dim,
+                           cfg.data.num_classes)
+    else:
+        dataset = build_splits(cfg)[args.split]
+    samples = args.samples or cfg.router.eval_samples
+    report = evaluate_calibration(model, dataset, samples, cfg.seed)
+    tag = cfg.variants[0]
+    writer.write_json(f"eval_{tag}.json", report.to_json_dict())
+    writer.write_csv(f"eval_{tag}.csv", ["accuracy", "nll", "ece", "mce"],
+                     [report.csv_row()])
+    writer.write_csv(f"eval_bins_{tag}.csv",
+                     ["bin_lo", "bin_hi", "confidence", "accuracy", "count"],
+                     [{"bin_lo": report.bin_edges[i],
+                       "bin_hi": report.bin_edges[i + 1],
+                       "confidence": report.bin_confidence[i],
+                       "accuracy": report.bin_accuracy[i],
+                       "count": report.bin_count[i]}
+                      for i in range(len(report.bin_count))])
 
 
-def cmd_ood(args) -> int:
-    cfg = _load_experiment(args)
-    _threads_cap()
-    writer = ArtifactWriter(cfg.out_dir)
-    manifest = _start_manifest(cfg)
-    try:
-        model = load_checkpoint(_checkpoint_path(cfg, args))
-        suite = build_suite(cfg)
-        id_test = build_splits(cfg)["test"]
-        samples = args.samples or cfg.router.eval_samples
-        rows = ood_detection_rows(model, id_test,
-                                  {"near": suite["near"], "far": suite["far"]},
-                                  samples, cfg.seed)
-        tag = getattr(args, "variant", None) or cfg.variants[0]
-        writer.write_csv(f"ood_{tag}.csv",
-                         ["signal", "domain", "auroc", "auprc"], rows)
-        writer.write_json(f"ood_{tag}.json", {"rows": rows})
-        _finish(writer, manifest, "manifest_ood.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_ood(args, cfg, writer) -> None:
+    model = _load_model(args, cfg)
+    suite = build_suite(cfg)
+    id_test = build_splits(cfg)["test"]
+    samples = args.samples or cfg.router.eval_samples
+    rows = ood_detection_rows(model, id_test,
+                              {"near": suite["near"], "far": suite["far"]},
+                              samples, cfg.seed)
+    tag = cfg.variants[0]
+    writer.write_csv(f"ood_{tag}.csv", ["signal", "domain", "auroc", "auprc"],
+                     rows)
+    writer.write_json(f"ood_{tag}.json", {"rows": rows})
 
 
-def cmd_stability(args) -> int:
-    cfg = _load_experiment(args)
-    _threads_cap()
-    writer = ArtifactWriter(cfg.out_dir)
-    manifest = _start_manifest(cfg)
-    try:
-        model = load_checkpoint(_checkpoint_path(cfg, args))
-        dataset = build_splits(cfg)["test"]
-        spec = dataclasses.replace(cfg.perturbation, seed=cfg.seed)
-        report = layerwise_stability(model, dataset, spec)
-        tag = getattr(args, "variant", None) or cfg.variants[0]
-        writer.write_csv(f"stability_{tag}.csv",
-                         ["layer", "gamma", "mean_jaccard", "q10", "q50",
-                          "q90"],
-                         [{"layer": c.layer, "gamma": c.gamma,
-                           "mean_jaccard": c.mean_jaccard, "q10": c.q10,
-                           "q50": c.q50, "q90": c.q90}
-                          for c in report.cells])
-        if args.svg:
-            series = {}
-            for c in report.cells:
-                series.setdefault(f"layer{c.layer}", []).append(
-                    (c.gamma, c.mean_jaccard))
-            writer.write_text(f"stability_{tag}.svg",
-                              _svg_line_chart(series, "gamma",
-                                              "mean Jaccard"))
-        _finish(writer, manifest, "manifest_stability.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_stability(args, cfg, writer) -> None:
+    model = _load_model(args, cfg)
+    dataset = build_splits(cfg)["test"]
+    spec = dataclasses.replace(cfg.perturbation, seed=cfg.seed)
+    report = layerwise_stability(model, dataset, spec)
+    tag = cfg.variants[0]
+    writer.write_csv(f"stability_{tag}.csv",
+                     ["layer", "gamma", "mean_jaccard", "q10", "q50", "q90"],
+                     [{"layer": c.layer, "gamma": c.gamma,
+                       "mean_jaccard": c.mean_jaccard, "q10": c.q10,
+                       "q50": c.q50, "q90": c.q90}
+                      for c in report.cells])
+    if args.svg:
+        series = {}
+        for c in report.cells:
+            series.setdefault(f"layer{c.layer}", []).append(
+                (c.gamma, c.mean_jaccard))
+        writer.write_text(f"stability_{tag}.svg",
+                          _svg_line_chart(series, "gamma", "mean Jaccard"))
 
 
-def cmd_sweep_temp(args) -> int:
-    cfg = _load_experiment(args)
-    _threads_cap()
-    writer = ArtifactWriter(cfg.out_dir)
-    manifest = _start_manifest(cfg)
-    try:
-        model = load_checkpoint(_checkpoint_path(cfg, args))
-        dataset = build_splits(cfg)["test"]
-        grid = [float(t) for t in args.grid.split(",")]
-        if args.layers:
-            layers = [int(v) for v in args.layers.split(",")]
-        else:
-            layers = list(range(cfg.model.num_blocks))
-        rows = fixed_temperature_layer_sweep(model, dataset, grid, layers,
-                                             seed=cfg.seed)
-        writer.write_csv("sweep_temp.csv",
-                         ["layer", "temperature", "accuracy", "ece"], rows)
-        _finish(writer, manifest, "manifest_sweep.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_sweep_temp(args, cfg, writer) -> None:
+    model = _load_model(args, cfg)
+    dataset = build_splits(cfg)["test"]
+    grid = [float(t) for t in args.grid.split(",")]
+    if args.layers:
+        layers = [int(v) for v in args.layers.split(",")]
+    else:
+        layers = list(range(cfg.model.num_blocks))
+    rows = fixed_temperature_layer_sweep(model, dataset, grid, layers,
+                                         seed=cfg.seed)
+    writer.write_csv("sweep_temp.csv",
+                     ["layer", "temperature", "accuracy", "ece"], rows)
 
 
-def cmd_efficiency(args) -> int:
-    out_dir = args.out or "."
-    writer = ArtifactWriter(out_dir)
-    manifest = RunManifest(config_hash="-", code_version=__version__,
-                           seed=0, started_at=time.time())
-    try:
-        _threads_cap()
-        if args.granite:
-            spec = granite_preset()
-        else:
-            required = [args.layers, args.experts, args.dim, args.width,
-                        args.samples]
-            if any(v is None for v in required):
-                raise ConfigError("either --granite or all of --layers, "
-                                  "--experts, --dim, --width, --samples")
-            spec = ArchSpec(layers=args.layers, num_experts=args.experts,
-                            hidden_dim=args.dim, inference_width=args.width,
-                            samples=args.samples,
-                            base_active_params=args.base_params,
-                            base_macs_per_token=args.base_macs)
-        variants = (args.variants.split(",") if args.variants
-                    else list(VARIANT_ORDER))
-        report = cost_report(spec, variants, flops=args.flops)
-        payload = report.to_json_dict()
-        validate_cost_report(payload)
-        writer.write_json("efficiency.json", payload)
-        writer.write_csv("efficiency.csv",
-                         ["variant", "params", "params_pct", "macs_per_token",
-                          "macs_pct"],
-                         [{"variant": r.variant, "params": r.params,
-                           "params_pct": r.params_pct,
-                           "macs_per_token": r.macs_per_token,
-                           "macs_pct": r.macs_pct} for r in report.rows])
-        _finish(writer, manifest, "manifest_efficiency.json")
-        return 0
-    except Exception as exc:                                # noqa: BLE001
-        writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+def cmd_efficiency(args, cfg, writer) -> None:
+    if args.granite:
+        spec = granite_preset()
+    else:
+        required = [args.layers, args.experts, args.dim, args.width,
+                    args.samples]
+        if any(v is None for v in required):
+            raise ConfigError("either --granite or all of --layers, "
+                              "--experts, --dim, --width, --samples")
+        spec = ArchSpec(layers=args.layers, num_experts=args.experts,
+                        hidden_dim=args.dim, inference_width=args.width,
+                        samples=args.samples,
+                        base_active_params=args.base_params,
+                        base_macs_per_token=args.base_macs)
+    variants = (args.variants.split(",") if args.variants
+                else list(VARIANT_ORDER))
+    report = cost_report(spec, variants, flops=args.flops)
+    payload = report.to_json_dict()
+    validate_cost_report(payload)
+    writer.write_json("efficiency.json", payload)
+    writer.write_csv("efficiency.csv",
+                     ["variant", "params", "params_pct", "macs_per_token",
+                      "macs_pct"],
+                     [{"variant": r.variant, "params": r.params,
+                       "params_pct": r.params_pct,
+                       "macs_per_token": r.macs_per_token,
+                       "macs_pct": r.macs_pct} for r in report.rows])
 
 
 # --------------------------------------------------------------------------
@@ -403,24 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="two-stage training run")
     _add_common(p, checkpoint=False)
-    p.set_defaults(fn=cmd_train)
+    p.set_defaults(fn=cmd_train, manifest="manifest_train.json")
 
     p = sub.add_parser("eval", help="calibration report on a dataset")
     _add_common(p)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--data", default=None, help="CSV dataset instead of split")
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=cmd_eval)
+    p.set_defaults(fn=cmd_eval, manifest="manifest_eval.json")
 
     p = sub.add_parser("ood", help="detection AUROC/AUPRC per signal")
     _add_common(p)
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(fn=cmd_ood)
+    p.set_defaults(fn=cmd_ood, manifest="manifest_ood.json")
 
     p = sub.add_parser("stability", help="layer-wise routing stability")
     _add_common(p)
     p.add_argument("--svg", action="store_true", help="also emit a line chart")
-    p.set_defaults(fn=cmd_stability)
+    p.set_defaults(fn=cmd_stability, manifest="manifest_stability.json")
 
     p = sub.add_parser("sweep-temp", help="fixed-temperature layer sweep")
     _add_common(p)
@@ -428,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated temperatures")
     p.add_argument("--layers", default=None,
                    help="comma-separated block indices (default: all)")
-    p.set_defaults(fn=cmd_sweep_temp)
+    p.set_defaults(fn=cmd_sweep_temp, manifest="manifest_sweep.json")
 
     p = sub.add_parser("efficiency", help="analytic parameter/MAC table")
     p.add_argument("--granite", action="store_true",
@@ -447,13 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flops", action="store_true",
                    help="report 2x FLOPs instead of MACs")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_efficiency)
+    p.set_defaults(fn=cmd_efficiency, manifest="manifest_efficiency.json")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return _run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

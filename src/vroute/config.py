@@ -87,6 +87,11 @@ class ExperimentConfig:
                     isinstance(i, int) for i in self.layers):
                 raise ConfigError("layers must be 'auto' or a list of ints")
             self.layers = list(self.layers)
+            bad = [i for i in self.layers
+                   if not 0 <= i < self.model.num_blocks]
+            if bad:
+                raise ConfigError(f"layers {bad} out of range for "
+                                  f"{self.model.num_blocks} blocks")
         if self.auto_top_k < 1:
             raise ConfigError("auto_top_k must be >= 1")
 

@@ -7,7 +7,6 @@ rerun with the same config reproduces every number exactly.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +18,9 @@ from .metrics import CalibrationReport, calibration_report, detection_report
 from .model import (ModelConfig, MoEClassifier, attach_variational_routers,
                     predict_with_uncertainty)
 from .rng import RngStream
-from .routers import RouterConfig
+from .routers import SIGNAL_NAMES, RouterConfig
 from .stability import PerturbationSpec, layerwise_stability, sensitivity_ranking
 from .training import TrainLog, stage1_train, stage2_train
-
-SIGNAL_NAMES = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
 
 
 def build_splits(cfg: ExperimentConfig) -> dict:
@@ -87,18 +84,18 @@ class TrainOutcome:
     selected_layers: list[int]
     ranking_cells: list = field(default_factory=list)
     runs: list[VariantRun] = field(default_factory=list)
-    checkpoints: dict = field(default_factory=dict)
     models: dict = field(default_factory=dict)
 
 
-def run_training(cfg: ExperimentConfig, out_dir: str | None = None) -> TrainOutcome:
+def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
     """Stage-1 MAP fit, optional layer selection, then one stage-2 pass per
     requested variant.
 
     Every variant shares the same stage-1 weights: each non-deterministic
     variant gets a fresh model rebuilt from the stage-1 parameters before its
     routers are attached, so runs never contaminate one another.  With an
-    output directory, a checkpoint is written per variant.
+    artifact writer (``cli.ArtifactWriter``), a checkpoint is written per
+    variant, each tracked before it is written.
     """
     splits = build_splits(cfg)
     base = build_model(cfg)
@@ -108,12 +105,11 @@ def run_training(cfg: ExperimentConfig, out_dir: str | None = None) -> TrainOutc
     outcome = TrainOutcome(splits=splits, stage1=stage1, selected_layers=[])
 
     def save(model, variant):
-        if out_dir is None:
+        if writer is None:
             return None
-        path = os.path.join(out_dir, f"model_{variant}.npz")
+        path = writer.claim(f"model_{variant}.npz")
         save_checkpoint(model, path, extra={"variant": variant,
                                             "seed": cfg.seed})
-        outcome.checkpoints[variant] = path
         return path
 
     if "map" in cfg.variants:

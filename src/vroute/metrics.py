@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .routers import GaussianPosterior
-from .tensor import Tensor
 
 
 @dataclass
@@ -173,40 +171,6 @@ def detection_report(scores_id, scores_ood) -> DetectionReport:
                            auprc=auprc(scores_id, scores_ood),
                            scores_id=np.asarray(scores_id, dtype=np.float64),
                            scores_ood=np.asarray(scores_ood, dtype=np.float64))
-
-
-def gate_entropy(p) -> float:
-    """Shannon entropy of a routing distribution, 0 log 0 = 0."""
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return float(-terms.sum())
-
-
-def inf_logit_var(posterior: GaussianPosterior) -> float:
-    """Trace of the posterior covariance: sum sigma_i^2, or ||L||_F^2."""
-    if posterior.is_full_cov:
-        l = posterior.cholesky_L
-        arr = l.data if isinstance(l, Tensor) else np.asarray(l)
-        return float((arr ** 2).sum())
-    s = posterior.diag_sigma
-    arr = s.data if isinstance(s, Tensor) else np.asarray(s)
-    return float((arr ** 2).sum())
-
-
-def mc_logit_var(samples) -> float:
-    """Total variance of logit vectors across stochastic passes.
-
-    sum_s ||l_s - mean||^2 / (S - 1); zero for identical samples and for a
-    single pass.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("samples must have shape (S, N)")
-    if arr.shape[0] < 2:
-        return 0.0
-    dev = arr - arr.mean(axis=0, keepdims=True)
-    return float((dev ** 2).sum() / (arr.shape[0] - 1))
 
 
 def jaccard(set_a, set_b) -> float:

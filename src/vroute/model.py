@@ -14,7 +14,8 @@ import numpy as np
 
 from . import tensor as T
 from .rng import RngStream
-from .routers import (BatchRouteResult, RouterBase, RouterConfig, make_router)
+from .routers import (SIGNAL_NAMES, BatchRouteResult, RouterBase, RouterConfig,
+                      make_router, mc_logit_var, shannon_entropy)
 from .tensor import Tensor
 
 
@@ -74,13 +75,6 @@ class MoELayer:
             term = gate_col * expert.forward(u)
             out = term if out is None else out + term
         return out, rec
-
-
-def moe_layer_forward(u, layer: MoELayer, mode: str,
-                      rng: RngStream | None = None) -> Tensor:
-    """Route a batch through one MoE layer; returns the mixed expert output."""
-    out, _ = layer.forward(T.as_tensor(u), mode, rng=rng)
-    return out
 
 
 class _Block:
@@ -251,9 +245,9 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
         if not router.noise_spec("eval", samples=1):
             plans[idx] = {}
             continue
-        per_row = [router.pass_block_noise(
+        per_row = [router.draw_noise(
             layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
-            passes, "eval", samples=1) for row in x]
+            (passes,), "eval", samples=1) for row in x]
         plans[idx] = {k: np.stack([d[k] for d in per_row], axis=1)
                       for k in per_row[0]}
     return plans
@@ -275,8 +269,6 @@ def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None
     Deterministic given the stream, and independent of batch order because
     router noise is keyed by token content.
     """
-    from .routers import shannon_entropy
-
     if rng is None:
         rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
@@ -313,13 +305,11 @@ def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None
         sig = dict(first_records[i].signals)
         sig["gate_entropy"] = shannon_entropy(route_prob_sum[i] / passes)
         if len(logit_samples[i]) >= 2:
-            stacked = np.stack(logit_samples[i], axis=1)      # [B, S, N]
-            dev = stacked - stacked.mean(axis=1, keepdims=True)
-            sig["mc_logit_var"] = (dev ** 2).sum(axis=(1, 2)) / (passes - 1)
+            sig["mc_logit_var"] = mc_logit_var(np.stack(logit_samples[i], axis=1))
         per_layer.append(sig)
     layer_ids = model.variational_layer_indices or list(range(n_layers))
     signals: dict = {}
-    for key in ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var"):
+    for key in SIGNAL_NAMES:
         values = [per_layer[i][key] for i in layer_ids
                   if per_layer[i][key] is not None]
         signals[key] = np.mean(values, axis=0) if values else None

@@ -32,7 +32,8 @@ TEMPERATURE_FLOOR = 1e-6
 # Relaxation temperature of the straight-through Gumbel estimator.
 GUMBEL_TAU = 1.0
 
-_SIGNAL_KEYS = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
+# Per-token uncertainty readouts; a variant lacking one reports None.
+SIGNAL_NAMES = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
 
 
 @dataclass
@@ -90,29 +91,6 @@ class GaussianPosterior:
 
 
 @dataclass
-class UncertaintySignals:
-    """Per-token uncertainty readouts; signals a variant lacks stay None."""
-
-    gate_entropy: float
-    inf_logit_var: float | None = None
-    inf_temp: float | None = None
-    mc_logit_var: float | None = None
-
-
-@dataclass
-class RouterDecision:
-    """Routing outcome for one token."""
-
-    logits_det: np.ndarray
-    probs: np.ndarray
-    selection: np.ndarray
-    gate_weights: np.ndarray
-    kl: float
-    signals: UncertaintySignals
-    logits_sampled: np.ndarray | None = None
-
-
-@dataclass
 class BatchRouteResult:
     """Routing outcome for a batch of tokens, keeping tape-tracked pieces.
 
@@ -155,6 +133,24 @@ def shannon_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
     return -terms.sum(axis=axis)
 
 
+def mc_logit_var(samples: np.ndarray) -> np.ndarray:
+    """Total variance of the logit vectors across passes, per token.
+
+    For ``samples`` of shape [B, S, N]: sum_s ||l_s - mean||^2 / (S - 1)
+    per row; zero for identical samples and for a single pass.
+    """
+    if samples.shape[1] < 2:
+        return np.zeros(samples.shape[0])
+    dev = samples - samples.mean(axis=1, keepdims=True)
+    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
+
+
+def _softmax_np(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _renorm_gates_t(probs: Tensor, mask: np.ndarray) -> Tensor:
     masked = probs * Tensor(mask)
     return masked / masked.sum(axis=-1, keepdims=True)
@@ -171,7 +167,7 @@ def _check_mode(mode: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# KL terms and the temperature proxy
+# KL terms
 # --------------------------------------------------------------------------
 
 
@@ -181,13 +177,6 @@ def kl_mf_per_token(delta_mu: Tensor, sigma: Tensor) -> Tensor:
         raise ValueError("sigma must be strictly positive")
     terms = delta_mu * delta_mu + sigma * sigma - 2.0 * T.log(sigma) - 1.0
     return 0.5 * terms.sum(axis=-1)
-
-
-def kl_mf(delta_mu, sigma) -> float:
-    """Closed-form mean-field KL for a single token."""
-    dmu = T.as_tensor(delta_mu).reshape((1, -1))
-    sig = T.as_tensor(sigma).reshape((1, -1))
-    return float(kl_mf_per_token(dmu, sig).data[0])
 
 
 def _validate_cholesky(L: np.ndarray) -> None:
@@ -201,48 +190,19 @@ def _validate_cholesky(L: np.ndarray) -> None:
 
 
 def kl_fc_per_token(delta_mu: Tensor, L: Tensor) -> Tensor:
-    """KL[N(dmu, LL^T) || N(0, I)] per row.
+    """KL[N(dmu, LL^T) || N(0, I)] per row of ``delta_mu`` [B, N], ``L`` [B, N, N].
 
     0.5 (||dmu||^2 + ||L||_F^2 - 2 sum log L_ii - N); the log-determinant of
     LL^T reduces to twice the log of the diagonal.
     """
     _validate_cholesky(L.data)
-    n = L.data.shape[-1]
-    batch = L.data.shape[0] if L.data.ndim == 3 else 1
-    l2 = L if L.data.ndim == 3 else L.reshape((1, n, n))
-    dmu2 = delta_mu if delta_mu.data.ndim == 2 else delta_mu.reshape((1, n))
-    flat = l2.reshape((batch, n * n))
+    batch, n = L.shape[0], L.shape[-1]
+    flat = L.reshape((batch, n * n))
     diag = T.gather(flat, np.arange(n) * n + np.arange(n), axis=1)
-    quad = (dmu2 * dmu2).sum(axis=-1)
+    quad = (delta_mu * delta_mu).sum(axis=-1)
     fro = (flat * flat).sum(axis=-1)
     logdet_half = T.log(diag).sum(axis=-1)
     return 0.5 * (quad + fro - 2.0 * logdet_half - float(n))
-
-
-def kl_fc(delta_mu, L) -> float:
-    """Closed-form full-covariance KL for a single token."""
-    out = kl_fc_per_token(T.as_tensor(delta_mu), T.as_tensor(L))
-    return float(out.data[0])
-
-
-def kl_vtsr(q) -> float:
-    """KL of a selection distribution against the uniform prior.
-
-    Equals sum q log q + log N, i.e. log N minus the Shannon entropy;
-    ranges over [0, log N] and vanishes exactly at the uniform vector.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if abs(q.sum() - 1.0) > 1e-9 or np.any(q < 0):
-        raise ValueError("q must lie on the probability simplex")
-    return float(np.log(q.size) - shannon_entropy(q))
-
-
-def temp_reg_loss(temperature) -> float:
-    """Proxy regulariser -log T; decreasing in T, zero at T = 1."""
-    t = float(temperature.item() if isinstance(temperature, Tensor) else temperature)
-    if t <= 0.0:
-        raise ValueError("temperature must be > 0")
-    return -math.log(t)
 
 
 # --------------------------------------------------------------------------
@@ -295,53 +255,16 @@ def build_cholesky(flat) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def sample_k_without_replacement(p, k: int, rng: RngStream | None = None,
-                                 uniforms: np.ndarray | None = None) -> np.ndarray:
-    """Select k experts by sequential categorical draws with renormalisation.
-
-    ``p`` may be a single probability vector or a batch of rows, each
-    selected independently.  Pre-drawn ``uniforms`` of shape [..., k] may be
-    supplied instead of a stream (common-random-number comparisons).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    single = p.ndim == 1
-    rows = p[None, :] if single else p
-    n = rows.shape[-1]
-    if not (1 <= k <= n):
-        raise ValueError("require 1 <= k <= number of experts")
-    if np.any(np.abs(rows.sum(axis=-1) - 1.0) > 1e-9) or np.any(rows < 0):
-        raise ValueError("p must lie on the probability simplex")
-    if np.any((rows > 0.0).sum(axis=-1) < k):
-        raise ValueError("fewer than k strictly positive entries")
-    if uniforms is None:
-        uniforms = rng.uniform((rows.shape[0], k))
-    u = np.asarray(uniforms, dtype=np.float64).reshape(rows.shape[0], k)
-    work = rows.copy()
-    mask = np.zeros_like(work)
-    row_ix = np.arange(work.shape[0])
-    for j in range(k):
-        total = work.sum(axis=-1)
-        cum = np.cumsum(work, axis=-1)
-        idx = np.minimum((cum <= (u[:, j] * total)[:, None]).sum(axis=-1), n - 1)
-        # A draw can land on a zero-probability plateau through float
-        # round-off; nudge it to the next live entry.
-        bad = work[row_ix, idx] <= 0.0
-        while np.any(bad):
-            idx[bad] = (idx[bad] + 1) % n
-            bad = work[row_ix, idx] <= 0.0
-        mask[row_ix, idx] = 1.0
-        work[row_ix, idx] = 0.0
-    return mask[0] if single else mask
-
-
 def _sample_k_from_logits(logits: np.ndarray, k: int,
                           uniforms: np.ndarray) -> np.ndarray:
-    """Sequential sampling without replacement from softmax(logits) per row.
+    """Select k experts per row by sequential sampling without replacement
+    from softmax(logits); log-probabilities sample from those probabilities.
 
-    Same distribution as :func:`sample_k_without_replacement` on the softmax
-    probabilities, but each round re-normalises in log space over the
-    remaining experts, so extreme logit scales (temperature -> 0) degrade
-    gracefully to deterministic top-k instead of rejecting on underflow.
+    Round j draws one expert from the softmax over the experts still
+    unselected, by inverting its cumulative sum at ``uniforms[:, j]``
+    (shape [B, k]).  Each round re-normalises in log space, so extreme logit
+    scales (temperature -> 0) degrade gracefully to deterministic top-k
+    instead of failing on underflow.
     """
     rows = np.asarray(logits, dtype=np.float64)
     u = np.asarray(uniforms, dtype=np.float64).reshape(rows.shape[0], k)
@@ -459,12 +382,6 @@ class TemperatureNet:
         return T.softplus(self.raw(u)) + TEMPERATURE_FLOOR
 
 
-def vtsr_temperature(u, temperature_net: TemperatureNet) -> float:
-    """Temperature for one token: softplus(raw) + floor, always > 0."""
-    ut = T.as_tensor(u).reshape((1, -1))
-    return float(temperature_net.temperature(ut).data[0, 0])
-
-
 # --------------------------------------------------------------------------
 # router classes
 # --------------------------------------------------------------------------
@@ -493,23 +410,11 @@ class RouterBase:
         """Per-token noise requirements: key (distribution name) -> shape."""
         return {}
 
-    def _draw(self, rng: RngStream, key: str, shape) -> np.ndarray:
-        return getattr(rng, key)(shape)
-
-    def per_token_noise(self, rng: RngStream, mode: str,
-                        samples: int | None = None) -> dict:
-        return {k: self._draw(rng, k, shape)
-                for k, shape in self.noise_spec(mode, samples).items()}
-
-    def pass_block_noise(self, rng: RngStream, passes: int, mode: str,
-                         samples: int | None = None) -> dict:
-        """One draw covering `passes` independent per-token noise sets."""
-        return {k: self._draw(rng, k, (passes,) + tuple(shape))
-                for k, shape in self.noise_spec(mode, samples).items()}
-
-    def batch_noise(self, rng: RngStream, batch: int, mode: str,
-                    samples: int | None = None) -> dict:
-        return {k: self._draw(rng, k, (batch,) + tuple(shape))
+    def draw_noise(self, rng: RngStream, lead: tuple, mode: str,
+                   samples: int | None = None) -> dict:
+        """One draw per noise key covering ``lead`` independent per-token
+        noise sets: key -> array of shape ``lead + per-token shape``."""
+        return {k: getattr(rng, k)(tuple(lead) + tuple(shape))
                 for k, shape in self.noise_spec(mode, samples).items()}
 
     def route(self, u: Tensor, mode: str, rng: RngStream | None = None,
@@ -522,10 +427,10 @@ class RouterBase:
         if rng is None and self.variant != "map":
             raise ValueError(f"{self.variant} routing needs an RngStream or "
                              "pre-drawn noise")
-        return self.batch_noise(rng, batch, mode)
+        return self.draw_noise(rng, (batch,), mode)
 
     def _signals(self, gate_entropy, **present) -> dict:
-        out = {k: None for k in _SIGNAL_KEYS}
+        out = {k: None for k in SIGNAL_NAMES}
         out["gate_entropy"] = gate_entropy
         out.update(present)
         return out
@@ -589,7 +494,7 @@ class McDropoutRouter(RouterBase):
         _check_mode(mode)
         noise = self._noise(rng, u.shape[0], mode, noise)
         rate = self.config.dropout_rate
-        s = self.samples(mode)
+        s = noise["uniform"].shape[1]
         keep = (noise["uniform"] >= rate).astype(np.float64)
         if rate > 0.0:
             keep /= (1.0 - rate)
@@ -599,7 +504,7 @@ class McDropoutRouter(RouterBase):
         p_bar = _softmax_np(logits_s).mean(axis=1)
         mask = top_k_mask(p_bar, self.config.top_k)
         gates = Tensor(_renorm_gates_np(p_bar, mask))
-        mc_var = _mc_logit_var_np(logits_s) if s >= 2 else np.zeros(u.shape[0])
+        mc_var = mc_logit_var(logits_s)
         return BatchRouteResult(
             logits_det=u.data @ self.w_r.data, probs=p_bar, selection=mask,
             gate_weights=gates, kl_term=None, kl_per_token=np.zeros(u.shape[0]),
@@ -651,7 +556,7 @@ class VglrRouter(RouterBase):
         p_bar = T.softmax(l_samples, axis=-1).mean(axis=1)
         mask = top_k_mask(p_bar.data, self.config.top_k)
         gates = _renorm_gates_t(p_bar, mask)
-        mc_var = _mc_logit_var_np(l_samples.data) if s >= 2 else None
+        mc_var = mc_logit_var(l_samples.data) if s >= 2 else None
         return BatchRouteResult(
             logits_det=l_det, probs=p_bar.data, selection=mask, gate_weights=gates,
             kl_term=kl_tok.mean(), kl_per_token=kl_tok.data.copy(),
@@ -738,87 +643,3 @@ def make_router(variant: str, w_r: Tensor, config: RouterConfig,
         net = TemperatureNet(cfg.dim, cfg.phi_hidden, rng)
         return VtsrRouter(w_r, cfg, net)
     raise ValueError(f"unknown router variant {variant!r}")
-
-
-# --------------------------------------------------------------------------
-# single-token entry points
-# --------------------------------------------------------------------------
-
-
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _mc_logit_var_np(samples: np.ndarray) -> np.ndarray:
-    """Total variance of logit vectors per token for samples of shape [B,S,N]."""
-    dev = samples - samples.mean(axis=1, keepdims=True)
-    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
-
-
-def _decision(res: BatchRouteResult, i: int = 0) -> RouterDecision:
-    sig = res.signals
-
-    def pick(key):
-        arr = sig[key]
-        return None if arr is None else float(np.asarray(arr)[i])
-
-    return RouterDecision(
-        logits_det=res.logits_det[i].copy(),
-        probs=res.probs[i].copy(),
-        selection=res.selection[i].astype(np.int64),
-        gate_weights=res.gate_weights.data[i].copy(),
-        kl=float(res.kl_per_token[i]),
-        signals=UncertaintySignals(
-            gate_entropy=pick("gate_entropy"),
-            inf_logit_var=pick("inf_logit_var"),
-            inf_temp=pick("inf_temp"),
-            mc_logit_var=pick("mc_logit_var")),
-        logits_sampled=None if res.logits_sampled is None
-        else res.logits_sampled[i].copy())
-
-
-def _row(u) -> Tensor:
-    return T.as_tensor(u).reshape((1, -1))
-
-
-def deterministic_route(u, w_r, k: int) -> RouterDecision:
-    """Top-k routing of one token: logits, softmax, renormalised gates."""
-    w = T.as_tensor(w_r)
-    if k > w.shape[1]:
-        raise ValueError("k exceeds the number of experts")
-    cfg = RouterConfig(dim=w.shape[0], num_experts=w.shape[1], top_k=k)
-    res = MapRouter(w, cfg).route(_row(u), "eval")
-    return _decision(res)
-
-
-def vglr_route(u, w_r, phi: GaussianInferenceNet, config: RouterConfig,
-               mode: str, rng: RngStream) -> RouterDecision:
-    """Gaussian-logit routing of one token."""
-    router = VglrRouter(T.as_tensor(w_r), config, phi)
-    return _decision(router.route(_row(u), mode, rng=rng))
-
-
-def vtsr_route(u, w_r, temperature_net: TemperatureNet, config: RouterConfig,
-               mode: str, rng: RngStream) -> RouterDecision:
-    """Learned-temperature routing of one token."""
-    router = VtsrRouter(T.as_tensor(w_r), config, temperature_net)
-    return _decision(router.route(_row(u), mode, rng=rng))
-
-
-def mc_dropout_route(u, w_r, config: RouterConfig, mode: str,
-                     rng: RngStream) -> RouterDecision:
-    """Input-dropout routing of one token."""
-    router = McDropoutRouter(T.as_tensor(w_r), config)
-    return _decision(router.route(_row(u), mode, rng=rng))
-
-
-def fixed_temp_route(u, w_r, t_global: float, k: int,
-                     rng: RngStream) -> RouterDecision:
-    """Fixed-temperature sampled routing of one token."""
-    w = T.as_tensor(w_r)
-    cfg = RouterConfig(dim=w.shape[0], num_experts=w.shape[1], top_k=k,
-                       global_temperature=t_global, variant="temp_scale")
-    router = TempScaleRouter(w, cfg)
-    return _decision(router.route(_row(u), "eval", rng=rng))

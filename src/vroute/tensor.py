@@ -16,7 +16,6 @@ import contextlib
 
 import numpy as np
 
-from .rng import RngStream
 
 
 class NumericsError(RuntimeError):
@@ -335,13 +334,6 @@ def reshape(a, shape) -> Tensor:
     return _result(data, (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ValueError("transpose expects a 2-d tensor")
-    return _result(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
-
-
 def gather(a, indices, axis: int = -1) -> Tensor:
     """Select slices along ``axis`` by integer index; scatter-adds on backward."""
     a = as_tensor(a)
@@ -410,29 +402,8 @@ def cross_entropy(logits, labels) -> Tensor:
     return _result(data, (logits,), backward, "cross_entropy")
 
 
-# -- sampling ---------------------------------------------------------------
-
-
-def sample_standard_normal(rng: RngStream, shape) -> Tensor:
-    """I.i.d. N(0,1) draws as a constant tensor (reparameterisation input)."""
-    return Tensor(rng.normal(shape))
-
-
-def sample_gumbel(rng: RngStream, shape) -> Tensor:
-    """I.i.d. Gumbel(0,1) draws as a constant tensor."""
-    return Tensor(rng.gumbel(shape))
-
-
 # -- constructors -------------------------------------------------------------
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, float(value)), requires_grad=requires_grad)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vroute.routers import GaussianPosterior
 from vroute.tensor import Tensor
 
 
@@ -58,6 +59,28 @@ def total_variation(counts: dict, probs: dict, draws: int) -> float:
     keys = set(counts) | set(probs)
     return 0.5 * sum(abs(counts.get(key, 0) / draws - probs.get(key, 0.0))
                      for key in keys)
+
+
+class FixedGaussianPhi:
+    """Stub inference net emitting a constant posterior for every token."""
+
+    def __init__(self, delta_mu, sigma=None, chol=None):
+        self.delta_mu = np.asarray(delta_mu, dtype=np.float64)
+        self.sigma = sigma
+        self.chol = chol
+        self.full_cov = chol is not None
+
+    def param_items(self):
+        return []
+
+    def posterior(self, u):
+        b = u.shape[0]
+        dmu = Tensor(np.tile(self.delta_mu, (b, 1)))
+        if self.full_cov:
+            return GaussianPosterior(dmu, cholesky_L=Tensor(
+                np.tile(self.chol, (b, 1, 1))))
+        return GaussianPosterior(dmu, diag_sigma=Tensor(
+            np.tile(self.sigma, (b, 1))))
 
 
 @pytest.fixture

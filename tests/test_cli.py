@@ -1,14 +1,15 @@
-"""`vroute train` artifacts: the early-stopping decision of each stage can be
-recomputed from ``metrics_train.csv`` and ``config_resolved.json`` alone."""
+"""`vroute` runs: the early-stopping decision of each stage can be recomputed
+from ``metrics_train.csv`` and ``config_resolved.json`` alone, and a failed
+run prints one error line, exits 1 and leaves no artifacts."""
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from vroute import cli
+from vroute import cli, experiment
 from vroute.checkpoint import load_checkpoint
-from vroute.config import config_from_dict
+from vroute.config import ConfigError, config_from_dict
 from vroute.experiment import build_splits
 from vroute.rng import RngStream
 from vroute.training import predictive_nll_acc
@@ -25,11 +26,14 @@ TINY = {
 }
 
 
-def _train(tmp_path, **train):
-    payload = json.loads(json.dumps(TINY))
-    payload["train"].update(train)
+def _write_config(tmp_path, **overrides):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(payload))
+    cfg_path.write_text(json.dumps(dict(TINY, **overrides)))
+    return cfg_path
+
+
+def _train(tmp_path, **train):
+    cfg_path = _write_config(tmp_path, train=dict(TINY["train"], **train))
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
     with open(out / "metrics_train.csv", encoding="utf-8") as fh:
@@ -62,3 +66,47 @@ def test_restored_stage2_epoch_recomputable_from_artifacts(tmp_path, metric):
     got = predictive_nll_acc(model, build_splits(cfg)["val"], stream)
     assert got == (float(best["val_nll"]), float(best["val_acc"]),
                    float(best["val_kl"]))
+
+
+def _left_behind(out):
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
+def test_out_of_range_layers_rejected_before_any_write(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="layers"):
+        config_from_dict(dict(TINY, layers=[99]))
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, layers=[99])
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert _left_behind(out) == []
+
+
+def test_failed_run_removes_checkpoints_already_written(tmp_path, monkeypatch,
+                                                        capsys):
+    out = tmp_path / "run"
+    seen = []
+
+    def failing_stage2(*args, **kwargs):
+        seen.append((out / "model_map.npz").exists())
+        raise RuntimeError("injected stage-2 failure")
+
+    monkeypatch.setattr(experiment, "stage2_train", failing_stage2)
+    cfg_path = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert seen == [True]
+    assert "error: injected stage-2 failure" in capsys.readouterr().err
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood", "stability",
+                                     "sweep-temp"])
+def test_config_error_is_one_error_line(tmp_path, capsys, command):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"sed": 1}))
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "sed" in err
+    assert "Traceback" not in err
+    assert _left_behind(out) == []

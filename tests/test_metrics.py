@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vroute.metrics import (auprc, auroc, calibration_report, ece,
-                            gate_entropy, inf_logit_var, jaccard,
-                            jaccard_rows, mce, mc_logit_var)
-from vroute.routers import GaussianPosterior
+from vroute.metrics import (auprc, auroc, calibration_report, ece, jaccard,
+                            jaccard_rows, mce)
+from vroute.routers import (RouterConfig, VglrRouter, mc_logit_var,
+                            shannon_entropy)
 from vroute.tensor import Tensor
+
+from conftest import FixedGaussianPhi
 
 
 class TestEce:
@@ -120,54 +122,62 @@ class TestAuprc:
 
 class TestGateEntropy:
     def test_one_hot_is_zero(self):
-        assert gate_entropy(np.eye(6)[2]) == 0.0
+        assert shannon_entropy(np.eye(6)[2]) == 0.0
 
     def test_uniform_forty(self):
-        assert gate_entropy(np.full(40, 1 / 40)) == pytest.approx(
+        assert shannon_entropy(np.full(40, 1 / 40)) == pytest.approx(
             math.log(40), abs=1e-12)
 
     def test_matches_term_by_term_sum(self):
         rng = np.random.default_rng(2)
         p = rng.dirichlet(np.ones(9))
         expected = -sum(pi * math.log(pi) for pi in p if pi > 0)
-        assert gate_entropy(p) == pytest.approx(expected, abs=1e-12)
+        assert shannon_entropy(p) == pytest.approx(expected, abs=1e-12)
+
+
+def _inferred_variance(n, **posterior) -> float:
+    """The vglr router's inferred-variance signal for one token under a fixed
+    posterior: the trace of its covariance."""
+    phi = FixedGaussianPhi(np.zeros(n), **posterior)
+    router = VglrRouter(Tensor(np.eye(n)),
+                        RouterConfig(dim=n, num_experts=n, top_k=1), phi)
+    res = router.route(Tensor(np.zeros((1, n))), "eval",
+                       noise={"normal": np.zeros((1, 1, n))})
+    return float(res.signals["inf_logit_var"][0])
 
 
 class TestInfLogitVar:
     def test_identity_factor(self):
-        post = GaussianPosterior(Tensor(np.zeros(5)),
-                                 cholesky_L=Tensor(np.eye(5)))
-        assert inf_logit_var(post) == pytest.approx(5.0, abs=1e-12)
+        assert _inferred_variance(5, chol=np.eye(5)) == pytest.approx(
+            5.0, abs=1e-12)
 
     def test_diagonal_sigmas(self):
-        post = GaussianPosterior(Tensor(np.zeros(2)),
-                                 diag_sigma=Tensor([2.0, 3.0]))
-        assert inf_logit_var(post) == pytest.approx(13.0, abs=1e-12)
+        assert _inferred_variance(2, sigma=np.array([2.0, 3.0])) == \
+            pytest.approx(13.0, abs=1e-12)
 
     def test_matches_trace_of_product(self):
         rng = np.random.default_rng(21)
         L = np.tril(rng.normal(size=(6, 6)))
         L[np.arange(6), np.arange(6)] = np.exp(np.diag(L))
-        post = GaussianPosterior(Tensor(np.zeros(6)), cholesky_L=Tensor(L))
-        assert inf_logit_var(post) == pytest.approx(np.trace(L @ L.T),
-                                                    abs=1e-9)
+        assert _inferred_variance(6, chol=L) == pytest.approx(
+            np.trace(L @ L.T), abs=1e-9)
 
 
 class TestMcLogitVar:
     def test_identical_rows_zero(self):
-        assert mc_logit_var(np.ones((7, 3))) == 0.0
+        assert mc_logit_var(np.ones((1, 7, 3)))[0] == 0.0
 
     def test_hand_computed_pair(self):
-        samples = np.array([[0.0, 0.0], [2.0, 0.0]])
-        assert mc_logit_var(samples) == pytest.approx(2.0, abs=1e-12)
+        samples = np.array([[[0.0, 0.0], [2.0, 0.0]]])
+        assert mc_logit_var(samples)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_quadratic_homogeneity(self):
         rng = np.random.default_rng(8)
-        s = rng.normal(size=(10, 4))
-        centre = s.mean(0, keepdims=True)
+        s = rng.normal(size=(1, 10, 4))
+        centre = s.mean(1, keepdims=True)
         doubled = centre + 2.0 * (s - centre)
-        assert mc_logit_var(doubled) == pytest.approx(4 * mc_logit_var(s),
-                                                      rel=1e-12)
+        assert mc_logit_var(doubled)[0] == pytest.approx(
+            4 * mc_logit_var(s)[0], rel=1e-12)
 
 
 class TestJaccard:

@@ -2,21 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from vroute import tensor as T
 from vroute.rng import RngStream
-from vroute.routers import (GaussianInferenceNet, GaussianPosterior,
-                            RouterConfig, TemperatureNet, VglrRouter,
-                            VtsrRouter, build_cholesky, deterministic_route,
-                            fixed_temp_route, kl_fc, kl_mf, kl_vtsr,
-                            mc_dropout_route, shannon_entropy, temp_reg_loss,
-                            top_k_mask, vglr_route, vtsr_route,
-                            vtsr_temperature)
+from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
+                            RouterConfig, TempScaleRouter, TemperatureNet,
+                            VglrRouter, VtsrRouter, build_cholesky,
+                            kl_fc_per_token, kl_mf_per_token, top_k_mask)
 from vroute.tensor import Tensor
 
-from conftest import assert_grad_close, central_difference
+from conftest import FixedGaussianPhi, assert_grad_close, central_difference
 
 
 def _logit_router(logits):
@@ -25,41 +19,76 @@ def _logit_router(logits):
     return np.asarray(logits, dtype=np.float64), np.eye(n)
 
 
+def _route_one(router, u, mode="eval", **kw):
+    """Route a single token (batch of one) through a batch router."""
+    return router.route(Tensor(np.asarray(u)[None, :]), mode, **kw)
+
+
+def _map_router(w, k):
+    return MapRouter(Tensor(w), RouterConfig(dim=w.shape[0],
+                                             num_experts=w.shape[1], top_k=k))
+
+
+def _kl_mf(dmu, sigma) -> float:
+    return float(kl_mf_per_token(Tensor(np.atleast_2d(dmu)),
+                                 Tensor(np.atleast_2d(sigma))).data[0])
+
+
+def _kl_fc(dmu, L) -> float:
+    return float(kl_fc_per_token(Tensor(np.atleast_2d(dmu)),
+                                 Tensor(np.asarray(L)[None])).data[0])
+
+
+def _temperature(net, u) -> float:
+    return float(net.temperature(Tensor(np.atleast_2d(u))).data[0, 0])
+
+
+def _const_temp_net(dim, t):
+    net = TemperatureNet(dim, 2, RngStream(0))
+    for _, p in net.param_items():
+        p.data[...] = 0.0
+    # softplus(b2) + floor == t; softplus is the identity for large inputs
+    target = max(t - 1e-6, 1e-12)
+    net.b2.data[...] = target if target > 30 else math.log(math.expm1(target))
+    return net
+
+
 class TestDeterministicRoute:
     def test_forced_argmax(self):
         u, w = _logit_router([3.0, 1.0, 2.0, 0.0])
-        dec = deterministic_route(u, w, 2)
-        np.testing.assert_array_equal(dec.selection, [1, 0, 1, 0])
-        p = np.exp(dec.logits_det) / np.exp(dec.logits_det).sum()
-        np.testing.assert_allclose(dec.gate_weights,
+        res = _route_one(_map_router(w, 2), u)
+        np.testing.assert_array_equal(res.selection[0], [1, 0, 1, 0])
+        p = np.exp(res.logits_det[0]) / np.exp(res.logits_det[0]).sum()
+        np.testing.assert_allclose(res.gate_weights.data[0],
                                    [p[0] / (p[0] + p[2]), 0.0,
                                     p[2] / (p[0] + p[2]), 0.0], atol=1e-12)
-        assert dec.kl == 0.0
+        assert res.kl_per_token[0] == 0.0
 
     def test_tie_break_lowest_index(self):
         u, w = _logit_router([1.0] * 5)
-        dec = deterministic_route(u, w, 2)
-        np.testing.assert_array_equal(dec.selection, [1, 1, 0, 0, 0])
-        np.testing.assert_allclose(dec.gate_weights, [0.5, 0.5, 0, 0, 0],
-                                   atol=1e-12)
+        res = _route_one(_map_router(w, 2), u)
+        np.testing.assert_array_equal(res.selection[0], [1, 1, 0, 0, 0])
+        np.testing.assert_allclose(res.gate_weights.data[0],
+                                   [0.5, 0.5, 0, 0, 0], atol=1e-12)
 
     def test_matches_full_sort(self, np_rng):
         for _ in range(20):
             u, w = _logit_router(np_rng.normal(size=8))
-            dec = deterministic_route(u, w, 3)
-            expected = set(np.argsort(-dec.logits_det, kind="stable")[:3])
-            assert set(np.nonzero(dec.selection)[0]) == expected
+            res = _route_one(_map_router(w, 3), u)
+            expected = set(np.argsort(-res.logits_det[0], kind="stable")[:3])
+            assert set(np.nonzero(res.selection[0])[0]) == expected
 
     def test_k_too_large_rejected(self):
         u, w = _logit_router([0.0, 1.0])
         with pytest.raises(ValueError):
-            deterministic_route(u, w, 3)
+            _map_router(w, 3)
 
     def test_gates_sum_to_one(self, np_rng):
         u, w = _logit_router(np_rng.normal(size=6))
-        dec = deterministic_route(u, w, 4)
-        assert dec.gate_weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert ((dec.gate_weights > 0) == (dec.selection == 1)).all()
+        res = _route_one(_map_router(w, 4), u)
+        gates = res.gate_weights.data[0]
+        assert gates.sum() == pytest.approx(1.0, abs=1e-12)
+        assert ((gates > 0) == (res.selection[0] == 1)).all()
 
 
 class TestBuildCholesky:
@@ -103,20 +132,20 @@ class TestBuildCholesky:
 class TestKlMeanField:
     def test_zero_at_prior(self):
         for n in (1, 3, 8):
-            assert kl_mf(np.zeros(n), np.ones(n)) == pytest.approx(0.0, abs=1e-12)
+            assert _kl_mf(np.zeros(n), np.ones(n)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_dim_mean_shift(self):
-        assert kl_mf([1.0], [1.0]) == pytest.approx(0.5, abs=1e-12)
+        assert _kl_mf([1.0], [1.0]) == pytest.approx(0.5, abs=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
-            kl_mf([0.0], [0.0])
+            _kl_mf([0.0], [0.0])
 
     def test_monte_carlo_oracle(self, np_rng):
         n = 4
         dmu = np_rng.uniform(-1.5, 1.5, n) + 0.3
         sigma = np.exp(np_rng.uniform(-0.5, 0.5, n))
-        closed = kl_mf(dmu, sigma)
+        closed = _kl_mf(dmu, sigma)
         eps = np_rng.standard_normal((1_000_000, n))
         x = dmu + sigma * eps
         log_q = -0.5 * (eps ** 2).sum(1) - np.log(sigma).sum()
@@ -127,25 +156,25 @@ class TestKlMeanField:
 
 class TestKlFullCovariance:
     def test_zero_at_prior(self):
-        assert kl_fc(np.zeros(4), np.eye(4)) == pytest.approx(0.0, abs=1e-12)
+        assert _kl_fc(np.zeros(4), np.eye(4)) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_matches_mean_field(self, np_rng):
         dmu = np_rng.normal(size=5)
         sigma = np.exp(np_rng.uniform(-1, 1, size=5))
-        assert kl_fc(dmu, np.diag(sigma)) == pytest.approx(
-            kl_mf(dmu, sigma), abs=1e-12)
+        assert _kl_fc(dmu, np.diag(sigma)) == pytest.approx(
+            _kl_mf(dmu, sigma), abs=1e-12)
 
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
-            kl_fc(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+            _kl_fc(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            kl_fc(np.zeros(2), np.array([[1.0, 0.0], [0.5, -1.0]]))
+            _kl_fc(np.zeros(2), np.array([[1.0, 0.0], [0.5, -1.0]]))
 
     def test_monte_carlo_oracle(self, np_rng):
         n = 4
         dmu = np_rng.uniform(-1.5, 1.5, n) + 0.3
         L = build_cholesky(Tensor(np_rng.uniform(-0.4, 0.4, 10))).data
-        closed = kl_fc(dmu, L)
+        closed = _kl_fc(dmu, L)
         eps = np_rng.standard_normal((1_000_000, n))
         x = dmu + eps @ L.T
         log_q = -0.5 * (eps ** 2).sum(1) - np.log(np.diag(L)).sum()
@@ -154,41 +183,12 @@ class TestKlFullCovariance:
         assert abs(closed - mc) / abs(mc) < 0.01
 
 
-class TestKlUniformPrior:
-    def test_uniform_is_zero(self):
-        for n in (2, 5, 40):
-            assert kl_vtsr(np.full(n, 1.0 / n)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_one_hot_is_log_n(self):
-        q = np.zeros(40)
-        q[13] = 1.0
-        assert kl_vtsr(q) == pytest.approx(math.log(40), abs=1e-12)
-
-    def test_matches_independent_entropy_sum(self, np_rng):
-        q = np_rng.dirichlet(np.ones(6))
-        independent = math.log(6) - (-(q * np.log(q)).sum())
-        assert kl_vtsr(q) == pytest.approx(independent, abs=1e-12)
-
-    def test_unnormalised_rejected(self):
-        with pytest.raises(ValueError):
-            kl_vtsr(np.array([0.5, 0.6]))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(0.01, 10.0), min_size=2, max_size=12))
-    def test_identity_with_entropy_on_simplex(self, raw):
-        q = np.array(raw) / np.sum(raw)
-        q = q / q.sum()
-        assert kl_vtsr(q) + shannon_entropy(q) == pytest.approx(
-            math.log(len(q)), abs=1e-12)
-        assert -1e-12 <= kl_vtsr(q) <= math.log(len(q)) + 1e-12
-
-
 class TestTemperature:
     def test_softplus_zero(self):
         net = TemperatureNet(4, 2, RngStream(0))
         for _, p in net.param_items():
             p.data[...] = 0.0
-        t = vtsr_temperature(np.ones(4), net)
+        t = _temperature(net, np.ones(4))
         assert t == pytest.approx(math.log(2.0) + 1e-6, abs=1e-12)
 
     def test_floor_for_very_negative_raw(self):
@@ -196,7 +196,7 @@ class TestTemperature:
         for _, p in net.param_items():
             p.data[...] = 0.0
         net.b2.data[...] = -200.0
-        t = vtsr_temperature(np.ones(2), net)
+        t = _temperature(net, np.ones(2))
         assert t == pytest.approx(1e-6, rel=1e-6)
         assert t > 0.0
 
@@ -205,37 +205,20 @@ class TestTemperature:
         for _, p in net.param_items():
             p.data[...] = 0.0
         net.b2.data[...] = 3.0
-        t = vtsr_temperature(np.ones(2), net)
+        t = _temperature(net, np.ones(2))
         assert t == pytest.approx(math.log(1 + math.exp(3.0)) + 1e-6, abs=1e-9)
 
     def test_temp_reg_values(self):
-        assert temp_reg_loss(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert temp_reg_loss(math.e) == pytest.approx(-1.0, abs=1e-12)
-        assert temp_reg_loss(0.5) == pytest.approx(math.log(2.0), abs=1e-12)
-        with pytest.raises(ValueError):
-            temp_reg_loss(0.0)
-
-
-class _FixedGaussianPhi:
-    """Stub inference net emitting a constant posterior for every token."""
-
-    def __init__(self, delta_mu, sigma=None, chol=None):
-        self.delta_mu = np.asarray(delta_mu, dtype=np.float64)
-        self.sigma = sigma
-        self.chol = chol
-        self.full_cov = chol is not None
-
-    def param_items(self):
-        return []
-
-    def posterior(self, u):
-        b = u.shape[0]
-        dmu = Tensor(np.tile(self.delta_mu, (b, 1)))
-        if self.full_cov:
-            return GaussianPosterior(dmu, cholesky_L=Tensor(
-                np.tile(self.chol, (b, 1, 1))))
-        return GaussianPosterior(dmu, diag_sigma=Tensor(
-            np.tile(self.sigma, (b, 1))))
+        # vtsr's training regulariser is -log T: zero at T = 1.
+        u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
+        cfg = RouterConfig(dim=3, num_experts=3, top_k=2, variant="vtsr")
+        for t, reg, tol in ((1.0, 0.0, 1e-15), (math.e, -1.0, 1e-12),
+                            (0.5, math.log(2.0), 1e-12)):
+            router = VtsrRouter(Tensor(w), cfg, _const_temp_net(3, t))
+            res = _route_one(router, u, "train",
+                             noise={"gumbel": np.zeros((1, 3))})
+            assert res.kl_term.item() == pytest.approx(reg, abs=tol)
+            assert res.kl_per_token[0] == pytest.approx(reg, abs=tol)
 
 
 class TestVglrRoute:
@@ -246,16 +229,17 @@ class TestVglrRoute:
         n = 6
         for trial in range(10):
             u, w = _logit_router(np_rng.normal(size=n))
-            phi = _FixedGaussianPhi(np.zeros(n), sigma=np.full(n, 1e-8))
-            dec = vglr_route(u, w, phi, self._cfg(n), "eval", RngStream(trial))
-            det = deterministic_route(u, w, 2)
-            np.testing.assert_array_equal(dec.selection, det.selection)
+            phi = FixedGaussianPhi(np.zeros(n), sigma=np.full(n, 1e-8))
+            router = VglrRouter(Tensor(w), self._cfg(n), phi)
+            res = _route_one(router, u, rng=RngStream(trial))
+            det = _route_one(_map_router(w, 2), u)
+            np.testing.assert_array_equal(res.selection, det.selection)
 
     def test_zero_noise_recovers_shifted_logits(self, np_rng):
         n = 4
         u, w = _logit_router(np_rng.normal(size=n))
         dmu = np_rng.normal(size=n)
-        phi = _FixedGaussianPhi(dmu, sigma=np.ones(n))
+        phi = FixedGaussianPhi(dmu, sigma=np.ones(n))
         cfg = self._cfg(n, train_samples=1)
         router = VglrRouter(Tensor(w), cfg, phi)
         noise = {"normal": np.zeros((1, 1, n))}
@@ -269,26 +253,27 @@ class TestVglrRoute:
         u, w = _logit_router(np.array([0.5, 0.0, -0.5]))
         dmu = np.array([0.1, -0.2, 0.3])
         sigma = np.array([0.8, 1.2, 0.5])
-        phi = _FixedGaussianPhi(dmu, sigma=sigma)
+        phi = FixedGaussianPhi(dmu, sigma=sigma)
         cfg = self._cfg(n, eval_samples=100_000)
-        dec = vglr_route(u, w, phi, cfg, "eval", RngStream(77))
+        res = _route_one(VglrRouter(Tensor(w), cfg, phi), u, rng=RngStream(77))
         eps = np_rng.standard_normal((100_000, n))
         logits = (u @ w) + dmu + sigma * eps
         e = np.exp(logits - logits.max(1, keepdims=True))
         oracle = (e / e.sum(1, keepdims=True)).mean(0)
-        assert 0.5 * np.abs(dec.probs - oracle).sum() < 0.005
+        assert 0.5 * np.abs(res.probs[0] - oracle).sum() < 0.005
 
     def test_signals_and_kl(self, np_rng):
         n = 4
         u, w = _logit_router(np_rng.normal(size=n))
         chol = build_cholesky(Tensor(np_rng.uniform(-0.3, 0.3, 10))).data
-        phi = _FixedGaussianPhi(np.zeros(n), chol=chol)
-        dec = vglr_route(u, w, phi, self._cfg(n, eval_samples=16), "eval",
-                         RngStream(5))
-        assert dec.signals.inf_logit_var == pytest.approx((chol ** 2).sum())
-        assert dec.signals.inf_temp is None
-        assert dec.signals.mc_logit_var is not None
-        assert dec.kl == pytest.approx(kl_fc(np.zeros(n), chol), abs=1e-9)
+        phi = FixedGaussianPhi(np.zeros(n), chol=chol)
+        router = VglrRouter(Tensor(w), self._cfg(n, eval_samples=16), phi)
+        res = _route_one(router, u, rng=RngStream(5))
+        assert res.signals["inf_logit_var"][0] == pytest.approx((chol ** 2).sum())
+        assert res.signals["inf_temp"] is None
+        assert res.signals["mc_logit_var"] is not None
+        assert res.kl_per_token[0] == pytest.approx(_kl_fc(np.zeros(n), chol),
+                                                    abs=1e-9)
 
     def test_trained_phi_gradients_flow(self, np_rng):
         n, d = 3, 5
@@ -308,37 +293,28 @@ class TestVtsrRoute:
     def _cfg(self, n, k=2):
         return RouterConfig(dim=n, num_experts=n, top_k=k, variant="vtsr")
 
-    def _const_temp_net(self, dim, t):
-        net = TemperatureNet(dim, 2, RngStream(0))
-        for _, p in net.param_items():
-            p.data[...] = 0.0
-        # softplus(b2) + floor == t; softplus is the identity for large inputs
-        target = max(t - 1e-6, 1e-12)
-        net.b2.data[...] = target if target > 30 else math.log(math.expm1(target))
-        return net
-
     def test_low_temperature_recovers_top_k(self, np_rng):
         n = 5
         u, w = _logit_router(np.array([3.0, 2.0, 1.0, 0.0, -1.0]))
-        net = self._const_temp_net(n, 1e-4)
+        router = VtsrRouter(Tensor(w), self._cfg(n), _const_temp_net(n, 1e-4))
         hits = 0
         for trial in range(200):
-            dec = vtsr_route(u, w, net, self._cfg(n), "eval", RngStream(trial))
-            hits += (dec.selection[:2] == 1).all()
+            res = _route_one(router, u, rng=RngStream(trial))
+            hits += (res.selection[0, :2] == 1).all()
         assert hits == 200
 
     def test_high_temperature_entropy_near_uniform(self):
         n = 6
         u, w = _logit_router(np.arange(n, dtype=float))
-        net = self._const_temp_net(n, 1e3)
-        dec = vtsr_route(u, w, net, self._cfg(n), "eval", RngStream(1))
-        assert abs(dec.signals.gate_entropy - math.log(n)) < 1e-3
-        assert dec.signals.inf_temp == pytest.approx(1e3, rel=1e-3)
+        router = VtsrRouter(Tensor(w), self._cfg(n), _const_temp_net(n, 1e3))
+        res = _route_one(router, u, rng=RngStream(1))
+        assert abs(res.signals["gate_entropy"][0] - math.log(n)) < 1e-3
+        assert res.signals["inf_temp"][0] == pytest.approx(1e3, rel=1e-3)
 
     def test_gumbel_zero_noise_recovers_top_k(self):
         n = 4
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
-        net = self._const_temp_net(n, 2.0)
+        net = _const_temp_net(n, 2.0)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
         res = router.route(Tensor(u[None, :]), "train",
                            noise={"gumbel": np.zeros((1, n))})
@@ -347,7 +323,7 @@ class TestVtsrRoute:
     def test_train_kl_slot_holds_temperature_regulariser(self):
         n = 3
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
-        net = self._const_temp_net(n, 0.5)
+        net = _const_temp_net(n, 0.5)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
         res = router.route(Tensor(u[None, :]), "train",
                            noise={"gumbel": np.zeros((1, n))})
@@ -357,7 +333,7 @@ class TestVtsrRoute:
     def test_straight_through_gates_match_hard_renormalisation(self):
         n = 4
         u, w = _logit_router(np.array([2.0, 1.0, 0.5, 0.0]))
-        net = self._const_temp_net(n, 1.5)
+        net = _const_temp_net(n, 1.5)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
         res = router.route(Tensor(u[None, :]), "train",
                            noise={"gumbel": np.zeros((1, n))})
@@ -377,15 +353,15 @@ class TestMcDropoutRoute:
     def test_zero_rate_matches_deterministic(self, np_rng):
         n = 5
         u, w = _logit_router(np_rng.normal(size=n))
-        dec = mc_dropout_route(u, w, self._cfg(n, 0.0), "eval", RngStream(3))
-        det = deterministic_route(u, w, 2)
-        np.testing.assert_array_equal(dec.selection, det.selection)
-        assert dec.signals.mc_logit_var == pytest.approx(0.0, abs=1e-18)
+        router = McDropoutRouter(Tensor(w), self._cfg(n, 0.0))
+        res = _route_one(router, u, rng=RngStream(3))
+        det = _route_one(_map_router(w, 2), u)
+        np.testing.assert_array_equal(res.selection, det.selection)
+        assert res.signals["mc_logit_var"][0] == pytest.approx(0.0, abs=1e-18)
 
     def test_identical_masks_zero_variance(self):
         n = 4
         u, w = _logit_router(np.ones(n))
-        from vroute.routers import McDropoutRouter
         router = McDropoutRouter(Tensor(w), self._cfg(n, 0.5, s=6))
         # uniforms all 0.9 -> every mask keeps every coordinate
         noise = {"uniform": np.full((1, 6, n), 0.9)}
@@ -398,7 +374,6 @@ class TestMcDropoutRoute:
         n = 2
         u = np.array([1.0, 1.0])
         w = np.eye(2)
-        from vroute.routers import McDropoutRouter
         cfg = RouterConfig(dim=2, num_experts=2, top_k=1,
                            variant="mc_dropout", dropout_rate=0.5,
                            eval_samples=100_000)
@@ -410,19 +385,39 @@ class TestMcDropoutRoute:
         assert abs(counts[0] / samples.shape[0] - 0.5) < 0.01
         assert abs(res.signals["mc_logit_var"][0] - 2.0) / 2.0 < 0.02
 
+    def test_samples_taken_from_noise_shape(self, np_rng):
+        # Predictive passes route with one dropout sample per pass, whatever
+        # eval_samples says.
+        n, b = 4, 3
+        router = McDropoutRouter(Tensor(np_rng.normal(size=(n, n))),
+                                 self._cfg(n, 0.5, s=35))
+        noise = {"uniform": np_rng.uniform(size=(b, 1, n))}
+        res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
+                           noise=noise)
+        assert res.logits_sampled.shape == (b, 1, n)
+        np.testing.assert_array_equal(res.signals["mc_logit_var"], np.zeros(b))
+
 
 class TestFixedTempRoute:
+    def _router(self, w, t_global, k=2):
+        n = w.shape[0]
+        return TempScaleRouter(Tensor(w), RouterConfig(
+            dim=n, num_experts=n, top_k=k, variant="temp_scale",
+            global_temperature=t_global))
+
     def test_low_temperature_is_top_k(self):
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
-        hits = sum((fixed_temp_route(u, w, 1e-4, 2, RngStream(t)).selection[:2] == 1).all()
-                   for t in range(100))
+        router = self._router(w, 1e-4)
+        hits = sum((_route_one(router, u, rng=RngStream(t)).selection[0, :2]
+                    == 1).all() for t in range(100))
         assert hits == 100
 
     def test_gates_renormalised_over_selection(self):
         u, w = _logit_router(np.array([1.0, 0.5, 0.0]))
-        dec = fixed_temp_route(u, w, 0.7, 2, RngStream(4))
-        assert dec.gate_weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert ((dec.gate_weights > 0) == (dec.selection == 1)).all()
+        res = _route_one(self._router(w, 0.7), u, rng=RngStream(4))
+        gates = res.gate_weights.data[0]
+        assert gates.sum() == pytest.approx(1.0, abs=1e-12)
+        assert ((gates > 0) == (res.selection[0] == 1)).all()
 
     def test_selection_distribution_matches_enumeration(self):
         from collections import Counter
@@ -432,10 +427,7 @@ class TestFixedTempRoute:
         scaled = (u @ w) / t_global
         p = np.exp(scaled) / np.exp(scaled).sum()
         exact = enumerate_subset_probs(p, 2)
-        from vroute.routers import TempScaleRouter
-        cfg = RouterConfig(dim=4, num_experts=4, top_k=2,
-                           variant="temp_scale", global_temperature=t_global)
-        router = TempScaleRouter(Tensor(w), cfg)
+        router = self._router(w, t_global)
         draws = 100_000
         res = router.route(Tensor(np.tile(u, (draws, 1))), "eval",
                            rng=RngStream(99))

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from vroute.rng import RngStream
-from vroute.routers import (gumbel_top_k, sample_k_without_replacement,
-                            top_k_mask)
+from vroute.routers import _sample_k_from_logits, gumbel_top_k, top_k_mask
 from vroute.tensor import Tensor
 
 from conftest import (assert_grad_close, central_difference,
                       enumerate_subset_probs, total_variation)
 
 
+def _sample_k(p, k, seed):
+    """The sequential sampler the routers use, run on the rows of ``p`` by
+    passing their log-probabilities."""
+    p = np.atleast_2d(p)
+    return _sample_k_from_logits(np.log(p), k,
+                                 RngStream(seed).uniform((len(p), k)))
+
+
 def _draw_counts_sample_k(p, k, draws, seed):
-    rows = np.tile(p, (draws, 1))
-    masks = sample_k_without_replacement(rows, k, rng=RngStream(seed))
+    masks = _sample_k(np.tile(p, (draws, 1)), k, seed)
     return Counter(frozenset(np.nonzero(m)[0].tolist()) for m in masks)
 
 
@@ -27,8 +33,7 @@ def _draw_counts_gumbel(p, k, draws, seed):
 class TestSampleKWithoutReplacement:
     def test_near_degenerate_selects_dominant(self):
         p = np.array([1.0 - 1e-12, 0.5e-12, 0.5e-12])
-        masks = sample_k_without_replacement(np.tile(p, (1_000_000, 1)), 1,
-                                             rng=RngStream(0))
+        masks = _sample_k(np.tile(p, (1_000_000, 1)), 1, seed=0)
         assert masks[:, 0].sum() >= 999_999
 
     def test_three_expert_set_probabilities(self):
@@ -43,22 +48,12 @@ class TestSampleKWithoutReplacement:
 
     def test_k_equals_n_selects_everything(self):
         p = np.array([0.25, 0.25, 0.25, 0.25])
-        mask = sample_k_without_replacement(p, 4, rng=RngStream(2))
-        np.testing.assert_array_equal(mask, np.ones(4))
-
-    def test_too_few_positive_entries_rejected(self):
-        with pytest.raises(ValueError):
-            sample_k_without_replacement(np.array([1.0, 0.0, 0.0]), 2,
-                                         rng=RngStream(0))
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(ValueError):
-            sample_k_without_replacement(np.array([0.7, 0.7]), 1,
-                                         rng=RngStream(0))
+        mask = _sample_k(p, 4, seed=2)
+        np.testing.assert_array_equal(mask[0], np.ones(4))
 
     def test_mask_has_exactly_k_ones(self, np_rng):
         p = np_rng.dirichlet(np.ones(7), size=50)
-        masks = sample_k_without_replacement(p, 3, rng=RngStream(5))
+        masks = _sample_k(p, 3, seed=5)
         np.testing.assert_array_equal(masks.sum(axis=1), np.full(50, 3))
 
 

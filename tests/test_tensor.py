@@ -71,12 +71,12 @@ class TestSoftmax:
 
 class TestSampling:
     def test_normal_determinism(self):
-        a = T.sample_standard_normal(RngStream(5, 9), (3, 4))
-        b = T.sample_standard_normal(RngStream(5, 9), (3, 4))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = RngStream(5, 9).normal((3, 4))
+        b = RngStream(5, 9).normal((3, 4))
+        np.testing.assert_array_equal(a, b)
 
     def test_normal_moments(self):
-        draws = T.sample_standard_normal(RngStream(7), (1_000_000,)).data
+        draws = RngStream(7).normal((1_000_000,))
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0) < 0.02
 
@@ -85,13 +85,13 @@ class TestSampling:
         assert gumbel_from_uniform(np.array(1.0 / math.e)) == pytest.approx(0.0, abs=1e-12)
 
     def test_gumbel_mean_is_euler_mascheroni(self):
-        draws = T.sample_gumbel(RngStream(11), (1_000_000,)).data
+        draws = RngStream(11).gumbel((1_000_000,))
         assert abs(draws.mean() - 0.5772156649) < 0.01
 
     def test_gumbel_determinism(self):
-        a = T.sample_gumbel(RngStream(3, 1), (64,))
-        b = T.sample_gumbel(RngStream(3, 1), (64,))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = RngStream(3, 1).gumbel((64,))
+        b = RngStream(3, 1).gumbel((64,))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBackward:
