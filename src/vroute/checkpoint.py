@@ -16,7 +16,7 @@ from .model import ModelConfig, MoEClassifier, attach_variational_routers
 from .rng import RngStream
 from .routers import RouterConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> None:

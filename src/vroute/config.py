@@ -29,15 +29,12 @@ class RouterSettings:
     """Variant-independent routing knobs applied when routers are attached."""
     train_samples: int = 1
     eval_samples: int = 35
-    kl_weight: float = 0.1
     dropout_rate: float = 0.1
     global_temperature: float = 0.7
 
     def __post_init__(self):
         if self.train_samples < 1 or self.eval_samples < 1:
             raise ConfigError("sample counts must be >= 1")
-        if self.kl_weight < 0:
-            raise ConfigError("kl_weight must be >= 0")
 
 
 @dataclass

@@ -47,8 +47,7 @@ def router_config_for(settings: RouterSettings, model_cfg: ModelConfig,
         dim=model_cfg.hidden_dim, num_experts=model_cfg.num_experts,
         top_k=model_cfg.top_k, phi_hidden=model_cfg.phi_hidden,
         train_samples=settings.train_samples,
-        eval_samples=settings.eval_samples,
-        kl_weight=settings.kl_weight, variant=variant,
+        eval_samples=settings.eval_samples, variant=variant,
         dropout_rate=settings.dropout_rate,
         global_temperature=settings.global_temperature)
 

@@ -41,40 +41,24 @@ class ModelConfig:
             raise ValueError("all model dimensions must be >= 1")
 
 
-class ExpertNetwork:
-    """Two-layer feed-forward expert mapping dim -> dim."""
-
-    def __init__(self, dim: int, hidden: int, rng: RngStream):
-        self.w1 = Tensor(rng.normal((dim, hidden)) / math.sqrt(dim), requires_grad=True)
-        self.w2 = Tensor(rng.normal((hidden, dim)) / math.sqrt(hidden), requires_grad=True)
-
-    def forward(self, u: Tensor) -> Tensor:
-        return T.matmul(T.relu(T.matmul(u, self.w1)), self.w2)
-
-    def param_items(self):
-        return [("w1", self.w1), ("w2", self.w2)]
-
-
 class MoELayer:
-    """N experts mixed by the router's gate weights."""
+    """N two-layer ReLU experts mixed by the router's gate weights.
 
-    def __init__(self, experts: list[ExpertNetwork], router: RouterBase,
-                 layer_index: int):
-        if router.config.num_experts != len(experts):
-            raise ValueError("router expert count must match the expert list")
-        self.experts = experts
+    The experts are stacked as ``w1`` [N, D, H] and ``w2`` [N, H, D] and
+    mixed by one :func:`vroute.tensor.expert_mix` tape op.
+    """
+
+    def __init__(self, w1: Tensor, w2: Tensor, router: RouterBase):
+        if router.config.num_experts != w1.shape[0]:
+            raise ValueError("router expert count must match the expert stack")
+        self.w1 = w1
+        self.w2 = w2
         self.router = router
-        self.layer_index = layer_index
 
     def forward(self, u: Tensor, mode: str, rng: RngStream | None = None,
                 noise: dict | None = None) -> tuple[Tensor, BatchRouteResult]:
         rec = self.router.route(u, mode, rng=rng, noise=noise)
-        out = None
-        for i, expert in enumerate(self.experts):
-            gate_col = T.gather(rec.gate_weights, [i], axis=1)      # [B,1]
-            term = gate_col * expert.forward(u)
-            out = term if out is None else out + term
-        return out, rec
+        return T.expert_mix(u, rec.gate_weights, self.w1, self.w2), rec
 
 
 class _Block:
@@ -96,15 +80,17 @@ class MoEClassifier:
             brng = rng.derive("block", b)
             dense = Tensor(brng.derive("dense").normal((c.hidden_dim, c.hidden_dim))
                            / math.sqrt(c.hidden_dim), requires_grad=True)
-            experts = [ExpertNetwork(c.hidden_dim, c.expert_hidden,
-                                     brng.derive("expert", j))
-                       for j in range(c.num_experts)]
+            streams = [brng.derive("expert", j) for j in range(c.num_experts)]
+            w1 = Tensor(np.stack([s.normal((c.hidden_dim, c.expert_hidden)) for s in streams])
+                        / math.sqrt(c.hidden_dim), requires_grad=True)
+            w2 = Tensor(np.stack([s.normal((c.expert_hidden, c.hidden_dim)) for s in streams])
+                        / math.sqrt(c.expert_hidden), requires_grad=True)
             w_r = Tensor(brng.derive("router").normal((c.hidden_dim, c.num_experts))
                          / math.sqrt(c.hidden_dim), requires_grad=True)
             rcfg = RouterConfig(dim=c.hidden_dim, num_experts=c.num_experts,
                                 top_k=c.top_k, phi_hidden=c.phi_hidden)
             router = make_router("map", w_r, rcfg, brng.derive("phi"))
-            self.blocks.append(_Block(dense, MoELayer(experts, router, b)))
+            self.blocks.append(_Block(dense, MoELayer(w1, w2, router)))
         self.head = Tensor(rng.derive("head").normal((c.hidden_dim, c.num_classes))
                            / math.sqrt(c.hidden_dim), requires_grad=True)
         self.variational_layer_indices: list[int] = []
@@ -115,9 +101,8 @@ class MoEClassifier:
         items = [("input_proj", self.input_proj)]
         for i, blk in enumerate(self.blocks):
             items.append((f"block{i}.dense", blk.dense))
-            for j, expert in enumerate(blk.moe.experts):
-                for name, p in expert.param_items():
-                    items.append((f"block{i}.expert{j}.{name}", p))
+            items.append((f"block{i}.experts.w1", blk.moe.w1))
+            items.append((f"block{i}.experts.w2", blk.moe.w2))
             for name, p in blk.moe.router.param_items():
                 items.append((f"block{i}.router.{name}", p))
         items.append(("head", self.head))

@@ -46,7 +46,6 @@ class RouterConfig:
     phi_hidden: int | None = None      # inference-net width, defaults to dim // 4
     train_samples: int = 1
     eval_samples: int = 35
-    kl_weight: float = 0.01
     variant: str = "map"
     dropout_rate: float = 0.1
     global_temperature: float = 1.0
@@ -61,8 +60,6 @@ class RouterConfig:
         if min(self.dim, self.phi_hidden, self.num_experts,
                self.train_samples, self.eval_samples) < 1:
             raise ValueError("dimensions and sample counts must be >= 1")
-        if self.kl_weight < 0:
-            raise ValueError("kl_weight must be >= 0")
         if self.global_temperature <= 0:
             raise ValueError("global_temperature must be > 0")
         if not (0.0 <= self.dropout_rate < 1.0):
@@ -209,22 +206,6 @@ def kl_fc_per_token(delta_mu: Tensor, L: Tensor) -> Tensor:
 # Cholesky construction
 # --------------------------------------------------------------------------
 
-_CHOL_MAPS: dict[int, tuple] = {}
-
-
-def _chol_maps(n: int):
-    if n not in _CHOL_MAPS:
-        rows, cols = np.tril_indices(n)
-        lin = rows * n + cols
-        diag_pos = np.nonzero(rows == cols)[0]
-        off_pos = np.nonzero(rows != cols)[0]
-        scatter_off = np.zeros((off_pos.size, n * n))
-        scatter_off[np.arange(off_pos.size), lin[off_pos]] = 1.0
-        scatter_diag = np.zeros((n, n * n))
-        scatter_diag[np.arange(n), lin[diag_pos]] = 1.0
-        _CHOL_MAPS[n] = (off_pos, diag_pos, Tensor(scatter_off), Tensor(scatter_diag))
-    return _CHOL_MAPS[n]
-
 
 def build_cholesky(flat) -> Tensor:
     """Lower-triangular factor from a flat parameter vector.
@@ -241,11 +222,13 @@ def build_cholesky(flat) -> Tensor:
     n = int((math.isqrt(8 * tri + 1) - 1) // 2)
     if n * (n + 1) // 2 != tri:
         raise ValueError(f"flat length {tri} is not a triangular number")
-    off_pos, diag_pos, scatter_off, scatter_diag = _chol_maps(n)
-    diag = T.exp(T.gather(t, diag_pos, axis=1))
-    full = T.matmul(diag, scatter_diag)
-    if off_pos.size:
-        full = full + T.matmul(T.gather(t, off_pos, axis=1), scatter_off)
+    rows, cols = np.tril_indices(n)
+    lin, on_diag = rows * n + cols, rows == cols
+    diag = T.gather(t, np.nonzero(on_diag)[0], axis=1)
+    full = T.scatter(T.exp(diag), lin[on_diag], n * n)
+    if n > 1:
+        off = T.gather(t, np.nonzero(~on_diag)[0], axis=1)
+        full = full + T.scatter(off, lin[~on_diag], n * n)
     out = full.reshape((t.shape[0], n, n))
     return out.reshape((n, n)) if single else out
 

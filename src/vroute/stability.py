@@ -130,7 +130,7 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
     """Accuracy and ECE with one layer at a time swapped to sampled routing
     at a fixed temperature; all other layers stay deterministic."""
     from .metrics import calibration_report
-    from .routers import RouterConfig, TempScaleRouter
+    from .routers import TempScaleRouter
     from dataclasses import replace as dc_replace
 
     rows = []

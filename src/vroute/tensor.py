@@ -1,8 +1,9 @@
 """Dense float64 tensors with taped reverse-mode differentiation.
 
-The op set is deliberately small: dense layers, softmax heads, gathering,
-and the pieces needed for reparameterised sampling.  Everything runs in
-double precision.  Any operation that produces a NaN or Inf raises
+The op set is deliberately small: dense layers, softmax heads, gathering
+and its adjoint (index placement), the pieces needed for reparameterised
+sampling, and one fused expert-mixing op for the MoE layers.  Everything
+runs in double precision.  Any operation that produces a NaN or Inf raises
 :class:`NumericsError` immediately instead of letting the value propagate,
 so numerical collapse surfaces at its source.
 
@@ -187,11 +188,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _recording(parents: tuple) -> bool:
+    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+
+
 def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
     _check_finite(data, op)
-    track = _grad_enabled and any(
-        p.requires_grad or p._parents for p in parents
-    )
+    track = _recording(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -348,6 +351,50 @@ def gather(a, indices, axis: int = -1) -> Tensor:
         return (out,)
 
     return _result(data, (a,), backward, "gather")
+
+
+def scatter(a, indices, size: int) -> Tensor:
+    """Place the columns of 2-d ``a`` at ``indices`` of a zero [B, size]
+    array; the adjoint of :func:`gather` along the last axis."""
+    a = as_tensor(a)
+    idx = np.asarray(indices, dtype=np.intp)
+    data = np.zeros((a.shape[0], size))
+    data[:, idx] = a.data
+    return _result(data, (a,), lambda g: (g[:, idx],), "scatter")
+
+
+def expert_mix(u, gates, w1, w2) -> Tensor:
+    """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
+    w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
+
+    The experts run one at a time and are summed in index order, so no
+    [N, B, H] temporary is built; their activations are kept only while the
+    tape records.
+    """
+    u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
+    keep = _recording(parents)
+    acts, data = [], None
+    for j in range(w1.shape[0]):
+        hid = np.maximum(u.data @ w1.data[j], 0.0)
+        y = hid @ w2.data[j]
+        term = gates.data[:, j:j + 1] * y
+        data = term if data is None else data + term
+        if keep:
+            acts.append((hid, y))
+
+    def backward(g):
+        gu, gg = np.zeros_like(u.data), np.empty_like(gates.data)
+        gw1, gw2 = np.empty_like(w1.data), np.empty_like(w2.data)
+        for j, (hid, y) in enumerate(acts):
+            gg[:, j] = (g * y).sum(axis=1)
+            gy = g * gates.data[:, j:j + 1]
+            gw2[j] = hid.T @ gy
+            gpre = (gy @ w2.data[j].T) * (hid > 0.0)
+            gw1[j] = u.data.T @ gpre
+            gu += gpre @ w1.data[j].T
+        return gu, gg, gw1, gw2
+
+    return _result(data, parents, backward, "expert_mix")
 
 
 # -- softmax family ------------------------------------------------------------

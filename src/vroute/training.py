@@ -11,7 +11,6 @@ weight (stage 1) that objective is exactly the validation NLL;
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from . import tensor as T
 from .model import MoEClassifier, elbo_loss
 from .optim import make_optimizer
 from .rng import RngStream
-from .tensor import Tensor
 
 
 @dataclass
@@ -174,15 +172,3 @@ def stage2_train(model: MoEClassifier, train_ds, val_ds,
                       cfg.learning_rate_stage2, cfg.kl_weight,
                       cfg.epochs_stage2)
 
-
-def parameter_digests(model: MoEClassifier, include_phi: bool = False) -> dict:
-    """SHA-256 of each parameter's shape and raw bytes, keyed by name."""
-    out = {}
-    for name, p in model.param_items():
-        if not include_phi and ".router.phi." in name:
-            continue
-        h = hashlib.sha256()
-        h.update(repr(p.data.shape).encode())
-        h.update(np.ascontiguousarray(p.data).tobytes())
-        out[name] = h.hexdigest()
-    return out

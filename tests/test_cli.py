@@ -103,10 +103,12 @@ def test_failed_run_removes_checkpoints_already_written(tmp_path, monkeypatch,
                                      "sweep-temp"])
 def test_config_error_is_one_error_line(tmp_path, capsys, command):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"sed": 1}))
     out = tmp_path / "run"
-    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "sed" in err
-    assert "Traceback" not in err
-    assert _left_behind(out) == []
+    for bad, message in (({"sed": 1}, "unknown key sed"),
+                         ({"router": {"kl_weight": 0.1}},
+                          "unknown key router.kl_weight")):
+        cfg_path.write_text(json.dumps(bad))
+        assert cli.main([command, "--config", str(cfg_path),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert _left_behind(out) == []

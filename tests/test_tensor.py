@@ -177,6 +177,70 @@ def test_gather_forward_and_gradient(np_rng):
     np.testing.assert_array_equal(x.grad, expected)
 
 
+def test_scatter_places_columns_and_is_the_adjoint_of_gather(np_rng):
+    x = Tensor(np_rng.normal(size=(4, 3)), requires_grad=True)
+    idx = [5, 0, 2]
+    out = T.scatter(x, idx, 6)
+    expected = np.zeros((4, 6))
+    expected[:, idx] = x.data
+    np.testing.assert_array_equal(out.data, expected)
+    w = np_rng.normal(size=(4, 6))
+    (out * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(x.grad, T.gather(Tensor(w), idx, axis=1).data)
+
+
+def _mix_inputs(np_rng, b=3, d=4, h=5, n=3):
+    """Expert-mix operands whose hidden pre-activations all sit at least 0.1
+    away from the ReLU kink, so finite differences see a smooth function."""
+    while True:
+        u = np_rng.normal(size=(b, d))
+        w1 = np_rng.normal(size=(n, d, h))
+        if np.abs(np.einsum("bd,ndh->nbh", u, w1)).min() > 0.1:
+            break
+    gates = np_rng.uniform(0.1, 1.0, size=(b, n))
+    w2 = np_rng.normal(size=(n, h, d))
+    return [Tensor(a, requires_grad=True) for a in (u, gates, w1, w2)]
+
+
+def _mix_reference(u, gates, w1, w2):
+    return sum(gates[:, j:j + 1] * (np.maximum(u @ w1[j], 0.0) @ w2[j])
+               for j in range(w1.shape[0]))
+
+
+class TestExpertMix:
+    def test_forward_is_the_gated_sum_of_experts(self, np_rng):
+        ops = _mix_inputs(np_rng)
+        out = T.expert_mix(*ops)
+        np.testing.assert_allclose(out.data, _mix_reference(*(t.data for t in ops)),
+                                   atol=1e-12)
+
+    def test_gradients_match_finite_differences(self, np_rng):
+        ops = _mix_inputs(np_rng)
+        w = np_rng.normal(size=(3, 4))
+        (T.expert_mix(*ops) * Tensor(w)).sum().backward()
+        for t in ops:
+            fd = central_difference(
+                lambda: (_mix_reference(*(o.data for o in ops)) * w).sum(), t)
+            assert_grad_close(t.grad, fd)
+
+    def test_frozen_weights_get_no_gradient(self, np_rng):
+        u, gates, w1, w2 = ops = _mix_inputs(np_rng)
+        T.expert_mix(*ops).sum().backward()
+        grads = [t.grad for t in ops]
+        for t in ops:
+            t.grad = None
+        w1.requires_grad = w2.requires_grad = False
+        T.expert_mix(*ops).sum().backward()
+        assert w1.grad is None and w2.grad is None
+        np.testing.assert_array_equal(u.grad, grads[0])
+        np.testing.assert_array_equal(gates.grad, grads[1])
+
+    def test_shape_mismatch(self, np_rng):
+        u, gates, w1, w2 = _mix_inputs(np_rng)
+        with pytest.raises(ValueError):
+            T.expert_mix(u, gates, w1, w1)
+
+
 def test_log_softmax_gradient(np_rng):
     x = Tensor(np_rng.uniform(-2, 2, size=(3, 5)), requires_grad=True)
     w = np_rng.normal(size=(3, 5))
