@@ -12,6 +12,7 @@ import json
 
 import numpy as np
 
+from .config import atomic_open
 from .model import ModelConfig, MoEClassifier, attach_variational_routers
 from .rng import RngStream
 from .routers import RouterConfig
@@ -32,7 +33,7 @@ def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> No
         "extra": extra or {},
     }
     arrays = {f"param:{name}": p.data for name, p in model.param_items()}
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 

@@ -3,8 +3,9 @@
 Subcommands: train, eval, ood, stability, sweep-temp, efficiency.  Each one
 runs through :func:`_run`, which loads and validates the config, hands the
 subcommand an :class:`ArtifactWriter`, and writes a manifest of every
-artifact into the output directory.  The writer tracks each file before it
-is written, so when anything fails the runner removes all of them, prints
+artifact into the output directory.  Each file is written atomically (tmp
+file plus ``os.replace``), and the writer tracks each file before it is
+written, so when anything fails the runner removes all of them, prints
 ``error: ...`` and exits 1 (exit code 0 means every requested artifact was
 written).  All randomness derives from the seed.  CSV outputs use UTF-8, LF
 line endings, and fixed column orders; floats are written in shortest
@@ -22,7 +23,8 @@ import time
 from . import __version__
 from .checkpoint import load_checkpoint
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
-                     config_to_dict, load_config, write_manifest)
+                     atomic_open, config_to_dict, load_config,
+                     write_manifest)
 from .data import load_csv
 from .efficiency import (ArchSpec, VARIANT_ORDER, cost_report, granite_preset,
                          validate_cost_report)
@@ -49,8 +51,8 @@ class ArtifactWriter:
         return os.path.join(self.out_dir, name)
 
     def claim(self, name: str) -> str:
-        """Track ``name`` before it is written, so cleanup also removes a file
-        that a failure leaves half written; returns its path."""
+        """Track ``name`` before it is written, so cleanup also removes it
+        when a later step fails; returns its path."""
         path = self.path(name)
         self.files.append(path)
         return path
@@ -67,8 +69,8 @@ class ArtifactWriter:
 
     def write_text(self, name: str, text: str) -> str:
         path = self.claim(name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with atomic_open(path) as fh:
+            fh.write(text.encode("utf-8"))
         return path
 
     def cleanup(self) -> None:

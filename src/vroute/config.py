@@ -7,6 +7,7 @@ seed, timestamps, and a digest of every emitted file.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -177,10 +178,22 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
+@contextlib.contextmanager
+def atomic_open(path):
+    """Binary handle on ``path``.tmp, moved onto ``path`` when the block
+    exits cleanly.  On failure the tmp file is removed, so ``path`` is
+    either complete or untouched: a partial file never appears on disk."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_manifest(manifest: RunManifest, path) -> None:
-    """Write atomically: a partial manifest never appears on disk."""
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True)
+    with atomic_open(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))

@@ -9,8 +9,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .checkpoint import save_checkpoint
 from .config import ExperimentConfig, RouterSettings
 from .data import generate_domain, make_ood_suite, split_dataset
@@ -150,32 +148,20 @@ def evaluate_calibration(model: MoEClassifier, dataset, samples: int | None,
 
 
 def signal_scores(model: MoEClassifier, dataset, samples: int | None,
-                  seed: int, layer_subset: list[int] | None = None) -> dict:
-    """Per-example uncertainty signals, averaged over the attached layers or
-    an explicit layer subset."""
+                  seed: int) -> dict:
+    """Per-example uncertainty signals, averaged over the attached layers."""
     rng = RngStream(seed).derive("signals")
-    pred = predict_with_uncertainty(model, dataset.features, samples=samples,
-                                    rng=rng)
-    if layer_subset is None:
-        return pred.signals
-    out = {}
-    for key in SIGNAL_NAMES:
-        vals = [pred.per_layer_signals[i][key] for i in layer_subset
-                if pred.per_layer_signals[i][key] is not None]
-        out[key] = np.mean(vals, axis=0) if vals else None
-    return out
+    return predict_with_uncertainty(model, dataset.features, samples=samples,
+                                    rng=rng).signals
 
 
 def ood_detection_rows(model: MoEClassifier, id_dataset, shifted: dict,
-                       samples: int | None, seed: int,
-                       layer_subset: list[int] | None = None) -> list[dict]:
+                       samples: int | None, seed: int) -> list[dict]:
     """AUROC/AUPRC per (signal, shifted-domain) pair; higher score = more OoD."""
-    id_sig = signal_scores(model, id_dataset, samples, seed,
-                           layer_subset=layer_subset)
+    id_sig = signal_scores(model, id_dataset, samples, seed)
     rows = []
     for tag in sorted(shifted):
-        ood_sig = signal_scores(model, shifted[tag], samples, seed,
-                                layer_subset=layer_subset)
+        ood_sig = signal_scores(model, shifted[tag], samples, seed)
         for key in SIGNAL_NAMES:
             if id_sig[key] is None or ood_sig[key] is None:
                 continue

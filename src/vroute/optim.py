@@ -1,13 +1,9 @@
-"""Parameter updates: plain SGD and Adam over named parameter lists."""
+"""Parameter updates: Adam over named parameter lists."""
 from __future__ import annotations
 
 import numpy as np
 
 from .tensor import Tensor
-
-
-def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float) -> None:
-    param -= lr * grad
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -37,13 +33,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class Sgd(Optimizer):
-    def step(self) -> None:
-        for _, p in self.params:
-            if p.grad is not None:
-                sgd_step(p.data, p.grad, self.lr)
-
-
 class Adam(Optimizer):
     def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -59,11 +48,3 @@ class Adam(Optimizer):
             if p.grad is not None:
                 adam_step(p.data, p.grad, m, v, self.t, self.lr,
                           self.beta1, self.beta2, self.eps)
-
-
-def make_optimizer(name: str, params, lr: float) -> Optimizer:
-    if name == "adam":
-        return Adam(params, lr)
-    if name == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer {name!r}")

@@ -86,10 +86,6 @@ class RngStream:
         """I.i.d. uniform draws on [0, 1)."""
         return self._tick().random(shape, dtype=np.float64)
 
-    def gumbel(self, shape=()) -> np.ndarray:
-        """I.i.d. standard Gumbel draws."""
-        return gumbel_from_uniform(self._tick().random(shape, dtype=np.float64))
-
     def permutation(self, n: int) -> np.ndarray:
         return self._tick().permutation(n)
 

@@ -4,8 +4,8 @@ Provides deterministic top-k routing, two sampled baselines (global
 temperature, input dropout), and the two variational routers: Gaussian
 posteriors over routing logits (mean-field or full-covariance via a
 Cholesky factor) and a learned per-input temperature with stochastic
-selection.  Includes the samplers, the closed-form KL terms, and the
-Cholesky construction they rely on.
+selection.  Includes the Gumbel-top-k sampler, the closed-form KL terms,
+and the Cholesky construction they rely on.
 
 Conventions shared by every variant:
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .rng import RngStream
+from .rng import RngStream, gumbel_from_uniform
 from .tensor import Tensor
 
 VARIANTS = ("map", "temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
@@ -234,60 +234,28 @@ def build_cholesky(flat) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# samplers
+# sampler
 # --------------------------------------------------------------------------
 
 
-def _sample_k_from_logits(logits: np.ndarray, k: int,
-                          uniforms: np.ndarray) -> np.ndarray:
-    """Select k experts per row by sequential sampling without replacement
-    from softmax(logits); log-probabilities sample from those probabilities.
+def gumbel_top_k(scaled_logits, k: int, uniforms: np.ndarray,
+                 relaxed: bool = False) -> tuple[np.ndarray, Tensor | None]:
+    """Perturb each row of logits with one Gumbel vector and take the top k.
 
-    Round j draws one expert from the softmax over the experts still
-    unselected, by inverting its cumulative sum at ``uniforms[:, j]``
-    (shape [B, k]).  Each round re-normalises in log space, so extreme logit
-    scales (temperature -> 0) degrade gracefully to deterministic top-k
-    instead of failing on underflow.
-    """
-    rows = np.asarray(logits, dtype=np.float64)
-    u = np.asarray(uniforms, dtype=np.float64).reshape(rows.shape[0], k)
-    n = rows.shape[-1]
-    alive = np.ones_like(rows, dtype=bool)
-    mask = np.zeros_like(rows)
-    row_ix = np.arange(rows.shape[0])
-    for j in range(k):
-        shifted = np.where(alive, rows, -np.inf)
-        shifted = shifted - shifted.max(axis=-1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            w = np.where(alive, np.exp(shifted), 0.0)
-        cum = np.cumsum(w, axis=-1)
-        idx = np.minimum((cum <= (u[:, j] * cum[:, -1])[:, None]).sum(axis=-1),
-                         n - 1)
-        bad = ~alive[row_ix, idx]
-        while np.any(bad):
-            idx[bad] = (idx[bad] + 1) % n
-            bad = ~alive[row_ix, idx]
-        mask[row_ix, idx] = 1.0
-        alive[row_ix, idx] = False
-    return mask
-
-
-def gumbel_top_k(scaled_logits, k: int, rng: RngStream | None = None,
-                 gumbels: np.ndarray | None = None) -> tuple[np.ndarray, Tensor]:
-    """Perturb logits with one Gumbel vector and take the top k.
-
-    Returns the hard 0/1 selection mask together with the relaxed weights
-    softmax((scaled_logits + g) / tau) at tau = 1, which carry the gradient
-    in straight-through training.  The selected set is distributed exactly
-    as sequential sampling without replacement from softmax(scaled_logits).
+    ``uniforms`` (same shape as the logits) become the Gumbels.  The selected
+    set is distributed exactly as sequential sampling of k experts without
+    replacement from softmax(scaled_logits) (Kool, van Hoof & Welling, 2019),
+    with ties broken as in :func:`top_k_mask`.  With ``relaxed`` it also
+    returns softmax((scaled_logits + g) / tau) at tau = 1, which carries the
+    gradient in straight-through training; otherwise that slot is None.
     """
     logits = T.as_tensor(scaled_logits)
-    if gumbels is None:
-        gumbels = rng.gumbel(logits.shape)
-    perturbed = logits + Tensor(np.asarray(gumbels, dtype=np.float64))
-    relaxed = T.softmax(perturbed / GUMBEL_TAU, axis=-1)
-    mask = top_k_mask(perturbed.data, k)
-    return mask, relaxed
+    gumbels = gumbel_from_uniform(uniforms)
+    if not relaxed:
+        return top_k_mask(logits.data + gumbels, k), None
+    perturbed = logits + Tensor(gumbels)
+    relaxed_weights = T.softmax(perturbed / GUMBEL_TAU, axis=-1)
+    return top_k_mask(perturbed.data, k), relaxed_weights
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +416,7 @@ class TempScaleRouter(RouterBase):
     variant = "temp_scale"
 
     def noise_spec(self, mode, samples=None):
-        return {"uniform": (self.config.top_k,)}
+        return {"uniform": (self.config.num_experts,)}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
@@ -456,8 +424,7 @@ class TempScaleRouter(RouterBase):
         l_det = u.data @ self.w_r.data
         scaled = l_det / self.config.global_temperature
         probs = _softmax_np(scaled)
-        mask = _sample_k_from_logits(scaled, self.config.top_k,
-                                     noise["uniform"])
+        mask, _ = gumbel_top_k(scaled, self.config.top_k, noise["uniform"])
         gates = Tensor(_renorm_gates_np(_softmax_np(l_det), mask))
         return BatchRouteResult(
             logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
@@ -551,10 +518,10 @@ class VglrRouter(RouterBase):
 class VtsrRouter(RouterBase):
     """Learned per-input temperature with stochastic expert selection.
 
-    Training perturbs the scaled logits with one Gumbel vector and routes
-    through the straight-through relaxation; evaluation samples k experts
-    without replacement from softmax(logits / T).  The regulariser -log T
-    fills the KL slot.
+    Both modes select k experts by Gumbel-top-k on logits / T, which samples
+    them without replacement from softmax(logits / T).  Training also routes
+    through the straight-through relaxation and fills the KL slot with the
+    regulariser -log T.
     """
 
     variant = "vtsr"
@@ -571,39 +538,29 @@ class VtsrRouter(RouterBase):
         return self.temperature_net.param_items()
 
     def noise_spec(self, mode, samples=None):
-        if mode == "train":
-            return {"gumbel": (self.config.num_experts,)}
-        return {"uniform": (self.config.top_k,)}
+        return {"uniform": (self.config.num_experts,)}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
         noise = self._noise(rng, u.shape[0], mode, noise)
-        batch = u.shape[0]
+        train = mode == "train"
         l_det = u.data @ self.w_r.data
         temp = self.temperature_net.temperature(u)                   # [B,1]
-        kl_tok = -np.log(temp.data[:, 0])
-        if mode == "train":
-            scaled = Tensor(l_det) / temp
-            mask, relaxed = gumbel_top_k(scaled, self.config.top_k,
-                                         gumbels=noise["gumbel"])
-            probs = _softmax_np(l_det / temp.data)
-            hard = _renorm_gates_np(probs, mask)
+        scaled = Tensor(l_det) / temp
+        mask, relaxed = gumbel_top_k(scaled, self.config.top_k,
+                                     noise["uniform"], relaxed=train)
+        probs = _softmax_np(scaled.data)
+        hard = Tensor(_renorm_gates_np(probs, mask))
+        gates, kl_term = hard, None
+        if train:
             if self.use_soft_gates:
                 gates = relaxed
             else:
-                gates = (relaxed - relaxed.detach()) + Tensor(hard)
-            reg = -T.log(temp).reshape((batch,))
-            kl_term = reg.mean()
-        else:
-            scaled = l_det / temp.data
-            probs = _softmax_np(scaled)
-            mask = _sample_k_from_logits(scaled, self.config.top_k,
-                                         noise["uniform"])
-            gates = Tensor(_renorm_gates_np(probs, mask))
-            kl_term = None
+                gates = (relaxed - relaxed.detach()) + hard
+            kl_term = (-T.log(temp).reshape((u.shape[0],))).mean()
         return BatchRouteResult(
             logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
-            kl_term=kl_term, kl_per_token=kl_tok,
+            kl_term=kl_term, kl_per_token=-np.log(temp.data[:, 0]),
             signals=self._signals(shannon_entropy(probs),
                                   inf_temp=temp.data[:, 0].copy()))
 

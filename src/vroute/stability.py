@@ -62,13 +62,12 @@ class StabilityReport:
         return sorted({c.layer for c in self.cells})
 
 
-def perturb_input(u: np.ndarray, gamma: float, mean_norm: float,
-                  rng: RngStream) -> np.ndarray:
-    """Add N(0, sigma^2 I) with sigma = gamma * mean_norm."""
+def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
+                       rng: RngStream) -> np.ndarray:
+    """Additive N(0, sigma^2 I) noise of ``shape``, sigma = gamma * mean_norm."""
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    u = np.asarray(u, dtype=np.float64)
-    return u + gamma * mean_norm * rng.normal(u.shape)
+    return gamma * mean_norm * rng.normal(shape)
 
 
 def _forward_selections(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
@@ -101,9 +100,9 @@ def layerwise_stability(model: MoEClassifier, dataset,
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
-                noise_rng = base.derive("noise", layer, gi, rep)
-                noise = gamma * mean_norms[layer] * noise_rng.normal(x.shape[0:1]
-                                                                     + block_inputs[layer].shape[1:])
+                noise = perturbation_noise(block_inputs[layer].shape, gamma,
+                                           mean_norms[layer],
+                                           base.derive("noise", layer, gi, rep))
                 perturbed = _forward_selections(model, x, base,
                                                 input_noise={layer: noise})
                 values.append(jaccard_rows(clean[layer], perturbed[layer]))

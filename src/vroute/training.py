@@ -4,10 +4,9 @@ Stage 1 trains the whole classifier with MAP routers on cross-entropy.
 Stage 2 freezes everything except the routers' inference nets and optimises
 the cross-entropy-plus-KL objective.  Both stages early-stop on their own
 objective evaluated on the validation set -- predictive NLL plus the stage's
-KL weight times the summed per-layer mean KL (``early_stop_metric =
-"val_elbo"``) -- and return the best-validation parameters.  With a zero KL
-weight (stage 1) that objective is exactly the validation NLL;
-``"val_nll"`` selects on the NLL alone in both stages.
+KL weight times the summed per-layer mean KL -- and return the
+best-validation parameters.  With a zero KL weight (stage 1) that objective
+is exactly the validation NLL.
 """
 from __future__ import annotations
 
@@ -15,15 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
 from .model import MoEClassifier, elbo_loss
-from .optim import make_optimizer
+from .optim import Adam
 from .rng import RngStream
 
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"
     learning_rate: float = 1e-3
     learning_rate_stage2: float = 1e-4
     epochs_stage1: int = 25
@@ -32,16 +29,12 @@ class TrainConfig:
     kl_weight: float = 0.1
     seed: int = 0
     early_stop_patience: int = 3
-    early_stop_metric: str = "val_elbo"
 
     def __post_init__(self):
         if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
             raise ValueError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.early_stop_metric not in ("val_elbo", "val_nll"):
-            raise ValueError("early_stop_metric must be 'val_elbo' or "
-                             f"'val_nll', got {self.early_stop_metric!r}")
 
 
 @dataclass
@@ -60,14 +53,6 @@ class TrainLog:
     epochs: list[EpochStats] = field(default_factory=list)
     best_val_objective: float = float("inf")   # what early stopping minimised
     best_epoch: int = -1
-
-
-def evaluate_nll_acc(model: MoEClassifier, dataset, rng: RngStream) -> tuple[float, float]:
-    """Mean negative log-likelihood and accuracy under evaluation routing."""
-    with T.no_grad():
-        logits, _ = model.forward(dataset.features, "eval", rng=rng)
-        probs = T.softmax(logits, axis=-1).data
-    return _nll_acc(probs, dataset.labels)
 
 
 def _nll_acc(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -93,22 +78,13 @@ def predictive_nll_acc(model: MoEClassifier, dataset,
     return nll, acc, float(pred.kl_per_token.mean())
 
 
-def _val_objective(stats: EpochStats, kl_weight: float, metric: str) -> float:
-    """The early-stopping objective of one epoch: val NLL, plus
-    ``kl_weight`` times val KL under ``"val_elbo"``.  A zero weight gives
-    exactly the NLL."""
-    if metric == "val_nll" or kl_weight == 0.0:
-        return stats.val_nll
-    return stats.val_nll + kl_weight * stats.val_kl
-
-
 def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
                cfg: TrainConfig, stage: str, lr: float, kl_weight: float,
                epochs: int) -> TrainLog:
     log = TrainLog(stage=stage)
     if epochs == 0 or not params:
         return log
-    opt = make_optimizer(cfg.optimizer, params, lr)
+    opt = Adam(params, lr)
     stream = RngStream(cfg.seed).derive(stage)
     n = len(train_ds.labels)
     best = None
@@ -131,7 +107,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
         stats = EpochStats(stage, epoch, float(np.mean(losses)), val_nll,
                            val_acc, val_kl)
         log.epochs.append(stats)
-        objective = _val_objective(stats, kl_weight, cfg.early_stop_metric)
+        objective = val_nll + kl_weight * val_kl
         if objective < log.best_val_objective:
             log.best_val_objective = objective
             log.best_epoch = epoch
@@ -150,7 +126,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
 def stage1_train(model: MoEClassifier, train_ds, val_ds,
                  cfg: TrainConfig) -> TrainLog:
     """Fit every parameter on cross-entropy; restores the best-val-NLL
-    checkpoint (the KL weight is zero, so both metrics reduce to it)."""
+    checkpoint (the KL weight is zero, so the objective reduces to it)."""
     params = model.param_items()
     return _run_stage(model, params, train_ds, val_ds, cfg, "stage1",
                       cfg.learning_rate, 0.0, cfg.epochs_stage1)

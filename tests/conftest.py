@@ -6,6 +6,9 @@ import pytest
 from vroute.routers import GaussianPosterior
 from vroute.tensor import Tensor
 
+# Uniform draw whose Gumbel transform is exactly zero: -log(-log(e^-1)) = 0.
+ZERO_GUMBEL_UNIFORM = np.exp(-1.0)
+
 
 def central_difference(loss_fn, tensor: Tensor, step: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar loss w.r.t. one tensor."""

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +11,8 @@ from vroute.model import (ModelConfig, MoEClassifier,
 from vroute.rng import RngStream
 from vroute.routers import GaussianPosterior, RouterConfig
 from vroute.tensor import Tensor
-from vroute.training import (TrainConfig, evaluate_nll_acc,
-                             predictive_nll_acc, stage1_train, stage2_train)
+from vroute.training import (TrainConfig, predictive_nll_acc, stage1_train,
+                             stage2_train)
 
 from conftest import assert_grad_close
 
@@ -125,7 +124,7 @@ class TestStage1:
         model = tiny_model(classes=2)
         cfg = TrainConfig(epochs_stage1=12, batch_size=32, seed=0)
         stage1_train(model, splits["train"], splits["val"], cfg)
-        _, acc = evaluate_nll_acc(model, splits["train"], RngStream(1))
+        _, acc, _ = predictive_nll_acc(model, splits["train"], RngStream(1))
         assert acc >= 0.95
 
     def test_zero_epochs_leaves_model_bitwise_unchanged(self):
@@ -158,12 +157,6 @@ class TestStage1:
         nll = [e.val_nll for e in log.epochs]
         assert log.best_epoch == int(np.argmin(nll))
         assert log.best_val_objective == min(nll)
-
-    def test_early_stop_metric_validated(self):
-        assert TrainConfig().early_stop_metric == "val_elbo"
-        TrainConfig(early_stop_metric="val_nll")
-        with pytest.raises(ValueError, match="val_elbo.*val_nll"):
-            TrainConfig(early_stop_metric="val_acc")
 
 
 class TestAttach:
@@ -265,26 +258,6 @@ class TestStage2:
                                                        rel=1e-12)
         assert (self._restored_val_nll(model, splits, cfg)
                 == log.epochs[log.best_epoch].val_nll)
-
-    def test_val_nll_metric_keeps_the_nll_rule(self):
-        runs = {}
-        for metric in ("val_elbo", "val_nll"):
-            model, splits, cfg = self._trained(
-                "vglr_mf", beta=1e3, epochs=12, inflate=0.3, lr2=1e-2,
-                patience=12)
-            cfg = dataclasses.replace(cfg, early_stop_metric=metric)
-            log = stage2_train(model, splits["train"], splits["val"], cfg)
-            runs[metric] = (model, cfg, log)
-        model, cfg, old = runs["val_nll"]
-        nll = [e.val_nll for e in old.epochs]
-        assert old.best_epoch == int(np.argmin(nll))
-        assert old.best_val_objective == min(nll)
-        assert (self._restored_val_nll(model, splits, cfg)
-                == old.epochs[old.best_epoch].val_nll)
-        # Selection does not steer training: same trajectory, other pick.
-        new = runs["val_elbo"][2]
-        assert old.epochs == new.epochs
-        assert old.best_epoch != new.best_epoch
 
     def test_zero_kl_weight_sharpens_vtsr_temperature(self):
         model, splits, cfg = self._trained("vtsr", beta=0.0, epochs=10)

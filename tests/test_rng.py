@@ -1,6 +1,6 @@
 import numpy as np
 
-from vroute.rng import RngStream
+from vroute.rng import RngStream, gumbel_from_uniform
 
 
 def test_triple_determines_sequence():
@@ -50,5 +50,7 @@ def test_derive_from_bytes_keyed_by_content():
 
 
 def test_gumbel_draws_are_finite():
-    draws = RngStream(7).gumbel((100_000,))
+    # [0, 1) uniforms include 0; the clamp keeps every Gumbel finite.
+    draws = gumbel_from_uniform(np.concatenate(
+        [RngStream(7).uniform((100_000,)), [0.0, 1.0]]))
     assert np.isfinite(draws).all()

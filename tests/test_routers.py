@@ -10,7 +10,8 @@ from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
                             kl_fc_per_token, kl_mf_per_token, top_k_mask)
 from vroute.tensor import Tensor
 
-from conftest import FixedGaussianPhi, assert_grad_close, central_difference
+from conftest import (ZERO_GUMBEL_UNIFORM, FixedGaussianPhi,
+                      assert_grad_close, central_difference)
 
 
 def _logit_router(logits):
@@ -215,8 +216,8 @@ class TestTemperature:
         for t, reg, tol in ((1.0, 0.0, 1e-15), (math.e, -1.0, 1e-12),
                             (0.5, math.log(2.0), 1e-12)):
             router = VtsrRouter(Tensor(w), cfg, _const_temp_net(3, t))
-            res = _route_one(router, u, "train",
-                             noise={"gumbel": np.zeros((1, 3))})
+            res = _route_one(router, u, "train", noise={
+                "uniform": np.full((1, 3), ZERO_GUMBEL_UNIFORM)})
             assert res.kl_term.item() == pytest.approx(reg, abs=tol)
             assert res.kl_per_token[0] == pytest.approx(reg, abs=tol)
 
@@ -316,8 +317,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 2.0)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
-        res = router.route(Tensor(u[None, :]), "train",
-                           noise={"gumbel": np.zeros((1, n))})
+        res = router.route(Tensor(u[None, :]), "train", noise={
+            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         np.testing.assert_array_equal(res.selection[0], [1, 1, 0, 0])
 
     def test_train_kl_slot_holds_temperature_regulariser(self):
@@ -325,8 +326,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 0.5)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
-        res = router.route(Tensor(u[None, :]), "train",
-                           noise={"gumbel": np.zeros((1, n))})
+        res = router.route(Tensor(u[None, :]), "train", noise={
+            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         assert res.kl_term.item() == pytest.approx(math.log(2.0), abs=1e-9)
         assert res.kl_per_token[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
@@ -335,8 +336,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.5, 0.0]))
         net = _const_temp_net(n, 1.5)
         router = VtsrRouter(Tensor(w), self._cfg(n), net)
-        res = router.route(Tensor(u[None, :]), "train",
-                           noise={"gumbel": np.zeros((1, n))})
+        res = router.route(Tensor(u[None, :]), "train", noise={
+            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         p = np.exp((u @ w) / 1.5)
         p /= p.sum()
         expected = np.where(res.selection[0] == 1, p, 0.0)

@@ -4,29 +4,27 @@ import numpy as np
 import pytest
 
 from vroute.rng import RngStream
-from vroute.routers import _sample_k_from_logits, gumbel_top_k, top_k_mask
+from vroute.routers import gumbel_top_k, top_k_mask
 from vroute.tensor import Tensor
 
-from conftest import (assert_grad_close, central_difference,
-                      enumerate_subset_probs, total_variation)
+from conftest import (ZERO_GUMBEL_UNIFORM, assert_grad_close,
+                      central_difference, enumerate_subset_probs,
+                      total_variation)
 
 
-def _sample_k(p, k, seed):
-    """The sequential sampler the routers use, run on the rows of ``p`` by
-    passing their log-probabilities."""
-    p = np.atleast_2d(p)
-    return _sample_k_from_logits(np.log(p), k,
-                                 RngStream(seed).uniform((len(p), k)))
+def _sample_k(p, k, seed, shift=None):
+    """Gumbel-top-k, the one sampler the routers use, on the rows of ``p``
+    through their log-probabilities (plus an optional per-row shift, which
+    leaves softmax unchanged)."""
+    logits = np.log(np.atleast_2d(p))
+    if shift is not None:
+        logits = logits + shift[:, None]
+    masks, _ = gumbel_top_k(logits, k, RngStream(seed).uniform(logits.shape))
+    return masks
 
 
-def _draw_counts_sample_k(p, k, draws, seed):
-    masks = _sample_k(np.tile(p, (draws, 1)), k, seed)
-    return Counter(frozenset(np.nonzero(m)[0].tolist()) for m in masks)
-
-
-def _draw_counts_gumbel(p, k, draws, seed):
-    logits = np.tile(np.log(p), (draws, 1))
-    masks, _ = gumbel_top_k(logits, k, rng=RngStream(seed))
+def _draw_counts(p, k, draws, seed, shift=None):
+    masks = _sample_k(np.tile(p, (draws, 1)), k, seed, shift)
     return Counter(frozenset(np.nonzero(m)[0].tolist()) for m in masks)
 
 
@@ -43,7 +41,7 @@ class TestSampleKWithoutReplacement:
         assert exact[frozenset({0, 1})] == pytest.approx(0.514286, abs=1e-6)
         assert exact[frozenset({0, 2})] == pytest.approx(0.325, abs=1e-6)
         assert exact[frozenset({1, 2})] == pytest.approx(0.160714, abs=1e-6)
-        counts = _draw_counts_sample_k(p, 2, 100_000, seed=1)
+        counts = _draw_counts(p, 2, 100_000, seed=1)
         assert total_variation(counts, exact, 100_000) < 0.01
 
     def test_k_equals_n_selects_everything(self):
@@ -60,24 +58,26 @@ class TestSampleKWithoutReplacement:
 class TestGumbelTopK:
     def test_zero_noise_is_deterministic_top_k(self, np_rng):
         logits = np_rng.normal(size=(10, 6))
-        masks, _ = gumbel_top_k(logits, 2, gumbels=np.zeros((10, 6)))
+        masks, relaxed = gumbel_top_k(logits, 2,
+                                      np.full((10, 6), ZERO_GUMBEL_UNIFORM))
         np.testing.assert_array_equal(masks, top_k_mask(logits, 2))
+        assert relaxed is None          # no relaxation unless asked for
 
     def test_matches_sequential_sampler_distribution(self):
         p = np.array([0.5, 0.3, 0.2])
         exact = enumerate_subset_probs(p, 2)
-        counts = _draw_counts_gumbel(p, 2, 100_000, seed=7)
+        counts = _draw_counts(p, 2, 100_000, seed=7)
         assert total_variation(counts, exact, 100_000) < 0.01
 
     def test_relaxed_weights_gradient_matches_soft_path(self, np_rng):
         logits = Tensor(np_rng.uniform(-1, 1, size=(1, 5)), requires_grad=True)
-        g = np_rng.gumbel(size=(1, 5))
+        v = np_rng.uniform(size=(1, 5))
         w = np_rng.normal(size=(1, 5))
-        _, relaxed = gumbel_top_k(logits, 2, gumbels=g)
+        _, relaxed = gumbel_top_k(logits, 2, v, relaxed=True)
         (relaxed * Tensor(w)).sum().backward()
 
         def ref():
-            z = logits.data + g
+            z = logits.data - np.log(-np.log(v))
             e = np.exp(z - z.max())
             return ((e / e.sum()) * w).sum()
 
@@ -87,14 +87,17 @@ class TestGumbelTopK:
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7)
                                  for k in range(1, min(3, n) + 1)])
 def test_both_samplers_match_enumeration_on_small_grid(n, k):
-    # lighter version of the acceptance sweep: one distribution per (n, k)
+    # lighter version of the acceptance sweep: one distribution per (n, k),
+    # drawn from normalised log-probabilities and from logits shifted by a
+    # random per-row constant (the routers pass unnormalised scaled logits)
     rng = np.random.default_rng(100 * n + k)
     p = rng.dirichlet(np.ones(n) * 2.0)
     exact = enumerate_subset_probs(p, k)
     draws = 40_000
-    tv_seq = total_variation(_draw_counts_sample_k(p, k, draws, seed=n * 10 + k),
-                             exact, draws)
-    tv_gum = total_variation(_draw_counts_gumbel(p, k, draws, seed=n * 17 + k),
-                             exact, draws)
-    assert tv_seq < 0.015
-    assert tv_gum < 0.015
+    shift = rng.normal(scale=5.0, size=draws)
+    tv_logp = total_variation(_draw_counts(p, k, draws, seed=n * 10 + k),
+                              exact, draws)
+    tv_shift = total_variation(_draw_counts(p, k, draws, seed=n * 17 + k,
+                                            shift=shift), exact, draws)
+    assert tv_logp < 0.015
+    assert tv_shift < 0.015

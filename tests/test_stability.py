@@ -8,9 +8,9 @@ from vroute.model import ModelConfig, MoEClassifier, attach_variational_routers
 from vroute.rng import RngStream
 from vroute.stability import (PerturbationSpec, StabilityReport, StabilityCell,
                               fixed_temperature_layer_sweep,
-                              layerwise_stability, perturb_input,
+                              layerwise_stability, perturbation_noise,
                               sensitivity_ranking)
-from vroute.training import TrainConfig, evaluate_nll_acc, stage1_train
+from vroute.training import TrainConfig, predictive_nll_acc, stage1_train
 
 
 def expected_random_jaccard(n: int, k: int) -> float:
@@ -49,21 +49,20 @@ class TestPerturbInput:
 
     def test_moment_oracle(self):
         rng = RngStream(5)
-        u = np.zeros((100_000, 12))
-        out = perturb_input(u, gamma=0.3, mean_norm=2.0, rng=rng)
+        out = perturbation_noise((100_000, 12), gamma=0.3, mean_norm=2.0,
+                                 rng=rng)
         sq = (out ** 2).sum(axis=1).mean()
         expected = 12 * (0.3 * 2.0) ** 2
         assert abs(sq - expected) / expected < 0.02
 
     def test_determinism_per_stream(self):
-        u = np.ones((4, 3))
-        a = perturb_input(u, 0.1, 1.0, RngStream(7, 3))
-        b = perturb_input(u, 0.1, 1.0, RngStream(7, 3))
+        a = perturbation_noise((4, 3), 0.1, 1.0, RngStream(7, 3))
+        b = perturbation_noise((4, 3), 0.1, 1.0, RngStream(7, 3))
         np.testing.assert_array_equal(a, b)
 
     def test_nonpositive_gamma_rejected(self):
         with pytest.raises(ValueError):
-            perturb_input(np.ones(3), 0.0, 1.0, RngStream(0))
+            perturbation_noise((3,), 0.0, 1.0, RngStream(0))
 
 
 class TestLayerwiseStability:
@@ -146,8 +145,8 @@ class TestSensitivityRanking:
 class TestFixedTemperatureSweep:
     def test_low_temperature_matches_baseline(self):
         model, splits = small_trained_model()
-        base_nll, base_acc = evaluate_nll_acc(model, splits["test"],
-                                              RngStream(0).derive("x"))
+        _, base_acc, _ = predictive_nll_acc(model, splits["test"],
+                                            RngStream(0).derive("x"))
         diffs = []
         for stream in range(10):
             rows = fixed_temperature_layer_sweep(model, splits["test"],
@@ -169,8 +168,8 @@ class TestFixedTemperatureSweep:
         wins = 0
         for seed in range(5):
             model, splits = small_trained_model(seed=seed)
-            _, base_acc = evaluate_nll_acc(model, splits["test"],
-                                           RngStream(seed).derive("b"))
+            _, base_acc, _ = predictive_nll_acc(model, splits["test"],
+                                                RngStream(seed).derive("b"))
             rows = fixed_temperature_layer_sweep(model, splits["test"],
                                                  [1e3], [0], seed=seed)
             wins += rows[0]["accuracy"] < base_acc
