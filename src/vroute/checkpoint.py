@@ -15,9 +15,9 @@ import numpy as np
 from .config import atomic_open
 from .model import ModelConfig, MoEClassifier, attach_variational_routers
 from .rng import RngStream
-from .routers import RouterConfig
+from .routers import RouterSettings
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> None:
@@ -26,7 +26,7 @@ def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> No
         "model_config": dataclasses.asdict(model.config),
         "routers": [
             {"variant": blk.moe.router.variant,
-             "config": dataclasses.asdict(blk.moe.router.config)}
+             "settings": dataclasses.asdict(blk.moe.router.settings)}
             for blk in model.blocks
         ],
         "variational_layer_indices": list(model.variational_layer_indices),
@@ -49,7 +49,7 @@ def load_checkpoint(path) -> MoEClassifier:
             if entry["variant"] != "map":
                 attach_variational_routers(
                     model, [idx], entry["variant"], RngStream(0).derive("attach"),
-                    router_config=RouterConfig(**entry["config"]))
+                    RouterSettings(**entry["settings"]))
         model.variational_layer_indices = [
             int(i) for i in meta["variational_layer_indices"]]
         for name, p in model.param_items():

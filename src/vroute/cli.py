@@ -26,8 +26,7 @@ from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      atomic_open, config_to_dict, load_config,
                      write_manifest)
 from .data import load_csv
-from .efficiency import (ArchSpec, VARIANT_ORDER, cost_report, granite_preset,
-                         validate_cost_report)
+from .efficiency import ArchSpec, VARIANT_ORDER, cost_report, granite_preset
 from .experiment import (build_splits, build_suite, evaluate_calibration,
                          ood_detection_rows, run_training)
 from .stability import fixed_temperature_layer_sweep, layerwise_stability
@@ -235,8 +234,7 @@ def cmd_ood(args, cfg, writer) -> None:
 def cmd_stability(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
-    spec = dataclasses.replace(cfg.perturbation, seed=cfg.seed)
-    report = layerwise_stability(model, dataset, spec)
+    report = layerwise_stability(model, dataset, cfg.perturbation, cfg.seed)
     tag = cfg.variants[0]
     writer.write_csv(f"stability_{tag}.csv",
                      ["layer", "gamma", "mean_jaccard", "q10", "q50", "q90"],
@@ -284,9 +282,7 @@ def cmd_efficiency(args, cfg, writer) -> None:
     variants = (args.variants.split(",") if args.variants
                 else list(VARIANT_ORDER))
     report = cost_report(spec, variants, flops=args.flops)
-    payload = report.to_json_dict()
-    validate_cost_report(payload)
-    writer.write_json("efficiency.json", payload)
+    writer.write_json("efficiency.json", report.to_json_dict())
     writer.write_csv("efficiency.csv",
                      ["variant", "params", "params_pct", "macs_per_token",
                       "macs_pct"],

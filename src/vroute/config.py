@@ -17,25 +17,13 @@ from dataclasses import dataclass, field
 
 from .data import SyntheticDomainSpec
 from .model import ModelConfig
+from .routers import VARIANTS, RouterSettings
 from .stability import PerturbationSpec
 from .training import TrainConfig
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
-
-
-@dataclass
-class RouterSettings:
-    """Variant-independent routing knobs applied when routers are attached."""
-    train_samples: int = 1
-    eval_samples: int = 35
-    dropout_rate: float = 0.1
-    global_temperature: float = 0.7
-
-    def __post_init__(self):
-        if self.train_samples < 1 or self.eval_samples < 1:
-            raise ConfigError("sample counts must be >= 1")
 
 
 @dataclass
@@ -76,7 +64,6 @@ class ExperimentConfig:
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
 
     def __post_init__(self):
-        from .routers import VARIANTS
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")

@@ -15,8 +15,6 @@ import numpy as np
 
 from .rng import RngStream
 
-DOMAIN_TAGS = ("id", "near", "far")
-
 
 class DataError(ValueError):
     """Invalid data specification or malformed input file."""
@@ -170,14 +168,6 @@ def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,
 
 def csv_header(feature_dim: int) -> str:
     return ",".join([f"f{i}" for i in range(feature_dim)] + ["label"])
-
-
-def save_csv(ds: Dataset, path) -> None:
-    lines = [csv_header(ds.features.shape[1])]
-    for row, label in zip(ds.features, ds.labels):
-        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_csv(path, feature_dim: int, num_classes: int,

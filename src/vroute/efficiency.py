@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import jsonschema
-
 VARIANT_ORDER = ("weight_space", "vglr_mf", "vglr_fc", "vtsr")
 
 
@@ -159,50 +157,3 @@ def cost_report(spec: ArchSpec, variants=VARIANT_ORDER,
     return CostReport(spec=spec, rows=rows,
                       convention="flop2" if flops else "mac")
 
-
-COST_REPORT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["convention", "spec", "rows"],
-    "properties": {
-        "convention": {"enum": ["mac", "flop2"]},
-        "spec": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["layers", "num_experts", "hidden_dim",
-                         "inference_width", "samples", "base_active_params",
-                         "base_macs_per_token"],
-            "properties": {
-                "layers": {"type": "integer", "minimum": 1},
-                "num_experts": {"type": "integer", "minimum": 1},
-                "hidden_dim": {"type": "integer", "minimum": 1},
-                "inference_width": {"type": "integer", "minimum": 1},
-                "samples": {"type": "integer", "minimum": 1},
-                "base_active_params": {"type": "number", "exclusiveMinimum": 0},
-                "base_macs_per_token": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "rows": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["variant", "params", "params_pct",
-                             "macs_per_token", "macs_pct"],
-                "properties": {
-                    "variant": {"enum": list(VARIANT_ORDER)},
-                    "params": {"type": "integer", "minimum": 0},
-                    "params_pct": {"type": "number", "minimum": 0},
-                    "macs_per_token": {"type": "integer", "minimum": 0},
-                    "macs_pct": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-    },
-}
-
-
-def validate_cost_report(report_dict: dict) -> None:
-    """Schema-check a serialised cost report; raises on any mismatch."""
-    jsonschema.validate(report_dict, COST_REPORT_SCHEMA)

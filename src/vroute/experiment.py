@@ -6,18 +6,17 @@ rerun with the same config reproduces every number exactly.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .checkpoint import save_checkpoint
-from .config import ExperimentConfig, RouterSettings
+from .config import ExperimentConfig
 from .data import generate_domain, make_ood_suite, split_dataset
 from .metrics import CalibrationReport, calibration_report, detection_report
-from .model import (ModelConfig, MoEClassifier, attach_variational_routers,
+from .model import (MoEClassifier, attach_variational_routers,
                     predict_with_uncertainty)
 from .rng import RngStream
-from .routers import SIGNAL_NAMES, RouterConfig
-from .stability import PerturbationSpec, layerwise_stability, sensitivity_ranking
+from .routers import SIGNAL_NAMES
+from .stability import layerwise_stability, sensitivity_ranking
 from .training import TrainLog, stage1_train, stage2_train
 
 
@@ -39,17 +38,6 @@ def build_model(cfg: ExperimentConfig) -> MoEClassifier:
     return MoEClassifier(cfg.model, RngStream(cfg.seed).derive("model-init"))
 
 
-def router_config_for(settings: RouterSettings, model_cfg: ModelConfig,
-                      variant: str) -> RouterConfig:
-    return RouterConfig(
-        dim=model_cfg.hidden_dim, num_experts=model_cfg.num_experts,
-        top_k=model_cfg.top_k, phi_hidden=model_cfg.phi_hidden,
-        train_samples=settings.train_samples,
-        eval_samples=settings.eval_samples, variant=variant,
-        dropout_rate=settings.dropout_rate,
-        global_temperature=settings.global_temperature)
-
-
 def select_layers(cfg: ExperimentConfig, model: MoEClassifier,
                   val_ds) -> tuple[list[int], list]:
     """Layer list for attachment: explicit from config, or the most brittle
@@ -57,11 +45,9 @@ def select_layers(cfg: ExperimentConfig, model: MoEClassifier,
     if cfg.layers != "auto":
         return list(cfg.layers), []
     p = cfg.perturbation
-    spec = PerturbationSpec(gamma_levels=(p.diagnostic_gamma,),
-                            diagnostic_gamma=p.diagnostic_gamma,
-                            repeats=p.repeats,
-                            seed=RngStream(cfg.seed).derive("ranking").stream_id)
-    report = layerwise_stability(model, val_ds, spec)
+    spec = replace(p, gamma_levels=(p.diagnostic_gamma,))
+    report = layerwise_stability(
+        model, val_ds, spec, RngStream(cfg.seed).derive("ranking").stream_id)
     ranking = sensitivity_ranking(report)
     return sorted(ranking[:cfg.auto_top_k]), report.cells
 
@@ -96,8 +82,8 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
     """
     splits = build_splits(cfg)
     base = build_model(cfg)
-    train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
-    stage1 = stage1_train(base, splits["train"], splits["val"], train_cfg)
+    stage1 = stage1_train(base, splits["train"], splits["val"], cfg.train,
+                          cfg.seed)
     stage1_params = {n: p.data.copy() for n, p in base.param_items()}
     outcome = TrainOutcome(splits=splits, stage1=stage1, selected_layers=[])
 
@@ -122,12 +108,11 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
             model = build_model(cfg)
             for name, p in model.param_items():
                 p.data = stage1_params[name].copy()
-            rcfg = router_config_for(cfg.router, cfg.model, variant)
             attach_variational_routers(model, layers, variant,
                                        RngStream(cfg.seed).derive("phi", variant),
-                                       router_config=rcfg)
+                                       cfg.router)
             stage2 = stage2_train(model, splits["train"], splits["val"],
-                                  train_cfg)
+                                  cfg.train, cfg.seed)
             outcome.models[variant] = model
             outcome.runs.append(VariantRun(variant, layers, stage2,
                                            save(model, variant)))

@@ -11,10 +11,9 @@ Conventions, all documented so results are comparable across runs:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
 
 
 @dataclass
@@ -47,13 +46,6 @@ class CalibrationReport:
 class DetectionReport:
     auroc: float
     auprc: float
-    scores_id: np.ndarray = field(repr=False, default=None)
-    scores_ood: np.ndarray = field(repr=False, default=None)
-
-    def to_json_dict(self) -> dict:
-        return {"auroc": self.auroc, "auprc": self.auprc,
-                "n_id": int(len(self.scores_id)),
-                "n_ood": int(len(self.scores_ood))}
 
 
 def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
@@ -168,26 +160,7 @@ def auprc(scores_id, scores_ood) -> float:
 
 def detection_report(scores_id, scores_ood) -> DetectionReport:
     return DetectionReport(auroc=auroc(scores_id, scores_ood),
-                           auprc=auprc(scores_id, scores_ood),
-                           scores_id=np.asarray(scores_id, dtype=np.float64),
-                           scores_ood=np.asarray(scores_ood, dtype=np.float64))
-
-
-def jaccard(set_a, set_b) -> float:
-    """|intersection| / |union| of two expert sets.
-
-    Accepts index iterables, or bool/float arrays interpreted as selection
-    masks (the mask convention used by the routers).
-    """
-    def as_set(x):
-        if isinstance(x, np.ndarray) and (x.dtype == bool
-                                          or np.issubdtype(x.dtype, np.floating)):
-            return set(np.nonzero(x)[0].tolist())
-        return set(int(v) for v in x)
-    sa, sb = as_set(set_a), as_set(set_b)
-    if not sa and not sb:
-        return 1.0
-    return len(sa & sb) / len(sa | sb)
+                           auprc=auprc(scores_id, scores_ood))
 
 
 def jaccard_rows(mask_a: np.ndarray, mask_b: np.ndarray) -> np.ndarray:

@@ -8,14 +8,15 @@ matrices; everything runs on the tape from :mod:`vroute.tensor`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .rng import RngStream
-from .routers import (SIGNAL_NAMES, BatchRouteResult, RouterBase, RouterConfig,
-                      make_router, mc_logit_var, shannon_entropy)
+from .routers import (SIGNAL_NAMES, BatchRouteResult, MapRouter, RouterBase,
+                      RouterSettings, make_router, mc_logit_var,
+                      shannon_entropy)
 from .tensor import Tensor
 
 
@@ -39,6 +40,8 @@ class ModelConfig:
                self.num_blocks, self.num_experts, self.top_k,
                self.num_classes) < 1:
             raise ValueError("all model dimensions must be >= 1")
+        if self.top_k > self.num_experts:
+            raise ValueError("top_k must not exceed num_experts")
 
 
 class MoELayer:
@@ -49,7 +52,7 @@ class MoELayer:
     """
 
     def __init__(self, w1: Tensor, w2: Tensor, router: RouterBase):
-        if router.config.num_experts != w1.shape[0]:
+        if router.w_r.shape[1] != w1.shape[0]:
             raise ValueError("router expert count must match the expert stack")
         self.w1 = w1
         self.w2 = w2
@@ -87,9 +90,7 @@ class MoEClassifier:
                         / math.sqrt(c.expert_hidden), requires_grad=True)
             w_r = Tensor(brng.derive("router").normal((c.hidden_dim, c.num_experts))
                          / math.sqrt(c.hidden_dim), requires_grad=True)
-            rcfg = RouterConfig(dim=c.hidden_dim, num_experts=c.num_experts,
-                                top_k=c.top_k, phi_hidden=c.phi_hidden)
-            router = make_router("map", w_r, rcfg, brng.derive("phi"))
+            router = MapRouter(w_r, c.top_k, RouterSettings())
             self.blocks.append(_Block(dense, MoELayer(w1, w2, router)))
         self.head = Tensor(rng.derive("head").normal((c.hidden_dim, c.num_classes))
                            / math.sqrt(c.hidden_dim), requires_grad=True)
@@ -177,9 +178,10 @@ def elbo_loss(logits: Tensor, labels, records: list[BatchRouteResult],
 
 def attach_variational_routers(model: MoEClassifier, indices, variant: str,
                                rng: RngStream,
-                               router_config: RouterConfig | None = None) -> MoEClassifier:
+                               settings: RouterSettings) -> MoEClassifier:
     """Replace the routers at ``indices`` with freshly initialised ``variant``
-    routers wrapping each layer's existing (to-be-frozen) projection.
+    routers wrapping each layer's existing (to-be-frozen) projection; top-k
+    and the inference-net width come from the model config.
 
     Layers not listed keep their current router.  Passing the same indices
     again rebuilds the same structure, so the parameter count is unchanged.
@@ -188,17 +190,11 @@ def attach_variational_routers(model: MoEClassifier, indices, variant: str,
     for idx in indices:
         if not (0 <= idx < len(model.blocks)):
             raise ValueError(f"invalid block index {idx}")
+    c = model.config
     for idx in indices:
-        blk = model.blocks[idx]
-        base = blk.moe.router.config
-        if router_config is None:
-            cfg = replace(base, variant=variant)
-        else:
-            cfg = replace(router_config, dim=base.dim,
-                          num_experts=base.num_experts, top_k=base.top_k,
-                          variant=variant)
-        blk.moe.router = make_router(variant, blk.moe.router.w_r, cfg,
-                                     rng.derive("attach", idx))
+        moe = model.blocks[idx].moe
+        moe.router = make_router(variant, moe.router.w_r, c.top_k, settings,
+                                 c.phi_hidden, rng.derive("attach", idx))
     model.variational_layer_indices = sorted(
         set(model.variational_layer_indices) | set(indices))
     return model
@@ -260,7 +256,7 @@ def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None
     stochastic = [i for i, blk in enumerate(model.blocks)
                   if blk.moe.router.variant != "map"]
     if samples is None:
-        samples = max((model.blocks[i].moe.router.config.eval_samples
+        samples = max((model.blocks[i].moe.router.settings.eval_samples
                        for i in stochastic), default=1)
     passes = samples if stochastic else 1
     plan = _content_noise_block(model, x, rng, passes)

@@ -19,28 +19,20 @@ def adam_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
     param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-class Optimizer:
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float):
+class Adam:
+    def __init__(self, params: list[tuple[str, Tensor]], lr: float,
+                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         # Sorted by name so update order never depends on construction order.
         self.params = sorted(params, key=lambda kv: kv[0])
         self.lr = lr
-
-    def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params, lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for _, p in self.params]
         self._v = [np.zeros_like(p.data) for _, p in self.params]
+
+    def zero_grad(self) -> None:
+        for _, p in self.params:
+            p.grad = None
 
     def step(self) -> None:
         self.t += 1

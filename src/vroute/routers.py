@@ -31,39 +31,34 @@ VARIANTS = ("map", "temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 TEMPERATURE_FLOOR = 1e-6
 # Relaxation temperature of the straight-through Gumbel estimator.
 GUMBEL_TAU = 1.0
+# Init scale of the Gaussian nets' heads: the posterior opens next to the
+# deterministic logits with unit covariance.
+HEAD_INIT_STD = 1e-3
 
 # Per-token uncertainty readouts; a variant lacking one reports None.
 SIGNAL_NAMES = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
 
 
 @dataclass
-class RouterConfig:
-    """Dimensions and sampling settings shared by all router variants."""
+class RouterSettings:
+    """Router knobs shared by every variant (the config's ``router`` section).
 
-    dim: int
-    num_experts: int
-    top_k: int
-    phi_hidden: int | None = None      # inference-net width, defaults to dim // 4
-    train_samples: int = 1
+    Each variant reads the ones it uses: ``eval_samples`` (vglr, mc_dropout),
+    ``dropout_rate`` (mc_dropout) and ``global_temperature`` (temp_scale).
+    The dimensions come from the routing projection itself.
+    """
+
     eval_samples: int = 35
-    variant: str = "map"
     dropout_rate: float = 0.1
-    global_temperature: float = 1.0
+    global_temperature: float = 0.7
 
     def __post_init__(self):
-        if self.phi_hidden is None:
-            self.phi_hidden = max(1, self.dim // 4)
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown router variant {self.variant!r}")
-        if not (1 <= self.top_k <= self.num_experts):
-            raise ValueError("require 1 <= top_k <= num_experts")
-        if min(self.dim, self.phi_hidden, self.num_experts,
-               self.train_samples, self.eval_samples) < 1:
-            raise ValueError("dimensions and sample counts must be >= 1")
-        if self.global_temperature <= 0:
-            raise ValueError("global_temperature must be > 0")
+        if self.eval_samples < 1:
+            raise ValueError("eval_samples must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.global_temperature <= 0:
+            raise ValueError("global_temperature must be > 0")
 
 
 @dataclass
@@ -286,15 +281,14 @@ class GaussianInferenceNet:
     """
 
     def __init__(self, dim: int, hidden: int, num_experts: int, full_cov: bool,
-                 rng: RngStream, head_init_std: float = 1e-3):
+                 rng: RngStream):
         self.full_cov = full_cov
-        self.num_experts = num_experts
         self.w_trunk = Tensor(rng.normal((dim, hidden)) / math.sqrt(dim),
                               requires_grad=True)
-        self.w_mean = Tensor(head_init_std * rng.normal((hidden, num_experts)),
+        self.w_mean = Tensor(HEAD_INIT_STD * rng.normal((hidden, num_experts)),
                              requires_grad=True)
         scale_out = num_experts * (num_experts + 1) // 2 if full_cov else num_experts
-        self.w_scale = Tensor(head_init_std * rng.normal((hidden, scale_out)),
+        self.w_scale = Tensor(HEAD_INIT_STD * rng.normal((hidden, scale_out)),
                               requires_grad=True)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
@@ -339,12 +333,17 @@ class TemperatureNet:
 
 
 class RouterBase:
-    variant = "base"
-    has_phi = False
+    """A router around a [D, N] projection ``w_r``: D and N are read from
+    its shape, and the variant from the class (vglr: from its net)."""
 
-    def __init__(self, w_r: Tensor, config: RouterConfig):
+    variant = "base"
+
+    def __init__(self, w_r: Tensor, top_k: int, settings: RouterSettings):
+        if not (1 <= top_k <= w_r.shape[1]):
+            raise ValueError("require 1 <= top_k <= num_experts")
         self.w_r = w_r
-        self.config = config
+        self.top_k = top_k
+        self.settings = settings
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         return [("w_r", self.w_r)] + [("phi." + k, v) for k, v in self.phi_items()]
@@ -353,9 +352,10 @@ class RouterBase:
         return []
 
     def samples(self, mode: str, override: int | None = None) -> int:
+        """Noise samples per token: one drives each training step."""
         if override is not None:
             return override
-        return self.config.train_samples if mode == "train" else self.config.eval_samples
+        return 1 if mode == "train" else self.settings.eval_samples
 
     def noise_spec(self, mode: str, samples: int | None = None) -> dict:
         """Per-token noise requirements: key (distribution name) -> shape."""
@@ -396,7 +396,7 @@ class MapRouter(RouterBase):
         _check_mode(mode)
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits, axis=-1)
-        mask = top_k_mask(probs.data, self.config.top_k)
+        mask = top_k_mask(probs.data, self.top_k)
         gates = _renorm_gates_t(probs, mask)
         batch = u.shape[0]
         return BatchRouteResult(
@@ -416,15 +416,15 @@ class TempScaleRouter(RouterBase):
     variant = "temp_scale"
 
     def noise_spec(self, mode, samples=None):
-        return {"uniform": (self.config.num_experts,)}
+        return {"uniform": (self.w_r.shape[1],)}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
         noise = self._noise(rng, u.shape[0], mode, noise)
         l_det = u.data @ self.w_r.data
-        scaled = l_det / self.config.global_temperature
+        scaled = l_det / self.settings.global_temperature
         probs = _softmax_np(scaled)
-        mask, _ = gumbel_top_k(scaled, self.config.top_k, noise["uniform"])
+        mask, _ = gumbel_top_k(scaled, self.top_k, noise["uniform"])
         gates = Tensor(_renorm_gates_np(_softmax_np(l_det), mask))
         return BatchRouteResult(
             logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
@@ -438,21 +438,22 @@ class McDropoutRouter(RouterBase):
     variant = "mc_dropout"
 
     def noise_spec(self, mode, samples=None):
-        return {"uniform": (self.samples(mode, samples), self.config.dim)}
+        return {"uniform": (self.samples(mode, samples), self.w_r.shape[0])}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
         noise = self._noise(rng, u.shape[0], mode, noise)
-        rate = self.config.dropout_rate
+        rate = self.settings.dropout_rate
+        dim, n = self.w_r.shape
         s = noise["uniform"].shape[1]
         keep = (noise["uniform"] >= rate).astype(np.float64)
         if rate > 0.0:
             keep /= (1.0 - rate)
         dropped = u.data[:, None, :] * keep                      # [B,S,D]
-        logits_s = (dropped.reshape(-1, self.config.dim) @ self.w_r.data)
-        logits_s = logits_s.reshape(u.shape[0], s, self.config.num_experts)
+        logits_s = (dropped.reshape(-1, dim) @ self.w_r.data)
+        logits_s = logits_s.reshape(u.shape[0], s, n)
         p_bar = _softmax_np(logits_s).mean(axis=1)
-        mask = top_k_mask(p_bar, self.config.top_k)
+        mask = top_k_mask(p_bar, self.top_k)
         gates = Tensor(_renorm_gates_np(p_bar, mask))
         mc_var = mc_logit_var(logits_s)
         return BatchRouteResult(
@@ -470,10 +471,8 @@ class VglrRouter(RouterBase):
     ``eval_samples`` and averages the softmax outputs before top-k.
     """
 
-    has_phi = True
-
-    def __init__(self, w_r, config, phi: GaussianInferenceNet):
-        super().__init__(w_r, config)
+    def __init__(self, w_r, top_k, settings, phi: GaussianInferenceNet):
+        super().__init__(w_r, top_k, settings)
         self.phi = phi
         self.variant = "vglr_fc" if phi.full_cov else "vglr_mf"
 
@@ -481,8 +480,7 @@ class VglrRouter(RouterBase):
         return self.phi.param_items()
 
     def noise_spec(self, mode, samples=None):
-        return {"normal": (self.samples(mode, samples),
-                           self.config.num_experts)}
+        return {"normal": (self.samples(mode, samples), self.w_r.shape[1])}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
@@ -504,7 +502,7 @@ class VglrRouter(RouterBase):
             inf_var = (post.diag_sigma.data ** 2).sum(axis=1)
         l_samples = centre + spread                                   # [B,S,N]
         p_bar = T.softmax(l_samples, axis=-1).mean(axis=1)
-        mask = top_k_mask(p_bar.data, self.config.top_k)
+        mask = top_k_mask(p_bar.data, self.top_k)
         gates = _renorm_gates_t(p_bar, mask)
         mc_var = mc_logit_var(l_samples.data) if s >= 2 else None
         return BatchRouteResult(
@@ -525,20 +523,16 @@ class VtsrRouter(RouterBase):
     """
 
     variant = "vtsr"
-    has_phi = True
 
-    def __init__(self, w_r, config, temperature_net: TemperatureNet):
-        super().__init__(w_r, config)
+    def __init__(self, w_r, top_k, settings, temperature_net: TemperatureNet):
+        super().__init__(w_r, top_k, settings)
         self.temperature_net = temperature_net
-        # Diagnostic switch: route through the relaxed weights themselves so
-        # the training path is end-to-end differentiable (gradient tests).
-        self.use_soft_gates = False
 
     def phi_items(self):
         return self.temperature_net.param_items()
 
     def noise_spec(self, mode, samples=None):
-        return {"uniform": (self.config.num_experts,)}
+        return {"uniform": (self.w_r.shape[1],)}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
@@ -547,16 +541,13 @@ class VtsrRouter(RouterBase):
         l_det = u.data @ self.w_r.data
         temp = self.temperature_net.temperature(u)                   # [B,1]
         scaled = Tensor(l_det) / temp
-        mask, relaxed = gumbel_top_k(scaled, self.config.top_k,
+        mask, relaxed = gumbel_top_k(scaled, self.top_k,
                                      noise["uniform"], relaxed=train)
         probs = _softmax_np(scaled.data)
         hard = Tensor(_renorm_gates_np(probs, mask))
         gates, kl_term = hard, None
         if train:
-            if self.use_soft_gates:
-                gates = relaxed
-            else:
-                gates = (relaxed - relaxed.detach()) + hard
+            gates = (relaxed - relaxed.detach()) + hard
             kl_term = (-T.log(temp).reshape((u.shape[0],))).mean()
         return BatchRouteResult(
             logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
@@ -565,21 +556,23 @@ class VtsrRouter(RouterBase):
                                   inf_temp=temp.data[:, 0].copy()))
 
 
-def make_router(variant: str, w_r: Tensor, config: RouterConfig,
+def make_router(variant: str, w_r: Tensor, top_k: int,
+                settings: RouterSettings, phi_hidden: int,
                 rng: RngStream) -> RouterBase:
-    """Build a router of the given variant around an existing projection."""
-    cfg = config
+    """Build a router of the given variant around an existing projection;
+    ``phi_hidden`` is the width of the inference net, if it has one."""
     if variant == "map":
-        return MapRouter(w_r, cfg)
+        return MapRouter(w_r, top_k, settings)
     if variant == "temp_scale":
-        return TempScaleRouter(w_r, cfg)
+        return TempScaleRouter(w_r, top_k, settings)
     if variant == "mc_dropout":
-        return McDropoutRouter(w_r, cfg)
+        return McDropoutRouter(w_r, top_k, settings)
+    dim, n = w_r.shape
     if variant in ("vglr_mf", "vglr_fc"):
-        phi = GaussianInferenceNet(cfg.dim, cfg.phi_hidden, cfg.num_experts,
+        phi = GaussianInferenceNet(dim, phi_hidden, n,
                                    full_cov=(variant == "vglr_fc"), rng=rng)
-        return VglrRouter(w_r, cfg, phi)
+        return VglrRouter(w_r, top_k, settings, phi)
     if variant == "vtsr":
-        net = TemperatureNet(cfg.dim, cfg.phi_hidden, rng)
-        return VtsrRouter(w_r, cfg, net)
+        net = TemperatureNet(dim, phi_hidden, rng)
+        return VtsrRouter(w_r, top_k, settings, net)
     raise ValueError(f"unknown router variant {variant!r}")

@@ -9,7 +9,7 @@ not the sampler.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class PerturbationSpec:
     gamma_levels: tuple = DEFAULT_GAMMAS
     diagnostic_gamma: float = 0.01
     repeats: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         self.gamma_levels = tuple(float(g) for g in self.gamma_levels)
@@ -82,14 +81,15 @@ def _forward_selections(model: MoEClassifier, x: np.ndarray, rng_base: RngStream
     return [r.selection for r in records]
 
 
-def layerwise_stability(model: MoEClassifier, dataset,
-                        spec: PerturbationSpec) -> StabilityReport:
+def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
+                        seed: int) -> StabilityReport:
     """Mean and quantiles of per-token Jaccard for every (layer, gamma) cell.
 
     Noise enters at one block input at a time, everything else stays clean,
     and the comparison is made at the perturbed layer's own selection.
+    ``seed`` keys the input noise and the router draws.
     """
-    base = RngStream(spec.seed)
+    base = RngStream(seed)
     x = dataset.features
     block_inputs: list[np.ndarray] = []
     clean = _forward_selections(model, x, base, block_inputs=block_inputs)
@@ -130,7 +130,6 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
     at a fixed temperature; all other layers stay deterministic."""
     from .metrics import calibration_report
     from .routers import TempScaleRouter
-    from dataclasses import replace as dc_replace
 
     rows = []
     base = RngStream(seed)
@@ -138,9 +137,9 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
         blk = model.blocks[layer]
         original = blk.moe.router
         for t in t_grid:
-            cfg = dc_replace(original.config, variant="temp_scale",
-                             global_temperature=float(t))
-            blk.moe.router = TempScaleRouter(original.w_r, cfg)
+            settings = replace(original.settings, global_temperature=float(t))
+            blk.moe.router = TempScaleRouter(original.w_r, original.top_k,
+                                             settings)
             try:
                 with T.no_grad():
                     logits, _ = model.forward(

@@ -27,7 +27,6 @@ class TrainConfig:
     epochs_stage2: int = 12
     batch_size: int = 64
     kl_weight: float = 0.1
-    seed: int = 0
     early_stop_patience: int = 3
 
     def __post_init__(self):
@@ -79,13 +78,13 @@ def predictive_nll_acc(model: MoEClassifier, dataset,
 
 
 def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
-               cfg: TrainConfig, stage: str, lr: float, kl_weight: float,
-               epochs: int) -> TrainLog:
+               cfg: TrainConfig, seed: int, stage: str, lr: float,
+               kl_weight: float, epochs: int) -> TrainLog:
     log = TrainLog(stage=stage)
     if epochs == 0 or not params:
         return log
     opt = Adam(params, lr)
-    stream = RngStream(cfg.seed).derive(stage)
+    stream = RngStream(seed).derive(stage)
     n = len(train_ds.labels)
     best = None
     patience_left = cfg.early_stop_patience
@@ -123,17 +122,18 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
     return log
 
 
-def stage1_train(model: MoEClassifier, train_ds, val_ds,
-                 cfg: TrainConfig) -> TrainLog:
+def stage1_train(model: MoEClassifier, train_ds, val_ds, cfg: TrainConfig,
+                 seed: int) -> TrainLog:
     """Fit every parameter on cross-entropy; restores the best-val-NLL
-    checkpoint (the KL weight is zero, so the objective reduces to it)."""
+    checkpoint (the KL weight is zero, so the objective reduces to it).
+    ``seed`` keys the batch order and the routing noise."""
     params = model.param_items()
-    return _run_stage(model, params, train_ds, val_ds, cfg, "stage1",
+    return _run_stage(model, params, train_ds, val_ds, cfg, seed, "stage1",
                       cfg.learning_rate, 0.0, cfg.epochs_stage1)
 
 
-def stage2_train(model: MoEClassifier, train_ds, val_ds,
-                 cfg: TrainConfig) -> TrainLog:
+def stage2_train(model: MoEClassifier, train_ds, val_ds, cfg: TrainConfig,
+                 seed: int) -> TrainLog:
     """Fit only the inference nets; every other parameter is frozen.
 
     Freezing flips ``requires_grad`` off so the tape never reaches the
@@ -144,7 +144,7 @@ def stage2_train(model: MoEClassifier, train_ds, val_ds,
     for name, p in model.param_items():
         if name not in phi_names:
             p.requires_grad = False
-    return _run_stage(model, phi, train_ds, val_ds, cfg, "stage2",
+    return _run_stage(model, phi, train_ds, val_ds, cfg, seed, "stage2",
                       cfg.learning_rate_stage2, cfg.kl_weight,
                       cfg.epochs_stage2)
 

@@ -9,7 +9,7 @@ import pytest
 from vroute import cli
 from vroute.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
 from vroute.config import config_from_dict
-from vroute.experiment import build_model, build_splits, router_config_for
+from vroute.experiment import build_model, build_splits
 from vroute.model import attach_variational_routers, predict_with_uncertainty
 from vroute.rng import RngStream
 from vroute.routers import SIGNAL_NAMES, VARIANTS
@@ -30,9 +30,8 @@ def _model(variant):
     cfg = config_from_dict(CONFIG)
     model = build_model(cfg)
     if variant != "map":
-        attach_variational_routers(
-            model, cfg.layers, variant, RngStream(1),
-            router_config=router_config_for(cfg.router, cfg.model, variant))
+        attach_variational_routers(model, cfg.layers, variant, RngStream(1),
+                                   cfg.router)
     stream = RngStream(2)
     for _, p in model.param_items():
         p.data = p.data + 0.1 * stream.normal(p.data.shape)
@@ -65,17 +64,17 @@ def test_save_then_load_predicts_bit_for_bit(tmp_path, variant):
         _assert_signals_equal(got_layer, want_layer)
 
 
-def test_format_1_archive_is_one_error_line(tmp_path, capsys):
-    assert FORMAT_VERSION == 2
+def test_format_2_archive_is_one_error_line(tmp_path, capsys):
+    assert FORMAT_VERSION == 3
     _, model = _model("map")
-    path = tmp_path / "model_v1.npz"
+    path = tmp_path / "model_v2.npz"
     save_checkpoint(model, path)
-    # Mark it format 1; the loader refuses on the version before it reads
-    # any parameter array, so the array layout does not matter here.
+    # Mark it format 2; the loader refuses on the version before it reads
+    # any parameter array, so the metadata layout does not matter here.
     with np.load(path) as archive:
         meta = json.loads(str(archive["__meta__"]))
         arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
-    meta["format_version"] = 1
+    meta["format_version"] = 2
     with open(path, "wb") as fh:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
@@ -85,5 +84,5 @@ def test_format_1_archive_is_one_error_line(tmp_path, capsys):
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
                      "--checkpoint", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: unsupported checkpoint format 1"]
+        "error: unsupported checkpoint format 2"]
     assert not out.exists() or list(out.iterdir()) == []

@@ -108,12 +108,31 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
                          ({"train": {"optimizer": "adam"}},
                           "unknown key train.optimizer"),
                          ({"train": {"early_stop_metric": "val_nll"}},
-                          "unknown key train.early_stop_metric")):
+                          "unknown key train.early_stop_metric"),
+                         ({"train": {"seed": 1}}, "unknown key train.seed"),
+                         ({"perturbation": {"seed": 1}},
+                          "unknown key perturbation.seed"),
+                         ({"router": {"train_samples": 1}},
+                          "unknown key router.train_samples")):
         cfg_path.write_text(json.dumps(bad))
         assert cli.main([command, "--config", str(cfg_path),
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("section, bad, message", [
+    ("router", {"dropout_rate": 1.5}, "dropout_rate must be in [0, 1)"),
+    ("router", {"global_temperature": 0}, "global_temperature must be > 0"),
+    ("model", {"num_experts": 4, "top_k": 5},
+     "top_k must not exceed num_experts"),
+], ids=["dropout_rate", "global_temperature", "top_k"])
+def test_bad_router_setting_rejected_at_load(section, bad, message):
+    # Checked when the config is built, before any stage trains.
+    payload = dict(TINY, **{section: dict(TINY[section], **bad)})
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(payload)
+    assert str(err.value) == f"invalid {section}: {message}"
 
 
 def test_checkpoint_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from vroute.data import (DataError, Dataset, SyntheticDomainSpec,
-                         base_mode_means, generate_domain, load_csv,
-                         make_ood_suite, save_csv, split_dataset)
+                         base_mode_means, csv_header, generate_domain,
+                         load_csv, make_ood_suite, split_dataset)
 from vroute.metrics import auroc
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Oracle writer for the format ``load_csv`` reads: shortest round-trip
+    floats, so a save/load round trip is bitwise."""
+    lines = [csv_header(ds.features.shape[1])]
+    for row, label in zip(ds.features, ds.labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _spec(**kw):

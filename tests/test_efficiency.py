@@ -1,13 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from vroute.efficiency import (ArchSpec, cost_report, granite_preset,
-                               macs_per_token, overhead_percent,
-                               added_params, params_vglr_fc, params_vglr_mf,
-                               params_vtsr, params_weight_space,
-                               validate_cost_report)
+from vroute.efficiency import (VARIANT_ORDER, ArchSpec, cost_report,
+                               granite_preset, macs_per_token,
+                               overhead_percent, added_params, params_vglr_fc,
+                               params_vglr_mf, params_vtsr,
+                               params_weight_space)
 
 
 GRANITE = granite_preset()
@@ -60,9 +61,16 @@ class TestParameterCounts:
         b = ArchSpec(10, 40, 1536, 384, 99, 800e6, 800e6)
         assert params_vtsr(a) == params_vtsr(b)
 
-    def test_invalid_expert_count_rejected(self):
+    BOUNDS = {"layers": 0, "num_experts": 0, "hidden_dim": 0,
+              "inference_width": 0, "samples": 0, "base_active_params": 0.0,
+              "base_macs_per_token": 0.0}
+
+    @pytest.mark.parametrize("field", sorted(BOUNDS))
+    def test_invalid_expert_count_rejected(self, field):
+        # Counts must be >= 1 and base costs > 0; each value is the first
+        # one out of bounds.
         with pytest.raises(ValueError):
-            ArchSpec(10, 0, 1536, 384, 35, 800e6, 800e6)
+            dataclasses.replace(GRANITE, **{field: self.BOUNDS[field]})
 
 
 class TestMacs:
@@ -130,11 +138,23 @@ class TestReport:
     def test_schema_round_trip(self):
         report = cost_report(GRANITE)
         payload = json.loads(json.dumps(report.to_json_dict()))
-        validate_cost_report(payload)
+        assert payload == report.to_json_dict()
+        assert set(payload) == {"convention", "spec", "rows"}
+        assert payload["convention"] == "mac"
+        assert set(payload["spec"]) == {
+            f.name for f in dataclasses.fields(ArchSpec)}
+        assert [r["variant"] for r in payload["rows"]] == list(VARIANT_ORDER)
+        for row in payload["rows"]:
+            assert set(row) == {"variant", "params", "params_pct",
+                                "macs_per_token", "macs_pct"}
 
     def test_empty_variant_list_rejected(self):
         with pytest.raises(ValueError):
             cost_report(GRANITE, variants=())
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError, match="unknown variant 'swag'"):
+            cost_report(GRANITE, variants=("vglr_mf", "swag"))
 
     def test_rows_match_functions(self):
         report = cost_report(GRANITE)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vroute.metrics import (auprc, auroc, calibration_report, ece, jaccard,
+from vroute.metrics import (auprc, auroc, calibration_report, ece,
                             jaccard_rows, mce)
-from vroute.routers import (RouterConfig, VglrRouter, mc_logit_var,
+from vroute.routers import (RouterSettings, VglrRouter, mc_logit_var,
                             shannon_entropy)
 from vroute.tensor import Tensor
 
@@ -139,8 +139,7 @@ def _inferred_variance(n, **posterior) -> float:
     """The vglr router's inferred-variance signal for one token under a fixed
     posterior: the trace of its covariance."""
     phi = FixedGaussianPhi(np.zeros(n), **posterior)
-    router = VglrRouter(Tensor(np.eye(n)),
-                        RouterConfig(dim=n, num_experts=n, top_k=1), phi)
+    router = VglrRouter(Tensor(np.eye(n)), 1, RouterSettings(), phi)
     res = router.route(Tensor(np.zeros((1, n))), "eval",
                        noise={"normal": np.zeros((1, 1, n))})
     return float(res.signals["inf_logit_var"][0])
@@ -178,6 +177,23 @@ class TestMcLogitVar:
         doubled = centre + 2.0 * (s - centre)
         assert mc_logit_var(doubled)[0] == pytest.approx(
             4 * mc_logit_var(s)[0], rel=1e-12)
+
+
+def jaccard(set_a, set_b) -> float:
+    """Oracle: |intersection| / |union| of two expert sets.
+
+    Accepts index iterables, or bool/float arrays interpreted as selection
+    masks (the mask convention used by the routers).
+    """
+    def as_set(x):
+        if isinstance(x, np.ndarray) and (x.dtype == bool
+                                          or np.issubdtype(x.dtype, np.floating)):
+            return set(np.nonzero(x)[0].tolist())
+        return set(int(v) for v in x)
+    sa, sb = as_set(set_a), as_set(set_b)
+    if not sa and not sb:
+        return 1.0
+    return len(sa & sb) / len(sa | sb)
 
 
 class TestJaccard:

@@ -9,12 +9,12 @@ from vroute.model import (ModelConfig, MoEClassifier,
                           attach_variational_routers, elbo_loss, kl_penalty,
                           predict_with_uncertainty)
 from vroute.rng import RngStream
-from vroute.routers import GaussianPosterior, RouterConfig
+from vroute.routers import GaussianPosterior, RouterSettings, gumbel_top_k
 from vroute.tensor import Tensor
 from vroute.training import (TrainConfig, predictive_nll_acc, stage1_train,
                              stage2_train)
 
-from conftest import assert_grad_close
+from conftest import assert_grad_close, central_difference
 
 
 def tiny_model(num_blocks=2, dim=8, experts=4, classes=3, feature_dim=5,
@@ -40,7 +40,7 @@ def separable_splits(n=420, seed=3):
 class TestMoELayerForward:
     def test_all_experts_uniform_gates_give_mean(self):
         model = tiny_model(num_blocks=1, experts=4)
-        model.blocks[0].moe.router.config.top_k = 4
+        model.blocks[0].moe.router.top_k = 4
         layer = model.blocks[0].moe
         u = Tensor(np.zeros((3, 8)))       # zero input -> uniform router probs
         out, rec = layer.forward(u, "eval")
@@ -85,7 +85,8 @@ class TestMoELayerForward:
 class TestElboLoss:
     def test_zero_weight_equals_plain_cross_entropy(self, np_rng):
         model = tiny_model()
-        attach_variational_routers(model, [0], "vglr_mf", RngStream(1))
+        attach_variational_routers(model, [0], "vglr_mf", RngStream(1),
+                                   RouterSettings())
         x = np_rng.normal(size=(6, 5))
         y = np_rng.integers(0, 3, 6)
         logits, recs = model.forward(x, "train", rng=RngStream(2))
@@ -100,7 +101,8 @@ class TestElboLoss:
 
     def test_decomposition_matches_hand_assembly(self, np_rng):
         model = tiny_model(num_blocks=1, experts=3)
-        attach_variational_routers(model, [0], "vglr_fc", RngStream(5))
+        attach_variational_routers(model, [0], "vglr_fc", RngStream(5),
+                                   RouterSettings())
         x = np_rng.normal(size=(2, 5))
         y = np.array([0, 2])
         beta = 0.37
@@ -122,8 +124,8 @@ class TestStage1:
         assert base_acc >= 0.95
 
         model = tiny_model(classes=2)
-        cfg = TrainConfig(epochs_stage1=12, batch_size=32, seed=0)
-        stage1_train(model, splits["train"], splits["val"], cfg)
+        cfg = TrainConfig(epochs_stage1=12, batch_size=32)
+        stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
         _, acc, _ = predictive_nll_acc(model, splits["train"], RngStream(1))
         assert acc >= 0.95
 
@@ -131,28 +133,29 @@ class TestStage1:
         splits = separable_splits()
         model = tiny_model(classes=2)
         before = {n: p.data.copy() for n, p in model.param_items()}
-        cfg = TrainConfig(epochs_stage1=0, seed=0)
-        log = stage1_train(model, splits["train"], splits["val"], cfg)
+        cfg = TrainConfig(epochs_stage1=0)
+        log = stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
         assert log.epochs == []
         for n, p in model.param_items():
             np.testing.assert_array_equal(p.data, before[n])
 
     def test_fixed_seed_reproduces_loss_curve(self):
         splits = separable_splits()
-        cfg = TrainConfig(epochs_stage1=4, batch_size=32, seed=7)
+        cfg = TrainConfig(epochs_stage1=4, batch_size=32)
         curves = []
         for _ in range(2):
             model = tiny_model(classes=2)
-            log = stage1_train(model, splits["train"], splits["val"], cfg)
+            log = stage1_train(model, splits["train"], splits["val"], cfg,
+                               seed=7)
             curves.append([(e.train_loss, e.val_nll) for e in log.epochs])
         assert curves[0] == curves[1]
 
     def test_logs_zero_kl_and_selects_best_val_nll(self):
         splits = separable_splits()
         model = tiny_model(classes=2)
-        cfg = TrainConfig(epochs_stage1=6, batch_size=32, seed=0,
+        cfg = TrainConfig(epochs_stage1=6, batch_size=32,
                           early_stop_patience=6)
-        log = stage1_train(model, splits["train"], splits["val"], cfg)
+        log = stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
         assert [e.val_kl for e in log.epochs] == [0.0] * 6
         nll = [e.val_nll for e in log.epochs]
         assert log.best_epoch == int(np.argmin(nll))
@@ -163,7 +166,8 @@ class TestAttach:
     def test_empty_index_set_is_identity(self):
         model = tiny_model()
         before = {n: p.data.copy() for n, p in model.param_items()}
-        attach_variational_routers(model, [], "vglr_mf", RngStream(0))
+        attach_variational_routers(model, [], "vglr_mf", RngStream(0),
+                                   RouterSettings())
         assert [n for n, _ in model.param_items()] == list(before)
         for n, p in model.param_items():
             np.testing.assert_array_equal(p.data, before[n])
@@ -171,7 +175,8 @@ class TestAttach:
 
     def test_all_blocks_report_signal_slots(self, np_rng):
         model = tiny_model()
-        attach_variational_routers(model, [0, 1], "vglr_fc", RngStream(0))
+        attach_variational_routers(model, [0, 1], "vglr_fc", RngStream(0),
+                                   RouterSettings())
         x = np_rng.normal(size=(3, 5))
         _, recs = model.forward(x, "eval", rng=RngStream(1))
         for rec in recs:
@@ -179,9 +184,11 @@ class TestAttach:
 
     def test_reattachment_idempotent_in_parameter_count(self):
         model = tiny_model()
-        attach_variational_routers(model, [0, 1], "vtsr", RngStream(0))
+        attach_variational_routers(model, [0, 1], "vtsr", RngStream(0),
+                                   RouterSettings())
         count1 = sum(p.data.size for _, p in model.param_items())
-        attach_variational_routers(model, [0, 1], "vtsr", RngStream(5))
+        attach_variational_routers(model, [0, 1], "vtsr", RngStream(5),
+                                   RouterSettings())
         count2 = sum(p.data.size for _, p in model.param_items())
         assert count1 == count2
         assert model.variational_layer_indices == [0, 1]
@@ -189,12 +196,14 @@ class TestAttach:
     def test_invalid_index_rejected(self):
         model = tiny_model()
         with pytest.raises(ValueError):
-            attach_variational_routers(model, [9], "vtsr", RngStream(0))
+            attach_variational_routers(model, [9], "vtsr", RngStream(0),
+                                       RouterSettings())
 
     def test_wrapped_projection_is_shared(self):
         model = tiny_model()
         w_r = model.blocks[0].moe.router.w_r
-        attach_variational_routers(model, [0], "vglr_mf", RngStream(0))
+        attach_variational_routers(model, [0], "vglr_mf", RngStream(0),
+                                   RouterSettings())
         assert model.blocks[0].moe.router.w_r is w_r
 
 
@@ -204,11 +213,12 @@ class TestStage2:
         splits = separable_splits()
         model = tiny_model(classes=2)
         cfg = TrainConfig(epochs_stage1=8, epochs_stage2=epochs,
-                          batch_size=32, kl_weight=beta, seed=0,
+                          batch_size=32, kl_weight=beta,
                           learning_rate_stage2=lr2,
                           early_stop_patience=patience)
-        stage1_train(model, splits["train"], splits["val"], cfg)
-        attach_variational_routers(model, [0, 1], variant, RngStream(2))
+        stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
+        attach_variational_routers(model, [0, 1], variant, RngStream(2),
+                                   RouterSettings())
         if inflate:
             stream = RngStream(99)
             for _, p in model.phi_param_items():
@@ -219,7 +229,7 @@ class TestStage2:
         model, splits, cfg = self._trained("vglr_fc")
         before = {n: p.data.copy() for n, p in model.param_items()
                   if ".router.phi." not in n}
-        stage2_train(model, splits["train"], splits["val"], cfg)
+        stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
         for name, p in model.param_items():
             if name in before:
                 np.testing.assert_array_equal(p.data, before[name])
@@ -227,7 +237,7 @@ class TestStage2:
     def test_phi_parameters_do_change(self):
         model, splits, cfg = self._trained("vglr_mf")
         before = {n: p.data.copy() for n, p in model.phi_param_items()}
-        stage2_train(model, splits["train"], splits["val"], cfg)
+        stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
         changed = any(not np.array_equal(p.data, before[n])
                       for n, p in model.phi_param_items())
         assert changed
@@ -238,19 +248,19 @@ class TestStage2:
         x = splits["val"].features
         _, recs = model.forward(x, "train", rng=RngStream(1))
         assert np.mean(recs[0].kl_per_token) > 0.01   # inflated start
-        stage2_train(model, splits["train"], splits["val"], cfg)
+        stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
         _, recs = model.forward(x, "train", rng=RngStream(1))
         for idx in (0, 1):
             assert np.mean(recs[idx].kl_per_token) < 0.01
 
     def _restored_val_nll(self, model, splits, cfg):
-        stream = RngStream(cfg.seed).derive("stage2").derive("val")
+        stream = RngStream(0).derive("stage2").derive("val")
         return predictive_nll_acc(model, splits["val"], stream)[0]
 
     def test_best_epoch_minimises_val_objective(self):
         model, splits, cfg = self._trained("vglr_mf", beta=1e3, epochs=12,
                                            inflate=0.3, lr2=1e-2, patience=12)
-        log = stage2_train(model, splits["train"], splits["val"], cfg)
+        log = stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
         objective = [e.val_nll + cfg.kl_weight * e.val_kl for e in log.epochs]
         assert all(e.val_kl > 0.0 for e in log.epochs)
         assert log.best_epoch == int(np.argmin(objective))
@@ -270,7 +280,7 @@ class TestStage2:
                                   if r.signals["inf_temp"] is not None]))
 
         before = mean_temp()
-        stage2_train(model, splits["train"], splits["val"], cfg)
+        stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
         assert mean_temp() < before
 
 
@@ -291,7 +301,8 @@ class TestPredict:
         pred = predict_with_uncertainty(model, x, rng=RngStream(0))
         np.testing.assert_array_equal(pred.kl_per_token, np.zeros(6))
         # vtsr on the first block only: its -log T is pass-independent.
-        attach_variational_routers(model, [0], "vtsr", RngStream(1))
+        attach_variational_routers(model, [0], "vtsr", RngStream(1),
+                                   RouterSettings())
         pred = predict_with_uncertainty(model, x, samples=4, rng=RngStream(0))
         np.testing.assert_allclose(
             pred.kl_per_token, -np.log(pred.per_layer_signals[0]["inf_temp"]),
@@ -299,7 +310,8 @@ class TestPredict:
 
     def test_duplicate_input_in_batch_routes_identically(self, np_rng):
         model = tiny_model()
-        attach_variational_routers(model, [0, 1], "vglr_fc", RngStream(1))
+        attach_variational_routers(model, [0, 1], "vglr_fc", RngStream(1),
+                                   RouterSettings())
         row = np_rng.normal(size=5)
         x = np.vstack([row, np_rng.normal(size=5), row])
         pred = predict_with_uncertainty(model, x, samples=5, rng=RngStream(2))
@@ -349,12 +361,13 @@ class TestCollapsedScaleLimits:
     def test_vglr_collapsed_matches_map_probabilities(self, np_rng):
         splits = separable_splits()
         model = tiny_model(classes=2)
-        cfg = TrainConfig(epochs_stage1=6, batch_size=32, seed=0)
-        stage1_train(model, splits["train"], splits["val"], cfg)
+        cfg = TrainConfig(epochs_stage1=6, batch_size=32)
+        stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
         x = splits["test"].features
         with T.no_grad():
             base_logits, base_recs = model.forward(x, "eval")
-        attach_variational_routers(model, [0, 1], "vglr_mf", RngStream(4))
+        attach_variational_routers(model, [0, 1], "vglr_mf", RngStream(4),
+                                   RouterSettings())
         for idx in (0, 1):
             model.blocks[idx].moe.router.phi = self._CollapsedPhi()
         with T.no_grad():
@@ -367,12 +380,13 @@ class TestCollapsedScaleLimits:
     def test_vtsr_collapsed_matches_map_selection(self, np_rng):
         splits = separable_splits()
         model = tiny_model(classes=2)
-        cfg = TrainConfig(epochs_stage1=6, batch_size=32, seed=0)
-        stage1_train(model, splits["train"], splits["val"], cfg)
+        cfg = TrainConfig(epochs_stage1=6, batch_size=32)
+        stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
         x = splits["test"].features
         with T.no_grad():
             _, base_recs = model.forward(x, "eval")
-        attach_variational_routers(model, [0], "vtsr", RngStream(4))
+        attach_variational_routers(model, [0], "vtsr", RngStream(4),
+                                   RouterSettings())
         model.blocks[0].moe.router.temperature_net = self._CollapsedTemp()
         with T.no_grad():
             _, recs = model.forward(x, "eval", rng=RngStream(8))
@@ -382,35 +396,59 @@ class TestCollapsedScaleLimits:
 class TestElboGradients:
     """Inference-net gradients against central finite differences."""
 
-    def _check(self, variant):
+    X = RngStream(3).normal((4, 4))
+    Y = np.array([0, 1, 2, 1])
+
+    def _model(self, variant):
         cfg = ModelConfig(feature_dim=4, hidden_dim=8, num_blocks=1,
                           num_experts=3, top_k=2, num_classes=3, phi_hidden=4)
         model = MoEClassifier(cfg, RngStream(1).derive("model-init"))
-        attach_variational_routers(model, [0], variant, RngStream(2))
-        if variant == "vtsr":
-            model.blocks[0].moe.router.use_soft_gates = True
-        rng_seed = 77
-        x = RngStream(3).normal((4, 4))
-        y = np.array([0, 1, 2, 1])
+        attach_variational_routers(model, [0], variant, RngStream(2),
+                                   RouterSettings())
+        return model
 
-        def loss_fn():
-            logits, recs = model.forward(x, "train",
-                                         rng=RngStream(rng_seed))
-            return elbo_loss(logits, y, recs, 0.05)
-
+    def _check(self, model, loss_fn):
         loss = loss_fn()
         loss.backward()
-        from conftest import central_difference
         for name, p in model.phi_param_items():
             assert p.grad is not None, name
             fd = central_difference(lambda: loss_fn().item(), p)
             assert_grad_close(p.grad, fd)
 
+    def _check_forward(self, variant):
+        model = self._model(variant)
+
+        def loss_fn():
+            logits, recs = model.forward(self.X, "train", rng=RngStream(77))
+            return elbo_loss(logits, self.Y, recs, 0.05)
+
+        self._check(model, loss_fn)
+
     def test_vglr_mf(self):
-        self._check("vglr_mf")
+        self._check_forward("vglr_mf")
 
     def test_vglr_fc(self):
-        self._check("vglr_fc")
+        self._check_forward("vglr_fc")
 
     def test_vtsr_soft_path(self):
-        self._check("vtsr")
+        # vtsr trains through straight-through gates, whose forward value is
+        # the hard renormalised set.  The relaxed path that carries their
+        # gradient is assembled here with the relaxed weights as the gates,
+        # so the whole loss is differentiable in the temperature net.
+        model = self._model("vtsr")
+        blk = model.blocks[0]
+        router = blk.moe.router
+        uniforms = RngStream(77).uniform((4, 3))
+
+        def loss_fn():
+            u = T.relu(T.matmul(T.matmul(Tensor(self.X), model.input_proj),
+                                blk.dense))
+            temp = router.temperature_net.temperature(u)
+            scaled = Tensor(u.data @ router.w_r.data) / temp
+            _, relaxed = gumbel_top_k(scaled, 2, uniforms, relaxed=True)
+            out = T.expert_mix(u, relaxed, blk.moe.w1, blk.moe.w2)
+            reg = (-T.log(temp).reshape((4,))).mean()
+            return (T.cross_entropy(T.matmul(out, model.head), self.Y)
+                    + 0.05 * reg)
+
+        self._check(model, loss_fn)

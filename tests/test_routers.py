@@ -5,7 +5,7 @@ import pytest
 
 from vroute.rng import RngStream
 from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
-                            RouterConfig, TempScaleRouter, TemperatureNet,
+                            RouterSettings, TempScaleRouter, TemperatureNet,
                             VglrRouter, VtsrRouter, build_cholesky,
                             kl_fc_per_token, kl_mf_per_token, top_k_mask)
 from vroute.tensor import Tensor
@@ -26,8 +26,7 @@ def _route_one(router, u, mode="eval", **kw):
 
 
 def _map_router(w, k):
-    return MapRouter(Tensor(w), RouterConfig(dim=w.shape[0],
-                                             num_experts=w.shape[1], top_k=k))
+    return MapRouter(Tensor(w), k, RouterSettings())
 
 
 def _kl_mf(dmu, sigma) -> float:
@@ -212,10 +211,10 @@ class TestTemperature:
     def test_temp_reg_values(self):
         # vtsr's training regulariser is -log T: zero at T = 1.
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
-        cfg = RouterConfig(dim=3, num_experts=3, top_k=2, variant="vtsr")
         for t, reg, tol in ((1.0, 0.0, 1e-15), (math.e, -1.0, 1e-12),
                             (0.5, math.log(2.0), 1e-12)):
-            router = VtsrRouter(Tensor(w), cfg, _const_temp_net(3, t))
+            router = VtsrRouter(Tensor(w), 2, RouterSettings(),
+                                _const_temp_net(3, t))
             res = _route_one(router, u, "train", noise={
                 "uniform": np.full((1, 3), ZERO_GUMBEL_UNIFORM)})
             assert res.kl_term.item() == pytest.approx(reg, abs=tol)
@@ -223,15 +222,15 @@ class TestTemperature:
 
 
 class TestVglrRoute:
-    def _cfg(self, n, **kw):
-        return RouterConfig(dim=n, num_experts=n, top_k=2, **kw)
+    def _router(self, w, phi, **settings):
+        return VglrRouter(Tensor(w), 2, RouterSettings(**settings), phi)
 
     def test_collapsed_posterior_matches_deterministic(self, np_rng):
         n = 6
         for trial in range(10):
             u, w = _logit_router(np_rng.normal(size=n))
             phi = FixedGaussianPhi(np.zeros(n), sigma=np.full(n, 1e-8))
-            router = VglrRouter(Tensor(w), self._cfg(n), phi)
+            router = self._router(w, phi)
             res = _route_one(router, u, rng=RngStream(trial))
             det = _route_one(_map_router(w, 2), u)
             np.testing.assert_array_equal(res.selection, det.selection)
@@ -241,8 +240,7 @@ class TestVglrRoute:
         u, w = _logit_router(np_rng.normal(size=n))
         dmu = np_rng.normal(size=n)
         phi = FixedGaussianPhi(dmu, sigma=np.ones(n))
-        cfg = self._cfg(n, train_samples=1)
-        router = VglrRouter(Tensor(w), cfg, phi)
+        router = self._router(w, phi)
         noise = {"normal": np.zeros((1, 1, n))}
         res = router.route(Tensor(u[None, :]), "train", noise=noise)
         np.testing.assert_allclose(res.logits_sampled[0, 0],
@@ -255,8 +253,8 @@ class TestVglrRoute:
         dmu = np.array([0.1, -0.2, 0.3])
         sigma = np.array([0.8, 1.2, 0.5])
         phi = FixedGaussianPhi(dmu, sigma=sigma)
-        cfg = self._cfg(n, eval_samples=100_000)
-        res = _route_one(VglrRouter(Tensor(w), cfg, phi), u, rng=RngStream(77))
+        res = _route_one(self._router(w, phi, eval_samples=100_000), u,
+                         rng=RngStream(77))
         eps = np_rng.standard_normal((100_000, n))
         logits = (u @ w) + dmu + sigma * eps
         e = np.exp(logits - logits.max(1, keepdims=True))
@@ -268,7 +266,7 @@ class TestVglrRoute:
         u, w = _logit_router(np_rng.normal(size=n))
         chol = build_cholesky(Tensor(np_rng.uniform(-0.3, 0.3, 10))).data
         phi = FixedGaussianPhi(np.zeros(n), chol=chol)
-        router = VglrRouter(Tensor(w), self._cfg(n, eval_samples=16), phi)
+        router = self._router(w, phi, eval_samples=16)
         res = _route_one(router, u, rng=RngStream(5))
         assert res.signals["inf_logit_var"][0] == pytest.approx((chol ** 2).sum())
         assert res.signals["inf_temp"] is None
@@ -278,9 +276,9 @@ class TestVglrRoute:
 
     def test_trained_phi_gradients_flow(self, np_rng):
         n, d = 3, 5
-        cfg = RouterConfig(dim=d, num_experts=n, top_k=1)
         phi = GaussianInferenceNet(d, 4, n, full_cov=True, rng=RngStream(3))
-        router = VglrRouter(Tensor(np_rng.normal(size=(d, n))), cfg, phi)
+        router = VglrRouter(Tensor(np_rng.normal(size=(d, n))), 1,
+                            RouterSettings(), phi)
         u = Tensor(np_rng.normal(size=(2, d)))
         res = router.route(u, "train", rng=RngStream(8))
         loss = (res.gate_weights * Tensor(np_rng.normal(size=(2, n)))).sum() \
@@ -291,13 +289,13 @@ class TestVglrRoute:
 
 
 class TestVtsrRoute:
-    def _cfg(self, n, k=2):
-        return RouterConfig(dim=n, num_experts=n, top_k=k, variant="vtsr")
+    def _router(self, w, net):
+        return VtsrRouter(Tensor(w), 2, RouterSettings(), net)
 
     def test_low_temperature_recovers_top_k(self, np_rng):
         n = 5
         u, w = _logit_router(np.array([3.0, 2.0, 1.0, 0.0, -1.0]))
-        router = VtsrRouter(Tensor(w), self._cfg(n), _const_temp_net(n, 1e-4))
+        router = self._router(w, _const_temp_net(n, 1e-4))
         hits = 0
         for trial in range(200):
             res = _route_one(router, u, rng=RngStream(trial))
@@ -307,7 +305,7 @@ class TestVtsrRoute:
     def test_high_temperature_entropy_near_uniform(self):
         n = 6
         u, w = _logit_router(np.arange(n, dtype=float))
-        router = VtsrRouter(Tensor(w), self._cfg(n), _const_temp_net(n, 1e3))
+        router = self._router(w, _const_temp_net(n, 1e3))
         res = _route_one(router, u, rng=RngStream(1))
         assert abs(res.signals["gate_entropy"][0] - math.log(n)) < 1e-3
         assert res.signals["inf_temp"][0] == pytest.approx(1e3, rel=1e-3)
@@ -316,7 +314,7 @@ class TestVtsrRoute:
         n = 4
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 2.0)
-        router = VtsrRouter(Tensor(w), self._cfg(n), net)
+        router = self._router(w, net)
         res = router.route(Tensor(u[None, :]), "train", noise={
             "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         np.testing.assert_array_equal(res.selection[0], [1, 1, 0, 0])
@@ -325,7 +323,7 @@ class TestVtsrRoute:
         n = 3
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 0.5)
-        router = VtsrRouter(Tensor(w), self._cfg(n), net)
+        router = self._router(w, net)
         res = router.route(Tensor(u[None, :]), "train", noise={
             "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         assert res.kl_term.item() == pytest.approx(math.log(2.0), abs=1e-9)
@@ -335,7 +333,7 @@ class TestVtsrRoute:
         n = 4
         u, w = _logit_router(np.array([2.0, 1.0, 0.5, 0.0]))
         net = _const_temp_net(n, 1.5)
-        router = VtsrRouter(Tensor(w), self._cfg(n), net)
+        router = self._router(w, net)
         res = router.route(Tensor(u[None, :]), "train", noise={
             "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
         p = np.exp((u @ w) / 1.5)
@@ -347,14 +345,14 @@ class TestVtsrRoute:
 
 
 class TestMcDropoutRoute:
-    def _cfg(self, n, rate, s=8):
-        return RouterConfig(dim=n, num_experts=n, top_k=2, variant="mc_dropout",
-                            dropout_rate=rate, eval_samples=s)
+    def _router(self, w, rate, s=8, k=2):
+        return McDropoutRouter(Tensor(w), k, RouterSettings(
+            eval_samples=s, dropout_rate=rate))
 
     def test_zero_rate_matches_deterministic(self, np_rng):
         n = 5
         u, w = _logit_router(np_rng.normal(size=n))
-        router = McDropoutRouter(Tensor(w), self._cfg(n, 0.0))
+        router = self._router(w, 0.0)
         res = _route_one(router, u, rng=RngStream(3))
         det = _route_one(_map_router(w, 2), u)
         np.testing.assert_array_equal(res.selection, det.selection)
@@ -363,7 +361,7 @@ class TestMcDropoutRoute:
     def test_identical_masks_zero_variance(self):
         n = 4
         u, w = _logit_router(np.ones(n))
-        router = McDropoutRouter(Tensor(w), self._cfg(n, 0.5, s=6))
+        router = self._router(w, 0.5, s=6)
         # uniforms all 0.9 -> every mask keeps every coordinate
         noise = {"uniform": np.full((1, 6, n), 0.9)}
         res = router.route(Tensor(u[None, :]), "eval", noise=noise)
@@ -372,13 +370,9 @@ class TestMcDropoutRoute:
     def test_two_coordinate_enumeration(self):
         # rate 0.5, u=(1,1), w=I: each logit is 0 or 2 with probability 1/2,
         # independently; the total logit variance is then exactly 2.
-        n = 2
         u = np.array([1.0, 1.0])
         w = np.eye(2)
-        cfg = RouterConfig(dim=2, num_experts=2, top_k=1,
-                           variant="mc_dropout", dropout_rate=0.5,
-                           eval_samples=100_000)
-        router = McDropoutRouter(Tensor(w), cfg)
+        router = self._router(w, 0.5, s=100_000, k=1)
         res = router.route(Tensor(u[None, :]), "eval", rng=RngStream(11))
         samples = res.logits_sampled[0]
         values, counts = np.unique(samples[:, 0], return_counts=True)
@@ -390,8 +384,7 @@ class TestMcDropoutRoute:
         # Predictive passes route with one dropout sample per pass, whatever
         # eval_samples says.
         n, b = 4, 3
-        router = McDropoutRouter(Tensor(np_rng.normal(size=(n, n))),
-                                 self._cfg(n, 0.5, s=35))
+        router = self._router(np_rng.normal(size=(n, n)), 0.5, s=35)
         noise = {"uniform": np_rng.uniform(size=(b, 1, n))}
         res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
                            noise=noise)
@@ -401,9 +394,7 @@ class TestMcDropoutRoute:
 
 class TestFixedTempRoute:
     def _router(self, w, t_global, k=2):
-        n = w.shape[0]
-        return TempScaleRouter(Tensor(w), RouterConfig(
-            dim=n, num_experts=n, top_k=k, variant="temp_scale",
+        return TempScaleRouter(Tensor(w), k, RouterSettings(
             global_temperature=t_global))
 
     def test_low_temperature_is_top_k(self):

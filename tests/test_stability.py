@@ -6,6 +6,7 @@ import pytest
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.model import ModelConfig, MoEClassifier, attach_variational_routers
 from vroute.rng import RngStream
+from vroute.routers import RouterSettings
 from vroute.stability import (PerturbationSpec, StabilityReport, StabilityCell,
                               fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise,
@@ -33,8 +34,8 @@ def small_trained_model(seed=0, epochs=6):
     cfg = ModelConfig(feature_dim=8, hidden_dim=16, num_blocks=3,
                       num_experts=8, top_k=2, num_classes=3, phi_hidden=4)
     model = MoEClassifier(cfg, RngStream(seed).derive("model-init"))
-    tc = TrainConfig(epochs_stage1=epochs, batch_size=50, seed=seed)
-    stage1_train(model, splits["train"], splits["val"], tc)
+    tc = TrainConfig(epochs_stage1=epochs, batch_size=50)
+    stage1_train(model, splits["train"], splits["val"], tc, seed=seed)
     return model, splits
 
 
@@ -42,8 +43,8 @@ class TestPerturbInput:
     def test_tiny_gamma_keeps_selection(self):
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(1e-12,), diagnostic_gamma=1e-12,
-                                repeats=1, seed=0)
-        report = layerwise_stability(model, splits["test"], spec)
+                                repeats=1)
+        report = layerwise_stability(model, splits["test"], spec, seed=0)
         for cell in report.cells:
             assert cell.mean_jaccard == 1.0
 
@@ -80,8 +81,8 @@ class TestLayerwiseStability:
         for seed in range(3):
             model = MoEClassifier(cfg, RngStream(seed).derive("model-init"))
             pspec = PerturbationSpec(gamma_levels=(1e3,), diagnostic_gamma=1e3,
-                                     repeats=4, seed=7)
-            report = layerwise_stability(model, ds, pspec)
+                                     repeats=4)
+            report = layerwise_stability(model, ds, pspec, seed=7)
             values.extend(c.mean_jaccard for c in report.cells)
         floor = expected_random_jaccard(8, 2)
         assert abs(np.mean(values) - floor) < 0.02
@@ -90,8 +91,8 @@ class TestLayerwiseStability:
     def test_cell_count_is_layers_times_gammas(self):
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(0.01, 0.05, 1.0),
-                                diagnostic_gamma=0.01, repeats=1, seed=0)
-        report = layerwise_stability(model, splits["test"], spec)
+                                diagnostic_gamma=0.01, repeats=1)
+        report = layerwise_stability(model, splits["test"], spec, seed=0)
         assert len(report.cells) == 3 * len(model.blocks)
         assert report.layers() == [0, 1, 2]
 
@@ -99,7 +100,8 @@ class TestLayerwiseStability:
         from vroute.metrics import jaccard_rows
         from vroute.stability import _forward_selections
         model, splits = small_trained_model()
-        attach_variational_routers(model, [0, 1, 2], "vtsr", RngStream(3))
+        attach_variational_routers(model, [0, 1, 2], "vtsr", RngStream(3),
+                                   RouterSettings())
         base = RngStream(11)
         sel_a = _forward_selections(model, splits["test"].features, base)
         sel_b = _forward_selections(model, splits["test"].features, base)
@@ -109,8 +111,8 @@ class TestLayerwiseStability:
     def test_quantiles_are_ordered(self):
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(0.05,), diagnostic_gamma=0.05,
-                                repeats=2, seed=0)
-        report = layerwise_stability(model, splits["test"], spec)
+                                repeats=2)
+        report = layerwise_stability(model, splits["test"], spec, seed=0)
         for cell in report.cells:
             assert 0.0 <= cell.q10 <= cell.q50 <= cell.q90 <= 1.0
 
@@ -132,13 +134,13 @@ class TestSensitivityRanking:
     def test_invariant_under_dataset_duplication(self):
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(0.02,), diagnostic_gamma=0.02,
-                                repeats=2, seed=0)
+                                repeats=2)
         test = splits["test"]
         doubled = type(test)(np.vstack([test.features, test.features]),
                              np.concatenate([test.labels, test.labels]),
                              test.domain_tag, test.shift, test.num_classes)
-        r1 = sensitivity_ranking(layerwise_stability(model, test, spec))
-        r2 = sensitivity_ranking(layerwise_stability(model, doubled, spec))
+        r1 = sensitivity_ranking(layerwise_stability(model, test, spec, 0))
+        r2 = sensitivity_ranking(layerwise_stability(model, doubled, spec, 0))
         assert r1 == r2
 
 
@@ -178,10 +180,10 @@ class TestFixedTemperatureSweep:
 
 def test_map_jaccard_non_increasing_in_gamma():
     # allow one inversion inside a +-0.01 noise band, checked across 5 seeds
-    spec = PerturbationSpec(repeats=2, seed=0)
+    spec = PerturbationSpec(repeats=2)
     for seed in range(5):
         model, splits = small_trained_model(seed=seed)
-        report = layerwise_stability(model, splits["test"], spec)
+        report = layerwise_stability(model, splits["test"], spec, seed=0)
         for layer in report.layers():
             means = [report.cell(layer, g).mean_jaccard
                      for g in spec.gamma_levels]
