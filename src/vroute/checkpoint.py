@@ -20,7 +20,7 @@ from .routers import RouterSettings
 FORMAT_VERSION = 3
 
 
-def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> None:
+def save_checkpoint(model: MoEClassifier, path) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "model_config": dataclasses.asdict(model.config),
@@ -30,7 +30,6 @@ def save_checkpoint(model: MoEClassifier, path, extra: dict | None = None) -> No
             for blk in model.blocks
         ],
         "variational_layer_indices": list(model.variational_layer_indices),
-        "extra": extra or {},
     }
     arrays = {f"param:{name}": p.data for name, p in model.param_items()}
     with atomic_open(path) as fh:

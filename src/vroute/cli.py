@@ -10,6 +10,12 @@ written, so when anything fails the runner removes all of them, prints
 written).  All randomness derives from the seed.  CSV outputs use UTF-8, LF
 line endings, and fixed column orders; floats are written in shortest
 round-trip form.
+
+The config's ``model`` and ``router`` sections are read at train time and
+stored in each checkpoint; the other commands use the checkpoint's values,
+so a stochastic model's number of predictive passes is its routers'
+``eval_samples``.  The synthetic data and an ``eval --data`` CSV take their
+feature and class counts from the config's ``model`` section.
 """
 from __future__ import annotations
 
@@ -197,14 +203,13 @@ def cmd_train(args, cfg, writer) -> None:
 def cmd_eval(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     if args.data:
-        dataset = load_csv(args.data, cfg.data.feature_dim,
-                           cfg.data.num_classes)
+        dataset = load_csv(args.data, cfg.model.feature_dim,
+                           cfg.model.num_classes)
     else:
         dataset = build_splits(cfg)[args.split]
-    samples = args.samples or cfg.router.eval_samples
-    report = evaluate_calibration(model, dataset, samples, cfg.seed)
+    report = evaluate_calibration(model, dataset, cfg.seed)
     tag = cfg.variants[0]
-    writer.write_json(f"eval_{tag}.json", report.to_json_dict())
+    writer.write_json(f"eval_{tag}.json", dataclasses.asdict(report))
     writer.write_csv(f"eval_{tag}.csv", ["accuracy", "nll", "ece", "mce"],
                      [report.csv_row()])
     writer.write_csv(f"eval_bins_{tag}.csv",
@@ -221,10 +226,9 @@ def cmd_ood(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     suite = build_suite(cfg)
     id_test = build_splits(cfg)["test"]
-    samples = args.samples or cfg.router.eval_samples
     rows = ood_detection_rows(model, id_test,
                               {"near": suite["near"], "far": suite["far"]},
-                              samples, cfg.seed)
+                              cfg.seed)
     tag = cfg.variants[0]
     writer.write_csv(f"ood_{tag}.csv", ["signal", "domain", "auroc", "auprc"],
                      rows)
@@ -322,12 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--data", default=None, help="CSV dataset instead of split")
-    p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=cmd_eval, manifest="manifest_eval.json")
 
     p = sub.add_parser("ood", help="detection AUROC/AUPRC per signal")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=None)
     p.set_defaults(fn=cmd_ood, manifest="manifest_ood.json")
 
     p = sub.add_parser("stability", help="layer-wise routing stability")

@@ -1,7 +1,8 @@
 """Experiment configuration and run manifests.
 
 Configs are plain JSON objects parsed strictly: unknown keys anywhere in
-the tree are rejected so typos never silently fall back to defaults.  The
+the tree are rejected so typos never silently fall back to defaults, and a
+value of the wrong type is rejected at load rather than mid-run.  The
 manifest written at the end of a run records the config hash, code version,
 seed, timestamps, and a digest of every emitted file.
 """
@@ -28,26 +29,24 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
-    num_classes: int = 4
+    """The synthetic domains; their feature and class counts are the
+    model's, and their seed is the experiment's."""
+
     modes_per_class: int = 2
-    feature_dim: int = 16
     mean_scale: float = 0.35
     noise_scale: float = 0.5
-    rotation_angle: float = 0.0
     delta_near: float = 1.0
     delta_far: float = 3.0
     n_train: int = 2000
     n_val: int = 200
     n_test: int = 500
     n_ood: int = 500
-    seed: int | None = None      # defaults to the experiment seed
 
-    def domain_spec(self, fallback_seed: int) -> SyntheticDomainSpec:
+    def domain_spec(self, model: ModelConfig, seed: int) -> SyntheticDomainSpec:
         return SyntheticDomainSpec(
-            num_classes=self.num_classes, modes_per_class=self.modes_per_class,
-            feature_dim=self.feature_dim, mean_scale=self.mean_scale,
-            noise_scale=self.noise_scale, rotation_angle=self.rotation_angle,
-            seed=self.seed if self.seed is not None else fallback_seed)
+            num_classes=model.num_classes, modes_per_class=self.modes_per_class,
+            feature_dim=model.feature_dim, mean_scale=self.mean_scale,
+            noise_scale=self.noise_scale, seed=seed)
 
 
 @dataclass
@@ -69,7 +68,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown variant {v!r}")
         if self.layers != "auto":
             if not isinstance(self.layers, (list, tuple)) or not all(
-                    isinstance(i, int) for i in self.layers):
+                    type(i) is int for i in self.layers):
                 raise ConfigError("layers must be 'auto' or a list of ints")
             self.layers = list(self.layers)
             bad = [i for i in self.layers
@@ -85,16 +84,33 @@ _NESTED = {"model": ModelConfig, "router": RouterSettings, "train": TrainConfig,
            "data": DataConfig, "perturbation": PerturbationSpec}
 
 
+# Python types a field annotated with each name accepts.  A bool is never a
+# number here, although Python makes it an int.
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    """Reject ``value`` unless it suits a scalar annotation such as
+    ``int`` or ``int | None``; other annotations are left to the class."""
+    names = annotation.split(" | ")
+    allowed = tuple(t for n in names for t in _SCALAR_TYPES.get(n, ()))
+    if not allowed or (value is None and "None" in names):
+        return
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{key} must be {annotation}, got {value!r}")
+
+
 def _strict_build(cls, payload: dict, path: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    where = f"{path}." if path else ""
+    unknown = set(payload) - set(fields)
     if unknown:
-        where = f"{path}." if path else ""
         raise ConfigError(f"unknown key {where}{sorted(unknown)[0]}")
     kwargs = {}
     for key, value in payload.items():
+        _check_type(where + key, value, fields[key].type)
         sub = _NESTED.get(key)
         if cls is ExperimentConfig and sub is not None:
             kwargs[key] = _strict_build(sub, value, key)
@@ -161,9 +177,6 @@ class RunManifest:
     def finish(self) -> None:
         self.finished_at = time.time()
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @contextlib.contextmanager
 def atomic_open(path):
@@ -181,6 +194,6 @@ def atomic_open(path):
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
-    text = json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True)
+    text = json.dumps(dataclasses.asdict(manifest), indent=2, sort_keys=True)
     with atomic_open(path) as fh:
         fh.write((text + "\n").encode("utf-8"))

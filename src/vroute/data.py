@@ -3,8 +3,8 @@
 Each domain draws from a class-conditional Gaussian mixture: every class
 owns a few modes so experts have structure to specialise on.  Shifted
 domains move the mode means by a magnitude ``delta`` along one fixed random
-direction (optionally rotating them first), which gives an ordered family
-of increasingly out-of-distribution datasets.
+direction, which gives an ordered family of increasingly out-of-distribution
+datasets.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ class SyntheticDomainSpec:
     mean_scale: float = 0.35               # spread of auto-generated mode means
     noise_scale: float = 0.5
     shift_magnitude: float = 0.0
-    rotation_angle: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -86,28 +85,9 @@ def _shift_direction(spec: SyntheticDomainSpec) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _rotation_matrix(spec: SyntheticDomainSpec) -> np.ndarray:
-    """Givens rotation by rotation_angle in a seed-fixed random 2-plane."""
-    f = spec.feature_dim
-    theta = spec.rotation_angle
-    if theta == 0.0 or f < 2:
-        return np.eye(f)
-    rng = RngStream(spec.seed).derive("rot-plane")
-    a = rng.normal((f,))
-    a /= np.linalg.norm(a)
-    b = rng.normal((f,))
-    b -= a * (a @ b)
-    b /= np.linalg.norm(b)
-    outer = np.outer
-    return (np.eye(f) + (math.cos(theta) - 1.0) * (outer(a, a) + outer(b, b))
-            + math.sin(theta) * (outer(b, a) - outer(a, b)))
-
-
 def domain_mode_means(spec: SyntheticDomainSpec) -> np.ndarray:
-    """Mode means after the domain transform: rotate, then shift by delta."""
+    """Mode means after the domain transform: a shift by delta."""
     means = base_mode_means(spec)
-    if spec.rotation_angle != 0.0:
-        means = means @ _rotation_matrix(spec).T
     if spec.shift_magnitude != 0.0:
         means = means + spec.shift_magnitude * _shift_direction(spec)
     return means
@@ -119,9 +99,9 @@ def generate_domain(spec: SyntheticDomainSpec, n: int,
     if n < 1:
         raise DataError("n must be >= 1")
     means = domain_mode_means(spec)
+    # 0 fills the former rotation-angle key, so every seed keeps its samples.
     stream = RngStream(spec.seed).derive(
-        "samples", _float_bits(spec.shift_magnitude),
-        _float_bits(spec.rotation_angle))
+        "samples", _float_bits(spec.shift_magnitude), 0)
     labels = stream.derive("labels").integers(0, spec.num_classes, (n,))
     modes = stream.derive("modes").integers(0, spec.modes_per_class, (n,))
     eps = stream.derive("noise").normal((n, spec.feature_dim))
@@ -170,8 +150,7 @@ def csv_header(feature_dim: int) -> str:
     return ",".join([f"f{i}" for i in range(feature_dim)] + ["label"])
 
 
-def load_csv(path, feature_dim: int, num_classes: int,
-             domain_tag: str = "id") -> Dataset:
+def load_csv(path, feature_dim: int, num_classes: int) -> Dataset:
     """Parse a feature/label CSV; malformed rows are reported by line number."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -205,5 +184,4 @@ def load_csv(path, feature_dim: int, num_classes: int,
         raise DataError("malformed rows: " + "; ".join(bad))
     if not feats:
         raise DataError("no data rows")
-    return Dataset(np.array(feats), np.array(labels), domain_tag, 0.0,
-                   num_classes)
+    return Dataset(np.array(feats), np.array(labels), "id", 0.0, num_classes)

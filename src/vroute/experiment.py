@@ -23,15 +23,15 @@ from .training import TrainLog, stage1_train, stage2_train
 def build_splits(cfg: ExperimentConfig) -> dict:
     """Generate the in-distribution pool and partition it."""
     d = cfg.data
-    spec = d.domain_spec(cfg.seed)
+    spec = d.domain_spec(cfg.model, cfg.seed)
     pool = generate_domain(spec, d.n_train + d.n_val + d.n_test, "id")
     return split_dataset(pool, d.n_train, d.n_val, d.n_test)
 
 
 def build_suite(cfg: ExperimentConfig) -> dict:
     d = cfg.data
-    return make_ood_suite(d.domain_spec(cfg.seed), d.delta_near, d.delta_far,
-                          d.n_ood)
+    return make_ood_suite(d.domain_spec(cfg.model, cfg.seed), d.delta_near,
+                          d.delta_far, d.n_ood)
 
 
 def build_model(cfg: ExperimentConfig) -> MoEClassifier:
@@ -91,8 +91,7 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
         if writer is None:
             return None
         path = writer.claim(f"model_{variant}.npz")
-        save_checkpoint(model, path, extra={"variant": variant,
-                                            "seed": cfg.seed})
+        save_checkpoint(model, path)
         return path
 
     if "map" in cfg.variants:
@@ -120,33 +119,31 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
 
 
 # --------------------------------------------------------------------------
-# evaluation helpers
+# evaluation helpers: the number of passes is the model's own (see
+# predict_with_uncertainty)
 # --------------------------------------------------------------------------
 
 
-def evaluate_calibration(model: MoEClassifier, dataset, samples: int | None,
-                         seed: int, bins: int = 15) -> CalibrationReport:
+def evaluate_calibration(model: MoEClassifier, dataset,
+                         seed: int) -> CalibrationReport:
     rng = RngStream(seed).derive("calibration-eval")
-    pred = predict_with_uncertainty(model, dataset.features, samples=samples,
-                                    rng=rng)
-    return calibration_report(pred.probs, dataset.labels, bins=bins)
+    pred = predict_with_uncertainty(model, dataset.features, rng=rng)
+    return calibration_report(pred.probs, dataset.labels)
 
 
-def signal_scores(model: MoEClassifier, dataset, samples: int | None,
-                  seed: int) -> dict:
+def signal_scores(model: MoEClassifier, dataset, seed: int) -> dict:
     """Per-example uncertainty signals, averaged over the attached layers."""
     rng = RngStream(seed).derive("signals")
-    return predict_with_uncertainty(model, dataset.features, samples=samples,
-                                    rng=rng).signals
+    return predict_with_uncertainty(model, dataset.features, rng=rng).signals
 
 
 def ood_detection_rows(model: MoEClassifier, id_dataset, shifted: dict,
-                       samples: int | None, seed: int) -> list[dict]:
+                       seed: int) -> list[dict]:
     """AUROC/AUPRC per (signal, shifted-domain) pair; higher score = more OoD."""
-    id_sig = signal_scores(model, id_dataset, samples, seed)
+    id_sig = signal_scores(model, id_dataset, seed)
     rows = []
     for tag in sorted(shifted):
-        ood_sig = signal_scores(model, shifted[tag], samples, seed)
+        ood_sig = signal_scores(model, shifted[tag], seed)
         for key in SIGNAL_NAMES:
             if id_sig[key] is None or ood_sig[key] is None:
                 continue

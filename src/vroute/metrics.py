@@ -27,16 +27,6 @@ class CalibrationReport:
     bin_accuracy: list[float]
     bin_count: list[int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy, "nll": self.nll,
-            "ece": self.ece, "mce": self.mce,
-            "bin_edges": self.bin_edges,
-            "bin_confidence": self.bin_confidence,
-            "bin_accuracy": self.bin_accuracy,
-            "bin_count": self.bin_count,
-        }
-
     def csv_row(self) -> dict:
         return {"accuracy": self.accuracy, "nll": self.nll,
                 "ece": self.ece, "mce": self.mce}

@@ -209,7 +209,6 @@ def attach_variational_routers(model: MoEClassifier, indices, variant: str,
 class Prediction:
     probs: np.ndarray                       # [B, C]
     signals: dict                           # per-example arrays or None
-    per_layer_signals: list[dict]           # one dict per block
     kl_per_token: np.ndarray                # [B] summed layer KL, pass mean
 
 
@@ -223,28 +222,29 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     for idx, blk in enumerate(model.blocks):
         router = blk.moe.router
         layer_rng = rng.derive("layer", idx)
-        if not router.noise_spec("eval", samples=1):
+        if not router.noise_spec(1):
             plans[idx] = {}
             continue
         per_row = [router.draw_noise(
             layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
-            (passes,), "eval", samples=1) for row in x]
+            (passes,), 1) for row in x]
         plans[idx] = {k: np.stack([d[k] for d in per_row], axis=1)
                       for k in per_row[0]}
     return plans
 
 
-def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None,
+def predict_with_uncertainty(model: MoEClassifier, x,
                              rng: RngStream | None = None) -> Prediction:
     """Monte-Carlo predictive distribution plus per-example signals.
 
-    Runs ``samples`` stochastic forward passes, each realising one routing
-    sample per stochastic layer, and averages the class softmax: the
-    marginalisation over latent routing.  Per layer, gate entropy is the
-    entropy of the pass-averaged routing distribution, the inferred
-    variance/temperature are the (pass-independent) inference-net readouts,
-    and the multi-pass logit variance is taken across the passes' sampled
-    logit vectors.  ``kl_per_token`` is each example's KL / regulariser
+    Runs S stochastic forward passes, S being the largest ``eval_samples``
+    of the model's stochastic routers (one pass without any), each
+    realising one routing sample per stochastic layer, and averages the
+    class softmax: the marginalisation over latent routing.  Per layer, gate
+    entropy is the entropy of the pass-averaged routing distribution, the
+    inferred variance/temperature are the (pass-independent) inference-net
+    readouts, and the multi-pass logit variance is taken across the passes'
+    sampled logit vectors.  ``kl_per_token`` is each example's KL / regulariser
     term summed over layers and averaged over the passes: the quantity the
     training objective weights by ``kl_weight``, read off the same passes.
     Deterministic given the stream, and independent of batch order because
@@ -253,12 +253,8 @@ def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None
     if rng is None:
         rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
-    stochastic = [i for i, blk in enumerate(model.blocks)
-                  if blk.moe.router.variant != "map"]
-    if samples is None:
-        samples = max((model.blocks[i].moe.router.settings.eval_samples
-                       for i in stochastic), default=1)
-    passes = samples if stochastic else 1
+    passes = max((blk.moe.router.settings.eval_samples for blk in model.blocks
+                  if blk.moe.router.variant != "map"), default=1)
     plan = _content_noise_block(model, x, rng, passes)
     n_layers = len(model.blocks)
     prob_sum = None
@@ -282,18 +278,15 @@ def predict_with_uncertainty(model: MoEClassifier, x, samples: int | None = None
         if first_records is None:
             first_records = records
     per_layer = []
-    for i in range(n_layers):
+    for i in model.variational_layer_indices or range(n_layers):
         sig = dict(first_records[i].signals)
         sig["gate_entropy"] = shannon_entropy(route_prob_sum[i] / passes)
         if len(logit_samples[i]) >= 2:
             sig["mc_logit_var"] = mc_logit_var(np.stack(logit_samples[i], axis=1))
         per_layer.append(sig)
-    layer_ids = model.variational_layer_indices or list(range(n_layers))
     signals: dict = {}
     for key in SIGNAL_NAMES:
-        values = [per_layer[i][key] for i in layer_ids
-                  if per_layer[i][key] is not None]
+        values = [sig[key] for sig in per_layer if sig[key] is not None]
         signals[key] = np.mean(values, axis=0) if values else None
     return Prediction(probs=prob_sum / passes, signals=signals,
-                      per_layer_signals=per_layer,
                       kl_per_token=kl_sum / passes)

@@ -91,7 +91,6 @@ class BatchRouteResult:
     (None when the variant has none or the pass is evaluation-only).
     """
 
-    logits_det: np.ndarray
     probs: np.ndarray
     selection: np.ndarray
     gate_weights: Tensor
@@ -351,22 +350,16 @@ class RouterBase:
     def phi_items(self) -> list[tuple[str, Tensor]]:
         return []
 
-    def samples(self, mode: str, override: int | None = None) -> int:
-        """Noise samples per token: one drives each training step."""
-        if override is not None:
-            return override
-        return 1 if mode == "train" else self.settings.eval_samples
-
-    def noise_spec(self, mode: str, samples: int | None = None) -> dict:
-        """Per-token noise requirements: key (distribution name) -> shape."""
+    def noise_spec(self, samples: int) -> dict:
+        """Per-token noise requirements for ``samples`` draws per token:
+        key (distribution name) -> shape."""
         return {}
 
-    def draw_noise(self, rng: RngStream, lead: tuple, mode: str,
-                   samples: int | None = None) -> dict:
+    def draw_noise(self, rng: RngStream, lead: tuple, samples: int) -> dict:
         """One draw per noise key covering ``lead`` independent per-token
         noise sets: key -> array of shape ``lead + per-token shape``."""
         return {k: getattr(rng, k)(tuple(lead) + tuple(shape))
-                for k, shape in self.noise_spec(mode, samples).items()}
+                for k, shape in self.noise_spec(samples).items()}
 
     def route(self, u: Tensor, mode: str, rng: RngStream | None = None,
               noise: dict | None = None) -> BatchRouteResult:
@@ -378,7 +371,9 @@ class RouterBase:
         if rng is None and self.variant != "map":
             raise ValueError(f"{self.variant} routing needs an RngStream or "
                              "pre-drawn noise")
-        return self.draw_noise(rng, (batch,), mode)
+        # One sample drives each training step.
+        samples = 1 if mode == "train" else self.settings.eval_samples
+        return self.draw_noise(rng, (batch,), samples)
 
     def _signals(self, gate_entropy, **present) -> dict:
         out = {k: None for k in SIGNAL_NAMES}
@@ -400,8 +395,8 @@ class MapRouter(RouterBase):
         gates = _renorm_gates_t(probs, mask)
         batch = u.shape[0]
         return BatchRouteResult(
-            logits_det=logits.data, probs=probs.data, selection=mask,
-            gate_weights=gates, kl_term=None, kl_per_token=np.zeros(batch),
+            probs=probs.data, selection=mask, gate_weights=gates,
+            kl_term=None, kl_per_token=np.zeros(batch),
             signals=self._signals(shannon_entropy(probs.data)))
 
 
@@ -415,7 +410,7 @@ class TempScaleRouter(RouterBase):
 
     variant = "temp_scale"
 
-    def noise_spec(self, mode, samples=None):
+    def noise_spec(self, samples):
         return {"uniform": (self.w_r.shape[1],)}
 
     def route(self, u, mode, rng=None, noise=None):
@@ -427,7 +422,7 @@ class TempScaleRouter(RouterBase):
         mask, _ = gumbel_top_k(scaled, self.top_k, noise["uniform"])
         gates = Tensor(_renorm_gates_np(_softmax_np(l_det), mask))
         return BatchRouteResult(
-            logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
+            probs=probs, selection=mask, gate_weights=gates,
             kl_term=None, kl_per_token=np.zeros(u.shape[0]),
             signals=self._signals(shannon_entropy(probs)))
 
@@ -437,8 +432,8 @@ class McDropoutRouter(RouterBase):
 
     variant = "mc_dropout"
 
-    def noise_spec(self, mode, samples=None):
-        return {"uniform": (self.samples(mode, samples), self.w_r.shape[0])}
+    def noise_spec(self, samples):
+        return {"uniform": (samples, self.w_r.shape[0])}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
@@ -457,8 +452,8 @@ class McDropoutRouter(RouterBase):
         gates = Tensor(_renorm_gates_np(p_bar, mask))
         mc_var = mc_logit_var(logits_s)
         return BatchRouteResult(
-            logits_det=u.data @ self.w_r.data, probs=p_bar, selection=mask,
-            gate_weights=gates, kl_term=None, kl_per_token=np.zeros(u.shape[0]),
+            probs=p_bar, selection=mask, gate_weights=gates,
+            kl_term=None, kl_per_token=np.zeros(u.shape[0]),
             signals=self._signals(shannon_entropy(p_bar), mc_logit_var=mc_var),
             logits_sampled=logits_s)
 
@@ -479,8 +474,8 @@ class VglrRouter(RouterBase):
     def phi_items(self):
         return self.phi.param_items()
 
-    def noise_spec(self, mode, samples=None):
-        return {"normal": (self.samples(mode, samples), self.w_r.shape[1])}
+    def noise_spec(self, samples):
+        return {"normal": (samples, self.w_r.shape[1])}
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
@@ -506,7 +501,7 @@ class VglrRouter(RouterBase):
         gates = _renorm_gates_t(p_bar, mask)
         mc_var = mc_logit_var(l_samples.data) if s >= 2 else None
         return BatchRouteResult(
-            logits_det=l_det, probs=p_bar.data, selection=mask, gate_weights=gates,
+            probs=p_bar.data, selection=mask, gate_weights=gates,
             kl_term=kl_tok.mean(), kl_per_token=kl_tok.data.copy(),
             signals=self._signals(shannon_entropy(p_bar.data),
                                   inf_logit_var=inf_var, mc_logit_var=mc_var),
@@ -531,7 +526,7 @@ class VtsrRouter(RouterBase):
     def phi_items(self):
         return self.temperature_net.param_items()
 
-    def noise_spec(self, mode, samples=None):
+    def noise_spec(self, samples):
         return {"uniform": (self.w_r.shape[1],)}
 
     def route(self, u, mode, rng=None, noise=None):
@@ -550,8 +545,8 @@ class VtsrRouter(RouterBase):
             gates = (relaxed - relaxed.detach()) + hard
             kl_term = (-T.log(temp).reshape((u.shape[0],))).mean()
         return BatchRouteResult(
-            logits_det=l_det, probs=probs, selection=mask, gate_weights=gates,
-            kl_term=kl_term, kl_per_token=-np.log(temp.data[:, 0]),
+            probs=probs, selection=mask, gate_weights=gates, kl_term=kl_term,
+            kl_per_token=-np.log(temp.data[:, 0]),
             signals=self._signals(shannon_entropy(probs),
                                   inf_temp=temp.data[:, 0].copy()))
 

@@ -171,15 +171,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
 
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def relu(self):
-        return relu(self)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -412,19 +403,6 @@ def softmax(a, axis: int = -1) -> Tensor:
         return (data * (g - inner),)
 
     return _result(data, (a,), backward, "softmax")
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
-    probs = np.exp(data)
-
-    def backward(g):
-        return (g - probs * g.sum(axis=axis, keepdims=True),)
-
-    return _result(data, (a,), backward, "log_softmax")
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MoEClassifier, elbo_loss
+from .metrics import calibration_report
+from .model import MoEClassifier, elbo_loss, predict_with_uncertainty
 from .optim import Adam
 from .rng import RngStream
 
@@ -54,13 +55,6 @@ class TrainLog:
     best_epoch: int = -1
 
 
-def _nll_acc(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    picked = probs[np.arange(len(labels)), labels]
-    nll = float(-np.log(np.clip(picked, 1e-12, None)).mean())
-    acc = float((probs.argmax(axis=1) == labels).mean())
-    return nll, acc
-
-
 def predictive_nll_acc(model: MoEClassifier, dataset,
                        rng: RngStream) -> tuple[float, float, float]:
     """NLL/accuracy of the Monte-Carlo predictive distribution, plus the
@@ -71,10 +65,9 @@ def predictive_nll_acc(model: MoEClassifier, dataset,
     epoch-to-epoch changes reflect parameters, not sampler luck) and the NLL
     is the quantity the evaluation reports.
     """
-    from .model import predict_with_uncertainty
     pred = predict_with_uncertainty(model, dataset.features, rng=rng)
-    nll, acc = _nll_acc(pred.probs, dataset.labels)
-    return nll, acc, float(pred.kl_per_token.mean())
+    report = calibration_report(pred.probs, dataset.labels)
+    return report.nll, report.accuracy, float(pred.kl_per_token.mean())
 
 
 def _run_stage(model: MoEClassifier, params, train_ds, val_ds,

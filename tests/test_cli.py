@@ -22,8 +22,7 @@ TINY = {
     "router": {"eval_samples": 4},
     "train": {"epochs_stage1": 3, "epochs_stage2": 4, "kl_weight": 10.0,
               "learning_rate_stage2": 1e-2, "early_stop_patience": 4},
-    "data": {"num_classes": 3, "feature_dim": 6, "n_train": 120,
-             "n_val": 40, "n_test": 40, "n_ood": 40},
+    "data": {"n_train": 120, "n_val": 40, "n_test": 40, "n_ood": 40},
 }
 
 
@@ -113,7 +112,14 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
                          ({"perturbation": {"seed": 1}},
                           "unknown key perturbation.seed"),
                          ({"router": {"train_samples": 1}},
-                          "unknown key router.train_samples")):
+                          "unknown key router.train_samples"),
+                         ({"data": {"feature_dim": 6}},
+                          "unknown key data.feature_dim"),
+                         ({"data": {"num_classes": 3}},
+                          "unknown key data.num_classes"),
+                         ({"data": {"seed": 1}}, "unknown key data.seed"),
+                         ({"data": {"rotation_angle": 0.5}},
+                          "unknown key data.rotation_angle")):
         cfg_path.write_text(json.dumps(bad))
         assert cli.main([command, "--config", str(cfg_path),
                          "--out", str(out)]) == 1
@@ -133,6 +139,41 @@ def test_bad_router_setting_rejected_at_load(section, bad, message):
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)
     assert str(err.value) == f"invalid {section}: {message}"
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"router": {"eval_samples": 2.5}}, "router.eval_samples"),
+    ({"router": {"eval_samples": True}}, "router.eval_samples"),
+    ({"model": {"top_k": 2.0}}, "model.top_k"),
+    ({"train": {"batch_size": 16.5}}, "train.batch_size"),
+    ({"train": {"kl_weight": False}}, "train.kl_weight"),
+    ({"perturbation": {"repeats": 1.5}}, "perturbation.repeats"),
+    ({"seed": "3"}, "seed"),
+    ({"out_dir": 3}, "out_dir"),
+], ids=["float-int", "bool-int", "float-top_k", "float-batch_size",
+        "bool-float", "float-repeats", "str-seed", "int-str"])
+def test_value_of_wrong_type_rejected_at_load(payload, key):
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(payload)
+    assert str(err.value).startswith(f"{key} must be ")
+
+
+def test_int_accepted_for_float_setting():
+    assert config_from_dict({"train": {"kl_weight": 1}}).train.kl_weight == 1
+
+
+def test_bool_layer_index_rejected():
+    with pytest.raises(ConfigError, match="layers must be 'auto' or a list"):
+        config_from_dict({"layers": [True]})
+
+
+@pytest.mark.parametrize("command", ["eval", "ood"])
+def test_samples_flag_is_not_accepted(command, capsys):
+    # The pass count is the checkpoint routers' eval_samples.
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--config", "config.json", "--samples", "4"])
+    assert err.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_checkpoint_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):

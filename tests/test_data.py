@@ -1,10 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+from vroute import cli
+from vroute.checkpoint import save_checkpoint
+from vroute.config import config_from_dict
 from vroute.data import (DataError, Dataset, SyntheticDomainSpec,
                          base_mode_means, csv_header, generate_domain,
                          load_csv, make_ood_suite, split_dataset)
+from vroute.experiment import build_model, build_splits
 from vroute.metrics import auroc
+from vroute.model import attach_variational_routers
+from vroute.rng import RngStream
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -158,6 +166,36 @@ class TestCsv:
         back = load_csv(path, feature_dim=6, num_classes=3)
         np.testing.assert_array_equal(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+class TestEvalFromCsv:
+    """``vroute eval --data`` reads the CSV with the config's model counts."""
+
+    CONFIG = {"seed": 0, "layers": [1],
+              "model": {"feature_dim": 6, "hidden_dim": 8, "num_blocks": 2,
+                        "num_experts": 4, "num_classes": 3},
+              "router": {"eval_samples": 4},
+              "data": {"n_train": 40, "n_val": 20, "n_test": 30, "n_ood": 20}}
+
+    def test_csv_of_test_split_matches_split(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.CONFIG))
+        cfg = config_from_dict(self.CONFIG)
+        model = build_model(cfg)
+        attach_variational_routers(model, cfg.layers, "vglr_mf", RngStream(1),
+                                   cfg.router)
+        save_checkpoint(model, tmp_path / "model.npz")
+        argv = ["eval", "--config", str(cfg_path), "--variant", "vglr_mf",
+                "--checkpoint", str(tmp_path / "model.npz")]
+        save_csv(build_splits(cfg)["test"], tmp_path / "test.csv")
+        assert cli.main(argv + ["--split", "test",
+                                "--out", str(tmp_path / "split")]) == 0
+        assert cli.main(argv + ["--data", str(tmp_path / "test.csv"),
+                                "--out", str(tmp_path / "csv")]) == 0
+        for name in ("eval_vglr_mf.csv", "eval_bins_vglr_mf.csv",
+                     "eval_vglr_mf.json"):
+            want = (tmp_path / "split" / name).read_bytes()
+            assert (tmp_path / "csv" / name).read_bytes() == want, name
 
 
 def test_dataset_invariants():

@@ -26,8 +26,7 @@ CONFIG = {
     "router": {"eval_samples": 4},
     "train": {"epochs_stage1": 3, "epochs_stage2": 4, "kl_weight": 10.0,
               "learning_rate_stage2": 1e-2, "early_stop_patience": 4},
-    "data": {"num_classes": 3, "feature_dim": 6, "n_train": 120,
-             "n_val": 40, "n_test": 40, "n_ood": 40},
+    "data": {"n_train": 120, "n_val": 40, "n_test": 40, "n_ood": 40},
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,19 +303,18 @@ class TestPredict:
         np.testing.assert_array_equal(pred.kl_per_token, np.zeros(6))
         # vtsr on the first block only: its -log T is pass-independent.
         attach_variational_routers(model, [0], "vtsr", RngStream(1),
-                                   RouterSettings())
-        pred = predict_with_uncertainty(model, x, samples=4, rng=RngStream(0))
+                                   RouterSettings(eval_samples=4))
+        pred = predict_with_uncertainty(model, x, rng=RngStream(0))
         np.testing.assert_allclose(
-            pred.kl_per_token, -np.log(pred.per_layer_signals[0]["inf_temp"]),
-            rtol=1e-12)
+            pred.kl_per_token, -np.log(pred.signals["inf_temp"]), rtol=1e-12)
 
     def test_duplicate_input_in_batch_routes_identically(self, np_rng):
         model = tiny_model()
         attach_variational_routers(model, [0, 1], "vglr_fc", RngStream(1),
-                                   RouterSettings())
+                                   RouterSettings(eval_samples=5))
         row = np_rng.normal(size=5)
         x = np.vstack([row, np_rng.normal(size=5), row])
-        pred = predict_with_uncertainty(model, x, samples=5, rng=RngStream(2))
+        pred = predict_with_uncertainty(model, x, rng=RngStream(2))
         np.testing.assert_array_equal(pred.probs[0], pred.probs[2])
         np.testing.assert_array_equal(pred.signals["mc_logit_var"][0],
                                       pred.signals["mc_logit_var"][2])
@@ -324,19 +324,20 @@ class TestPredict:
                                                    epochs=2, inflate=0.2)
         x = splits["val"].features[:16]
 
+        def probs(samples, seed):
+            # The pass count is the routers' eval_samples.
+            for blk in model.blocks:
+                router = blk.moe.router
+                router.settings = replace(router.settings, eval_samples=samples)
+            return predict_with_uncertainty(model, x, rng=RngStream(seed)).probs
+
         def spread(samples):
-            runs = [predict_with_uncertainty(model, x, samples=samples,
-                                             rng=RngStream(1000 + t)).probs
-                    for t in range(20)]
+            runs = [probs(samples, 1000 + t) for t in range(20)]
             return float(np.std(np.stack(runs), axis=0).sum())
 
         s1, s35 = spread(1), spread(35)
         assert s35 < s1
-        assert not np.array_equal(
-            predict_with_uncertainty(model, x, samples=1,
-                                     rng=RngStream(0)).probs,
-            predict_with_uncertainty(model, x, samples=35,
-                                     rng=RngStream(0)).probs)
+        assert not np.array_equal(probs(1, 0), probs(35, 0))
 
 
 class TestCollapsedScaleLimits:
