@@ -165,10 +165,18 @@ def _run(args) -> int:
 
 
 def _load_model(args, cfg):
-    """``--checkpoint``, or OUT/model_VARIANT.npz."""
+    """``--checkpoint``, or OUT/model_VARIANT.npz.  The data is built from
+    the config's ``model`` section, so the checkpoint must agree with it on
+    the feature and class counts."""
     path = args.checkpoint or os.path.join(cfg.out_dir,
                                            f"model_{cfg.variants[0]}.npz")
-    return load_checkpoint(path)
+    model = load_checkpoint(path)
+    for key in ("feature_dim", "num_classes"):
+        have, want = getattr(model.config, key), getattr(cfg.model, key)
+        if have != want:
+            raise ConfigError(f"checkpoint {path} has {key} {have}, but the "
+                              f"config's model.{key} is {want}")
+    return model
 
 
 # --------------------------------------------------------------------------
@@ -226,9 +234,7 @@ def cmd_ood(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     suite = build_suite(cfg)
     id_test = build_splits(cfg)["test"]
-    rows = ood_detection_rows(model, id_test,
-                              {"near": suite["near"], "far": suite["far"]},
-                              cfg.seed)
+    rows = ood_detection_rows(model, id_test, suite, cfg.seed)
     tag = cfg.variants[0]
     writer.write_csv(f"ood_{tag}.csv", ["signal", "domain", "auroc", "auprc"],
                      rows)

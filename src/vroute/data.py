@@ -125,15 +125,14 @@ def split_dataset(ds: Dataset, n_train: int, n_val: int, n_test: int) -> dict:
 
 def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,
                    delta_far: float, n_each: int) -> dict:
-    """In-distribution, near-shift, and far-shift datasets of n_each samples.
+    """Near-shift and far-shift datasets of n_each samples.
 
-    All three share class structure (same seed, hence same base means); the
-    shifted domains move the means by delta_near < delta_far.
+    Both share the base domain's class structure (same seed, hence same base
+    means) and move its means by delta_near < delta_far.
     """
     if not (0.0 <= delta_near < delta_far):
         raise DataError("ordering violation: require 0 <= delta_near < delta_far")
     return {
-        "id": generate_domain(replace(base_spec, shift_magnitude=0.0), n_each, "id"),
         "near": generate_domain(replace(base_spec, shift_magnitude=delta_near),
                                 n_each, "near"),
         "far": generate_domain(replace(base_spec, shift_magnitude=delta_far),

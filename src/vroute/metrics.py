@@ -43,47 +43,30 @@ def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
-def _bin_gaps(confidences, correct, bins):
-    conf = np.asarray(confidences, dtype=np.float64)
-    corr = np.asarray(correct, dtype=np.float64)
-    if conf.shape != corr.shape:
-        raise ValueError("confidences and correct flags must align")
-    if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
-        raise ValueError("confidences must lie in [0, 1]")
-    idx = _bin_index(conf, bins)
-    count = np.bincount(idx, minlength=bins).astype(np.float64)
-    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
-    acc_sum = np.bincount(idx, weights=corr, minlength=bins)
-    nonempty = count > 0
-    gaps = np.zeros(bins)
-    gaps[nonempty] = np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / count[nonempty]
-    return gaps, count, conf_sum, acc_sum
-
-
-def ece(confidences, correct, bins: int = 15) -> float:
-    """Expected calibration error: count-weighted |accuracy - confidence| per bin."""
-    gaps, count, _, _ = _bin_gaps(confidences, correct, bins)
-    n = count.sum()
-    return float((count / n * gaps).sum()) if n else 0.0
-
-
-def mce(confidences, correct, bins: int = 15) -> float:
-    """Maximum calibration error: worst |accuracy - confidence| over nonempty bins."""
-    gaps, count, _, _ = _bin_gaps(confidences, correct, bins)
-    return float(gaps[count > 0].max()) if count.sum() else 0.0
-
-
 def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
-    """Accuracy, NLL, ECE/MCE, and the per-bin reliability table."""
+    """Accuracy, NLL, ECE/MCE, and the per-bin reliability table.
+
+    ECE is the count-weighted |accuracy - confidence| over the bins, MCE the
+    worst one over the nonempty bins.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if probs.ndim != 2 or len(probs) != len(labels):
+        raise ValueError("probs must be [n, C] rows aligned with labels")
     conf = probs.max(axis=1)
+    if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
+        raise ValueError("confidences must lie in [0, 1]")
     pred = probs.argmax(axis=1)
     correct = (pred == labels).astype(np.float64)
     picked = probs[np.arange(len(labels)), labels]
     nll = float(-np.log(np.clip(picked, 1e-12, None)).mean())
-    gaps, count, conf_sum, acc_sum = _bin_gaps(conf, correct, bins)
+    idx = _bin_index(conf, bins)
+    count = np.bincount(idx, minlength=bins).astype(np.float64)
+    conf_sum = np.bincount(idx, weights=conf, minlength=bins)
+    acc_sum = np.bincount(idx, weights=correct, minlength=bins)
     nonempty = count > 0
+    gaps = np.zeros(bins)
+    gaps[nonempty] = np.abs(acc_sum[nonempty] - conf_sum[nonempty]) / count[nonempty]
     bin_conf = np.zeros(bins)
     bin_acc = np.zeros(bins)
     bin_conf[nonempty] = conf_sum[nonempty] / count[nonempty]

@@ -70,6 +70,25 @@ class _Block:
         self.moe = moe
 
 
+@dataclass
+class Prefix:
+    """The start of a pass, run once and shared by the passes that agree on it.
+
+    ``h`` is the activation entering block ``block``'s MoE layer (after the
+    block's dense projection) and ``records[i]`` is block i's route record
+    for every i < ``block``.  A prefix holds plain arrays, so no gradient
+    reaches the blocks it covers.
+    """
+
+    block: int
+    h: np.ndarray
+    records: list
+
+    def rows(self, idx) -> "Prefix":
+        """The prefix of batch rows ``idx``."""
+        return Prefix(self.block, self.h[idx], [r.rows(idx) for r in self.records])
+
+
 class MoEClassifier:
     """Input projection, B dense+MoE blocks, and a linear class head."""
 
@@ -114,31 +133,75 @@ class MoEClassifier:
 
     # -- forward ------------------------------------------------------------
 
+    def first_stochastic_block(self) -> int:
+        """Index of the first block whose router is not MAP, or 0 if every
+        router is.  With the weights fixed, the blocks before it give the
+        same bits in every pass: they are the shareable prefix."""
+        return next((i for i, blk in enumerate(self.blocks)
+                     if blk.moe.router.variant != "map"), 0)
+
     def forward(self, x, mode: str, rng: RngStream | None = None,
                 input_noise: dict | None = None,
                 router_noise: dict | None = None,
-                block_inputs: list | None = None):
+                block_inputs: list | None = None,
+                prefix: Prefix | None = None):
         """Run a batch; returns class logits and the per-layer route records.
 
         ``input_noise`` maps block index -> additive array applied to that
         block's expert-layer input, immediately before routing (perturbation
         harness); ``router_noise`` maps block index -> pre-drawn router noise;
         ``block_inputs``, when a list, is filled with each expert layer's
-        clean input activations.
+        clean input activations.  A ``prefix`` stands in for the blocks
+        before ``prefix.block``: the pass starts at that block's MoE layer,
+        ``x`` is not read, and ``block_inputs`` gets the inputs from that
+        block on.  Each block derives its router stream from ``rng`` by its
+        own index, so a prefix taken from a pass with the same stream
+        reproduces that pass exactly.
         """
-        h = T.matmul(T.as_tensor(x), self.input_proj)
+        if prefix is None:
+            h, start, records = self._entry(x), 0, []
+        else:
+            h, start, records = Tensor(prefix.h), prefix.block, list(prefix.records)
+        h = self._run_blocks(h, start, len(self.blocks), mode, rng, records,
+                             input_noise, router_noise, block_inputs)
+        return T.matmul(h, self.head), records
+
+    def prefix(self, x, block: int, mode: str) -> Prefix:
+        """Run ``x`` without a tape up to block ``block``'s MoE layer.
+
+        The routers before ``block`` get no stream, so they must be MAP.
+        """
         records: list[BatchRouteResult] = []
-        for idx, blk in enumerate(self.blocks):
-            h = T.relu(T.matmul(h, blk.dense))
+        with T.no_grad():
+            h = self._run_blocks(self._entry(x), 0, block, mode, None, records)
+        return Prefix(block, h.data, records)
+
+    def _entry(self, x) -> Tensor:
+        """The input projection and block 0's dense projection."""
+        h = T.matmul(T.as_tensor(x), self.input_proj)
+        return T.relu(T.matmul(h, self.blocks[0].dense))
+
+    def _run_blocks(self, h: Tensor, start: int, stop: int, mode: str,
+                    rng: RngStream | None, records: list,
+                    input_noise: dict | None = None,
+                    router_noise: dict | None = None,
+                    block_inputs: list | None = None) -> Tensor:
+        """Run the MoE layers ``start .. stop-1`` from ``h``, the activation
+        entering layer ``start``, and append their records.  Returns the
+        activation entering layer ``stop``, or the last block's output."""
+        for idx in range(start, stop):
             if block_inputs is not None:
                 block_inputs.append(h.data)
             if input_noise is not None and idx in input_noise:
                 h = h + Tensor(input_noise[idx])
             noise = None if router_noise is None else router_noise.get(idx)
             layer_rng = None if rng is None else rng.derive("layer", idx)
-            h, rec = blk.moe.forward(h, mode, rng=layer_rng, noise=noise)
+            h, rec = self.blocks[idx].moe.forward(h, mode, rng=layer_rng,
+                                                  noise=noise)
             records.append(rec)
-        return T.matmul(h, self.head), records
+            if idx + 1 < len(self.blocks):
+                h = T.relu(T.matmul(h, self.blocks[idx + 1].dense))
+        return h
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +311,9 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     term summed over layers and averaged over the passes: the quantity the
     training objective weights by ``kl_weight``, read off the same passes.
     Deterministic given the stream, and independent of batch order because
-    router noise is keyed by token content.
+    router noise is keyed by token content.  The MAP blocks before the first
+    stochastic one give the same bits in every pass, so they run once, as a
+    prefix the passes start from.
     """
     if rng is None:
         rng = RngStream(0)
@@ -256,6 +321,8 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     passes = max((blk.moe.router.settings.eval_samples for blk in model.blocks
                   if blk.moe.router.variant != "map"), default=1)
     plan = _content_noise_block(model, x, rng, passes)
+    start = model.first_stochastic_block()
+    prefix = model.prefix(x, start, "eval") if start else None
     n_layers = len(model.blocks)
     prob_sum = None
     kl_sum = np.zeros(x.shape[0])
@@ -266,7 +333,8 @@ def predict_with_uncertainty(model: MoEClassifier, x,
         plan_s = {idx: {k: v[s] for k, v in layer_plan.items()}
                   for idx, layer_plan in plan.items()}
         with T.no_grad():
-            logits, records = model.forward(x, "eval", router_noise=plan_s)
+            logits, records = model.forward(x, "eval", router_noise=plan_s,
+                                            prefix=prefix)
             p = T.softmax(logits, axis=-1).data
         prob_sum = p if prob_sum is None else prob_sum + p
         for i, rec in enumerate(records):

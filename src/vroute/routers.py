@@ -99,6 +99,22 @@ class BatchRouteResult:
     signals: dict
     logits_sampled: np.ndarray | None = None
 
+    def rows(self, idx) -> "BatchRouteResult":
+        """The record of batch rows ``idx``, without a tape.  A batch-mean
+        ``kl_term`` cannot be split by row, so a record with one is refused."""
+        if self.kl_term is not None:
+            raise ValueError("a record with a batch-mean KL term has no rows")
+
+        def take(a):
+            return None if a is None else a[idx]
+
+        return BatchRouteResult(
+            probs=self.probs[idx], selection=self.selection[idx],
+            gate_weights=Tensor(self.gate_weights.data[idx]), kl_term=None,
+            kl_per_token=self.kl_per_token[idx],
+            signals={k: take(v) for k, v in self.signals.items()},
+            logits_sampled=take(self.logits_sampled))
+
 
 # --------------------------------------------------------------------------
 # shared pieces

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .metrics import jaccard_rows
-from .model import MoEClassifier
+from .model import MoEClassifier, Prefix
 from .rng import RngStream
 
 DEFAULT_GAMMAS = (0.001, 0.002, 0.005, 0.007, 0.01, 0.02, 0.05)
@@ -69,16 +69,12 @@ def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
     return gamma * mean_norm * rng.normal(shape)
 
 
-def _forward_selections(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
-                        input_noise: dict | None = None,
-                        block_inputs: list | None = None) -> list[np.ndarray]:
+def _route_records(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
+                   **kwargs) -> list:
     # A fresh stream derived with fixed tags replays the same router draws on
     # every call: the common-random-numbers policy between passes.
     with T.no_grad():
-        _, records = model.forward(x, "eval", rng=rng_base.derive("route"),
-                                   input_noise=input_noise,
-                                   block_inputs=block_inputs)
-    return [r.selection for r in records]
+        return model.forward(x, "eval", rng=rng_base.derive("route"), **kwargs)[1]
 
 
 def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
@@ -87,25 +83,29 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
 
     Noise enters at one block input at a time, everything else stays clean,
     and the comparison is made at the perturbed layer's own selection.
-    ``seed`` keys the input noise and the router draws.
+    ``seed`` keys the input noise and the router draws.  A pass perturbed at
+    layer L repeats the clean pass before L, so it starts from the clean
+    pass's input to L and its records of the blocks before L.
     """
     base = RngStream(seed)
     x = dataset.features
     block_inputs: list[np.ndarray] = []
-    clean = _forward_selections(model, x, base, block_inputs=block_inputs)
+    clean = _route_records(model, x, base, block_inputs=block_inputs)
     mean_norms = [float(np.linalg.norm(h, axis=1).mean()) for h in block_inputs]
     report = StabilityReport(mean_norms=mean_norms,
                              diagnostic_gamma=spec.diagnostic_gamma)
     for layer in range(len(model.blocks)):
+        prefix = Prefix(layer, block_inputs[layer], clean[:layer])
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
                 noise = perturbation_noise(block_inputs[layer].shape, gamma,
                                            mean_norms[layer],
                                            base.derive("noise", layer, gi, rep))
-                perturbed = _forward_selections(model, x, base,
-                                                input_noise={layer: noise})
-                values.append(jaccard_rows(clean[layer], perturbed[layer]))
+                perturbed = _route_records(model, x, base, prefix=prefix,
+                                           input_noise={layer: noise})
+                values.append(jaccard_rows(clean[layer].selection,
+                                           perturbed[layer].selection))
             j = np.concatenate(values)
             report.cells.append(StabilityCell(
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),

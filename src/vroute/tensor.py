@@ -124,7 +124,7 @@ class Tensor:
                 continue
             if node._backward is not None:
                 for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not (parent.requires_grad or parent._parents):
+                    if pg is None or not _tracked(parent):
                         continue
                     _check_finite(pg, "backward")
                     if id(parent) in grads:
@@ -179,8 +179,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _tracked(t: Tensor) -> bool:
+    """Whether a gradient w.r.t. ``t`` reaches a leaf that wants one."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _recording(parents: tuple) -> bool:
-    return _grad_enabled and any(p.requires_grad or p._parents for p in parents)
+    return _grad_enabled and any(_tracked(p) for p in parents)
 
 
 def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
@@ -360,7 +365,9 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
 
     The experts run one at a time and are summed in index order, so no
     [N, B, H] temporary is built; their activations are kept only while the
-    tape records.
+    tape records.  The backward computes only the gradients the tape keeps:
+    frozen experts get no ``w1``/``w2`` gradient, and an input with nothing
+    upstream to train (a frozen prefix, say) gets no ``u`` gradient.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
     keep = _recording(parents)
@@ -374,15 +381,22 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
             acts.append((hid, y))
 
     def backward(g):
-        gu, gg = np.zeros_like(u.data), np.empty_like(gates.data)
-        gw1, gw2 = np.empty_like(w1.data), np.empty_like(w2.data)
+        want_u, want_w1, want_w2 = (_tracked(t) for t in (u, w1, w2))
+        gu = np.zeros_like(u.data) if want_u else None
+        gg = np.empty_like(gates.data)
+        gw1 = np.empty_like(w1.data) if want_w1 else None
+        gw2 = np.empty_like(w2.data) if want_w2 else None
         for j, (hid, y) in enumerate(acts):
             gg[:, j] = (g * y).sum(axis=1)
             gy = g * gates.data[:, j:j + 1]
-            gw2[j] = hid.T @ gy
-            gpre = (gy @ w2.data[j].T) * (hid > 0.0)
-            gw1[j] = u.data.T @ gpre
-            gu += gpre @ w1.data[j].T
+            if want_w2:
+                gw2[j] = hid.T @ gy
+            if want_u or want_w1:
+                gpre = (gy @ w2.data[j].T) * (hid > 0.0)
+                if want_w1:
+                    gw1[j] = u.data.T @ gpre
+                if want_u:
+                    gu += gpre @ w1.data[j].T
         return gu, gg, gw1, gw2
 
     return _result(data, parents, backward, "expert_mix")

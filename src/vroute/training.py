@@ -72,10 +72,15 @@ def predictive_nll_acc(model: MoEClassifier, dataset,
 
 def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
                cfg: TrainConfig, seed: int, stage: str, lr: float,
-               kl_weight: float, epochs: int) -> TrainLog:
+               kl_weight: float, epochs: int, prefix_block: int = 0) -> TrainLog:
+    """Train ``params``; with ``prefix_block`` > 0 the blocks before it are
+    frozen, so the train set runs through them once and each step starts
+    from its rows of that prefix."""
     log = TrainLog(stage=stage)
     if epochs == 0 or not params:
         return log
+    prefix = (model.prefix(train_ds.features, prefix_block, "train")
+              if prefix_block else None)
     opt = Adam(params, lr)
     stream = RngStream(seed).derive(stage)
     n = len(train_ds.labels)
@@ -87,8 +92,11 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = perm[start:start + cfg.batch_size]
             fwd_rng = stream.derive("fwd", epoch, bi)
+            # numpy runs a one-row matmul as gemv, whose last bits can differ
+            # from that row of the prefix's gemm, so such a batch runs whole.
+            rows = prefix.rows(idx) if prefix is not None and len(idx) > 1 else None
             logits, records = model.forward(train_ds.features[idx], "train",
-                                            rng=fwd_rng)
+                                            rng=fwd_rng, prefix=rows)
             loss = elbo_loss(logits, train_ds.labels[idx], records, kl_weight)
             opt.zero_grad()
             loss.backward()
@@ -130,7 +138,8 @@ def stage2_train(model: MoEClassifier, train_ds, val_ds, cfg: TrainConfig,
     """Fit only the inference nets; every other parameter is frozen.
 
     Freezing flips ``requires_grad`` off so the tape never reaches the
-    frozen weights; the optimiser only ever sees the inference-net set.
+    frozen weights; the optimiser only ever sees the inference-net set.  The
+    frozen MAP blocks before the first attached layer run once per stage.
     """
     phi = model.phi_param_items()
     phi_names = {n for n, _ in phi}
@@ -139,5 +148,5 @@ def stage2_train(model: MoEClassifier, train_ds, val_ds, cfg: TrainConfig,
             p.requires_grad = False
     return _run_stage(model, phi, train_ds, val_ds, cfg, seed, "stage2",
                       cfg.learning_rate_stage2, cfg.kl_weight,
-                      cfg.epochs_stage2)
+                      cfg.epochs_stage2, model.first_stochastic_block())
 

@@ -186,3 +186,20 @@ def test_checkpoint_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(model, tmp_path / "model_map.npz")
     assert _left_behind(tmp_path) == []
+
+
+@pytest.mark.parametrize("key, value", [("num_classes", 2), ("feature_dim", 5)])
+@pytest.mark.parametrize("command", ["eval", "ood", "stability", "sweep-temp"])
+def test_checkpoint_disagreeing_with_config_is_one_error_line(
+        tmp_path, capsys, command, key, value):
+    checkpoint = tmp_path / "model_map.npz"
+    save_checkpoint(experiment.build_model(config_from_dict(TINY)), checkpoint)
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, model=dict(TINY["model"], **{key: value}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--checkpoint", str(checkpoint)]) == 1
+    have = TINY["model"][key]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: checkpoint {checkpoint} has {key} {have}, but the config's "
+        f"model.{key} is {value}"]
+    assert _left_behind(out) == []

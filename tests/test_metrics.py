@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vroute.metrics import (auprc, auroc, calibration_report, ece,
-                            jaccard_rows, mce)
+from vroute.metrics import auprc, auroc, calibration_report, jaccard_rows
 from vroute.routers import (RouterSettings, VglrRouter, mc_logit_var,
                             shannon_entropy)
 from vroute.tensor import Tensor
@@ -14,42 +13,53 @@ from vroute.tensor import Tensor
 from conftest import FixedGaussianPhi
 
 
+def _report(conf, correct):
+    """Calibration report of two-class rows whose top probability is
+    ``conf`` (>= 0.5) and whose prediction is right where ``correct`` is 1."""
+    conf = np.asarray(conf, dtype=np.float64)
+    probs = np.stack([conf, 1.0 - conf], axis=1)
+    labels = np.where(np.asarray(correct) == 1.0, 0, 1)
+    return calibration_report(probs, labels)
+
+
 class TestEce:
     def test_perfectly_confident_and_correct(self):
-        assert ece(np.ones(10), np.ones(10)) == 0.0
+        assert _report(np.ones(10), np.ones(10)).ece == 0.0
 
     def test_single_bin_hand_value(self):
         conf = np.full(4, 0.9)
         correct = np.array([1.0, 1.0, 0.0, 0.0])
-        assert ece(conf, correct) == pytest.approx(0.4, abs=1e-12)
-        assert mce(conf, correct) == pytest.approx(0.4, abs=1e-12)
+        rep = _report(conf, correct)
+        assert rep.ece == pytest.approx(0.4, abs=1e-12)
+        assert rep.mce == pytest.approx(0.4, abs=1e-12)
 
     def test_simulated_calibrated_scores_near_zero(self):
         rng = np.random.default_rng(0)
-        conf = rng.uniform(0.0, 1.0, 100_000)
+        conf = rng.uniform(0.5, 1.0, 100_000)
         correct = (rng.uniform(size=conf.size) < conf).astype(float)
-        assert ece(conf, correct) < 0.02
+        assert _report(conf, correct).ece < 0.02
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ece(np.ones(3), np.ones(4))
+            calibration_report(np.full((3, 2), 0.5), np.zeros(4, dtype=int))
 
     def test_out_of_range_confidence_rejected(self):
         with pytest.raises(ValueError):
-            ece(np.array([1.2]), np.array([1.0]))
+            calibration_report(np.array([[1.2, -0.2]]), np.array([0]))
 
 
 class TestMce:
     def test_perfect_is_zero(self):
-        assert mce(np.ones(8), np.ones(8)) == 0.0
+        assert _report(np.ones(8), np.ones(8)).mce == 0.0
 
     def test_mce_at_least_ece_random(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(5, 60))
-            conf = rng.uniform(size=n)
+            conf = rng.uniform(0.5, 1.0, n)
             correct = rng.integers(0, 2, n).astype(float)
-            assert mce(conf, correct) >= ece(conf, correct) - 1e-12
+            rep = _report(conf, correct)
+            assert rep.mce >= rep.ece - 1e-12
 
 
 class TestAuroc:
@@ -230,8 +240,12 @@ def test_calibration_report_consistency():
     rep = calibration_report(probs, labels)
     conf = probs.max(1)
     correct = (probs.argmax(1) == labels).astype(float)
-    assert rep.ece == pytest.approx(ece(conf, correct), abs=1e-12)
-    assert rep.mce == pytest.approx(mce(conf, correct), abs=1e-12)
+    bins = np.minimum((conf * 15).astype(int), 14)
+    used = [b for b in range(15) if (bins == b).any()]
+    gaps = [abs(correct[bins == b].mean() - conf[bins == b].mean()) for b in used]
+    weights = [(bins == b).mean() for b in used]
+    assert rep.ece == pytest.approx(float(np.dot(weights, gaps)), abs=1e-12)
+    assert rep.mce == pytest.approx(max(gaps), abs=1e-12)
     assert rep.accuracy == pytest.approx(correct.mean(), abs=1e-12)
     assert 0 <= rep.ece <= rep.mce <= 1
     assert sum(rep.bin_count) == 400

@@ -1,0 +1,157 @@
+"""The shared prefix changes no bit.
+
+Predictive passes, stage-2 steps and perturbed stability passes start from
+a prefix: the blocks before the first one that differs run once.  Each test
+compares against the full-forward loop, where every pass runs the whole
+model, bit for bit.
+"""
+import numpy as np
+import pytest
+
+from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
+from vroute.metrics import jaccard_rows
+from vroute.model import (ModelConfig, MoEClassifier,
+                          attach_variational_routers, elbo_loss,
+                          predict_with_uncertainty)
+from vroute.rng import RngStream
+from vroute.routers import SIGNAL_NAMES, RouterSettings
+from vroute.stability import (PerturbationSpec, _route_records,
+                              layerwise_stability, perturbation_noise)
+from vroute.training import TrainConfig, stage2_train
+
+STOCHASTIC = ("temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
+TRAINED = ("vglr_mf", "vglr_fc", "vtsr")
+
+
+def _model(variant=None, layers=(1,)):
+    cfg = ModelConfig(feature_dim=6, hidden_dim=8, num_blocks=3,
+                      num_experts=4, top_k=2, num_classes=3, phi_hidden=4)
+    model = MoEClassifier(cfg, RngStream(0).derive("model-init"))
+    if variant is not None:
+        attach_variational_routers(model, layers, variant, RngStream(1),
+                                   RouterSettings(eval_samples=4))
+    return model
+
+
+def _splits(n_train):
+    spec = SyntheticDomainSpec(num_classes=3, modes_per_class=2, feature_dim=6,
+                               mean_scale=0.8, noise_scale=0.5, seed=4)
+    return split_dataset(generate_domain(spec, n_train + 60), n_train, 30, 30)
+
+
+@pytest.fixture
+def full_forward(monkeypatch):
+    """Turn the prefix off: every pass and step runs the whole model."""
+    def off():
+        monkeypatch.setattr(MoEClassifier, "first_stochastic_block",
+                            lambda self: 0)
+    return off
+
+
+def _assert_same_prediction(got, want):
+    np.testing.assert_array_equal(got.probs, want.probs)
+    np.testing.assert_array_equal(got.kl_per_token, want.kl_per_token)
+    for key in SIGNAL_NAMES:
+        if want.signals[key] is None:
+            assert got.signals[key] is None
+        else:
+            np.testing.assert_array_equal(got.signals[key], want.signals[key])
+
+
+@pytest.mark.parametrize("variant, layers",
+                         [(v, [1]) for v in STOCHASTIC]
+                         + [(v, [0]) for v in STOCHASTIC] + [(None, [])],
+                         ids=[f"{v}-at1" for v in STOCHASTIC]
+                         + [f"{v}-at0" for v in STOCHASTIC] + ["all-map"])
+def test_predict_matches_full_forward(variant, layers, full_forward):
+    model = _model(variant, layers)
+    assert model.first_stochastic_block() == (1 if layers == [1] else 0)
+    x = _splits(40)["test"].features
+    got = predict_with_uncertainty(model, x, rng=RngStream(3))
+    full_forward()
+    _assert_same_prediction(got, predict_with_uncertainty(model, x,
+                                                          rng=RngStream(3)))
+
+
+@pytest.mark.parametrize("variant", TRAINED)
+def test_stage2_step_matches_full_forward(variant):
+    model = _model(variant)
+    phi = [p for _, p in model.phi_param_items()]
+    for _, p in model.param_items():
+        p.requires_grad = any(p is q for q in phi)
+    train = _splits(50)["train"]
+    idx = RngStream(2).permutation(50)[:16]
+
+    def step(prefix):
+        for p in phi:
+            p.grad = None
+        logits, records = model.forward(train.features[idx], "train",
+                                        rng=RngStream(5), prefix=prefix)
+        loss = elbo_loss(logits, train.labels[idx], records, 0.1)
+        loss.backward()
+        return loss.data, [p.grad for p in phi], len(records)
+
+    want = step(None)
+    got = step(model.prefix(train.features, 1, "train").rows(idx))
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_array_equal(g, w)
+    assert got[2] == want[2] == 3
+
+
+@pytest.mark.parametrize("variant", TRAINED)
+def test_stage_with_one_row_last_batch_matches_full_forward(variant,
+                                                            full_forward):
+    splits = _splits(33)                      # batches of 16, 16 and 1 row
+    cfg = TrainConfig(epochs_stage2=2, batch_size=16, learning_rate_stage2=1e-2)
+
+    def run():
+        model = _model(variant)
+        log = stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
+        return log, [p.data for _, p in model.phi_param_items()]
+
+    got_log, got_phi = run()
+    full_forward()
+    want_log, want_phi = run()
+    assert got_log == want_log
+    for g, w in zip(got_phi, want_phi):
+        np.testing.assert_array_equal(g, w)
+
+
+def _stability_full_forward(model, dataset, spec, seed):
+    """(layer, gamma, Jaccards) cells with every perturbed pass run whole."""
+    base = RngStream(seed)
+    x = dataset.features
+    block_inputs = []
+    clean = _route_records(model, x, base, block_inputs=block_inputs)
+    cells = []
+    for layer, h in enumerate(block_inputs):
+        norm = float(np.linalg.norm(h, axis=1).mean())
+        for gi, gamma in enumerate(spec.gamma_levels):
+            values = []
+            for rep in range(spec.repeats):
+                noise = perturbation_noise(h.shape, gamma, norm,
+                                           base.derive("noise", layer, gi, rep))
+                perturbed = _route_records(model, x, base,
+                                           input_noise={layer: noise})
+                values.append(jaccard_rows(clean[layer].selection,
+                                           perturbed[layer].selection))
+            cells.append((layer, gamma, np.concatenate(values)))
+    return cells
+
+
+@pytest.mark.parametrize("variant", [None, "vtsr", "vglr_fc"],
+                         ids=["all-map", "vtsr", "vglr_fc"])
+def test_stability_report_matches_full_forward(variant):
+    model = _model(variant)
+    dataset = _splits(40)["test"]
+    spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
+                            repeats=2)
+    report = layerwise_stability(model, dataset, spec, seed=7)
+    want = _stability_full_forward(model, dataset, spec, seed=7)
+    assert len(report.cells) == len(want) == 6
+    for cell, (layer, gamma, j) in zip(report.cells, want):
+        assert (cell.layer, cell.gamma) == (layer, gamma)
+        assert cell.mean_jaccard == float(j.mean())
+        assert (cell.q10, cell.q50, cell.q90) == tuple(
+            float(np.quantile(j, q)) for q in (0.10, 0.50, 0.90))

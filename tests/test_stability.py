@@ -98,15 +98,15 @@ class TestLayerwiseStability:
 
     def test_clean_vs_clean_is_exactly_one_for_stochastic_routers(self):
         from vroute.metrics import jaccard_rows
-        from vroute.stability import _forward_selections
+        from vroute.stability import _route_records
         model, splits = small_trained_model()
         attach_variational_routers(model, [0, 1, 2], "vtsr", RngStream(3),
                                    RouterSettings())
         base = RngStream(11)
-        sel_a = _forward_selections(model, splits["test"].features, base)
-        sel_b = _forward_selections(model, splits["test"].features, base)
-        for a, b in zip(sel_a, sel_b):
-            assert jaccard_rows(a, b).min() == 1.0
+        rec_a = _route_records(model, splits["test"].features, base)
+        rec_b = _route_records(model, splits["test"].features, base)
+        for a, b in zip(rec_a, rec_b):
+            assert jaccard_rows(a.selection, b.selection).min() == 1.0
 
     def test_quantiles_are_ordered(self):
         model, splits = small_trained_model()

@@ -229,10 +229,21 @@ class TestExpertMix:
         for t in ops:
             t.grad = None
         w1.requires_grad = w2.requires_grad = False
-        T.expert_mix(*ops).sum().backward()
+        out = T.expert_mix(*ops)
+        slots = out._backward(np.ones_like(out.data))
+        assert slots[2] is None and slots[3] is None
+        np.testing.assert_array_equal(slots[0], grads[0])
+        np.testing.assert_array_equal(slots[1], grads[1])
+        out.sum().backward()
         assert w1.grad is None and w2.grad is None
         np.testing.assert_array_equal(u.grad, grads[0])
         np.testing.assert_array_equal(gates.grad, grads[1])
+        # An input with nothing upstream to train gets no gradient either.
+        u.requires_grad = False
+        out = T.expert_mix(*ops)
+        slots = out._backward(np.ones_like(out.data))
+        assert slots[0] is None and slots[2] is None and slots[3] is None
+        np.testing.assert_array_equal(slots[1], grads[1])
 
     def test_shape_mismatch(self, np_rng):
         u, gates, w1, w2 = _mix_inputs(np_rng)
