@@ -1,9 +1,11 @@
 """Self-describing model checkpoints.
 
 A checkpoint is an .npz archive holding one array per named parameter plus
-a JSON metadata record (format version, model dimensions, per-layer router
-variant and settings, and the attached-layer list), so a model can be
-rebuilt without any out-of-band information.
+a JSON metadata record (format version, model dimensions, and per-layer
+router variant and settings), so a model can be rebuilt without any
+out-of-band information.  The stochastic layers are the ones whose variant
+is not ``map``; the attached-layer list that earlier format-3 archives
+also carry restates that and is not read.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ def save_checkpoint(model: MoEClassifier, path) -> None:
              "settings": dataclasses.asdict(blk.moe.router.settings)}
             for blk in model.blocks
         ],
-        "variational_layer_indices": list(model.variational_layer_indices),
     }
     arrays = {f"param:{name}": p.data for name, p in model.param_items()}
     with atomic_open(path) as fh:
@@ -49,8 +50,6 @@ def load_checkpoint(path) -> MoEClassifier:
                 attach_variational_routers(
                     model, [idx], entry["variant"], RngStream(0).derive("attach"),
                     RouterSettings(**entry["settings"]))
-        model.variational_layer_indices = [
-            int(i) for i in meta["variational_layer_indices"]]
         for name, p in model.param_items():
             stored = archive[f"param:{name}"]
             if stored.shape != p.data.shape:

@@ -186,9 +186,7 @@ def _load_model(args, cfg):
 
 def cmd_train(args, cfg, writer) -> None:
     outcome = run_training(cfg, writer)
-    logs = [("map", outcome.stage1)] + [(run.variant, run.stage2)
-                                        for run in outcome.runs
-                                        if run.stage2 is not None]
+    logs = [("map", outcome.stage1)] + list(outcome.stage2.items())
     writer.write_csv("metrics_train.csv",
                      ["stage", "variant", "epoch", "train_loss",
                       "val_nll", "val_acc", "val_kl"],
@@ -265,10 +263,12 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
     grid = [float(t) for t in args.grid.split(",")]
-    if args.layers:
-        layers = [int(v) for v in args.layers.split(",")]
-    else:
-        layers = list(range(cfg.model.num_blocks))
+    layers = ([int(v) for v in args.layers.split(",")] if args.layers
+              else list(range(len(model.blocks))))
+    for layer in layers:
+        if not 0 <= layer < len(model.blocks):
+            raise ConfigError(f"--layers: block {layer} is not in the "
+                              f"checkpoint's {len(model.blocks)} blocks")
     rows = fixed_temperature_layer_sweep(model, dataset, grid, layers,
                                          seed=cfg.seed)
     writer.write_csv("sweep_temp.csv",
@@ -292,7 +292,7 @@ def cmd_efficiency(args, cfg, writer) -> None:
     variants = (args.variants.split(",") if args.variants
                 else list(VARIANT_ORDER))
     report = cost_report(spec, variants, flops=args.flops)
-    writer.write_json("efficiency.json", report.to_json_dict())
+    writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",
                      ["variant", "params", "params_pct", "macs_per_token",
                       "macs_pct"],

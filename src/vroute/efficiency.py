@@ -121,24 +121,6 @@ class CostReport:
     rows: list[CostRow]
     convention: str     # "mac" or "flop2"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "convention": self.convention,
-            "spec": {
-                "layers": self.spec.layers,
-                "num_experts": self.spec.num_experts,
-                "hidden_dim": self.spec.hidden_dim,
-                "inference_width": self.spec.inference_width,
-                "samples": self.spec.samples,
-                "base_active_params": self.spec.base_active_params,
-                "base_macs_per_token": self.spec.base_macs_per_token,
-            },
-            "rows": [{"variant": r.variant, "params": r.params,
-                      "params_pct": r.params_pct,
-                      "macs_per_token": r.macs_per_token,
-                      "macs_pct": r.macs_pct} for r in self.rows],
-        }
-
 
 def cost_report(spec: ArchSpec, variants=VARIANT_ORDER,
                 flops: bool = False) -> CostReport:

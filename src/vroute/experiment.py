@@ -53,21 +53,11 @@ def select_layers(cfg: ExperimentConfig, model: MoEClassifier,
 
 
 @dataclass
-class VariantRun:
-    variant: str
-    layers: list[int]
-    stage2: TrainLog | None
-    checkpoint: str | None
-
-
-@dataclass
 class TrainOutcome:
-    splits: dict
     stage1: TrainLog
     selected_layers: list[int]
     ranking_cells: list = field(default_factory=list)
-    runs: list[VariantRun] = field(default_factory=list)
-    models: dict = field(default_factory=dict)
+    stage2: dict[str, TrainLog] = field(default_factory=dict)   # by variant
 
 
 def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
@@ -85,18 +75,14 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
     stage1 = stage1_train(base, splits["train"], splits["val"], cfg.train,
                           cfg.seed)
     stage1_params = {n: p.data.copy() for n, p in base.param_items()}
-    outcome = TrainOutcome(splits=splits, stage1=stage1, selected_layers=[])
+    outcome = TrainOutcome(stage1=stage1, selected_layers=[])
 
     def save(model, variant):
-        if writer is None:
-            return None
-        path = writer.claim(f"model_{variant}.npz")
-        save_checkpoint(model, path)
-        return path
+        if writer is not None:
+            save_checkpoint(model, writer.claim(f"model_{variant}.npz"))
 
     if "map" in cfg.variants:
-        outcome.models["map"] = base
-        outcome.runs.append(VariantRun("map", [], None, save(base, "map")))
+        save(base, "map")
 
     extra_variants = [v for v in cfg.variants if v != "map"]
     if extra_variants:
@@ -110,11 +96,9 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
             attach_variational_routers(model, layers, variant,
                                        RngStream(cfg.seed).derive("phi", variant),
                                        cfg.router)
-            stage2 = stage2_train(model, splits["train"], splits["val"],
-                                  cfg.train, cfg.seed)
-            outcome.models[variant] = model
-            outcome.runs.append(VariantRun(variant, layers, stage2,
-                                           save(model, variant)))
+            outcome.stage2[variant] = stage2_train(
+                model, splits["train"], splits["val"], cfg.train, cfg.seed)
+            save(model, variant)
     return outcome
 
 

@@ -15,8 +15,7 @@ import numpy as np
 from . import tensor as T
 from .rng import RngStream
 from .routers import (SIGNAL_NAMES, BatchRouteResult, MapRouter, RouterBase,
-                      RouterSettings, make_router, mc_logit_var,
-                      shannon_entropy)
+                      RouterSettings, make_router)
 from .tensor import Tensor
 
 
@@ -75,18 +74,12 @@ class Prefix:
     """The start of a pass, run once and shared by the passes that agree on it.
 
     ``h`` is the activation entering block ``block``'s MoE layer (after the
-    block's dense projection) and ``records[i]`` is block i's route record
-    for every i < ``block``.  A prefix holds plain arrays, so no gradient
+    block's dense projection).  A prefix holds a plain array, so no gradient
     reaches the blocks it covers.
     """
 
     block: int
     h: np.ndarray
-    records: list
-
-    def rows(self, idx) -> "Prefix":
-        """The prefix of batch rows ``idx``."""
-        return Prefix(self.block, self.h[idx], [r.rows(idx) for r in self.records])
 
 
 class MoEClassifier:
@@ -113,7 +106,6 @@ class MoEClassifier:
             self.blocks.append(_Block(dense, MoELayer(w1, w2, router)))
         self.head = Tensor(rng.derive("head").normal((c.hidden_dim, c.num_classes))
                            / math.sqrt(c.hidden_dim), requires_grad=True)
-        self.variational_layer_indices: list[int] = []
 
     # -- parameters ---------------------------------------------------------
 
@@ -133,48 +125,49 @@ class MoEClassifier:
 
     # -- forward ------------------------------------------------------------
 
+    def stochastic_blocks(self) -> list[int]:
+        """Indices of the blocks whose router is not MAP."""
+        return [i for i, blk in enumerate(self.blocks)
+                if blk.moe.router.variant != "map"]
+
     def first_stochastic_block(self) -> int:
         """Index of the first block whose router is not MAP, or 0 if every
         router is.  With the weights fixed, the blocks before it give the
         same bits in every pass: they are the shareable prefix."""
-        return next((i for i, blk in enumerate(self.blocks)
-                     if blk.moe.router.variant != "map"), 0)
+        return next(iter(self.stochastic_blocks()), 0)
 
     def forward(self, x, mode: str, rng: RngStream | None = None,
-                input_noise: dict | None = None,
                 router_noise: dict | None = None,
                 block_inputs: list | None = None,
                 prefix: Prefix | None = None):
         """Run a batch; returns class logits and the per-layer route records.
 
-        ``input_noise`` maps block index -> additive array applied to that
-        block's expert-layer input, immediately before routing (perturbation
-        harness); ``router_noise`` maps block index -> pre-drawn router noise;
+        ``router_noise`` maps block index -> pre-drawn router noise;
         ``block_inputs``, when a list, is filled with each expert layer's
-        clean input activations.  A ``prefix`` stands in for the blocks
-        before ``prefix.block``: the pass starts at that block's MoE layer,
-        ``x`` is not read, and ``block_inputs`` gets the inputs from that
-        block on.  Each block derives its router stream from ``rng`` by its
-        own index, so a prefix taken from a pass with the same stream
-        reproduces that pass exactly.
+        input activations.  A ``prefix`` stands in for the blocks before
+        ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
+        not read, those blocks' records are None, and ``block_inputs`` gets
+        the inputs from that block on.  Each block derives its router stream
+        from ``rng`` by its own index, so a prefix taken from a pass with the
+        same stream reproduces that pass exactly.
         """
         if prefix is None:
-            h, start, records = self._entry(x), 0, []
+            h, start = self._entry(x), 0
         else:
-            h, start, records = Tensor(prefix.h), prefix.block, list(prefix.records)
+            h, start = Tensor(prefix.h), prefix.block
+        records: list = [None] * start
         h = self._run_blocks(h, start, len(self.blocks), mode, rng, records,
-                             input_noise, router_noise, block_inputs)
+                             router_noise, block_inputs)
         return T.matmul(h, self.head), records
 
-    def prefix(self, x, block: int, mode: str) -> Prefix:
+    def prefix(self, x, block: int) -> Prefix:
         """Run ``x`` without a tape up to block ``block``'s MoE layer.
 
         The routers before ``block`` get no stream, so they must be MAP.
         """
-        records: list[BatchRouteResult] = []
         with T.no_grad():
-            h = self._run_blocks(self._entry(x), 0, block, mode, None, records)
-        return Prefix(block, h.data, records)
+            h = self._run_blocks(self._entry(x), 0, block, "eval", None, [])
+        return Prefix(block, h.data)
 
     def _entry(self, x) -> Tensor:
         """The input projection and block 0's dense projection."""
@@ -183,7 +176,6 @@ class MoEClassifier:
 
     def _run_blocks(self, h: Tensor, start: int, stop: int, mode: str,
                     rng: RngStream | None, records: list,
-                    input_noise: dict | None = None,
                     router_noise: dict | None = None,
                     block_inputs: list | None = None) -> Tensor:
         """Run the MoE layers ``start .. stop-1`` from ``h``, the activation
@@ -192,8 +184,6 @@ class MoEClassifier:
         for idx in range(start, stop):
             if block_inputs is not None:
                 block_inputs.append(h.data)
-            if input_noise is not None and idx in input_noise:
-                h = h + Tensor(input_noise[idx])
             noise = None if router_noise is None else router_noise.get(idx)
             layer_rng = None if rng is None else rng.derive("layer", idx)
             h, rec = self.blocks[idx].moe.forward(h, mode, rng=layer_rng,
@@ -209,9 +199,9 @@ class MoEClassifier:
 # --------------------------------------------------------------------------
 
 
-def kl_penalty(records: list[BatchRouteResult]) -> Tensor | None:
-    """Sum of the per-layer batch-mean KL / regulariser terms."""
-    terms = [r.kl_term for r in records if r.kl_term is not None]
+def kl_penalty(records: list[BatchRouteResult | None]) -> Tensor | None:
+    """Sum over layers of the batch-mean per-token KL / regulariser."""
+    terms = [r.kl.mean() for r in records if r is not None and r.kl is not None]
     if not terms:
         return None
     total = terms[0]
@@ -220,7 +210,7 @@ def kl_penalty(records: list[BatchRouteResult]) -> Tensor | None:
     return total
 
 
-def elbo_loss(logits: Tensor, labels, records: list[BatchRouteResult],
+def elbo_loss(logits: Tensor, labels, records: list[BatchRouteResult | None],
               kl_weight: float) -> Tensor:
     """Cross-entropy plus kl_weight times the summed per-layer KL terms.
 
@@ -258,8 +248,6 @@ def attach_variational_routers(model: MoEClassifier, indices, variant: str,
         moe = model.blocks[idx].moe
         moe.router = make_router(variant, moe.router.w_r, c.top_k, settings,
                                  c.phi_hidden, rng.derive("attach", idx))
-    model.variational_layer_indices = sorted(
-        set(model.variational_layer_indices) | set(indices))
     return model
 
 
@@ -273,6 +261,24 @@ class Prediction:
     probs: np.ndarray                       # [B, C]
     signals: dict                           # per-example arrays or None
     kl_per_token: np.ndarray                # [B] summed layer KL, pass mean
+
+
+def shannon_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
+    """-sum p log p with 0 log 0 treated as 0."""
+    p = np.asarray(p, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return -terms.sum(axis=axis)
+
+
+def mc_logit_var(samples: np.ndarray) -> np.ndarray:
+    """Total variance of the logit vectors across S >= 2 passes, per token.
+
+    For ``samples`` of shape [B, S, N]: sum_s ||l_s - mean||^2 / (S - 1)
+    per row; zero for identical samples.
+    """
+    dev = samples - samples.mean(axis=1, keepdims=True)
+    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
 
 
 def _content_noise_block(model: MoEClassifier, x: np.ndarray,
@@ -303,11 +309,14 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     Runs S stochastic forward passes, S being the largest ``eval_samples``
     of the model's stochastic routers (one pass without any), each
     realising one routing sample per stochastic layer, and averages the
-    class softmax: the marginalisation over latent routing.  Per layer, gate
-    entropy is the entropy of the pass-averaged routing distribution, the
-    inferred variance/temperature are the (pass-independent) inference-net
-    readouts, and the multi-pass logit variance is taken across the passes'
-    sampled logit vectors.  ``kl_per_token`` is each example's KL / regulariser
+    class softmax: the marginalisation over latent routing.  This is the one
+    place the pass-level signals are defined.  Per stochastic layer (every
+    layer of an all-MAP model), gate entropy is the entropy of the
+    pass-averaged routing distribution, the inferred variance/temperature
+    are the router's own (pass-independent) readouts, and the multi-pass
+    logit variance is taken across the passes' sampled logit vectors (None
+    with fewer than two passes).  Each signal is the mean over the layers
+    that report it.  ``kl_per_token`` is each example's KL / regulariser
     term summed over layers and averaged over the passes: the quantity the
     training objective weights by ``kl_weight``, read off the same passes.
     Deterministic given the stream, and independent of batch order because
@@ -318,16 +327,17 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     if rng is None:
         rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
-    passes = max((blk.moe.router.settings.eval_samples for blk in model.blocks
-                  if blk.moe.router.variant != "map"), default=1)
+    layers = model.stochastic_blocks()
+    passes = max((model.blocks[i].moe.router.settings.eval_samples
+                  for i in layers), default=1)
     plan = _content_noise_block(model, x, rng, passes)
     start = model.first_stochastic_block()
-    prefix = model.prefix(x, start, "eval") if start else None
-    n_layers = len(model.blocks)
+    prefix = model.prefix(x, start) if start else None
+    layers = layers or range(len(model.blocks))
     prob_sum = None
     kl_sum = np.zeros(x.shape[0])
-    route_prob_sum = [None] * n_layers
-    logit_samples: list = [[] for _ in range(n_layers)]
+    route_prob_sum = dict.fromkeys(layers, 0.0)
+    logit_samples: dict = {i: [] for i in layers}
     first_records = None
     for s in range(passes):
         plan_s = {idx: {k: v[s] for k, v in layer_plan.items()}
@@ -337,17 +347,19 @@ def predict_with_uncertainty(model: MoEClassifier, x,
                                             prefix=prefix)
             p = T.softmax(logits, axis=-1).data
         prob_sum = p if prob_sum is None else prob_sum + p
-        for i, rec in enumerate(records):
-            kl_sum += rec.kl_per_token
-            route_prob_sum[i] = (rec.probs if route_prob_sum[i] is None
-                                 else route_prob_sum[i] + rec.probs)
-            if rec.logits_sampled is not None:
-                logit_samples[i].append(rec.logits_sampled[:, 0, :])
+        for rec in records:
+            if rec is not None and rec.kl is not None:
+                kl_sum += rec.kl.data
+        for i in layers:
+            route_prob_sum[i] = route_prob_sum[i] + records[i].probs
+            if records[i].logits_sampled is not None:
+                logit_samples[i].append(records[i].logits_sampled[:, 0, :])
         if first_records is None:
             first_records = records
     per_layer = []
-    for i in model.variational_layer_indices or range(n_layers):
-        sig = dict(first_records[i].signals)
+    for i in layers:
+        sig = dict.fromkeys(SIGNAL_NAMES)
+        sig.update(first_records[i].signals)
         sig["gate_entropy"] = shannon_entropy(route_prob_sum[i] / passes)
         if len(logit_samples[i]) >= 2:
             sig["mc_logit_var"] = mc_logit_var(np.stack(logit_samples[i], axis=1))

@@ -17,7 +17,7 @@ Conventions shared by every variant:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,8 @@ GUMBEL_TAU = 1.0
 # deterministic logits with unit covariance.
 HEAD_INIT_STD = 1e-3
 
-# Per-token uncertainty readouts; a variant lacking one reports None.
+# The per-token signals of vroute.model.predict_with_uncertainty; a variant
+# lacking one reports None.
 SIGNAL_NAMES = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
 
 
@@ -84,36 +85,23 @@ class GaussianPosterior:
 
 @dataclass
 class BatchRouteResult:
-    """Routing outcome for a batch of tokens, keeping tape-tracked pieces.
+    """Routing outcome for a batch of tokens: only what the router computes.
 
     ``gate_weights`` stays a tensor so the task loss can differentiate
-    through the mixing weights; ``kl_term`` is the batch-mean regulariser
-    (None when the variant has none or the pass is evaluation-only).
+    through the mixing weights; ``kl`` is the per-token KL / regulariser
+    tensor [B] (None for a variant without one); ``signals`` holds the
+    router's own per-token readout (``inf_logit_var`` for vglr, ``inf_temp``
+    for vtsr) and ``logits_sampled`` [B, S, N] its sampled logit vectors.
+    The readouts that need every pass live in
+    :func:`vroute.model.predict_with_uncertainty`.
     """
 
     probs: np.ndarray
     selection: np.ndarray
     gate_weights: Tensor
-    kl_term: Tensor | None
-    kl_per_token: np.ndarray
-    signals: dict
+    kl: Tensor | None = None
+    signals: dict = field(default_factory=dict)
     logits_sampled: np.ndarray | None = None
-
-    def rows(self, idx) -> "BatchRouteResult":
-        """The record of batch rows ``idx``, without a tape.  A batch-mean
-        ``kl_term`` cannot be split by row, so a record with one is refused."""
-        if self.kl_term is not None:
-            raise ValueError("a record with a batch-mean KL term has no rows")
-
-        def take(a):
-            return None if a is None else a[idx]
-
-        return BatchRouteResult(
-            probs=self.probs[idx], selection=self.selection[idx],
-            gate_weights=Tensor(self.gate_weights.data[idx]), kl_term=None,
-            kl_per_token=self.kl_per_token[idx],
-            signals={k: take(v) for k, v in self.signals.items()},
-            logits_sampled=take(self.logits_sampled))
 
 
 # --------------------------------------------------------------------------
@@ -130,26 +118,6 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros_like(s)
     np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
     return mask
-
-
-def shannon_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """-sum p log p with 0 log 0 treated as 0."""
-    p = np.asarray(p, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
-
-
-def mc_logit_var(samples: np.ndarray) -> np.ndarray:
-    """Total variance of the logit vectors across passes, per token.
-
-    For ``samples`` of shape [B, S, N]: sum_s ||l_s - mean||^2 / (S - 1)
-    per row; zero for identical samples and for a single pass.
-    """
-    if samples.shape[1] < 2:
-        return np.zeros(samples.shape[0])
-    dev = samples - samples.mean(axis=1, keepdims=True)
-    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -391,12 +359,6 @@ class RouterBase:
         samples = 1 if mode == "train" else self.settings.eval_samples
         return self.draw_noise(rng, (batch,), samples)
 
-    def _signals(self, gate_entropy, **present) -> dict:
-        out = {k: None for k in SIGNAL_NAMES}
-        out["gate_entropy"] = gate_entropy
-        out.update(present)
-        return out
-
 
 class MapRouter(RouterBase):
     """Deterministic top-k over softmax of the linear routing logits."""
@@ -409,11 +371,8 @@ class MapRouter(RouterBase):
         probs = T.softmax(logits, axis=-1)
         mask = top_k_mask(probs.data, self.top_k)
         gates = _renorm_gates_t(probs, mask)
-        batch = u.shape[0]
-        return BatchRouteResult(
-            probs=probs.data, selection=mask, gate_weights=gates,
-            kl_term=None, kl_per_token=np.zeros(batch),
-            signals=self._signals(shannon_entropy(probs.data)))
+        return BatchRouteResult(probs=probs.data, selection=mask,
+                                gate_weights=gates)
 
 
 class TempScaleRouter(RouterBase):
@@ -437,10 +396,7 @@ class TempScaleRouter(RouterBase):
         probs = _softmax_np(scaled)
         mask, _ = gumbel_top_k(scaled, self.top_k, noise["uniform"])
         gates = Tensor(_renorm_gates_np(_softmax_np(l_det), mask))
-        return BatchRouteResult(
-            probs=probs, selection=mask, gate_weights=gates,
-            kl_term=None, kl_per_token=np.zeros(u.shape[0]),
-            signals=self._signals(shannon_entropy(probs)))
+        return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
 
 class McDropoutRouter(RouterBase):
@@ -466,12 +422,8 @@ class McDropoutRouter(RouterBase):
         p_bar = _softmax_np(logits_s).mean(axis=1)
         mask = top_k_mask(p_bar, self.top_k)
         gates = Tensor(_renorm_gates_np(p_bar, mask))
-        mc_var = mc_logit_var(logits_s)
-        return BatchRouteResult(
-            probs=p_bar, selection=mask, gate_weights=gates,
-            kl_term=None, kl_per_token=np.zeros(u.shape[0]),
-            signals=self._signals(shannon_entropy(p_bar), mc_logit_var=mc_var),
-            logits_sampled=logits_s)
+        return BatchRouteResult(probs=p_bar, selection=mask, gate_weights=gates,
+                                logits_sampled=logits_s)
 
 
 class VglrRouter(RouterBase):
@@ -497,7 +449,7 @@ class VglrRouter(RouterBase):
         _check_mode(mode)
         noise = self._noise(rng, u.shape[0], mode, noise)
         eps = np.asarray(noise["normal"], dtype=np.float64)
-        batch, s, n = eps.shape
+        batch, _, n = eps.shape
         l_det = u.data @ self.w_r.data
         post = self.phi.posterior(u)
         centre = Tensor(l_det[:, None, :]) + post.delta_mu.reshape((batch, 1, n))
@@ -515,13 +467,9 @@ class VglrRouter(RouterBase):
         p_bar = T.softmax(l_samples, axis=-1).mean(axis=1)
         mask = top_k_mask(p_bar.data, self.top_k)
         gates = _renorm_gates_t(p_bar, mask)
-        mc_var = mc_logit_var(l_samples.data) if s >= 2 else None
         return BatchRouteResult(
-            probs=p_bar.data, selection=mask, gate_weights=gates,
-            kl_term=kl_tok.mean(), kl_per_token=kl_tok.data.copy(),
-            signals=self._signals(shannon_entropy(p_bar.data),
-                                  inf_logit_var=inf_var, mc_logit_var=mc_var),
-            logits_sampled=l_samples.data)
+            probs=p_bar.data, selection=mask, gate_weights=gates, kl=kl_tok,
+            signals={"inf_logit_var": inf_var}, logits_sampled=l_samples.data)
 
 
 class VtsrRouter(RouterBase):
@@ -529,8 +477,8 @@ class VtsrRouter(RouterBase):
 
     Both modes select k experts by Gumbel-top-k on logits / T, which samples
     them without replacement from softmax(logits / T).  Training also routes
-    through the straight-through relaxation and fills the KL slot with the
-    regulariser -log T.
+    through the straight-through relaxation.  The KL slot holds the
+    regulariser -log T in both modes.
     """
 
     variant = "vtsr"
@@ -555,16 +503,13 @@ class VtsrRouter(RouterBase):
         mask, relaxed = gumbel_top_k(scaled, self.top_k,
                                      noise["uniform"], relaxed=train)
         probs = _softmax_np(scaled.data)
-        hard = Tensor(_renorm_gates_np(probs, mask))
-        gates, kl_term = hard, None
+        gates = Tensor(_renorm_gates_np(probs, mask))
         if train:
-            gates = (relaxed - relaxed.detach()) + hard
-            kl_term = (-T.log(temp).reshape((u.shape[0],))).mean()
+            gates = (relaxed - relaxed.detach()) + gates
         return BatchRouteResult(
-            probs=probs, selection=mask, gate_weights=gates, kl_term=kl_term,
-            kl_per_token=-np.log(temp.data[:, 0]),
-            signals=self._signals(shannon_entropy(probs),
-                                  inf_temp=temp.data[:, 0].copy()))
+            probs=probs, selection=mask, gate_weights=gates,
+            kl=-T.log(temp).reshape((u.shape[0],)),
+            signals={"inf_temp": temp.data[:, 0].copy()})
 
 
 def make_router(variant: str, w_r: Tensor, top_k: int,

@@ -3,9 +3,12 @@
 Injects isotropic Gaussian noise at one block input at a time, with the
 noise scale tied to the average activation norm, and measures how much the
 perturbed layer's expert selection moves (Jaccard similarity against the
-clean pass).  Stochastic routers reuse identical streams for the clean and
-perturbed passes, so the measured instability reflects the input noise and
-not the sampler.
+clean pass).  Stochastic routers replay identical streams in the clean and
+perturbed passes (common random numbers).  That removes the sampler's
+pass-to-pass spread, but not its coupling: for the Gumbel-top-k routers
+(temp_scale, vtsr) the Jaccard also reflects how the sampler maps one noise
+draw at two nearby logit vectors, so it is not the router's stability
+alone.
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .metrics import jaccard_rows
+from .metrics import calibration_report, jaccard_rows
 from .model import MoEClassifier, Prefix
 from .rng import RngStream
+from .routers import TempScaleRouter
 
 DEFAULT_GAMMAS = (0.001, 0.002, 0.005, 0.007, 0.01, 0.02, 0.05)
 
@@ -84,8 +88,8 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     Noise enters at one block input at a time, everything else stays clean,
     and the comparison is made at the perturbed layer's own selection.
     ``seed`` keys the input noise and the router draws.  A pass perturbed at
-    layer L repeats the clean pass before L, so it starts from the clean
-    pass's input to L and its records of the blocks before L.
+    layer L repeats the clean pass before L, so it starts from a prefix: the
+    clean pass's input to L plus the noise.
     """
     base = RngStream(seed)
     x = dataset.features
@@ -95,15 +99,14 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     report = StabilityReport(mean_norms=mean_norms,
                              diagnostic_gamma=spec.diagnostic_gamma)
     for layer in range(len(model.blocks)):
-        prefix = Prefix(layer, block_inputs[layer], clean[:layer])
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
                 noise = perturbation_noise(block_inputs[layer].shape, gamma,
                                            mean_norms[layer],
                                            base.derive("noise", layer, gi, rep))
-                perturbed = _route_records(model, x, base, prefix=prefix,
-                                           input_noise={layer: noise})
+                prefix = Prefix(layer, block_inputs[layer] + noise)
+                perturbed = _route_records(model, x, base, prefix=prefix)
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed[layer].selection))
             j = np.concatenate(values)
@@ -128,9 +131,6 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                                   layers, seed: int = 0) -> list[dict]:
     """Accuracy and ECE with one layer at a time swapped to sampled routing
     at a fixed temperature; all other layers stay deterministic."""
-    from .metrics import calibration_report
-    from .routers import TempScaleRouter
-
     rows = []
     base = RngStream(seed)
     for layer in layers:

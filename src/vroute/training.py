@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import calibration_report
-from .model import MoEClassifier, elbo_loss, predict_with_uncertainty
+from .model import MoEClassifier, Prefix, elbo_loss, predict_with_uncertainty
 from .optim import Adam
 from .rng import RngStream
 
@@ -79,8 +79,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
     log = TrainLog(stage=stage)
     if epochs == 0 or not params:
         return log
-    prefix = (model.prefix(train_ds.features, prefix_block, "train")
-              if prefix_block else None)
+    prefix = model.prefix(train_ds.features, prefix_block) if prefix_block else None
     opt = Adam(params, lr)
     stream = RngStream(seed).derive(stage)
     n = len(train_ds.labels)
@@ -94,7 +93,8 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
             fwd_rng = stream.derive("fwd", epoch, bi)
             # numpy runs a one-row matmul as gemv, whose last bits can differ
             # from that row of the prefix's gemm, so such a batch runs whole.
-            rows = prefix.rows(idx) if prefix is not None and len(idx) > 1 else None
+            rows = (Prefix(prefix_block, prefix.h[idx])
+                    if prefix is not None and len(idx) > 1 else None)
             logits, records = model.forward(train_ds.features[idx], "train",
                                             rng=fwd_rng, prefix=rows)
             loss = elbo_loss(logits, train_ds.labels[idx], records, kl_weight)

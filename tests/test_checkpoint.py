@@ -60,6 +60,29 @@ def test_save_then_load_predicts_bit_for_bit(tmp_path, variant):
     _assert_signals_equal(got.signals, want.signals)
 
 
+@pytest.mark.parametrize("variant", ["map", "vglr_fc", "vtsr"])
+def test_archive_with_attached_layer_list_loads_bit_for_bit(tmp_path, variant):
+    # Format-3 archives written before the stochastic layers were read off
+    # the routers also carry the attached-layer list; it is not read.
+    cfg, model = _model(variant)
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as archive:
+        meta = json.loads(str(archive["__meta__"]))
+        arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+    assert "variational_layer_indices" not in meta
+    meta["variational_layer_indices"] = [] if variant == "map" else cfg.layers
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+    loaded = load_checkpoint(path)
+    x = build_splits(cfg)["test"].features
+    want = predict_with_uncertainty(model, x, rng=RngStream(3))
+    got = predict_with_uncertainty(loaded, x, rng=RngStream(3))
+    np.testing.assert_array_equal(got.probs, want.probs)
+    np.testing.assert_array_equal(got.kl_per_token, want.kl_per_token)
+    _assert_signals_equal(got.signals, want.signals)
+
+
 def test_format_2_archive_is_one_error_line(tmp_path, capsys):
     assert FORMAT_VERSION == 3
     _, model = _model("map")

@@ -203,3 +203,33 @@ def test_checkpoint_disagreeing_with_config_is_one_error_line(
         f"error: checkpoint {checkpoint} has {key} {have}, but the config's "
         f"model.{key} is {value}"]
     assert _left_behind(out) == []
+
+
+def _sweep(tmp_path, *extra, **config):
+    """Run ``sweep-temp`` on a two-block MAP checkpoint; returns the exit
+    code and the output directory."""
+    checkpoint = tmp_path / "model_map.npz"
+    save_checkpoint(experiment.build_model(config_from_dict(TINY)), checkpoint)
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, **config)
+    code = cli.main(["sweep-temp", "--config", str(cfg_path), "--out", str(out),
+                     "--checkpoint", str(checkpoint), "--grid", "0.5", *extra])
+    return code, out
+
+
+@pytest.mark.parametrize("layers, bad", [("-1", -1), ("7", 7), ("0,2", 2)])
+def test_sweep_layer_outside_checkpoint_is_one_error_line(tmp_path, capsys,
+                                                          layers, bad):
+    code, out = _sweep(tmp_path, f"--layers={layers}")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --layers: block {bad} is not in the checkpoint's 2 blocks"]
+    assert _left_behind(out) == []
+
+
+def test_sweep_defaults_to_the_checkpoint_blocks(tmp_path):
+    # The config claims three blocks; the checkpoint it loads has two.
+    code, out = _sweep(tmp_path, model=dict(TINY["model"], num_blocks=3))
+    assert code == 0
+    with open(out / "sweep_temp.csv", encoding="utf-8") as fh:
+        assert [row["layer"] for row in csv.DictReader(fh)] == ["0", "1"]

@@ -137,8 +137,8 @@ class TestMonotonicity:
 class TestReport:
     def test_schema_round_trip(self):
         report = cost_report(GRANITE)
-        payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload == report.to_json_dict()
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
+        assert payload == dataclasses.asdict(report)
         assert set(payload) == {"convention", "spec", "rows"}
         assert payload["convention"] == "mac"
         assert set(payload["spec"]) == {

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vroute.metrics import auprc, auroc, calibration_report, jaccard_rows
-from vroute.routers import (RouterSettings, VglrRouter, mc_logit_var,
-                            shannon_entropy)
+from vroute.model import mc_logit_var, shannon_entropy
+from vroute.routers import RouterSettings, VglrRouter
 from vroute.tensor import Tensor
 
 from conftest import FixedGaussianPhi

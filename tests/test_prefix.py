@@ -10,13 +10,14 @@ import pytest
 
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.metrics import jaccard_rows
-from vroute.model import (ModelConfig, MoEClassifier,
+from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           attach_variational_routers, elbo_loss,
                           predict_with_uncertainty)
 from vroute.rng import RngStream
 from vroute.routers import SIGNAL_NAMES, RouterSettings
 from vroute.stability import (PerturbationSpec, _route_records,
                               layerwise_stability, perturbation_noise)
+from vroute.tensor import Tensor
 from vroute.training import TrainConfig, stage2_train
 
 STOCHASTIC = ("temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
@@ -92,7 +93,7 @@ def test_stage2_step_matches_full_forward(variant):
         return loss.data, [p.grad for p in phi], len(records)
 
     want = step(None)
-    got = step(model.prefix(train.features, 1, "train").rows(idx))
+    got = step(Prefix(1, model.prefix(train.features, 1).h[idx]))
     np.testing.assert_array_equal(got[0], want[0])
     for g, w in zip(got[1], want[1]):
         np.testing.assert_array_equal(g, w)
@@ -118,6 +119,19 @@ def test_stage_with_one_row_last_batch_matches_full_forward(variant,
         np.testing.assert_array_equal(g, w)
 
 
+def _perturbed_records(model, x, base, layer, noise):
+    """Route records of a whole-model pass whose block ``layer`` adds
+    ``noise`` to its MoE layer's input before routing."""
+    moe = model.blocks[layer].moe
+    clean_forward = moe.forward
+    moe.forward = lambda u, *args, **kwargs: clean_forward(
+        u + Tensor(noise), *args, **kwargs)
+    try:
+        return _route_records(model, x, base)
+    finally:
+        del moe.forward
+
+
 def _stability_full_forward(model, dataset, spec, seed):
     """(layer, gamma, Jaccards) cells with every perturbed pass run whole."""
     base = RngStream(seed)
@@ -132,8 +146,7 @@ def _stability_full_forward(model, dataset, spec, seed):
             for rep in range(spec.repeats):
                 noise = perturbation_noise(h.shape, gamma, norm,
                                            base.derive("noise", layer, gi, rep))
-                perturbed = _route_records(model, x, base,
-                                           input_noise={layer: noise})
+                perturbed = _perturbed_records(model, x, base, layer, noise)
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed[layer].selection))
             cells.append((layer, gamma, np.concatenate(values)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vroute.model import mc_logit_var, shannon_entropy
 from vroute.rng import RngStream
 from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
                             RouterSettings, TempScaleRouter, TemperatureNet,
@@ -63,7 +64,7 @@ class TestDeterministicRoute:
         np.testing.assert_allclose(res.gate_weights.data[0],
                                    [p[0] / (p[0] + p[2]), 0.0,
                                     p[2] / (p[0] + p[2]), 0.0], atol=1e-12)
-        assert res.kl_per_token[0] == 0.0
+        assert res.kl is None and res.signals == {}
 
     def test_tie_break_lowest_index(self):
         u, w = _logit_router([1.0] * 5)
@@ -218,8 +219,7 @@ class TestTemperature:
                                 _const_temp_net(3, t))
             res = _route_one(router, u, "train", noise={
                 "uniform": np.full((1, 3), ZERO_GUMBEL_UNIFORM)})
-            assert res.kl_term.item() == pytest.approx(reg, abs=tol)
-            assert res.kl_per_token[0] == pytest.approx(reg, abs=tol)
+            assert res.kl.data[0] == pytest.approx(reg, abs=tol)
 
 
 class TestVglrRoute:
@@ -270,10 +270,10 @@ class TestVglrRoute:
         router = self._router(w, phi, eval_samples=16)
         res = _route_one(router, u, rng=RngStream(5))
         assert res.signals["inf_logit_var"][0] == pytest.approx((chol ** 2).sum())
-        assert res.signals["inf_temp"] is None
-        assert res.signals["mc_logit_var"] is not None
-        assert res.kl_per_token[0] == pytest.approx(_kl_fc(np.zeros(n), chol),
-                                                    abs=1e-9)
+        assert set(res.signals) == {"inf_logit_var"}
+        assert res.logits_sampled.shape == (1, 16, n)
+        assert res.kl.data[0] == pytest.approx(_kl_fc(np.zeros(n), chol),
+                                               abs=1e-9)
 
     def test_trained_phi_gradients_flow(self, np_rng):
         n, d = 3, 5
@@ -283,7 +283,7 @@ class TestVglrRoute:
         u = Tensor(np_rng.normal(size=(2, d)))
         res = router.route(u, "train", rng=RngStream(8))
         loss = (res.gate_weights * Tensor(np_rng.normal(size=(2, n)))).sum() \
-            + res.kl_term
+            + res.kl.mean()
         loss.backward()
         for _, p in phi.param_items():
             assert p.grad is not None
@@ -308,7 +308,7 @@ class TestVtsrRoute:
         u, w = _logit_router(np.arange(n, dtype=float))
         router = self._router(w, _const_temp_net(n, 1e3))
         res = _route_one(router, u, rng=RngStream(1))
-        assert abs(res.signals["gate_entropy"][0] - math.log(n)) < 1e-3
+        assert abs(shannon_entropy(res.probs)[0] - math.log(n)) < 1e-3
         assert res.signals["inf_temp"][0] == pytest.approx(1e3, rel=1e-3)
 
     def test_gumbel_zero_noise_recovers_top_k(self):
@@ -327,8 +327,7 @@ class TestVtsrRoute:
         router = self._router(w, net)
         res = router.route(Tensor(u[None, :]), "train", noise={
             "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
-        assert res.kl_term.item() == pytest.approx(math.log(2.0), abs=1e-9)
-        assert res.kl_per_token[0] == pytest.approx(math.log(2.0), abs=1e-9)
+        assert res.kl.data[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_straight_through_gates_match_hard_renormalisation(self):
         n = 4
@@ -357,7 +356,7 @@ class TestMcDropoutRoute:
         res = _route_one(router, u, rng=RngStream(3))
         det = _route_one(_map_router(w, 2), u)
         np.testing.assert_array_equal(res.selection, det.selection)
-        assert res.signals["mc_logit_var"][0] == pytest.approx(0.0, abs=1e-18)
+        assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_identical_masks_zero_variance(self):
         n = 4
@@ -366,7 +365,7 @@ class TestMcDropoutRoute:
         # uniforms all 0.9 -> every mask keeps every coordinate
         noise = {"uniform": np.full((1, 6, n), 0.9)}
         res = router.route(Tensor(u[None, :]), "eval", noise=noise)
-        assert res.signals["mc_logit_var"][0] == pytest.approx(0.0, abs=1e-18)
+        assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_two_coordinate_enumeration(self):
         # rate 0.5, u=(1,1), w=I: each logit is 0 or 2 with probability 1/2,
@@ -379,7 +378,7 @@ class TestMcDropoutRoute:
         values, counts = np.unique(samples[:, 0], return_counts=True)
         np.testing.assert_array_equal(values, [0.0, 2.0])
         assert abs(counts[0] / samples.shape[0] - 0.5) < 0.01
-        assert abs(res.signals["mc_logit_var"][0] - 2.0) / 2.0 < 0.02
+        assert abs(mc_logit_var(samples[None])[0] - 2.0) / 2.0 < 0.02
 
     def test_samples_taken_from_noise_shape(self, np_rng):
         # Predictive passes route with one dropout sample per pass, whatever
@@ -390,7 +389,7 @@ class TestMcDropoutRoute:
         res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
                            noise=noise)
         assert res.logits_sampled.shape == (b, 1, n)
-        np.testing.assert_array_equal(res.signals["mc_logit_var"], np.zeros(b))
+        assert res.kl is None and res.signals == {}
 
 
 class TestFixedTempRoute:
