@@ -81,6 +81,12 @@ def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
         bin_count=count.astype(int).tolist())
 
 
+def _tie_groups(sorted_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) index of each run of equal sorted values."""
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    return starts, np.r_[starts[1:], sorted_vals.size]
+
+
 def auroc(scores_id, scores_ood) -> float:
     """P(random OoD score > random ID score), ties counted one half."""
     a = np.asarray(scores_id, dtype=np.float64)
@@ -89,21 +95,18 @@ def auroc(scores_id, scores_ood) -> float:
         raise ValueError("both score sets must be non-empty")
     values = np.concatenate([a, b])
     order = np.argsort(values, kind="mergesort")
+    starts, ends = _tie_groups(values[order])
     ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j < values.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     u = ranks[a.size:].sum() - b.size * (b.size + 1) / 2.0
     return float(u / (a.size * b.size))
 
 
 def auprc(scores_id, scores_ood) -> float:
-    """Step-interpolated average precision with OoD as the positive class."""
+    """Step-interpolated average precision with OoD as the positive class.
+
+    One step per group of tied scores, summed from the highest score down.
+    """
     a = np.asarray(scores_id, dtype=np.float64)
     b = np.asarray(scores_ood, dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -111,24 +114,13 @@ def auprc(scores_id, scores_ood) -> float:
     scores = np.concatenate([a, b])
     positive = np.concatenate([np.zeros(a.size), np.ones(b.size)])
     order = np.argsort(-scores, kind="mergesort")
-    scores, positive = scores[order], positive[order]
-    ap = 0.0
-    tp = fp = 0.0
-    prev_recall = 0.0
-    total_pos = float(b.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and scores[j] == scores[i]:
-            j += 1
-        tp += positive[i:j].sum()
-        fp += (j - i) - positive[i:j].sum()
-        recall = tp / total_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return float(ap)
+    starts, ends = _tie_groups(scores[order])
+    tp = np.cumsum(np.add.reduceat(positive[order], starts))
+    recall = tp / float(b.size)
+    precision = tp / ends
+    terms = (recall - np.r_[0.0, recall[:-1]]) * precision
+    # cumsum adds left to right, as the step sum is defined; sum() is pairwise
+    return float(np.cumsum(terms)[-1])
 
 
 def detection_report(scores_id, scores_ood) -> DetectionReport:

@@ -1,10 +1,17 @@
 """Deterministic counter-based random streams.
 
-Every stream is fully identified by the triple ``(seed, stream_id, counter)``;
-replaying the triple replays the draws bit for bit, and derived streams for
-per-layer / per-example work need no shared mutable state.  Backed by the
-Philox counter-based generator, so distinct stream ids give statistically
+A stream is the triple ``(seed, stream_id, counter)``; replaying the triple
+replays the draws bit for bit, and derived streams for per-layer /
+per-example work need no shared mutable state.  Backed by the Philox
+counter-based generator, so distinct stream ids give statistically
 independent sequences.
+
+The Philox key is ``[seed, stream_id]`` converted the way numpy converts a
+key list: when either word is >= 2**63 the list goes through float64, so
+the key keeps only each word's top 53 bits.  Two such ids that differ only
+in their low 11 bits therefore draw the same numbers; about half of all
+derived ids are >= 2**63.  Every pinned result depends on this rounding, so
+it stays.
 """
 from __future__ import annotations
 
@@ -18,6 +25,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Uniform draws feeding the Gumbel transform are clamped this far away from
 # {0, 1} so -log(-log(v)) stays finite.
 GUMBEL_CLAMP = 1e-12
+
+
+# One Philox and one Generator over it serve every stream: a draw sets the
+# key and counter of the stream it draws from, instead of building a bit
+# generator (which would first gather OS entropy for a seed the key then
+# overrides).
+_PHILOX = np.random.Philox(0)
+_GENERATOR = np.random.Generator(_PHILOX)
 
 
 def _splitmix64(x: int) -> int:
@@ -69,9 +84,20 @@ class RngStream:
         return self.derive(int.from_bytes(digest, "little"))
 
     def _generator(self) -> np.random.Generator:
-        bg = np.random.Philox(key=[self.seed, self.stream_id],
-                              counter=[0, 0, self.counter, 0])
-        return np.random.Generator(bg)
+        """The shared generator, set to this stream's key and counter.
+
+        It stays valid only until the next draw from any stream, so every
+        method draws from it at once.  The key and counter lists go through
+        ``np.asarray`` as in ``Philox(key=..., counter=...)``, float64
+        rounding included.
+        """
+        _PHILOX.state = {
+            "bit_generator": "Philox",
+            "state": {"key": np.asarray([self.seed, self.stream_id]).astype(np.uint64),
+                      "counter": np.asarray([0, 0, self.counter, 0]).astype(np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return _GENERATOR
 
     def _tick(self) -> np.random.Generator:
         g = self._generator()

@@ -5,7 +5,8 @@ and its adjoint (index placement), the pieces needed for reparameterised
 sampling, and one fused expert-mixing op for the MoE layers.  Everything
 runs in double precision.  Any operation that produces a NaN or Inf raises
 :class:`NumericsError` immediately instead of letting the value propagate,
-so numerical collapse surfaces at its source.
+so numerical collapse surfaces at its source; the guard skips only the ops
+that cannot turn finite inputs into a non-finite output.
 
 Gradients follow full numpy broadcasting (extra broadcast axes are summed
 out on the way back), although the package itself only ever broadcasts
@@ -188,8 +189,14 @@ def _recording(parents: tuple) -> bool:
     return _grad_enabled and any(_tracked(p) for p in parents)
 
 
+# Ops whose output is finite whenever their input is: the guard skips them.
+# Max-shifted softmax divides by a sum >= 1, even when the shift overflows.
+_FINITE_PRESERVING = frozenset({"reshape", "gather", "scatter", "relu", "softmax"})
+
+
 def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
-    _check_finite(data, op)
+    if op not in _FINITE_PRESERVING:
+        _check_finite(data, op)
     track = _recording(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
@@ -363,20 +370,33 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
     """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
     w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
 
-    The experts run one at a time and are summed in index order, so no
-    [N, B, H] temporary is built; their activations are kept only while the
-    tape records.  The backward computes only the gradients the tape keeps:
-    frozen experts get no ``w1``/``w2`` gradient, and an input with nothing
-    upstream to train (a frozen prefix, say) gets no ``u`` gradient.
+    The experts run one at a time and are added in index order, so no
+    [N, B, H] temporary is built.  When the op records no tape, expert j
+    runs only on the rows whose gate j is non-zero (top-k dispatch) and is
+    skipped when there are none; the terms left out are exact zeros, so the
+    sum has the bits of the dense one.  An expert that exactly one row
+    selects runs on the whole batch instead: numpy sends a one-row matmul
+    to gemv, whose last bits differ from a gemm row's.  A taped op runs
+    every expert on every row and keeps the activations, because its
+    backward (vtsr's straight-through gate gradient) reaches all N experts.
+    The backward computes only the gradients the tape keeps: frozen experts
+    get no ``w1``/``w2`` gradient, and an input with nothing upstream to
+    train (a frozen prefix, say) gets no ``u`` gradient.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
     keep = _recording(parents)
-    acts, data = [], None
+    acts, data = [], np.zeros((u.shape[0], w2.shape[2]))
+    rows = slice(None)
     for j in range(w1.shape[0]):
-        hid = np.maximum(u.data @ w1.data[j], 0.0)
+        if not keep:
+            rows = np.flatnonzero(gates.data[:, j])
+            if rows.size == 0:
+                continue
+            if rows.size == 1:
+                rows = slice(None)
+        hid = np.maximum(u.data[rows] @ w1.data[j], 0.0)
         y = hid @ w2.data[j]
-        term = gates.data[:, j:j + 1] * y
-        data = term if data is None else data + term
+        data[rows] += gates.data[rows, j:j + 1] * y
         if keep:
             acts.append((hid, y))
 
@@ -406,9 +426,11 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    """Probabilities along ``axis``; max-subtracted for stability."""
+    """Probabilities along ``axis``; max-subtracted for stability.  A shift
+    that overflows gives exp(-inf) = 0, and the sum is still >= 1."""
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore"):
+        shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
 

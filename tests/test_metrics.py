@@ -130,6 +130,71 @@ class TestAuprc:
         assert auprc(a, b) == pytest.approx(expected, abs=1e-12)
 
 
+def _auroc_loop(a, b):
+    """Rank-sum AUROC walking the tie groups one at a time."""
+    values = np.concatenate([a, b])
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size, dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j < values.size and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
+        i = j
+    u = ranks[a.size:].sum() - b.size * (b.size + 1) / 2.0
+    return float(u / (a.size * b.size))
+
+
+def _auprc_loop(a, b):
+    """Step average precision accumulated one tie group at a time."""
+    scores = np.concatenate([a, b])
+    positive = np.concatenate([np.zeros(a.size), np.ones(b.size)])
+    order = np.argsort(-scores, kind="mergesort")
+    scores, positive = scores[order], positive[order]
+    ap = tp = fp = prev_recall = 0.0
+    i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and scores[j] == scores[i]:
+            j += 1
+        tp += positive[i:j].sum()
+        fp += (j - i) - positive[i:j].sum()
+        recall = tp / float(b.size)
+        ap += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+        i = j
+    return float(ap)
+
+
+def _score_sets(kind, rng):
+    na, nb = rng.integers(1, 80, size=2)
+    if kind == "tied":
+        return (rng.integers(0, 6, na).astype(float),
+                rng.integers(0, 6, nb).astype(float))
+    if kind == "untied":
+        return rng.normal(size=na), rng.normal(size=nb) + 0.3
+    if kind == "one_id":
+        return rng.normal(size=1), rng.normal(size=nb)
+    if kind == "one_ood":
+        return rng.normal(size=na), rng.normal(size=1)
+    return rng.normal(size=1), rng.normal(size=1)
+
+
+@pytest.mark.parametrize("kind", ["tied", "untied", "one_id", "one_ood", "one_each"])
+def test_detection_metrics_equal_the_tie_group_loops_bit_for_bit(kind):
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        a, b = _score_sets(kind, rng)
+        assert auroc(a, b) == _auroc_loop(a, b)
+        assert auprc(a, b) == _auprc_loop(a, b)
+    for a, b in (([1.0], [1.0]), ([2.0, 2.0], [2.0]), ([0.5], [0.5, 0.2])):
+        a, b = np.asarray(a), np.asarray(b)
+        assert auroc(a, b) == _auroc_loop(a, b)
+        assert auprc(a, b) == _auprc_loop(a, b)
+
+
 class TestGateEntropy:
     def test_one_hot_is_zero(self):
         assert shannon_entropy(np.eye(6)[2]) == 0.0

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vroute.rng import RngStream, gumbel_from_uniform
 
@@ -54,3 +55,50 @@ def test_gumbel_draws_are_finite():
     draws = gumbel_from_uniform(np.concatenate(
         [RngStream(7).uniform((100_000,)), [0.0, 1.0]]))
     assert np.isfinite(draws).all()
+
+
+def _reference(seed, stream_id, counter):
+    return np.random.Generator(np.random.Philox(key=[seed, stream_id],
+                                                counter=[0, 0, counter, 0]))
+
+
+# Stream ids below and above 2**63 (numpy rounds the latter's key).
+_IDS = [0, 12345, (1 << 63) - 1, 1 << 63, 0x987AC1ECCF32466A, (1 << 64) - 4096]
+
+
+@pytest.mark.parametrize("stream_id", _IDS)
+@pytest.mark.parametrize("counter", [0, 3, 1 << 40])
+def test_draws_match_a_fresh_philox(stream_id, counter):
+    s = RngStream(11, stream_id, counter)
+    got = [s.normal((6,)), s.uniform((6,)), s.permutation(9),
+           s.integers(-3, 50, (7,))]
+    want = [lambda g: g.standard_normal(6), lambda g: g.random(6),
+            lambda g: g.permutation(9), lambda g: g.integers(-3, 50, size=7)]
+    for tick, (values, ref) in enumerate(zip(got, want)):
+        np.testing.assert_array_equal(
+            values, ref(_reference(11, stream_id, counter + tick)))
+
+
+def test_alternating_streams_do_not_share_state():
+    a, b = RngStream(2, 1 << 63), RngStream(2, 7, 5)
+    got = [a.integers(0, 4, (3,)), b.integers(0, 4, (3,)),
+           a.uniform((5,)), b.uniform((5,))]
+    np.testing.assert_array_equal(got[0], _reference(2, 1 << 63, 0).integers(0, 4, size=3))
+    np.testing.assert_array_equal(got[1], _reference(2, 7, 5).integers(0, 4, size=3))
+    np.testing.assert_array_equal(got[2], _reference(2, 1 << 63, 1).random(5))
+    np.testing.assert_array_equal(got[3], _reference(2, 7, 6).random(5))
+
+
+def test_key_keeps_the_top_53_bits_of_a_large_id():
+    # numpy turns [seed, id] into float64 when a word is >= 2**63, so ids
+    # that differ only in their low 11 bits share a key.  Pinned results
+    # depend on this; it is recorded, not fixed.
+    sid = RngStream(0).derive("layer", 2).stream_id
+    assert sid == 0x987AC1ECCF32466A
+    np.testing.assert_array_equal(RngStream(0, sid).uniform((3,)),
+                                  RngStream(0, sid ^ 1).uniform((3,)))
+    np.testing.assert_array_equal(RngStream(0, sid).uniform((3,)),
+                                  RngStream(0, 0x987AC1ECCF324800).uniform((3,)))
+    small = 12345
+    assert not np.array_equal(RngStream(0, small).uniform((3,)),
+                              RngStream(0, small ^ 1).uniform((3,)))

@@ -202,6 +202,7 @@ def _mix_inputs(np_rng, b=3, d=4, h=5, n=3):
 
 
 def _mix_reference(u, gates, w1, w2):
+    """Dense oracle: every expert on every row, added in index order."""
     return sum(gates[:, j:j + 1] * (np.maximum(u @ w1[j], 0.0) @ w2[j])
                for j in range(w1.shape[0]))
 
@@ -250,6 +251,83 @@ class TestExpertMix:
         with pytest.raises(ValueError):
             T.expert_mix(u, gates, w1, w1)
 
+    def test_taped_op_runs_every_expert_on_every_row(self, np_rng):
+        # Zero gates skip nothing on the tape: the output has the dense
+        # loop's bits, and each expert's gate gradient is its output's dot
+        # with the upstream gradient, unselected experts included.
+        u, gates, w1, w2 = ops = _mix_inputs(np_rng, b=6, n=4)
+        gates.data[:, :2] = 0.0
+        w = np_rng.normal(size=(6, 4))
+        out = T.expert_mix(*ops)
+        np.testing.assert_array_equal(out.data, _mix_reference(*(t.data for t in ops)))
+        (out * Tensor(w)).sum().backward()
+        for j in range(4):
+            y = np.maximum(u.data @ w1.data[j], 0.0) @ w2.data[j]
+            np.testing.assert_array_equal(gates.grad[:, j], (w * y).sum(axis=1))
+        assert gates.grad[:, :2].any()
+        for t in (u, w1, w2):
+            fd = central_difference(
+                lambda: (_mix_reference(*(o.data for o in ops)) * w).sum(), t)
+            assert_grad_close(t.grad, fd)
+
+
+def _top_k_gates(rng, b, n, k):
+    """Softmax gates over each row's k largest logits, zero elsewhere."""
+    logits = rng.normal(size=(b, n))
+    keep = np.argsort(-logits, axis=1)[:, :k]
+    mask = np.zeros((b, n), dtype=bool)
+    np.put_along_axis(mask, keep, True, axis=1)
+    e = np.where(mask, np.exp(logits), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _untaped_mix(u, gates, w1, w2):
+    with T.no_grad():
+        return T.expert_mix(Tensor(u), Tensor(gates, requires_grad=True),
+                            Tensor(w1, requires_grad=True),
+                            Tensor(w2, requires_grad=True)).data
+
+
+def _model_sized_experts(rng, b, d=32, h=32, n=8):
+    return (rng.normal(size=(b, d)), rng.normal(size=(n, d, h)) / math.sqrt(d),
+            rng.normal(size=(n, h, d)) / math.sqrt(h))
+
+
+class TestExpertDispatch:
+    """Untaped ``expert_mix`` runs each expert only on its selecting rows and
+    must still give the dense loop's bits."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 64, 500])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_matches_dense_loop_bit_for_bit(self, b, k, np_rng):
+        u, w1, w2 = _model_sized_experts(np_rng, b)
+        gates = _top_k_gates(np_rng, b, 8, k)
+        np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2),
+                                      _mix_reference(u, gates, w1, w2))
+
+    @pytest.mark.parametrize("b", [2, 3, 64, 500])
+    def test_expert_with_one_selecting_row(self, b, np_rng):
+        # A one-row matmul would go to gemv, whose last bits differ.
+        u, w1, w2 = _model_sized_experts(np_rng, b)
+        for trial in range(10):
+            gates = _top_k_gates(np_rng, b, 8, 2)
+            gates[:, 0] = 0.0
+            gates[trial % b, 0] = 0.5
+            np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2),
+                                          _mix_reference(u, gates, w1, w2))
+
+    def test_unselected_expert_and_zero_selected_gate(self, np_rng):
+        u, w1, w2 = _model_sized_experts(np_rng, 64)
+        gates = _top_k_gates(np_rng, 64, 8, 2)
+        gates[:, 3] = 0.0            # no row selects expert 3
+        gates[::5, 1] = 0.0          # a selected gate that is exactly 0
+        expected = _mix_reference(u, gates, w1, w2)
+        np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2), expected)
+        # The unselected expert never runs: weights that would overflow
+        # change nothing.
+        w1[3] = 1e308
+        np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2), expected)
+
 
 def test_broadcast_gradients(np_rng):
     a = Tensor(np_rng.normal(size=(5, 3)), requires_grad=True)
@@ -271,6 +349,47 @@ class TestFiniteGuard:
     def test_nan_construction_rejected(self):
         with pytest.raises(NumericsError):
             Tensor([float("nan")])
+
+    @pytest.mark.parametrize("name, make", [
+        ("exp", lambda: T.exp(Tensor([1000.0]))),
+        ("add", lambda: Tensor([1e308]) + Tensor([1e308])),
+        ("sub", lambda: Tensor([-1e308]) - Tensor([1e308])),
+        ("mul", lambda: Tensor([1e308]) * Tensor([10.0])),
+        ("div", lambda: Tensor([1e308]) / Tensor([1e-10])),
+        ("matmul", lambda: Tensor([[1e308, 1e308]]) @ Tensor([[1.0], [1.0]])),
+        ("sum", lambda: Tensor([1e308, 1e308]).sum()),
+        ("mean", lambda: Tensor([1e308, 1e308]).mean()),
+        ("sqrt", lambda: T.sqrt(Tensor([-1.0]))),
+        ("expert_mix", lambda: T.expert_mix(
+            Tensor([[1e200, 1e200]]), Tensor([[1.0]]),
+            Tensor([[[1e200], [1e200]]]), Tensor([[[1.0, 1.0]]]))),
+    ])
+    def test_checked_op_overflow_aborts(self, name, make):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericsError, match=name):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda x: x.reshape((4,)), lambda x: T.gather(x, [1, 0]),
+        lambda x: T.scatter(x, [0, 2], 3), T.relu, T.softmax,
+    ], ids=["reshape", "gather", "scatter", "relu", "softmax"])
+    def test_finite_preserving_ops_skip_the_guard(self, make, monkeypatch):
+        x = Tensor(np.arange(4.0).reshape(2, 2))
+        ops = []
+        monkeypatch.setattr(T, "_check_finite", lambda arr, op: ops.append(op))
+        assert np.isfinite(make(x).data).all()
+        assert ops == []
+
+    def test_softmax_of_an_overflowing_shift_is_finite(self):
+        np.testing.assert_array_equal(
+            T.softmax(Tensor([-1e308, 1e308])).data, [0.0, 1.0])
+
+    def test_non_finite_gradient_aborts(self):
+        x = Tensor([1e-320], requires_grad=True)
+        loss = T.log(x).sum()
+        with np.errstate(over="ignore", divide="ignore"), \
+                pytest.raises(NumericsError, match="backward"):
+            loss.backward()
 
 
 def test_no_grad_blocks_tape():
