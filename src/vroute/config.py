@@ -12,6 +12,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -91,13 +92,16 @@ _SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 def _check_type(key: str, value, annotation: str) -> None:
     """Reject ``value`` unless it suits a scalar annotation such as
-    ``int`` or ``int | None``; other annotations are left to the class."""
+    ``int`` or ``int | None``; other annotations are left to the class.
+    A float must be finite: ``json`` reads ``NaN`` and ``Infinity``."""
     names = annotation.split(" | ")
     allowed = tuple(t for n in names for t in _SCALAR_TYPES.get(n, ()))
     if not allowed or (value is None and "None" in names):
         return
     if isinstance(value, bool) or not isinstance(value, allowed):
         raise ConfigError(f"{key} must be {annotation}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite {annotation}, got {value!r}")
 
 
 def _strict_build(cls, payload: dict, path: str):

@@ -139,7 +139,7 @@ class MoEClassifier:
     def forward(self, x, mode: str, rng: RngStream | None = None,
                 router_noise: dict | None = None,
                 block_inputs: list | None = None,
-                prefix: Prefix | None = None):
+                prefix: Prefix | None = None, stop: int | None = None):
         """Run a batch; returns class logits and the per-layer route records.
 
         ``router_noise`` maps block index -> pre-drawn router noise;
@@ -147,17 +147,23 @@ class MoEClassifier:
         input activations.  A ``prefix`` stands in for the blocks before
         ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
         not read, those blocks' records are None, and ``block_inputs`` gets
-        the inputs from that block on.  Each block derives its router stream
-        from ``rng`` by its own index, so a prefix taken from a pass with the
-        same stream reproduces that pass exactly.
+        the inputs from that block on.  A ``stop`` below the block count ends
+        the pass after MoE layer ``stop - 1``: no head runs, the logits are
+        None and the records from block ``stop`` on are None.  Each block
+        derives its router stream from ``rng`` by its own index, so a pass
+        cut at either end gives the blocks it runs the same records as the
+        whole pass with the same stream.
         """
         if prefix is None:
             h, start = self._entry(x), 0
         else:
             h, start = Tensor(prefix.h), prefix.block
+        end = len(self.blocks) if stop is None else stop
         records: list = [None] * start
-        h = self._run_blocks(h, start, len(self.blocks), mode, rng, records,
+        h = self._run_blocks(h, start, end, mode, rng, records,
                              router_noise, block_inputs)
+        if end < len(self.blocks):
+            return None, records + [None] * (len(self.blocks) - end)
         return T.matmul(h, self.head), records
 
     def prefix(self, x, block: int) -> Prefix:

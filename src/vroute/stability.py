@@ -3,7 +3,9 @@
 Injects isotropic Gaussian noise at one block input at a time, with the
 noise scale tied to the average activation norm, and measures how much the
 perturbed layer's expert selection moves (Jaccard similarity against the
-clean pass).  Stochastic routers replay identical streams in the clean and
+clean pass).  A pass perturbed at layer L starts from the clean pass's input
+to L plus the noise and stops after layer L, the only selection it is read
+at.  Stochastic routers replay identical streams in the clean and
 perturbed passes (common random numbers).  That removes the sampler's
 pass-to-pass spread, but not its coupling: for the Gumbel-top-k routers
 (temp_scale, vtsr) the Jaccard also reflects how the sampler maps one noise
@@ -12,6 +14,7 @@ alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,8 +36,11 @@ class PerturbationSpec:
 
     def __post_init__(self):
         self.gamma_levels = tuple(float(g) for g in self.gamma_levels)
-        if any(g <= 0 for g in self.gamma_levels) or self.diagnostic_gamma <= 0:
-            raise ValueError("noise levels must be > 0")
+        if not self.gamma_levels:
+            raise ValueError("gamma_levels must not be empty")
+        if not all(0 < g < math.inf
+                   for g in self.gamma_levels + (self.diagnostic_gamma,)):
+            raise ValueError("noise levels must be finite and > 0")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -89,7 +95,8 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     and the comparison is made at the perturbed layer's own selection.
     ``seed`` keys the input noise and the router draws.  A pass perturbed at
     layer L repeats the clean pass before L, so it starts from a prefix: the
-    clean pass's input to L plus the noise.
+    clean pass's input to L plus the noise.  No later block feeds back into
+    L's selection, so it stops after layer L.
     """
     base = RngStream(seed)
     x = dataset.features
@@ -106,7 +113,8 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                                            mean_norms[layer],
                                            base.derive("noise", layer, gi, rep))
                 prefix = Prefix(layer, block_inputs[layer] + noise)
-                perturbed = _route_records(model, x, base, prefix=prefix)
+                perturbed = _route_records(model, x, base, prefix=prefix,
+                                           stop=layer + 1)
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed[layer].selection))
             j = np.concatenate(values)
@@ -130,7 +138,8 @@ def sensitivity_ranking(report: StabilityReport) -> list[int]:
 def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                                   layers, seed: int = 0) -> list[dict]:
     """Accuracy and ECE with one layer at a time swapped to sampled routing
-    at a fixed temperature; all other layers stay deterministic."""
+    at a fixed temperature.  Every other layer keeps the checkpoint's own
+    router, so it is deterministic only where that router is MAP."""
     rows = []
     base = RngStream(seed)
     for layer in layers:

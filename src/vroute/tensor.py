@@ -40,7 +40,7 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise NumericsError(f"{op} produced non-finite values")
 
 

@@ -132,10 +132,16 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
     ("router", {"global_temperature": 0}, "global_temperature must be > 0"),
     ("model", {"num_experts": 4, "top_k": 5},
      "top_k must not exceed num_experts"),
-], ids=["dropout_rate", "global_temperature", "top_k"])
+    ("perturbation", {"gamma_levels": [float("nan")]},
+     "noise levels must be finite and > 0"),
+    ("perturbation", {"gamma_levels": [0.01, float("inf")]},
+     "noise levels must be finite and > 0"),
+    ("perturbation", {"gamma_levels": []}, "gamma_levels must not be empty"),
+], ids=["dropout_rate", "global_temperature", "top_k", "nan-gamma",
+        "inf-gamma", "no-gamma"])
 def test_bad_router_setting_rejected_at_load(section, bad, message):
     # Checked when the config is built, before any stage trains.
-    payload = dict(TINY, **{section: dict(TINY[section], **bad)})
+    payload = dict(TINY, **{section: dict(TINY.get(section, {}), **bad)})
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)
     assert str(err.value) == f"invalid {section}: {message}"
@@ -150,8 +156,15 @@ def test_bad_router_setting_rejected_at_load(section, bad, message):
     ({"perturbation": {"repeats": 1.5}}, "perturbation.repeats"),
     ({"seed": "3"}, "seed"),
     ({"out_dir": 3}, "out_dir"),
+    # json reads the NaN and Infinity literals as floats.
+    (json.loads('{"perturbation": {"diagnostic_gamma": Infinity}}'),
+     "perturbation.diagnostic_gamma"),
+    (json.loads('{"router": {"global_temperature": NaN}}'),
+     "router.global_temperature"),
+    (json.loads('{"train": {"kl_weight": -Infinity}}'), "train.kl_weight"),
 ], ids=["float-int", "bool-int", "float-top_k", "float-batch_size",
-        "bool-float", "float-repeats", "str-seed", "int-str"])
+        "bool-float", "float-repeats", "str-seed", "int-str", "inf-float",
+        "nan-float", "minus-inf-float"])
 def test_value_of_wrong_type_rejected_at_load(payload, key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)

@@ -10,7 +10,7 @@ import pytest
 
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.metrics import jaccard_rows
-from vroute.model import (ModelConfig, MoEClassifier, Prefix,
+from vroute.model import (ModelConfig, MoEClassifier, MoELayer, Prefix,
                           attach_variational_routers, elbo_loss,
                           predict_with_uncertainty)
 from vroute.rng import RngStream
@@ -153,8 +153,8 @@ def _stability_full_forward(model, dataset, spec, seed):
     return cells
 
 
-@pytest.mark.parametrize("variant", [None, "vtsr", "vglr_fc"],
-                         ids=["all-map", "vtsr", "vglr_fc"])
+@pytest.mark.parametrize("variant", (None,) + STOCHASTIC,
+                         ids=("all-map",) + STOCHASTIC)
 def test_stability_report_matches_full_forward(variant):
     model = _model(variant)
     dataset = _splits(40)["test"]
@@ -168,3 +168,68 @@ def test_stability_report_matches_full_forward(variant):
         assert cell.mean_jaccard == float(j.mean())
         assert (cell.q10, cell.q50, cell.q90) == tuple(
             float(np.quantile(j, q)) for q in (0.10, 0.50, 0.90))
+
+
+def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
+    model = _model("vtsr")
+    blocks = [blk.moe for blk in model.blocks]
+    calls = [0] * len(blocks)
+    moe_forward = MoELayer.forward
+
+    def counting(self, *args, **kwargs):
+        calls[blocks.index(self)] += 1
+        return moe_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(MoELayer, "forward", counting)
+    spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
+                            repeats=2)
+    layerwise_stability(model, _splits(40)["test"], spec, seed=7)
+    # One clean pass, then each block only in the passes perturbed at it.
+    assert calls == [1 + 2 * 2] * len(blocks)
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        np.testing.assert_array_equal(g.selection, w.selection)
+        np.testing.assert_array_equal(g.gate_weights.data, w.gate_weights.data)
+        np.testing.assert_array_equal(g.probs, w.probs)
+
+
+def _eval_pass(model, x, **kwargs):
+    return model.forward(x, "eval", rng=RngStream(5), **kwargs)
+
+
+@pytest.mark.parametrize("variant", (None,) + STOCHASTIC,
+                         ids=("all-map",) + STOCHASTIC)
+class TestForwardStop:
+    def test_stop_at_block_count_is_the_whole_pass(self, variant):
+        model = _model(variant)
+        x = _splits(40)["test"].features
+        logits, records = _eval_pass(model, x, stop=len(model.blocks))
+        want_logits, want_records = _eval_pass(model, x)
+        np.testing.assert_array_equal(logits.data, want_logits.data)
+        _assert_same_records(records, want_records)
+
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_stopped_pass_has_no_logits_or_later_records(self, variant, stop):
+        model = _model(variant)
+        x = _splits(40)["test"].features
+        logits, records = _eval_pass(model, x, stop=stop)
+        _, want = _eval_pass(model, x)
+        assert logits is None
+        _assert_same_records(records,
+                             want[:stop] + [None] * (len(want) - stop))
+
+    def test_prefix_and_stop_reproduce_the_whole_pass(self, variant):
+        model = _model(variant)
+        x = _splits(40)["test"].features
+        block_inputs = []
+        _, want = _eval_pass(model, x, block_inputs=block_inputs)
+        logits, records = _eval_pass(model, x, prefix=Prefix(1, block_inputs[1]),
+                                     stop=2)
+        assert logits is None
+        _assert_same_records(records, [None, want[1], None])
