@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -259,10 +260,22 @@ def cmd_stability(args, cfg, writer) -> None:
                           _svg_line_chart(series, "gamma", "mean Jaccard"))
 
 
+def _temperature_grid(text: str) -> list[float]:
+    """``--grid`` as floats, each finite and > 0."""
+    try:
+        grid = [float(t) for t in text.split(",")]
+    except ValueError:
+        grid = []
+    if not grid or not all(0 < t < math.inf for t in grid):
+        raise ConfigError(f"--grid {text!r}: temperatures must be "
+                          "comma-separated finite numbers > 0")
+    return grid
+
+
 def cmd_sweep_temp(args, cfg, writer) -> None:
+    grid = _temperature_grid(args.grid)
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
-    grid = [float(t) for t in args.grid.split(",")]
     layers = ([int(v) for v in args.layers.split(",")] if args.layers
               else list(range(len(model.blocks))))
     for layer in layers:

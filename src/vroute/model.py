@@ -148,23 +148,33 @@ class MoEClassifier:
         ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
         not read, those blocks' records are None, and ``block_inputs`` gets
         the inputs from that block on.  A ``stop`` below the block count ends
-        the pass after MoE layer ``stop - 1``: no head runs, the logits are
-        None and the records from block ``stop`` on are None.  Each block
-        derives its router stream from ``rng`` by its own index, so a pass
-        cut at either end gives the blocks it runs the same records as the
-        whole pass with the same stream.
+        the pass at the router of layer ``stop - 1``: that layer routes but
+        mixes no experts, block ``stop``'s dense projection and the head do
+        not run, the logits are None and the records from block ``stop`` on
+        are None.  Each block derives its router stream from ``rng`` by its
+        own index, so a pass cut at either end gives the blocks it runs the
+        same records as the whole pass with the same stream.
         """
         if prefix is None:
             h, start = self._entry(x), 0
         else:
             h, start = Tensor(prefix.h), prefix.block
         end = len(self.blocks) if stop is None else stop
+        if not start < end <= len(self.blocks):
+            raise ValueError(f"stop {stop} must be in ({start}, "
+                             f"{len(self.blocks)}]")
         records: list = [None] * start
-        h = self._run_blocks(h, start, end, mode, rng, records,
+        whole = end == len(self.blocks)
+        last = end if whole else end - 1
+        h = self._run_blocks(h, start, last, mode, rng, records,
                              router_noise, block_inputs)
-        if end < len(self.blocks):
-            return None, records + [None] * (len(self.blocks) - end)
-        return T.matmul(h, self.head), records
+        if whole:
+            return T.matmul(h, self.head), records
+        if block_inputs is not None:
+            block_inputs.append(h.data)
+        records.append(self.blocks[last].moe.router.route(
+            h, mode, **self._layer_draws(last, rng, router_noise)))
+        return None, records + [None] * (len(self.blocks) - end)
 
     def prefix(self, x, block: int) -> Prefix:
         """Run ``x`` without a tape up to block ``block``'s MoE layer.
@@ -180,6 +190,14 @@ class MoEClassifier:
         h = T.matmul(T.as_tensor(x), self.input_proj)
         return T.relu(T.matmul(h, self.blocks[0].dense))
 
+    @staticmethod
+    def _layer_draws(idx: int, rng: RngStream | None,
+                     router_noise: dict | None) -> dict:
+        """Block ``idx``'s router stream and pre-drawn noise, as the
+        ``rng``/``noise`` arguments of its routing call."""
+        return {"rng": None if rng is None else rng.derive("layer", idx),
+                "noise": None if router_noise is None else router_noise.get(idx)}
+
     def _run_blocks(self, h: Tensor, start: int, stop: int, mode: str,
                     rng: RngStream | None, records: list,
                     router_noise: dict | None = None,
@@ -190,10 +208,8 @@ class MoEClassifier:
         for idx in range(start, stop):
             if block_inputs is not None:
                 block_inputs.append(h.data)
-            noise = None if router_noise is None else router_noise.get(idx)
-            layer_rng = None if rng is None else rng.derive("layer", idx)
-            h, rec = self.blocks[idx].moe.forward(h, mode, rng=layer_rng,
-                                                  noise=noise)
+            h, rec = self.blocks[idx].moe.forward(
+                h, mode, **self._layer_draws(idx, rng, router_noise))
             records.append(rec)
             if idx + 1 < len(self.blocks):
                 h = T.relu(T.matmul(h, self.blocks[idx + 1].dense))

@@ -60,6 +60,8 @@ class RouterSettings:
             raise ValueError("dropout_rate must be in [0, 1)")
         if self.global_temperature <= 0:
             raise ValueError("global_temperature must be > 0")
+        if not math.isfinite(self.global_temperature):
+            raise ValueError("global_temperature must be finite")
 
 
 @dataclass
@@ -349,7 +351,9 @@ class RouterBase:
               noise: dict | None = None) -> BatchRouteResult:
         raise NotImplementedError
 
-    def _noise(self, rng, batch, mode, noise):
+    def route_noise(self, rng, batch, mode, noise):
+        """The noise a ``route`` call uses: ``noise`` when given, else a
+        fresh draw from ``rng`` for ``batch`` tokens."""
         if noise is not None:
             return noise
         if rng is None and self.variant != "map":
@@ -390,7 +394,7 @@ class TempScaleRouter(RouterBase):
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
-        noise = self._noise(rng, u.shape[0], mode, noise)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
         l_det = u.data @ self.w_r.data
         scaled = l_det / self.settings.global_temperature
         probs = _softmax_np(scaled)
@@ -409,7 +413,7 @@ class McDropoutRouter(RouterBase):
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
-        noise = self._noise(rng, u.shape[0], mode, noise)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
         rate = self.settings.dropout_rate
         dim, n = self.w_r.shape
         s = noise["uniform"].shape[1]
@@ -447,7 +451,7 @@ class VglrRouter(RouterBase):
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
-        noise = self._noise(rng, u.shape[0], mode, noise)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
         eps = np.asarray(noise["normal"], dtype=np.float64)
         batch, _, n = eps.shape
         l_det = u.data @ self.w_r.data
@@ -495,7 +499,7 @@ class VtsrRouter(RouterBase):
 
     def route(self, u, mode, rng=None, noise=None):
         _check_mode(mode)
-        noise = self._noise(rng, u.shape[0], mode, noise)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
         train = mode == "train"
         l_det = u.data @ self.w_r.data
         temp = self.temperature_net.temperature(u)                   # [B,1]

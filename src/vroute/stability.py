@@ -4,13 +4,15 @@ Injects isotropic Gaussian noise at one block input at a time, with the
 noise scale tied to the average activation norm, and measures how much the
 perturbed layer's expert selection moves (Jaccard similarity against the
 clean pass).  A pass perturbed at layer L starts from the clean pass's input
-to L plus the noise and stops after layer L, the only selection it is read
-at.  Stochastic routers replay identical streams in the clean and
-perturbed passes (common random numbers).  That removes the sampler's
-pass-to-pass spread, but not its coupling: for the Gumbel-top-k routers
-(temp_scale, vtsr) the Jaccard also reflects how the sampler maps one noise
-draw at two nearby logit vectors, so it is not the router's stability
-alone.
+to L plus the noise and stops at layer L's router, the only selection it is
+read at.  Stochastic routers replay identical streams in the clean and
+perturbed passes (common random numbers): a report draws each stochastic
+layer's router noise once in the clean pass and once more for the passes
+perturbed at that layer, which all replay that one draw.  That removes the
+sampler's pass-to-pass spread, but not its coupling: for the Gumbel-top-k
+routers (temp_scale, vtsr) the Jaccard also reflects how the sampler maps
+one noise draw at two nearby logit vectors, so it is not the router's
+stability alone.
 """
 from __future__ import annotations
 
@@ -82,7 +84,9 @@ def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
 def _route_records(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
                    **kwargs) -> list:
     # A fresh stream derived with fixed tags replays the same router draws on
-    # every call: the common-random-numbers policy between passes.
+    # every call: the common-random-numbers policy between passes.  The
+    # perturbed passes at one layer pass that layer's draw, made once, as
+    # ``router_noise``, which gives the same bits as drawing it again.
     with T.no_grad():
         return model.forward(x, "eval", rng=rng_base.derive("route"), **kwargs)[1]
 
@@ -96,7 +100,9 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     ``seed`` keys the input noise and the router draws.  A pass perturbed at
     layer L repeats the clean pass before L, so it starts from a prefix: the
     clean pass's input to L plus the noise.  No later block feeds back into
-    L's selection, so it stops after layer L.
+    L's selection, so it stops at layer L's router.  Every pass at layer L
+    replays the clean pass's router draw there, so that draw is made once
+    for all of them (one layer's draw held at a time).
     """
     base = RngStream(seed)
     x = dataset.features
@@ -106,6 +112,8 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     report = StabilityReport(mean_norms=mean_norms,
                              diagnostic_gamma=spec.diagnostic_gamma)
     for layer in range(len(model.blocks)):
+        held = {layer: model.blocks[layer].moe.router.route_noise(
+            base.derive("route").derive("layer", layer), len(x), "eval", None)}
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
@@ -114,7 +122,7 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                                            base.derive("noise", layer, gi, rep))
                 prefix = Prefix(layer, block_inputs[layer] + noise)
                 perturbed = _route_records(model, x, base, prefix=prefix,
-                                           stop=layer + 1)
+                                           stop=layer + 1, router_noise=held)
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed[layer].selection))
             j = np.concatenate(values)
@@ -122,6 +130,7 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),
                 q10=float(np.quantile(j, 0.10)), q50=float(np.quantile(j, 0.50)),
                 q90=float(np.quantile(j, 0.90))))
+        del held                     # free it before the next layer's draw
     return report
 
 

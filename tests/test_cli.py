@@ -13,6 +13,7 @@ from vroute.checkpoint import load_checkpoint, save_checkpoint
 from vroute.config import ConfigError, config_from_dict
 from vroute.experiment import build_splits
 from vroute.rng import RngStream
+from vroute.routers import RouterSettings
 from vroute.training import predictive_nll_acc
 
 TINY = {
@@ -246,3 +247,29 @@ def test_sweep_defaults_to_the_checkpoint_blocks(tmp_path):
     assert code == 0
     with open(out / "sweep_temp.csv", encoding="utf-8") as fh:
         assert [row["layer"] for row in csv.DictReader(fh)] == ["0", "1"]
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "0", "-1", "", "0.5,", "x"])
+def test_bad_sweep_grid_is_one_error_line_before_any_work(tmp_path, capsys,
+                                                          monkeypatch, grid):
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "_load_model", no_load)
+    code, out = _sweep(tmp_path, f"--grid={grid}")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --grid {grid!r}: temperatures must be comma-separated "
+        "finite numbers > 0"]
+    assert not (out / "sweep_temp.csv").exists()
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("value, message", [
+    (float("nan"), "global_temperature must be finite"),
+    (float("inf"), "global_temperature must be finite"),
+    (-float("inf"), "global_temperature must be > 0"),
+])
+def test_router_settings_reject_non_finite_temperature(value, message):
+    with pytest.raises(ValueError, match=message):
+        RouterSettings(global_temperature=value)

@@ -8,13 +8,14 @@ model, bit for bit.
 import numpy as np
 import pytest
 
+from vroute import tensor as T
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.metrics import jaccard_rows
-from vroute.model import (ModelConfig, MoEClassifier, MoELayer, Prefix,
+from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           attach_variational_routers, elbo_loss,
                           predict_with_uncertainty)
 from vroute.rng import RngStream
-from vroute.routers import SIGNAL_NAMES, RouterSettings
+from vroute.routers import SIGNAL_NAMES, RouterBase, RouterSettings
 from vroute.stability import (PerturbationSpec, _route_records,
                               layerwise_stability, perturbation_noise)
 from vroute.tensor import Tensor
@@ -170,22 +171,49 @@ def test_stability_report_matches_full_forward(variant):
             float(np.quantile(j, q)) for q in (0.10, 0.50, 0.90))
 
 
+def _count_calls(monkeypatch, owner, name, key):
+    """Wrap ``owner.name`` to count its calls in a dict keyed by
+    ``key(*args)``; returns the dict."""
+    counts: dict = {}
+    inner = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        k = key(*args)
+        counts[k] = counts.get(k, 0) + 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
 def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
     model = _model("vtsr")
-    blocks = [blk.moe for blk in model.blocks]
-    calls = [0] * len(blocks)
-    moe_forward = MoELayer.forward
-
-    def counting(self, *args, **kwargs):
-        calls[blocks.index(self)] += 1
-        return moe_forward(self, *args, **kwargs)
-
-    monkeypatch.setattr(MoELayer, "forward", counting)
+    routes = [_count_calls(monkeypatch, blk.moe.router, "route", lambda *a: 0)
+              for blk in model.blocks]
+    weights = [id(blk.moe.w1) for blk in model.blocks]
+    mixes = _count_calls(monkeypatch, T, "expert_mix",
+                         lambda u, gates, w1, w2: weights.index(id(w1)))
     spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
                             repeats=2)
     layerwise_stability(model, _splits(40)["test"], spec, seed=7)
-    # One clean pass, then each block only in the passes perturbed at it.
-    assert calls == [1 + 2 * 2] * len(blocks)
+    # One clean pass, then each block only in the passes perturbed at it;
+    # those passes only route it, except at the last block, where the stop
+    # is the block count and the pass runs whole.
+    assert [r[0] for r in routes] == [1 + 2 * 2] * len(model.blocks)
+    assert mixes == {0: 1, 1: 1, 2: 1 + 2 * 2}
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_report_draws_each_layers_router_noise_twice(variant, monkeypatch):
+    model = _model(variant, layers=(0, 2))
+    routers = [blk.moe.router for blk in model.blocks]
+    draws = _count_calls(monkeypatch, RouterBase, "draw_noise",
+                         lambda router, *a: routers.index(router))
+    spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
+                            repeats=2)
+    layerwise_stability(model, _splits(40)["test"], spec, seed=7)
+    # Once in the clean pass, once held for the passes perturbed there.
+    assert [draws.get(b) for b in model.stochastic_blocks()] == [2, 2]
 
 
 def _assert_same_records(got, want):
@@ -223,6 +251,29 @@ class TestForwardStop:
         assert logits is None
         _assert_same_records(records,
                              want[:stop] + [None] * (len(want) - stop))
+
+    def test_stopped_pass_routes_its_last_layer_without_mixing(
+            self, variant, monkeypatch):
+        model = _model(variant)
+        x = _splits(40)["test"].features
+        block_inputs, want_inputs = [], []
+        _, want = _eval_pass(model, x, block_inputs=want_inputs)
+        mixed = _count_calls(monkeypatch, T, "expert_mix",
+                             lambda u, gates, w1, w2: id(w1))
+        _, records = _eval_pass(model, x, stop=2, block_inputs=block_inputs)
+        assert mixed == {id(model.blocks[0].moe.w1): 1}
+        _assert_same_records(records, want[:2] + [None])
+        for got, w in zip(block_inputs, want_inputs[:2], strict=True):
+            np.testing.assert_array_equal(got, w)
+
+    def test_stop_not_after_the_start_is_rejected(self, variant):
+        model = _model(variant)
+        x = _splits(40)["test"].features
+        with pytest.raises(ValueError, match="stop"):
+            _eval_pass(model, x, stop=0)
+        with pytest.raises(ValueError, match="stop"):
+            _eval_pass(model, x, prefix=Prefix(1, model.prefix(x, 1).h),
+                       stop=1)
 
     def test_prefix_and_stop_reproduce_the_whole_pass(self, variant):
         model = _model(variant)
