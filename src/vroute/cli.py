@@ -272,12 +272,23 @@ def _temperature_grid(text: str) -> list[float]:
     return grid
 
 
+def _block_list(text: str) -> list[int]:
+    """``--layers`` as integers; whether each is a block of the checkpoint
+    is checked once it is loaded."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--layers {text!r}: blocks must be "
+                          "comma-separated integers") from None
+
+
 def cmd_sweep_temp(args, cfg, writer) -> None:
     grid = _temperature_grid(args.grid)
+    layers = _block_list(args.layers) if args.layers else None
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
-    layers = ([int(v) for v in args.layers.split(",")] if args.layers
-              else list(range(len(model.blocks))))
+    if layers is None:
+        layers = list(range(len(model.blocks)))
     for layer in layers:
         if not 0 <= layer < len(model.blocks):
             raise ConfigError(f"--layers: block {layer} is not in the "

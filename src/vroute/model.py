@@ -8,7 +8,7 @@ matrices; everything runs on the tape from :mod:`vroute.tensor`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,9 +58,16 @@ class MoELayer:
         self.router = router
 
     def forward(self, u: Tensor, mode: str, rng: RngStream | None = None,
-                noise: dict | None = None) -> tuple[Tensor, BatchRouteResult]:
-        rec = self.router.route(u, mode, rng=rng, noise=noise)
-        return T.expert_mix(u, rec.gate_weights, self.w1, self.w2), rec
+                noise: dict | None = None, encoding=None,
+                experts: np.ndarray | None = None
+                ) -> tuple[Tensor, BatchRouteResult]:
+        """Route ``u`` and mix the experts; ``encoding`` and ``experts`` are
+        the router's encoding and the experts' outputs on ``u``, when a
+        prefix holds them."""
+        rec = self.router.route(u, mode, rng=rng, noise=noise,
+                                encoding=encoding)
+        return (T.expert_mix(u, rec.gate_weights, self.w1, self.w2,
+                             outputs=experts), rec)
 
 
 class _Block:
@@ -74,12 +81,18 @@ class Prefix:
     """The start of a pass, run once and shared by the passes that agree on it.
 
     ``h`` is the activation entering block ``block``'s MoE layer (after the
-    block's dense projection).  A prefix holds a plain array, so no gradient
-    reaches the blocks it covers.
+    block's dense projection).  ``experts`` [N, B, D], when set, holds that
+    layer's per-expert outputs on ``h`` (:func:`vroute.tensor.expert_outputs`)
+    and ``encoding`` its router's :meth:`~vroute.routers.RouterBase.encode`
+    of ``h``: the block's pass-invariant work, for untaped passes that
+    differ only in their router noise.  A prefix holds plain arrays, so no
+    gradient reaches the blocks it covers.
     """
 
     block: int
     h: np.ndarray
+    experts: np.ndarray | None = None
+    encoding: object = None
 
 
 class MoEClassifier:
@@ -147,13 +160,16 @@ class MoEClassifier:
         input activations.  A ``prefix`` stands in for the blocks before
         ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
         not read, those blocks' records are None, and ``block_inputs`` gets
-        the inputs from that block on.  A ``stop`` below the block count ends
-        the pass at the router of layer ``stop - 1``: that layer routes but
-        mixes no experts, block ``stop``'s dense projection and the head do
-        not run, the logits are None and the records from block ``stop`` on
-        are None.  Each block derives its router stream from ``rng`` by its
-        own index, so a pass cut at either end gives the blocks it runs the
-        same records as the whole pass with the same stream.
+        the inputs from that block on; that block's layer reuses the
+        prefix's expert outputs and router encoding when it holds them.
+        ``stop=None`` is the whole pass.  An int ``stop`` ends the pass at
+        the router of layer ``stop - 1``, the block count included: that
+        layer routes but mixes no experts, block ``stop``'s dense projection
+        (if any) and the head do not run, the logits are None and the
+        records from block ``stop`` on are None.  Each block derives its
+        router stream from ``rng`` by its own index, so a pass cut at either
+        end gives the blocks it runs the same records as the whole pass with
+        the same stream.
         """
         if prefix is None:
             h, start = self._entry(x), 0
@@ -164,26 +180,38 @@ class MoEClassifier:
             raise ValueError(f"stop {stop} must be in ({start}, "
                              f"{len(self.blocks)}]")
         records: list = [None] * start
-        whole = end == len(self.blocks)
-        last = end if whole else end - 1
+        last = end if stop is None else end - 1
         h = self._run_blocks(h, start, last, mode, rng, records,
-                             router_noise, block_inputs)
-        if whole:
+                             router_noise, block_inputs, prefix)
+        if stop is None:
             return T.matmul(h, self.head), records
         if block_inputs is not None:
             block_inputs.append(h.data)
         records.append(self.blocks[last].moe.router.route(
-            h, mode, **self._layer_draws(last, rng, router_noise)))
+            h, mode, **self._layer_draws(last, rng, router_noise, prefix)))
         return None, records + [None] * (len(self.blocks) - end)
 
-    def prefix(self, x, block: int) -> Prefix:
-        """Run ``x`` without a tape up to block ``block``'s MoE layer.
+    def prefix(self, x, block: int, experts: bool = False) -> Prefix:
+        """Run ``x`` without a tape up to block ``block``'s MoE layer, and
+        with ``experts`` also run that layer's experts on every row.
 
         The routers before ``block`` get no stream, so they must be MAP.
         """
         with T.no_grad():
             h = self._run_blocks(self._entry(x), 0, block, "eval", None, [])
-        return Prefix(block, h.data)
+        moe = self.blocks[block].moe
+        return Prefix(block, h.data,
+                      T.expert_outputs(h, moe.w1, moe.w2) if experts else None)
+
+    def prefix_params(self, block: int) -> list[Tensor]:
+        """The weights a prefix at ``block`` with expert outputs is computed
+        from: everything before that block's router, and its experts."""
+        covered = [self.input_proj]
+        for idx, blk in enumerate(self.blocks[:block + 1]):
+            covered += [blk.dense, blk.moe.w1, blk.moe.w2]
+            if idx < block:
+                covered += [p for _, p in blk.moe.router.param_items()]
+        return covered
 
     def _entry(self, x) -> Tensor:
         """The input projection and block 0's dense projection."""
@@ -192,24 +220,33 @@ class MoEClassifier:
 
     @staticmethod
     def _layer_draws(idx: int, rng: RngStream | None,
-                     router_noise: dict | None) -> dict:
-        """Block ``idx``'s router stream and pre-drawn noise, as the
-        ``rng``/``noise`` arguments of its routing call."""
+                     router_noise: dict | None,
+                     prefix: Prefix | None = None) -> dict:
+        """Block ``idx``'s router stream, pre-drawn noise and, at the
+        prefix's block, the prefix's router encoding: the ``rng``/``noise``/
+        ``encoding`` arguments of its routing call."""
+        at_prefix = prefix is not None and prefix.block == idx
         return {"rng": None if rng is None else rng.derive("layer", idx),
-                "noise": None if router_noise is None else router_noise.get(idx)}
+                "noise": None if router_noise is None else router_noise.get(idx),
+                "encoding": prefix.encoding if at_prefix else None}
 
     def _run_blocks(self, h: Tensor, start: int, stop: int, mode: str,
                     rng: RngStream | None, records: list,
                     router_noise: dict | None = None,
-                    block_inputs: list | None = None) -> Tensor:
+                    block_inputs: list | None = None,
+                    prefix: Prefix | None = None) -> Tensor:
         """Run the MoE layers ``start .. stop-1`` from ``h``, the activation
-        entering layer ``start``, and append their records.  Returns the
+        entering layer ``start``, and append their records; the prefix's
+        block takes its expert outputs and encoding.  Returns the
         activation entering layer ``stop``, or the last block's output."""
         for idx in range(start, stop):
             if block_inputs is not None:
                 block_inputs.append(h.data)
+            at_prefix = prefix is not None and prefix.block == idx
+            experts = prefix.experts if at_prefix else None
             h, rec = self.blocks[idx].moe.forward(
-                h, mode, **self._layer_draws(idx, rng, router_noise))
+                h, mode, experts=experts,
+                **self._layer_draws(idx, rng, router_noise, prefix))
             records.append(rec)
             if idx + 1 < len(self.blocks):
                 h = T.relu(T.matmul(h, self.blocks[idx + 1].dense))
@@ -308,24 +345,60 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     """Pre-draw router noise for every pass, keyed by token content rather
     than batch slot, so duplicated inputs inside one batch route identically.
 
-    Returns layer -> key -> array of shape [passes, batch, ...]."""
+    Returns layer -> key -> array of shape [passes, batch, ...], filled row
+    by row."""
     plans: dict[int, dict] = {}
     for idx, blk in enumerate(model.blocks):
         router = blk.moe.router
         layer_rng = rng.derive("layer", idx)
-        if not router.noise_spec(1):
-            plans[idx] = {}
+        plans[idx] = {k: np.empty((passes, len(x)) + tuple(shape))
+                      for k, shape in router.noise_spec(1).items()}
+        if not plans[idx]:
             continue
-        per_row = [router.draw_noise(
-            layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
-            (passes,), 1) for row in x]
-        plans[idx] = {k: np.stack([d[k] for d in per_row], axis=1)
-                      for k in per_row[0]}
+        for i, row in enumerate(x):
+            draw = router.draw_noise(
+                layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
+                (passes,), 1)
+            for k, arr in draw.items():
+                plans[idx][k][:, i] = arr
     return plans
 
 
+@dataclass
+class PredictiveSetup:
+    """The part of a predict that no trained router weight changes.
+
+    ``passes`` is the pass count, ``plan`` the content-keyed router noise
+    of every pass (:func:`_content_noise_block`), and ``prefix`` the blocks
+    before the first stochastic one run once, with that block's expert
+    outputs (None for a model without stochastic blocks).  It depends only
+    on ``x``, the stream and the weights the prefix covers
+    (:meth:`MoEClassifier.prefix_params`), so it stays valid while only the
+    routers' inference nets train.
+    """
+
+    passes: int
+    plan: dict
+    prefix: Prefix | None
+
+
+def predictive_setup(model: MoEClassifier, x,
+                     rng: RngStream) -> PredictiveSetup:
+    """The noise plan and shared prefix of :func:`predict_with_uncertainty`
+    on ``x`` with stream ``rng``."""
+    x = np.asarray(x, dtype=np.float64)
+    layers = model.stochastic_blocks()
+    passes = max((model.blocks[i].moe.router.settings.eval_samples
+                  for i in layers), default=1)
+    plan = _content_noise_block(model, x, rng, passes)
+    prefix = model.prefix(x, layers[0], experts=True) if layers else None
+    return PredictiveSetup(passes, plan, prefix)
+
+
 def predict_with_uncertainty(model: MoEClassifier, x,
-                             rng: RngStream | None = None) -> Prediction:
+                             rng: RngStream | None = None,
+                             setup: PredictiveSetup | None = None
+                             ) -> Prediction:
     """Monte-Carlo predictive distribution plus per-example signals.
 
     Runs S stochastic forward passes, S being the largest ``eval_samples``
@@ -342,19 +415,29 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     term summed over layers and averaged over the passes: the quantity the
     training objective weights by ``kl_weight``, read off the same passes.
     Deterministic given the stream, and independent of batch order because
-    router noise is keyed by token content.  The MAP blocks before the first
-    stochastic one give the same bits in every pass, so they run once, as a
-    prefix the passes start from.
+    router noise is keyed by token content.
+
+    The passes differ only in their router noise, so what precedes the
+    first noise draw runs once: :func:`predictive_setup` (the noise plan,
+    the MAP blocks before the first stochastic block, and that block's
+    expert outputs), then that block's router encoding, computed here
+    because it reads the trainable inference nets.  ``setup``, when given,
+    must be ``predictive_setup(model, x, rng)`` under the current weights
+    of everything it covers; stage-2 validation builds it once per stage.
+    Every output bit is that of S whole passes.
     """
     if rng is None:
         rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
+    if setup is None:
+        setup = predictive_setup(model, x, rng)
+    passes, plan, prefix = setup.passes, setup.plan, setup.prefix
+    if prefix is not None:
+        with T.no_grad():
+            encoding = model.blocks[prefix.block].moe.router.encode(
+                Tensor(prefix.h))
+        prefix = replace(prefix, encoding=encoding)
     layers = model.stochastic_blocks()
-    passes = max((model.blocks[i].moe.router.settings.eval_samples
-                  for i in layers), default=1)
-    plan = _content_noise_block(model, x, rng, passes)
-    start = model.first_stochastic_block()
-    prefix = model.prefix(x, start) if start else None
     layers = layers or range(len(model.blocks))
     prob_sum = None
     kl_sum = np.zeros(x.shape[0])

@@ -347,8 +347,16 @@ class RouterBase:
         return {k: getattr(rng, k)(tuple(lead) + tuple(shape))
                 for k, shape in self.noise_spec(samples).items()}
 
+    def encode(self, u: Tensor):
+        """The pass-invariant part of routing ``u``: everything ``route``
+        computes before it reads the noise, or None for a router with
+        nothing to share.  ``route`` calls it unless handed its result, so
+        passes over one ``u`` with the router's weights fixed can share one
+        encoding."""
+        return None
+
     def route(self, u: Tensor, mode: str, rng: RngStream | None = None,
-              noise: dict | None = None) -> BatchRouteResult:
+              noise: dict | None = None, encoding=None) -> BatchRouteResult:
         raise NotImplementedError
 
     def route_noise(self, rng, batch, mode, noise):
@@ -369,7 +377,7 @@ class MapRouter(RouterBase):
 
     variant = "map"
 
-    def route(self, u, mode, rng=None, noise=None):
+    def route(self, u, mode, rng=None, noise=None, encoding=None):
         _check_mode(mode)
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits, axis=-1)
@@ -392,14 +400,19 @@ class TempScaleRouter(RouterBase):
     def noise_spec(self, samples):
         return {"uniform": (self.w_r.shape[1],)}
 
-    def route(self, u, mode, rng=None, noise=None):
-        _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
+    def encode(self, u):
+        """The scaled logits, their softmax and the unscaled softmax."""
         l_det = u.data @ self.w_r.data
         scaled = l_det / self.settings.global_temperature
-        probs = _softmax_np(scaled)
+        return scaled, _softmax_np(scaled), _softmax_np(l_det)
+
+    def route(self, u, mode, rng=None, noise=None, encoding=None):
+        _check_mode(mode)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
+        scaled, probs, gate_probs = (self.encode(u) if encoding is None
+                                     else encoding)
         mask, _ = gumbel_top_k(scaled, self.top_k, noise["uniform"])
-        gates = Tensor(_renorm_gates_np(_softmax_np(l_det), mask))
+        gates = Tensor(_renorm_gates_np(gate_probs, mask))
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
 
@@ -411,7 +424,7 @@ class McDropoutRouter(RouterBase):
     def noise_spec(self, samples):
         return {"uniform": (samples, self.w_r.shape[0])}
 
-    def route(self, u, mode, rng=None, noise=None):
+    def route(self, u, mode, rng=None, noise=None, encoding=None):
         _check_mode(mode)
         noise = self.route_noise(rng, u.shape[0], mode, noise)
         rate = self.settings.dropout_rate
@@ -449,24 +462,33 @@ class VglrRouter(RouterBase):
     def noise_spec(self, samples):
         return {"normal": (samples, self.w_r.shape[1])}
 
-    def route(self, u, mode, rng=None, noise=None):
-        _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
-        eps = np.asarray(noise["normal"], dtype=np.float64)
-        batch, _, n = eps.shape
+    def encode(self, u):
+        """The posterior's centre [B, 1, N] and scale ([B, 1, N] standard
+        deviations or [B, 1, N, N] Cholesky factors), the per-token KL and
+        the inferred logit variance."""
+        batch, n = u.shape[0], self.w_r.shape[1]
         l_det = u.data @ self.w_r.data
         post = self.phi.posterior(u)
         centre = Tensor(l_det[:, None, :]) + post.delta_mu.reshape((batch, 1, n))
         if post.is_full_cov:
             lmat = post.cholesky_L
-            spread = (lmat.reshape((batch, 1, n, n))
-                      * Tensor(eps[:, :, None, :])).sum(axis=3)
-            kl_tok = kl_fc_per_token(post.delta_mu, lmat)
-            inf_var = (lmat.data ** 2).sum(axis=(1, 2))
+            return (centre, lmat.reshape((batch, 1, n, n)),
+                    kl_fc_per_token(post.delta_mu, lmat),
+                    (lmat.data ** 2).sum(axis=(1, 2)))
+        return (centre, post.diag_sigma.reshape((batch, 1, n)),
+                kl_mf_per_token(post.delta_mu, post.diag_sigma),
+                (post.diag_sigma.data ** 2).sum(axis=1))
+
+    def route(self, u, mode, rng=None, noise=None, encoding=None):
+        _check_mode(mode)
+        noise = self.route_noise(rng, u.shape[0], mode, noise)
+        eps = np.asarray(noise["normal"], dtype=np.float64)
+        centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
+                                          else encoding)
+        if scale.ndim == 4:                                 # Cholesky factors
+            spread = (scale * Tensor(eps[:, :, None, :])).sum(axis=3)
         else:
-            spread = post.diag_sigma.reshape((batch, 1, n)) * Tensor(eps)
-            kl_tok = kl_mf_per_token(post.delta_mu, post.diag_sigma)
-            inf_var = (post.diag_sigma.data ** 2).sum(axis=1)
+            spread = scale * Tensor(eps)
         l_samples = centre + spread                                   # [B,S,N]
         p_bar = T.softmax(l_samples, axis=-1).mean(axis=1)
         mask = top_k_mask(p_bar.data, self.top_k)
@@ -497,23 +519,28 @@ class VtsrRouter(RouterBase):
     def noise_spec(self, samples):
         return {"uniform": (self.w_r.shape[1],)}
 
-    def route(self, u, mode, rng=None, noise=None):
+    def encode(self, u):
+        """The scaled logits, their softmax, the regulariser and the
+        temperature readout."""
+        temp = self.temperature_net.temperature(u)                   # [B,1]
+        scaled = Tensor(u.data @ self.w_r.data) / temp
+        return (scaled, _softmax_np(scaled.data),
+                -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
+
+    def route(self, u, mode, rng=None, noise=None, encoding=None):
         _check_mode(mode)
         noise = self.route_noise(rng, u.shape[0], mode, noise)
         train = mode == "train"
-        l_det = u.data @ self.w_r.data
-        temp = self.temperature_net.temperature(u)                   # [B,1]
-        scaled = Tensor(l_det) / temp
+        scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
+                                           else encoding)
         mask, relaxed = gumbel_top_k(scaled, self.top_k,
                                      noise["uniform"], relaxed=train)
-        probs = _softmax_np(scaled.data)
         gates = Tensor(_renorm_gates_np(probs, mask))
         if train:
             gates = (relaxed - relaxed.detach()) + gates
         return BatchRouteResult(
-            probs=probs, selection=mask, gate_weights=gates,
-            kl=-T.log(temp).reshape((u.shape[0],)),
-            signals={"inf_temp": temp.data[:, 0].copy()})
+            probs=probs, selection=mask, gate_weights=gates, kl=kl_tok,
+            signals={"inf_temp": inf_temp})
 
 
 def make_router(variant: str, w_r: Tensor, top_k: int,

@@ -5,14 +5,19 @@ noise scale tied to the average activation norm, and measures how much the
 perturbed layer's expert selection moves (Jaccard similarity against the
 clean pass).  A pass perturbed at layer L starts from the clean pass's input
 to L plus the noise and stops at layer L's router, the only selection it is
-read at.  Stochastic routers replay identical streams in the clean and
-perturbed passes (common random numbers): a report draws each stochastic
-layer's router noise once in the clean pass and once more for the passes
-perturbed at that layer, which all replay that one draw.  That removes the
-sampler's pass-to-pass spread, but not its coupling: for the Gumbel-top-k
-routers (temp_scale, vtsr) the Jaccard also reflects how the sampler maps
-one noise draw at two nearby logit vectors, so it is not the router's
-stability alone.
+read at, for the last layer as for the others: it mixes no experts and runs
+no later block or head.  Stochastic routers replay identical streams in the
+clean and perturbed passes (common random numbers): a report draws each
+stochastic layer's router noise once in the clean pass and once more for the
+passes perturbed at that layer, which all replay that one draw.  That
+removes the sampler's pass-to-pass spread, but not its coupling: for the
+Gumbel-top-k routers (temp_scale, vtsr) the Jaccard also reflects how the
+sampler maps one noise draw at two nearby logit vectors, so it is not the
+router's stability alone.
+
+The fixed-temperature sweep runs whole passes, since it reads accuracy;
+the MAP blocks before the swapped layer (and before the first stochastic
+block) run once per layer, as a prefix shared by its temperatures.
 """
 from __future__ import annotations
 
@@ -148,12 +153,20 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                                   layers, seed: int = 0) -> list[dict]:
     """Accuracy and ECE with one layer at a time swapped to sampled routing
     at a fixed temperature.  Every other layer keeps the checkpoint's own
-    router, so it is deterministic only where that router is MAP."""
+    router, so it is deterministic only where that router is MAP.
+
+    The blocks before the swapped layer and before the first stochastic
+    block are MAP and untouched by the swap, so, once per layer, they run
+    as a prefix that every temperature's pass starts from; each block
+    derives its stream by its own index, so the rows are those of whole
+    passes."""
     rows = []
     base = RngStream(seed)
+    first = model.stochastic_blocks()[:1]
     for layer in layers:
         blk = model.blocks[layer]
         original = blk.moe.router
+        prefix = model.prefix(dataset.features, min([layer] + first))
         for t in t_grid:
             settings = replace(original.settings, global_temperature=float(t))
             blk.moe.router = TempScaleRouter(original.w_r, original.top_k,
@@ -162,7 +175,8 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                 with T.no_grad():
                     logits, _ = model.forward(
                         dataset.features, "eval",
-                        rng=base.derive("sweep", layer, f"{t!r}"))
+                        rng=base.derive("sweep", layer, f"{t!r}"),
+                        prefix=prefix)
                     probs = T.softmax(logits, axis=-1).data
             finally:
                 blk.moe.router = original

@@ -366,7 +366,25 @@ def scatter(a, indices, size: int) -> Tensor:
     return _result(data, (a,), lambda g: (g[:, idx],), "scatter")
 
 
-def expert_mix(u, gates, w1, w2) -> Tensor:
+def _expert_out(u: np.ndarray, w1: np.ndarray, w2: np.ndarray, j: int,
+                rows) -> tuple[np.ndarray, np.ndarray]:
+    """Expert ``j`` on ``u[rows]``: its hidden activations and its output."""
+    hid = np.maximum(u[rows] @ w1[j], 0.0)
+    return hid, hid @ w2[j]
+
+
+def expert_outputs(u, w1, w2) -> np.ndarray:
+    """Every expert's output on every row, without a tape: [N, B, D], where
+    entry j is relu(u @ w1[j]) @ w2[j], computed as :func:`expert_mix`
+    computes it on the whole batch."""
+    u, w1, w2 = (as_tensor(t).data for t in (u, w1, w2))
+    out = np.empty((w1.shape[0], u.shape[0], w2.shape[2]))
+    for j in range(w1.shape[0]):
+        out[j] = _expert_out(u, w1, w2, j, slice(None))[1]
+    return out
+
+
+def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
     w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
 
@@ -376,15 +394,20 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
     skipped when there are none; the terms left out are exact zeros, so the
     sum has the bits of the dense one.  An expert that exactly one row
     selects runs on the whole batch instead: numpy sends a one-row matmul
-    to gemv, whose last bits differ from a gemm row's.  A taped op runs
-    every expert on every row and keeps the activations, because its
-    backward (vtsr's straight-through gate gradient) reaches all N experts.
-    The backward computes only the gradients the tape keeps: frozen experts
-    get no ``w1``/``w2`` gradient, and an input with nothing upstream to
-    train (a frozen prefix, say) gets no ``u`` gradient.
+    to gemv, whose last bits differ from a gemm row's.  ``outputs``, the
+    :func:`expert_outputs` of this ``u``, stands in for running the experts:
+    the same rows are read from it and added in the same order, so the sum
+    has the same bits; it is for passes that share ``u`` and record no tape.
+    A taped op runs every expert on every row and keeps the activations,
+    because its backward (vtsr's straight-through gate gradient) reaches all
+    N experts.  The backward computes only the gradients the tape keeps:
+    frozen experts get no ``w1``/``w2`` gradient, and an input with nothing
+    upstream to train (a frozen prefix, say) gets no ``u`` gradient.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
     keep = _recording(parents)
+    if keep and outputs is not None:
+        raise NumericsError("stored expert outputs carry no tape")
     acts, data = [], np.zeros((u.shape[0], w2.shape[2]))
     rows = slice(None)
     for j in range(w1.shape[0]):
@@ -394,8 +417,10 @@ def expert_mix(u, gates, w1, w2) -> Tensor:
                 continue
             if rows.size == 1:
                 rows = slice(None)
-        hid = np.maximum(u.data[rows] @ w1.data[j], 0.0)
-        y = hid @ w2.data[j]
+        if outputs is None:
+            hid, y = _expert_out(u.data, w1.data, w2.data, j, rows)
+        else:
+            y = outputs[j, rows]
         data[rows] += gates.data[rows, j:j + 1] * y
         if keep:
             acts.append((hid, y))

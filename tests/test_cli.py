@@ -265,6 +265,22 @@ def test_bad_sweep_grid_is_one_error_line_before_any_work(tmp_path, capsys,
     assert _left_behind(out) == []
 
 
+@pytest.mark.parametrize("layers", ["1,x", "x", "1,", ",", "0.5", "1;2"])
+def test_bad_sweep_layers_is_one_error_line_before_any_work(tmp_path, capsys,
+                                                            monkeypatch,
+                                                            layers):
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "_load_model", no_load)
+    code, out = _sweep(tmp_path, f"--layers={layers}")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --layers {layers!r}: blocks must be comma-separated integers"]
+    assert not (out / "sweep_temp.csv").exists()
+    assert _left_behind(out) == []
+
+
 @pytest.mark.parametrize("value, message", [
     (float("nan"), "global_temperature must be finite"),
     (float("inf"), "global_temperature must be finite"),

@@ -1,25 +1,32 @@
 """The shared prefix changes no bit.
 
-Predictive passes, stage-2 steps and perturbed stability passes start from
-a prefix: the blocks before the first one that differs run once.  Each test
-compares against the full-forward loop, where every pass runs the whole
-model, bit for bit.
+Predictive passes, stage-2 steps, perturbed stability passes and sweep
+passes start from a prefix: the blocks before the first one that differs
+run once.  A predict's prefix also holds the first stochastic block's
+expert outputs and router encoding.  Each test compares against the
+full-forward loop, where every pass runs the whole model, bit for bit.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vroute import tensor as T
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.metrics import jaccard_rows
+from vroute import model as M
+from vroute.metrics import calibration_report
 from vroute.model import (ModelConfig, MoEClassifier, Prefix,
-                          attach_variational_routers, elbo_loss,
-                          predict_with_uncertainty)
+                          attach_variational_routers, elbo_loss, mc_logit_var,
+                          predict_with_uncertainty, shannon_entropy)
 from vroute.rng import RngStream
-from vroute.routers import SIGNAL_NAMES, RouterBase, RouterSettings
+from vroute.routers import (SIGNAL_NAMES, RouterBase, RouterSettings,
+                            TempScaleRouter)
 from vroute.stability import (PerturbationSpec, _route_records,
+                              fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise)
 from vroute.tensor import Tensor
-from vroute.training import TrainConfig, stage2_train
+from vroute.training import TrainConfig, stage1_train, stage2_train
 
 STOCHASTIC = ("temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 TRAINED = ("vglr_mf", "vglr_fc", "vtsr")
@@ -60,19 +67,88 @@ def _assert_same_prediction(got, want):
             np.testing.assert_array_equal(got.signals[key], want.signals[key])
 
 
+def _predict_full_forward(model, x, rng):
+    """The marginalisation as S plain whole passes, with the predict's noise
+    plan and no shared prefix, expert outputs or router encoding."""
+    layers = model.stochastic_blocks()
+    passes = max((model.blocks[i].moe.router.settings.eval_samples
+                  for i in layers), default=1)
+    plan = M._content_noise_block(model, x, rng, passes)
+    layers = layers or range(len(model.blocks))
+    probs, kl, runs = [], np.zeros(len(x)), []
+    for s in range(passes):
+        with T.no_grad():
+            logits, records = model.forward(
+                x, "eval", router_noise={i: {k: v[s] for k, v in p.items()}
+                                         for i, p in plan.items()})
+            probs.append(T.softmax(logits, axis=-1).data)
+        for r in records:
+            if r.kl is not None:
+                kl += r.kl.data
+        runs.append(records)
+    per_layer = []
+    for i in layers:
+        sig = dict.fromkeys(SIGNAL_NAMES)
+        sig.update(runs[0][i].signals)
+        sig["gate_entropy"] = shannon_entropy(
+            sum(r[i].probs for r in runs) / passes)
+        if runs[0][i].logits_sampled is not None and passes >= 2:
+            sig["mc_logit_var"] = mc_logit_var(np.stack(
+                [r[i].logits_sampled[:, 0, :] for r in runs], axis=1))
+        per_layer.append(sig)
+    signals = {}
+    for key in SIGNAL_NAMES:
+        values = [sig[key] for sig in per_layer if sig[key] is not None]
+        signals[key] = np.mean(values, axis=0) if values else None
+    return M.Prediction(sum(probs) / passes, signals, kl / passes)
+
+
 @pytest.mark.parametrize("variant, layers",
-                         [(v, [1]) for v in STOCHASTIC]
+                         [(v, [1, 2]) for v in STOCHASTIC]
                          + [(v, [0]) for v in STOCHASTIC] + [(None, [])],
                          ids=[f"{v}-at1" for v in STOCHASTIC]
                          + [f"{v}-at0" for v in STOCHASTIC] + ["all-map"])
-def test_predict_matches_full_forward(variant, layers, full_forward):
+def test_predict_matches_full_forward(variant, layers):
     model = _model(variant, layers)
-    assert model.first_stochastic_block() == (1 if layers == [1] else 0)
+    assert model.first_stochastic_block() == (1 if layers[:1] == [1] else 0)
     x = _splits(40)["test"].features
     got = predict_with_uncertainty(model, x, rng=RngStream(3))
-    full_forward()
-    _assert_same_prediction(got, predict_with_uncertainty(model, x,
-                                                          rng=RngStream(3)))
+    _assert_same_prediction(got, _predict_full_forward(model, x, RngStream(3)))
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_predict_encodes_the_prefix_block_once(variant, monkeypatch):
+    model = _model(variant, layers=(1, 2))
+    routers = [blk.moe.router for blk in model.blocks]
+    encodes = {i: _count_calls(monkeypatch, r, "encode", lambda *a: 0)
+               for i, r in enumerate(routers)}
+    routes = {i: _count_calls(monkeypatch, r, "route", lambda *a: 0)
+              for i, r in enumerate(routers)}
+    mixes = _count_calls(monkeypatch, T, "expert_mix",
+                         lambda u, gates, w1, w2: id(w1))
+    predict_with_uncertainty(model, _splits(40)["test"].features,
+                             rng=RngStream(3))
+    # Block 0 runs once, in the prefix.  Block 1 is encoded once and routed
+    # and mixed from its stored expert outputs in each of the 4 passes;
+    # block 2's route encodes in every pass (mc_dropout has nothing to
+    # encode).
+    assert encodes[0] == {}
+    assert encodes[1] == {0: 1}
+    assert encodes[2] == ({} if variant == "mc_dropout" else {0: 4})
+    assert [routes[i] for i in (1, 2)] == [{0: 4}, {0: 4}]
+    assert [mixes[id(blk.moe.w1)] for blk in model.blocks] == [1, 4, 4]
+
+
+def test_expert_outputs_are_untaped_only():
+    model = _model("vtsr")
+    x = _splits(40)["test"].features
+    prefix = model.prefix(x, 1, experts=True)
+    moe = model.blocks[1].moe
+    assert prefix.experts.shape == (4, len(x), 8)
+    gates = Tensor(np.full((len(x), 4), 0.25), requires_grad=True)
+    with pytest.raises(T.NumericsError, match="no tape"):
+        T.expert_mix(Tensor(prefix.h), gates, moe.w1, moe.w2,
+                     outputs=prefix.experts)
 
 
 @pytest.mark.parametrize("variant", TRAINED)
@@ -196,11 +272,10 @@ def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
     spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
                             repeats=2)
     layerwise_stability(model, _splits(40)["test"], spec, seed=7)
-    # One clean pass, then each block only in the passes perturbed at it;
-    # those passes only route it, except at the last block, where the stop
-    # is the block count and the pass runs whole.
+    # One clean pass, then each block only in the passes perturbed at it,
+    # which only route it: the last block too, whose stop is the block count.
     assert [r[0] for r in routes] == [1 + 2 * 2] * len(model.blocks)
-    assert mixes == {0: 1, 1: 1, 2: 1 + 2 * 2}
+    assert mixes == {0: 1, 1: 1, 2: 1}
 
 
 @pytest.mark.parametrize("variant", STOCHASTIC)
@@ -234,13 +309,19 @@ def _eval_pass(model, x, **kwargs):
 @pytest.mark.parametrize("variant", (None,) + STOCHASTIC,
                          ids=("all-map",) + STOCHASTIC)
 class TestForwardStop:
-    def test_stop_at_block_count_is_the_whole_pass(self, variant):
+    def test_stop_at_block_count_is_the_whole_pass(self, variant,
+                                                   monkeypatch):
+        # ... up to the last router: the records of the whole pass, but the
+        # last layer mixes no experts and the head does not run.
         model = _model(variant)
         x = _splits(40)["test"].features
+        _, want_records = _eval_pass(model, x)
+        mixed = _count_calls(monkeypatch, T, "expert_mix",
+                             lambda u, gates, w1, w2: id(w1))
         logits, records = _eval_pass(model, x, stop=len(model.blocks))
-        want_logits, want_records = _eval_pass(model, x)
-        np.testing.assert_array_equal(logits.data, want_logits.data)
+        assert logits is None
         _assert_same_records(records, want_records)
+        assert mixed == {id(blk.moe.w1): 1 for blk in model.blocks[:-1]}
 
     @pytest.mark.parametrize("stop", [1, 2])
     def test_stopped_pass_has_no_logits_or_later_records(self, variant, stop):
@@ -284,3 +365,69 @@ class TestForwardStop:
                                      stop=2)
         assert logits is None
         _assert_same_records(records, [None, want[1], None])
+
+
+class TestStage2ValSetup:
+    def _run(self, monkeypatch, variant="vglr_mf", epochs=3):
+        splits = _splits(40)
+        model = _model(variant)
+        plans = _count_calls(monkeypatch, M, "_content_noise_block",
+                             lambda m, x, *a: len(x))
+        prefixes = _count_calls(monkeypatch, MoEClassifier, "prefix",
+                                lambda m, x, *a, **k: len(x))
+        cfg = TrainConfig(epochs_stage2=epochs, early_stop_patience=epochs,
+                          batch_size=16)
+        log = stage2_train(model, splits["train"], splits["val"], cfg, seed=0)
+        return log, plans, prefixes
+
+    @pytest.mark.parametrize("variant", TRAINED)
+    def test_val_setup_runs_once_per_stage(self, variant, monkeypatch):
+        log, plans, prefixes = self._run(monkeypatch, variant)
+        assert len(log.epochs) == 3                 # one val predict each
+        assert plans == {30: 1}                     # val rows only
+        assert prefixes == {40: 1, 30: 1}           # train prefix, val prefix
+
+    def test_stage_training_a_weight_the_setup_holds_is_rejected(self):
+        splits = _splits(40)
+        model = _model("vglr_mf")
+        with pytest.raises(ValueError, match="validation setup"):
+            stage1_train(model, splits["train"], splits["val"],
+                         TrainConfig(epochs_stage1=1), seed=0)
+
+
+def _sweep_full_forward(model, dataset, t_grid, layers, seed):
+    """The sweep with every pass run whole from the input."""
+    rows, base = [], RngStream(seed)
+    for layer in layers:
+        blk = model.blocks[layer]
+        original = blk.moe.router
+        for t in t_grid:
+            blk.moe.router = TempScaleRouter(
+                original.w_r, original.top_k,
+                replace(original.settings, global_temperature=t))
+            with T.no_grad():
+                logits, _ = model.forward(
+                    dataset.features, "eval",
+                    rng=base.derive("sweep", layer, f"{t!r}"))
+            blk.moe.router = original
+            rep = calibration_report(T.softmax(logits, axis=-1).data,
+                                     dataset.labels)
+            rows.append({"layer": layer, "temperature": t,
+                         "accuracy": rep.accuracy, "ece": rep.ece})
+    return rows
+
+
+@pytest.mark.parametrize("variant", (None,) + STOCHASTIC,
+                         ids=("all-map",) + STOCHASTIC)
+def test_sweep_rows_match_full_forward(variant, monkeypatch):
+    model = _model(variant)
+    dataset = _splits(40)["test"]
+    starts = _count_calls(monkeypatch, MoEClassifier, "prefix",
+                          lambda m, x, block, *a: block)
+    got = fixed_temperature_layer_sweep(model, dataset, (0.3, 2.0),
+                                        [0, 1, 2], seed=5)
+    # Each layer's passes start at it, or at the stochastic block 1.
+    assert starts == ({0: 1, 1: 1, 2: 1} if variant is None
+                      else {0: 1, 1: 2})
+    assert got == _sweep_full_forward(model, dataset, (0.3, 2.0), [0, 1, 2],
+                                      seed=5)
