@@ -8,6 +8,7 @@ per multiply-add); a flag doubles them for the 2-FLOPs-per-MAC convention.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 VARIANT_ORDER = ("weight_space", "vglr_mf", "vglr_fc", "vtsr")
@@ -27,8 +28,9 @@ class ArchSpec:
         if min(self.layers, self.num_experts, self.hidden_dim,
                self.inference_width, self.samples) < 1:
             raise ValueError("all architecture counts must be >= 1")
-        if self.base_active_params <= 0 or self.base_macs_per_token <= 0:
-            raise ValueError("base costs must be > 0")
+        if not all(0 < c < math.inf for c in (self.base_active_params,
+                                              self.base_macs_per_token)):
+            raise ValueError("base costs must be finite and > 0")
         if self.inference_width > self.hidden_dim:
             raise ValueError("inference width must not exceed the hidden dim")
 

@@ -57,15 +57,13 @@ class MoELayer:
         self.w2 = w2
         self.router = router
 
-    def forward(self, u: Tensor, mode: str, rng: RngStream | None = None,
-                noise: dict | None = None, encoding=None,
+    def forward(self, u: Tensor, mode: str, noise=None, encoding=None,
                 experts: np.ndarray | None = None
                 ) -> tuple[Tensor, BatchRouteResult]:
-        """Route ``u`` and mix the experts; ``encoding`` and ``experts`` are
-        the router's encoding and the experts' outputs on ``u``, when a
-        prefix holds them."""
-        rec = self.router.route(u, mode, rng=rng, noise=noise,
-                                encoding=encoding)
+        """Route ``u`` with the router ``noise`` and mix the experts;
+        ``encoding`` and ``experts`` are the router's encoding and the
+        experts' outputs on ``u``, when a prefix holds them."""
+        rec = self.router.route(u, mode, noise, encoding)
         return (T.expert_mix(u, rec.gate_weights, self.w1, self.w2,
                              outputs=experts), rec)
 
@@ -155,7 +153,8 @@ class MoEClassifier:
                 prefix: Prefix | None = None, stop: int | None = None):
         """Run a batch; returns class logits and the per-layer route records.
 
-        ``router_noise`` maps block index -> pre-drawn router noise;
+        ``router_noise`` maps block index -> that block's pre-drawn router
+        noise array (:meth:`layer_noise`);
         ``block_inputs``, when a list, is filled with each expert layer's
         input activations.  A ``prefix`` stands in for the blocks before
         ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
@@ -166,10 +165,10 @@ class MoEClassifier:
         the router of layer ``stop - 1``, the block count included: that
         layer routes but mixes no experts, block ``stop``'s dense projection
         (if any) and the head do not run, the logits are None and the
-        records from block ``stop`` on are None.  Each block derives its
-        router stream from ``rng`` by its own index, so a pass cut at either
-        end gives the blocks it runs the same records as the whole pass with
-        the same stream.
+        records from block ``stop`` on are None.  Each block draws its
+        router noise from ``rng`` by its own index (:meth:`layer_noise`), so
+        a pass cut at either end gives the blocks it runs the same records as
+        the whole pass with the same stream.
         """
         if prefix is None:
             h, start = self._entry(x), 0
@@ -187,8 +186,11 @@ class MoEClassifier:
             return T.matmul(h, self.head), records
         if block_inputs is not None:
             block_inputs.append(h.data)
+        at_prefix = prefix is not None and prefix.block == last
         records.append(self.blocks[last].moe.router.route(
-            h, mode, **self._layer_draws(last, rng, router_noise, prefix)))
+            h, mode, self.layer_noise(last, rng, h.shape[0], mode,
+                                      router_noise),
+            prefix.encoding if at_prefix else None))
         return None, records + [None] * (len(self.blocks) - end)
 
     def prefix(self, x, block: int, experts: bool = False) -> Prefix:
@@ -218,17 +220,24 @@ class MoEClassifier:
         h = T.matmul(T.as_tensor(x), self.input_proj)
         return T.relu(T.matmul(h, self.blocks[0].dense))
 
-    @staticmethod
-    def _layer_draws(idx: int, rng: RngStream | None,
-                     router_noise: dict | None,
-                     prefix: Prefix | None = None) -> dict:
-        """Block ``idx``'s router stream, pre-drawn noise and, at the
-        prefix's block, the prefix's router encoding: the ``rng``/``noise``/
-        ``encoding`` arguments of its routing call."""
-        at_prefix = prefix is not None and prefix.block == idx
-        return {"rng": None if rng is None else rng.derive("layer", idx),
-                "noise": None if router_noise is None else router_noise.get(idx),
-                "encoding": prefix.encoding if at_prefix else None}
+    def layer_noise(self, idx: int, rng: RngStream | None, batch: int,
+                    mode: str, router_noise: dict | None = None):
+        """Block ``idx``'s router noise for a pass over ``batch`` tokens: the
+        one place a pass's stream becomes a layer's noise.
+
+        It is ``router_noise[idx]`` when that entry exists; otherwise None
+        for a MAP router, else a draw from ``rng.derive("layer", idx)``:
+        one sample per token in training, ``eval_samples`` in eval."""
+        if router_noise is not None and idx in router_noise:
+            return router_noise[idx]
+        router = self.blocks[idx].moe.router
+        if router.variant == "map":
+            return None
+        if rng is None:
+            raise ValueError(f"{router.variant} routing needs an RngStream "
+                             "or pre-drawn noise")
+        samples = 1 if mode == "train" else router.settings.eval_samples
+        return router.draw_noise(rng.derive("layer", idx), (batch,), samples)
 
     def _run_blocks(self, h: Tensor, start: int, stop: int, mode: str,
                     rng: RngStream | None, records: list,
@@ -243,10 +252,11 @@ class MoEClassifier:
             if block_inputs is not None:
                 block_inputs.append(h.data)
             at_prefix = prefix is not None and prefix.block == idx
-            experts = prefix.experts if at_prefix else None
             h, rec = self.blocks[idx].moe.forward(
-                h, mode, experts=experts,
-                **self._layer_draws(idx, rng, router_noise, prefix))
+                h, mode, self.layer_noise(idx, rng, h.shape[0], mode,
+                                          router_noise),
+                prefix.encoding if at_prefix else None,
+                prefix.experts if at_prefix else None)
             records.append(rec)
             if idx + 1 < len(self.blocks):
                 h = T.relu(T.matmul(h, self.blocks[idx + 1].dense))
@@ -345,22 +355,22 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     """Pre-draw router noise for every pass, keyed by token content rather
     than batch slot, so duplicated inputs inside one batch route identically.
 
-    Returns layer -> key -> array of shape [passes, batch, ...], filled row
-    by row."""
-    plans: dict[int, dict] = {}
-    for idx, blk in enumerate(model.blocks):
-        router = blk.moe.router
+    Returns stochastic layer -> array of shape [passes, batch, ...], filled
+    row by row from one stream per row; MAP layers have no entry and derive
+    no stream."""
+    plans: dict[int, np.ndarray] = {}
+    for idx in model.stochastic_blocks():
+        router = model.blocks[idx].moe.router
         layer_rng = rng.derive("layer", idx)
-        plans[idx] = {k: np.empty((passes, len(x)) + tuple(shape))
-                      for k, shape in router.noise_spec(1).items()}
-        if not plans[idx]:
-            continue
+        if not len(x):                  # a zero-row draw gives the shape
+            plans[idx] = router.draw_noise(layer_rng, (passes, 0), 1)
         for i, row in enumerate(x):
             draw = router.draw_noise(
                 layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
                 (passes,), 1)
-            for k, arr in draw.items():
-                plans[idx][k][:, i] = arr
+            if i == 0:
+                plans[idx] = np.empty((passes, len(x)) + draw.shape[1:])
+            plans[idx][:, i] = draw
     return plans
 
 
@@ -445,11 +455,10 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     logit_samples: dict = {i: [] for i in layers}
     first_records = None
     for s in range(passes):
-        plan_s = {idx: {k: v[s] for k, v in layer_plan.items()}
-                  for idx, layer_plan in plan.items()}
         with T.no_grad():
-            logits, records = model.forward(x, "eval", router_noise=plan_s,
-                                            prefix=prefix)
+            logits, records = model.forward(
+                x, "eval", router_noise={i: v[s] for i, v in plan.items()},
+                prefix=prefix)
             p = T.softmax(logits, axis=-1).data
         prob_sum = p if prob_sum is None else prob_sum + p
         for rec in records:

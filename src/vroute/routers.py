@@ -336,16 +336,12 @@ class RouterBase:
     def phi_items(self) -> list[tuple[str, Tensor]]:
         return []
 
-    def noise_spec(self, samples: int) -> dict:
-        """Per-token noise requirements for ``samples`` draws per token:
-        key (distribution name) -> shape."""
-        return {}
-
-    def draw_noise(self, rng: RngStream, lead: tuple, samples: int) -> dict:
-        """One draw per noise key covering ``lead`` independent per-token
-        noise sets: key -> array of shape ``lead + per-token shape``."""
-        return {k: getattr(rng, k)(tuple(lead) + tuple(shape))
-                for k, shape in self.noise_spec(samples).items()}
+    def draw_noise(self, rng: RngStream, lead: tuple, samples: int):
+        """One draw from ``rng`` of the noise for ``lead`` independent
+        per-token noise sets, ``samples`` draws per token: one array of shape
+        ``lead + per-token shape``, or None for a router that samples
+        nothing (MAP)."""
+        return None
 
     def encode(self, u: Tensor):
         """The pass-invariant part of routing ``u``: everything ``route``
@@ -355,21 +351,11 @@ class RouterBase:
         encoding."""
         return None
 
-    def route(self, u: Tensor, mode: str, rng: RngStream | None = None,
-              noise: dict | None = None, encoding=None) -> BatchRouteResult:
+    def route(self, u: Tensor, mode: str, noise=None,
+              encoding=None) -> BatchRouteResult:
+        """Route the batch ``u`` with ``noise``, one :meth:`draw_noise` array
+        for its tokens (None for MAP)."""
         raise NotImplementedError
-
-    def route_noise(self, rng, batch, mode, noise):
-        """The noise a ``route`` call uses: ``noise`` when given, else a
-        fresh draw from ``rng`` for ``batch`` tokens."""
-        if noise is not None:
-            return noise
-        if rng is None and self.variant != "map":
-            raise ValueError(f"{self.variant} routing needs an RngStream or "
-                             "pre-drawn noise")
-        # One sample drives each training step.
-        samples = 1 if mode == "train" else self.settings.eval_samples
-        return self.draw_noise(rng, (batch,), samples)
 
 
 class MapRouter(RouterBase):
@@ -377,7 +363,7 @@ class MapRouter(RouterBase):
 
     variant = "map"
 
-    def route(self, u, mode, rng=None, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits, axis=-1)
@@ -397,8 +383,8 @@ class TempScaleRouter(RouterBase):
 
     variant = "temp_scale"
 
-    def noise_spec(self, samples):
-        return {"uniform": (self.w_r.shape[1],)}
+    def draw_noise(self, rng, lead, samples):
+        return rng.uniform((*lead, self.w_r.shape[1]))
 
     def encode(self, u):
         """The scaled logits, their softmax and the unscaled softmax."""
@@ -406,12 +392,11 @@ class TempScaleRouter(RouterBase):
         scaled = l_det / self.settings.global_temperature
         return scaled, _softmax_np(scaled), _softmax_np(l_det)
 
-    def route(self, u, mode, rng=None, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
         scaled, probs, gate_probs = (self.encode(u) if encoding is None
                                      else encoding)
-        mask, _ = gumbel_top_k(scaled, self.top_k, noise["uniform"])
+        mask, _ = gumbel_top_k(scaled, self.top_k, noise)
         gates = Tensor(_renorm_gates_np(gate_probs, mask))
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
@@ -421,16 +406,15 @@ class McDropoutRouter(RouterBase):
 
     variant = "mc_dropout"
 
-    def noise_spec(self, samples):
-        return {"uniform": (samples, self.w_r.shape[0])}
+    def draw_noise(self, rng, lead, samples):
+        return rng.uniform((*lead, samples, self.w_r.shape[0]))
 
-    def route(self, u, mode, rng=None, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
         rate = self.settings.dropout_rate
         dim, n = self.w_r.shape
-        s = noise["uniform"].shape[1]
-        keep = (noise["uniform"] >= rate).astype(np.float64)
+        s = noise.shape[1]
+        keep = (noise >= rate).astype(np.float64)
         if rate > 0.0:
             keep /= (1.0 - rate)
         dropped = u.data[:, None, :] * keep                      # [B,S,D]
@@ -459,8 +443,8 @@ class VglrRouter(RouterBase):
     def phi_items(self):
         return self.phi.param_items()
 
-    def noise_spec(self, samples):
-        return {"normal": (samples, self.w_r.shape[1])}
+    def draw_noise(self, rng, lead, samples):
+        return rng.normal((*lead, samples, self.w_r.shape[1]))
 
     def encode(self, u):
         """The posterior's centre [B, 1, N] and scale ([B, 1, N] standard
@@ -479,10 +463,9 @@ class VglrRouter(RouterBase):
                 kl_mf_per_token(post.delta_mu, post.diag_sigma),
                 (post.diag_sigma.data ** 2).sum(axis=1))
 
-    def route(self, u, mode, rng=None, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
-        eps = np.asarray(noise["normal"], dtype=np.float64)
+        eps = np.asarray(noise, dtype=np.float64)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
         if scale.ndim == 4:                                 # Cholesky factors
@@ -516,8 +499,8 @@ class VtsrRouter(RouterBase):
     def phi_items(self):
         return self.temperature_net.param_items()
 
-    def noise_spec(self, samples):
-        return {"uniform": (self.w_r.shape[1],)}
+    def draw_noise(self, rng, lead, samples):
+        return rng.uniform((*lead, self.w_r.shape[1]))
 
     def encode(self, u):
         """The scaled logits, their softmax, the regulariser and the
@@ -527,14 +510,12 @@ class VtsrRouter(RouterBase):
         return (scaled, _softmax_np(scaled.data),
                 -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
 
-    def route(self, u, mode, rng=None, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
-        noise = self.route_noise(rng, u.shape[0], mode, noise)
         train = mode == "train"
         scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
                                            else encoding)
-        mask, relaxed = gumbel_top_k(scaled, self.top_k,
-                                     noise["uniform"], relaxed=train)
+        mask, relaxed = gumbel_top_k(scaled, self.top_k, noise, relaxed=train)
         gates = Tensor(_renorm_gates_np(probs, mask))
         if train:
             gates = (relaxed - relaxed.detach()) + gates

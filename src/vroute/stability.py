@@ -90,8 +90,9 @@ def _route_records(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
                    **kwargs) -> list:
     # A fresh stream derived with fixed tags replays the same router draws on
     # every call: the common-random-numbers policy between passes.  The
-    # perturbed passes at one layer pass that layer's draw, made once, as
-    # ``router_noise``, which gives the same bits as drawing it again.
+    # perturbed passes at one layer pass that layer's noise array, drawn once
+    # by ``model.layer_noise`` from this same stream, as ``router_noise``,
+    # which gives the same bits as drawing it again.
     with T.no_grad():
         return model.forward(x, "eval", rng=rng_base.derive("route"), **kwargs)[1]
 
@@ -117,8 +118,8 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     report = StabilityReport(mean_norms=mean_norms,
                              diagnostic_gamma=spec.diagnostic_gamma)
     for layer in range(len(model.blocks)):
-        held = {layer: model.blocks[layer].moe.router.route_noise(
-            base.derive("route").derive("layer", layer), len(x), "eval", None)}
+        held = {layer: model.layer_noise(layer, base.derive("route"), len(x),
+                                         "eval")}
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):

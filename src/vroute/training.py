@@ -36,6 +36,12 @@ class TrainConfig:
             raise ValueError("epoch counts must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.learning_rate <= 0 or self.learning_rate_stage2 <= 0:
+            raise ValueError("learning rates must be > 0")
+        if self.kl_weight < 0:
+            raise ValueError("kl_weight must be >= 0")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
 
 
 @dataclass

@@ -138,8 +138,14 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
     ("perturbation", {"gamma_levels": [0.01, float("inf")]},
      "noise levels must be finite and > 0"),
     ("perturbation", {"gamma_levels": []}, "gamma_levels must not be empty"),
+    ("train", {"learning_rate": -0.001}, "learning rates must be > 0"),
+    ("train", {"learning_rate_stage2": 0.0}, "learning rates must be > 0"),
+    ("train", {"kl_weight": -1.0}, "kl_weight must be >= 0"),
+    ("train", {"early_stop_patience": -2},
+     "early_stop_patience must be >= 1"),
 ], ids=["dropout_rate", "global_temperature", "top_k", "nan-gamma",
-        "inf-gamma", "no-gamma"])
+        "inf-gamma", "no-gamma", "negative-lr", "zero-lr-stage2",
+        "negative-kl_weight", "negative-patience"])
 def test_bad_router_setting_rejected_at_load(section, bad, message):
     # Checked when the config is built, before any stage trains.
     payload = dict(TINY, **{section: dict(TINY.get(section, {}), **bad)})
@@ -170,6 +176,19 @@ def test_value_of_wrong_type_rejected_at_load(payload, key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)
     assert str(err.value).startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("flag, value", [("--base-params", "nan"),
+                                         ("--base-macs", "inf")])
+def test_non_finite_base_cost_is_one_error_line(tmp_path, capsys, flag,
+                                                 value):
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--layers", "2", "--experts", "4",
+                     "--dim", "8", "--width", "4", "--samples", "3",
+                     f"{flag}={value}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: base costs must be finite and > 0"]
+    assert _left_behind(out) == []
 
 
 def test_int_accepted_for_float_setting():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,13 @@ class TestParameterCounts:
         # one out of bounds.
         with pytest.raises(ValueError):
             dataclasses.replace(GRANITE, **{field: self.BOUNDS[field]})
+
+    @pytest.mark.parametrize("field", ["base_active_params",
+                                       "base_macs_per_token"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_base_cost_rejected(self, field, value):
+        with pytest.raises(ValueError, match="base costs must be finite"):
+            dataclasses.replace(GRANITE, **{field: value})
 
 
 class TestMacs:

@@ -216,7 +216,7 @@ def _inferred_variance(n, **posterior) -> float:
     phi = FixedGaussianPhi(np.zeros(n), **posterior)
     router = VglrRouter(Tensor(np.eye(n)), 1, RouterSettings(), phi)
     res = router.route(Tensor(np.zeros((1, n))), "eval",
-                       noise={"normal": np.zeros((1, 1, n))})
+                       noise=np.zeros((1, 1, n)))
     return float(res.signals["inf_logit_var"][0])
 
 

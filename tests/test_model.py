@@ -72,7 +72,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=4)
         layer = model.blocks[0].moe
         u = Tensor(np_rng.normal(size=(3, 8)), requires_grad=True)
-        out, rec = layer.forward(u, "train", rng=RngStream(0))
+        out, rec = layer.forward(u, "train")
         assert out._parents == (u, rec.gate_weights, layer.w1, layer.w2)
         assert layer.w1.shape == (4, 8, 8) and layer.w2.shape == (4, 8, 8)
 

@@ -20,8 +20,7 @@ from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           attach_variational_routers, elbo_loss, mc_logit_var,
                           predict_with_uncertainty, shannon_entropy)
 from vroute.rng import RngStream
-from vroute.routers import (SIGNAL_NAMES, RouterBase, RouterSettings,
-                            TempScaleRouter)
+from vroute.routers import SIGNAL_NAMES, RouterSettings, TempScaleRouter
 from vroute.stability import (PerturbationSpec, _route_records,
                               fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise)
@@ -79,8 +78,7 @@ def _predict_full_forward(model, x, rng):
     for s in range(passes):
         with T.no_grad():
             logits, records = model.forward(
-                x, "eval", router_noise={i: {k: v[s] for k, v in p.items()}
-                                         for i, p in plan.items()})
+                x, "eval", router_noise={i: v[s] for i, v in plan.items()})
             probs.append(T.softmax(logits, axis=-1).data)
         for r in records:
             if r.kl is not None:
@@ -281,14 +279,44 @@ def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
 @pytest.mark.parametrize("variant", STOCHASTIC)
 def test_report_draws_each_layers_router_noise_twice(variant, monkeypatch):
     model = _model(variant, layers=(0, 2))
-    routers = [blk.moe.router for blk in model.blocks]
-    draws = _count_calls(monkeypatch, RouterBase, "draw_noise",
-                         lambda router, *a: routers.index(router))
+    # Each variant overrides draw_noise, so the calls are counted per router.
+    draws = [_count_calls(monkeypatch, blk.moe.router, "draw_noise",
+                          lambda *a: 0) for blk in model.blocks]
     spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
                             repeats=2)
     layerwise_stability(model, _splits(40)["test"], spec, seed=7)
     # Once in the clean pass, once held for the passes perturbed there.
-    assert [draws.get(b) for b in model.stochastic_blocks()] == [2, 2]
+    assert [draws[b].get(0) for b in model.stochastic_blocks()] == [2, 2]
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_stochastic_forward_without_noise_names_the_variant(variant):
+    model = _model(variant)
+    x = _splits(40)["test"].features
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match=f"^{variant} routing needs an "
+                           "RngStream or pre-drawn noise$"):
+            model.forward(x, mode)
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_noise_plan_skips_map_layers(variant, monkeypatch):
+    # Layers 0 and 2 are MAP: no plan entry and no per-row stream.
+    model = _model(variant, layers=(1,))
+    x = _splits(40)["test"].features
+    rows = _count_calls(monkeypatch, RngStream, "derive_from_bytes",
+                        lambda *a: 0)
+    plan = M._content_noise_block(model, x, RngStream(3), passes=4)
+    assert list(plan) == [1]
+    assert plan[1].shape[:2] == (4, len(x))
+    assert rows == {0: len(x)}
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_predict_on_no_rows(variant):
+    pred = predict_with_uncertainty(_model(variant), np.zeros((0, 6)),
+                                    rng=RngStream(3))
+    assert pred.probs.shape == (0, 3)
 
 
 def _assert_same_records(got, want):

@@ -21,9 +21,20 @@ def _logit_router(logits):
     return np.asarray(logits, dtype=np.float64), np.eye(n)
 
 
+def _route(router, u, mode, seed=None, **kw):
+    """Route the batch ``u``; with a ``seed``, on noise drawn from
+    ``RngStream(seed)`` as a pass draws it: one sample per token in
+    training, ``eval_samples`` in eval."""
+    if seed is not None:
+        samples = 1 if mode == "train" else router.settings.eval_samples
+        kw["noise"] = router.draw_noise(RngStream(seed), (u.shape[0],),
+                                        samples)
+    return router.route(u, mode, **kw)
+
+
 def _route_one(router, u, mode="eval", **kw):
     """Route a single token (batch of one) through a batch router."""
-    return router.route(Tensor(np.asarray(u)[None, :]), mode, **kw)
+    return _route(router, Tensor(np.asarray(u)[None, :]), mode, **kw)
 
 
 def _map_router(w, k):
@@ -217,8 +228,8 @@ class TestTemperature:
                             (0.5, math.log(2.0), 1e-12)):
             router = VtsrRouter(Tensor(w), 2, RouterSettings(),
                                 _const_temp_net(3, t))
-            res = _route_one(router, u, "train", noise={
-                "uniform": np.full((1, 3), ZERO_GUMBEL_UNIFORM)})
+            res = _route_one(router, u, "train", noise=np.full(
+                (1, 3), ZERO_GUMBEL_UNIFORM))
             assert res.kl.data[0] == pytest.approx(reg, abs=tol)
 
 
@@ -232,7 +243,7 @@ class TestVglrRoute:
             u, w = _logit_router(np_rng.normal(size=n))
             phi = FixedGaussianPhi(np.zeros(n), sigma=np.full(n, 1e-8))
             router = self._router(w, phi)
-            res = _route_one(router, u, rng=RngStream(trial))
+            res = _route_one(router, u, seed=trial)
             det = _route_one(_map_router(w, 2), u)
             np.testing.assert_array_equal(res.selection, det.selection)
 
@@ -242,7 +253,7 @@ class TestVglrRoute:
         dmu = np_rng.normal(size=n)
         phi = FixedGaussianPhi(dmu, sigma=np.ones(n))
         router = self._router(w, phi)
-        noise = {"normal": np.zeros((1, 1, n))}
+        noise = np.zeros((1, 1, n))
         res = router.route(Tensor(u[None, :]), "train", noise=noise)
         np.testing.assert_allclose(res.logits_sampled[0, 0],
                                    u @ w + dmu, atol=1e-12)
@@ -254,8 +265,7 @@ class TestVglrRoute:
         dmu = np.array([0.1, -0.2, 0.3])
         sigma = np.array([0.8, 1.2, 0.5])
         phi = FixedGaussianPhi(dmu, sigma=sigma)
-        res = _route_one(self._router(w, phi, eval_samples=100_000), u,
-                         rng=RngStream(77))
+        res = _route_one(self._router(w, phi, eval_samples=100_000), u, seed=77)
         eps = np_rng.standard_normal((100_000, n))
         logits = (u @ w) + dmu + sigma * eps
         e = np.exp(logits - logits.max(1, keepdims=True))
@@ -268,7 +278,7 @@ class TestVglrRoute:
         chol = build_cholesky(Tensor(np_rng.uniform(-0.3, 0.3, 10))).data
         phi = FixedGaussianPhi(np.zeros(n), chol=chol)
         router = self._router(w, phi, eval_samples=16)
-        res = _route_one(router, u, rng=RngStream(5))
+        res = _route_one(router, u, seed=5)
         assert res.signals["inf_logit_var"][0] == pytest.approx((chol ** 2).sum())
         assert set(res.signals) == {"inf_logit_var"}
         assert res.logits_sampled.shape == (1, 16, n)
@@ -281,7 +291,7 @@ class TestVglrRoute:
         router = VglrRouter(Tensor(np_rng.normal(size=(d, n))), 1,
                             RouterSettings(), phi)
         u = Tensor(np_rng.normal(size=(2, d)))
-        res = router.route(u, "train", rng=RngStream(8))
+        res = _route(router, u, "train", seed=8)
         loss = (res.gate_weights * Tensor(np_rng.normal(size=(2, n)))).sum() \
             + res.kl.mean()
         loss.backward()
@@ -299,7 +309,7 @@ class TestVtsrRoute:
         router = self._router(w, _const_temp_net(n, 1e-4))
         hits = 0
         for trial in range(200):
-            res = _route_one(router, u, rng=RngStream(trial))
+            res = _route_one(router, u, seed=trial)
             hits += (res.selection[0, :2] == 1).all()
         assert hits == 200
 
@@ -307,7 +317,7 @@ class TestVtsrRoute:
         n = 6
         u, w = _logit_router(np.arange(n, dtype=float))
         router = self._router(w, _const_temp_net(n, 1e3))
-        res = _route_one(router, u, rng=RngStream(1))
+        res = _route_one(router, u, seed=1)
         assert abs(shannon_entropy(res.probs)[0] - math.log(n)) < 1e-3
         assert res.signals["inf_temp"][0] == pytest.approx(1e3, rel=1e-3)
 
@@ -316,8 +326,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 2.0)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), "train", noise={
-            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
+            (1, n), ZERO_GUMBEL_UNIFORM))
         np.testing.assert_array_equal(res.selection[0], [1, 1, 0, 0])
 
     def test_train_kl_slot_holds_temperature_regulariser(self):
@@ -325,8 +335,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 0.5)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), "train", noise={
-            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
+            (1, n), ZERO_GUMBEL_UNIFORM))
         assert res.kl.data[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_straight_through_gates_match_hard_renormalisation(self):
@@ -334,8 +344,8 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.5, 0.0]))
         net = _const_temp_net(n, 1.5)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), "train", noise={
-            "uniform": np.full((1, n), ZERO_GUMBEL_UNIFORM)})
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
+            (1, n), ZERO_GUMBEL_UNIFORM))
         p = np.exp((u @ w) / 1.5)
         p /= p.sum()
         expected = np.where(res.selection[0] == 1, p, 0.0)
@@ -353,7 +363,7 @@ class TestMcDropoutRoute:
         n = 5
         u, w = _logit_router(np_rng.normal(size=n))
         router = self._router(w, 0.0)
-        res = _route_one(router, u, rng=RngStream(3))
+        res = _route_one(router, u, seed=3)
         det = _route_one(_map_router(w, 2), u)
         np.testing.assert_array_equal(res.selection, det.selection)
         assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
@@ -363,7 +373,7 @@ class TestMcDropoutRoute:
         u, w = _logit_router(np.ones(n))
         router = self._router(w, 0.5, s=6)
         # uniforms all 0.9 -> every mask keeps every coordinate
-        noise = {"uniform": np.full((1, 6, n), 0.9)}
+        noise = np.full((1, 6, n), 0.9)
         res = router.route(Tensor(u[None, :]), "eval", noise=noise)
         assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
 
@@ -373,7 +383,7 @@ class TestMcDropoutRoute:
         u = np.array([1.0, 1.0])
         w = np.eye(2)
         router = self._router(w, 0.5, s=100_000, k=1)
-        res = router.route(Tensor(u[None, :]), "eval", rng=RngStream(11))
+        res = _route(router, Tensor(u[None, :]), "eval", seed=11)
         samples = res.logits_sampled[0]
         values, counts = np.unique(samples[:, 0], return_counts=True)
         np.testing.assert_array_equal(values, [0.0, 2.0])
@@ -385,7 +395,7 @@ class TestMcDropoutRoute:
         # eval_samples says.
         n, b = 4, 3
         router = self._router(np_rng.normal(size=(n, n)), 0.5, s=35)
-        noise = {"uniform": np_rng.uniform(size=(b, 1, n))}
+        noise = np_rng.uniform(size=(b, 1, n))
         res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
                            noise=noise)
         assert res.logits_sampled.shape == (b, 1, n)
@@ -400,13 +410,13 @@ class TestFixedTempRoute:
     def test_low_temperature_is_top_k(self):
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
         router = self._router(w, 1e-4)
-        hits = sum((_route_one(router, u, rng=RngStream(t)).selection[0, :2]
+        hits = sum((_route_one(router, u, seed=t).selection[0, :2]
                     == 1).all() for t in range(100))
         assert hits == 100
 
     def test_gates_renormalised_over_selection(self):
         u, w = _logit_router(np.array([1.0, 0.5, 0.0]))
-        res = _route_one(self._router(w, 0.7), u, rng=RngStream(4))
+        res = _route_one(self._router(w, 0.7), u, seed=4)
         gates = res.gate_weights.data[0]
         assert gates.sum() == pytest.approx(1.0, abs=1e-12)
         assert ((gates > 0) == (res.selection[0] == 1)).all()
@@ -421,8 +431,7 @@ class TestFixedTempRoute:
         exact = enumerate_subset_probs(p, 2)
         router = self._router(w, t_global)
         draws = 100_000
-        res = router.route(Tensor(np.tile(u, (draws, 1))), "eval",
-                           rng=RngStream(99))
+        res = _route(router, Tensor(np.tile(u, (draws, 1))), "eval", seed=99)
         counts = Counter(frozenset(np.nonzero(m)[0].tolist())
                          for m in res.selection)
         assert total_variation(counts, exact, draws) < 0.01
