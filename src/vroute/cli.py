@@ -299,7 +299,23 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
                      ["layer", "temperature", "accuracy", "ece"], rows)
 
 
+def _variant_list(text: str) -> list[str]:
+    """``--variants`` as names of :data:`VARIANT_ORDER`, each given once."""
+    names = text.split(",")
+    unknown = [v for v in names if v not in VARIANT_ORDER]
+    if text == "" or unknown:
+        raise ConfigError(f"--variants {text!r}: choose comma-separated "
+                          f"names from {','.join(VARIANT_ORDER)}")
+    twice = sorted({v for v in names if names.count(v) > 1})
+    if twice:
+        raise ConfigError(f"--variants {text!r}: {','.join(twice)} given "
+                          "more than once")
+    return names
+
+
 def cmd_efficiency(args, cfg, writer) -> None:
+    variants = (list(VARIANT_ORDER) if args.variants is None
+                else _variant_list(args.variants))
     if args.granite:
         spec = granite_preset()
     else:
@@ -313,8 +329,6 @@ def cmd_efficiency(args, cfg, writer) -> None:
                         samples=args.samples,
                         base_active_params=args.base_params,
                         base_macs_per_token=args.base_macs)
-    variants = (args.variants.split(",") if args.variants
-                else list(VARIANT_ORDER))
     report = cost_report(spec, variants, flops=args.flops)
     writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",

@@ -53,6 +53,10 @@ def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or len(probs) != len(labels):
         raise ValueError("probs must be [n, C] rows aligned with labels")
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities must be finite")
+    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
+        raise ValueError(f"labels must lie in [0, {probs.shape[1]})")
     conf = probs.max(axis=1)
     if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
         raise ValueError("confidences must lie in [0, 1]")

@@ -123,9 +123,12 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis without a tape: the bits of
+    :func:`vroute.tensor.softmax`, whose column-wise reductions it shares."""
+    e = x - T.max_last(x)
+    np.exp(e, out=e)
+    e /= T.sum_last(e)
+    return e
 
 
 def _renorm_gates_t(probs: Tensor, mask: np.ndarray) -> Tensor:
@@ -234,7 +237,7 @@ def gumbel_top_k(scaled_logits, k: int, uniforms: np.ndarray,
     if not relaxed:
         return top_k_mask(logits.data + gumbels, k), None
     perturbed = logits + Tensor(gumbels)
-    relaxed_weights = T.softmax(perturbed / GUMBEL_TAU, axis=-1)
+    relaxed_weights = T.softmax(perturbed / GUMBEL_TAU)
     return top_k_mask(perturbed.data, k), relaxed_weights
 
 
@@ -366,7 +369,7 @@ class MapRouter(RouterBase):
     def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
         logits = T.matmul(u, self.w_r)
-        probs = T.softmax(logits, axis=-1)
+        probs = T.softmax(logits)
         mask = top_k_mask(probs.data, self.top_k)
         gates = _renorm_gates_t(probs, mask)
         return BatchRouteResult(probs=probs.data, selection=mask,
@@ -464,16 +467,19 @@ class VglrRouter(RouterBase):
                 (post.diag_sigma.data ** 2).sum(axis=1))
 
     def route(self, u, mode, noise=None, encoding=None):
+        """Route with ``noise`` [B, S, N] of standard normals: sample s of
+        token b is centre + sigma * eps (mean field) or centre + L @ eps
+        (full covariance; :func:`vroute.tensor.matvec_last`, which builds
+        no [B, S, N, N] product), and the S softmaxes are averaged."""
         _check_mode(mode)
         eps = np.asarray(noise, dtype=np.float64)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
         if scale.ndim == 4:                                 # Cholesky factors
-            spread = (scale * Tensor(eps[:, :, None, :])).sum(axis=3)
+            l_samples = centre + T.matvec_last(scale, eps)            # [B,S,N]
         else:
-            spread = scale * Tensor(eps)
-        l_samples = centre + spread                                   # [B,S,N]
-        p_bar = T.softmax(l_samples, axis=-1).mean(axis=1)
+            l_samples = centre + scale * Tensor(eps)
+        p_bar = T.softmax(l_samples).mean(axis=1)
         mask = top_k_mask(p_bar.data, self.top_k)
         gates = _renorm_gates_t(p_bar, mask)
         return BatchRouteResult(

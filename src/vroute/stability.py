@@ -178,7 +178,7 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                         dataset.features, "eval",
                         rng=base.derive("sweep", layer, f"{t!r}"),
                         prefix=prefix)
-                    probs = T.softmax(logits, axis=-1).data
+                    probs = T.softmax(logits).data
             finally:
                 blk.moe.router = original
             rep = calibration_report(probs, dataset.labels)

@@ -15,6 +15,7 @@ across leading batch-like dimensions.
 from __future__ import annotations
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -447,21 +448,125 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     return _result(data, parents, backward, "expert_mix")
 
 
+# -- reductions over the last axis ---------------------------------------------
+#
+# numpy reduces a short last axis row by row, with a per-row overhead that
+# dwarfs the arithmetic over eight experts once there are many rows (the
+# [B, S, N] samples of an eval route).  These helpers then read the axis one
+# column at a time instead, over every row at once, and give numpy's bits.
+# Each column operation costs about a microsecond of call overhead, so below
+# _COLUMN_ROWS rows (a training batch) numpy's own reduction is the faster.
+_COLUMN_ROWS = 128
+
+
+def _columns(a: np.ndarray):
+    """The last-axis columns of ``a`` as the rows of an [n, rows] view, or
+    None when ``a`` has too few rows to gain from reading them."""
+    if math.prod(a.shape[:-1]) < _COLUMN_ROWS:
+        return None
+    return a.reshape(-1, a.shape[-1]).T
+
+
+def _pairwise(col, n: int) -> np.ndarray:
+    """col(0) + ... + col(n - 1) in numpy's pairwise order for a contiguous
+    axis: left to right below 8 terms; up to 128, eight running sums r0..r7
+    over the first n - n % 8 terms (term j feeds r[j % 8]), combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder left to right;
+    above 128, the two halves (the first a multiple of 8 long) summed apart.
+    Each running sum is finished before the next starts, so a ``col`` that
+    computes its term keeps only a few terms alive."""
+    if n < 8:
+        out = col(0) + 0.0
+        for j in range(1, n):
+            out += col(j)
+        return out
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return (_pairwise(col, half)
+                + _pairwise(lambda j: col(half + j), n - half))
+    end = n - n % 8
+    if end == 8:
+        running = col
+    else:
+        def running(k):
+            out = col(k)
+            for j in range(k + 8, end, 8):
+                out = out + col(j)
+            return out
+    out = running(0) + running(1)
+    out += running(2) + running(3)
+    right = running(4) + running(5)
+    right += running(6) + running(7)
+    out += right
+    for j in range(end, n):
+        out += col(j)
+    return out
+
+
+def _sum_terms(col, n: int) -> np.ndarray:
+    """col(0) + ... + col(n - 1) with the bits of numpy's ``add.reduce``,
+    which adds the pairwise sum to its identity 0 (so never gives -0.0)."""
+    out = _pairwise(col, n)
+    if n >= 8:
+        out += 0.0
+    return out
+
+
+def sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)`` with the same bits for a
+    C-contiguous ``a``, added column by column when it has many rows."""
+    cols = _columns(a)
+    if cols is None:
+        return a.sum(axis=-1, keepdims=True)
+    out = _sum_terms(cols.__getitem__, a.shape[-1])
+    return out.reshape(a.shape[:-1] + (1,))
+
+
+def max_last(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, as a chain of ``np.maximum`` over
+    the columns when it has many rows (a max is exact in any order)."""
+    cols = _columns(a)
+    if cols is None:
+        return a.max(axis=-1, keepdims=True)
+    out = cols[0].copy() if len(cols) == 1 else np.maximum(cols[0], cols[1])
+    for c in cols[2:]:
+        np.maximum(out, c, out=out)
+    return out.reshape(a.shape[:-1] + (1,))
+
+
+def matvec_last(m, v: np.ndarray) -> Tensor:
+    """Matrix-vector products over the last axes: m [..., N, N] and the
+    constant v [..., N] broadcast against each other to out [..., N], with
+    out[..., i] = sum_j m[..., i, j] * v[..., j].
+
+    The forward has the bits of the broadcast ``(m * v[..., None, :]).sum(-1)``
+    without building its [..., N, N] product: it forms the N column products
+    m[..., :, j] * v[..., j] and adds them in numpy's pairwise order.  The
+    backward is that mul -> sum pair's."""
+    m = as_tensor(m)
+    v = np.asarray(v, dtype=np.float64)
+    data = _sum_terms(lambda j: m.data[..., j] * v[..., None, j], m.shape[-1])
+    return _result(data, (m,), lambda g: (
+        _unbroadcast(g[..., :, None] * v[..., None, :], m.data.shape),),
+        "matvec_last")
+
+
 # -- softmax family ------------------------------------------------------------
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Probabilities along ``axis``; max-subtracted for stability.  A shift
-    that overflows gives exp(-inf) = 0, and the sum is still >= 1."""
+def softmax(a) -> Tensor:
+    """Probabilities along the last axis; max-subtracted for stability.  A
+    shift that overflows gives exp(-inf) = 0, and the sum is still >= 1.
+    Both directions reduce with :func:`max_last` and :func:`sum_last`, so
+    they have the bits of numpy's own reductions."""
     a = as_tensor(a)
     with np.errstate(over="ignore"):
-        shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+        data = a.data - max_last(a.data)
+    np.exp(data, out=data)
+    data /= sum_last(data)
 
     def backward(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - inner),)
+        return (data * (g - sum_last(g * data)),)
 
     return _result(data, (a,), backward, "softmax")
 
@@ -475,13 +580,13 @@ def cross_entropy(logits, labels) -> Tensor:
     if y.size and (y.min() < 0 or y.max() >= logits.shape[1]):
         raise ValueError("label out of range")
     n = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    nll = lse - shifted[np.arange(n), y]
+    shifted = logits.data - max_last(logits.data)
+    lse = np.log(sum_last(np.exp(shifted)))
+    nll = lse[:, 0] - shifted[np.arange(n), y]
     data = np.asarray(nll.mean())
 
     def backward(g):
-        p = np.exp(shifted - lse[:, None])
+        p = np.exp(shifted - lse)
         p[np.arange(n), y] -= 1.0
         return (p * (g / n),)
 

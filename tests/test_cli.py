@@ -191,6 +191,38 @@ def test_non_finite_base_cost_is_one_error_line(tmp_path, capsys, flag,
     assert _left_behind(out) == []
 
 
+
+@pytest.mark.parametrize("value, message", [
+    ("", "choose comma-separated names from "
+         "weight_space,vglr_mf,vglr_fc,vtsr"),
+    ("vtsr,", "choose comma-separated names from "
+              "weight_space,vglr_mf,vglr_fc,vtsr"),
+    ("vtsr,vglr_fx", "choose comma-separated names from "
+                     "weight_space,vglr_mf,vglr_fc,vtsr"),
+    ("map", "choose comma-separated names from "
+            "weight_space,vglr_mf,vglr_fc,vtsr"),
+    ("vtsr,vtsr", "vtsr given more than once"),
+    ("vglr_fc,vtsr,vglr_fc,vtsr", "vglr_fc,vtsr given more than once"),
+], ids=["empty", "trailing-comma", "unknown", "router-variant", "duplicate",
+        "two-duplicates"])
+def test_bad_efficiency_variants_is_one_error_line(tmp_path, capsys, value,
+                                                   message):
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--granite", f"--variants={value}",
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --variants {value!r}: {message}"]
+    assert _left_behind(out) == []
+
+
+def test_efficiency_variants_subset_in_the_given_order(tmp_path):
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--granite", "--variants=vtsr,vglr_mf",
+                     "--out", str(out)]) == 0
+    with open(out / "efficiency.csv", encoding="utf-8") as fh:
+        assert [r["variant"] for r in csv.DictReader(fh)] == ["vtsr",
+                                                             "vglr_mf"]
+
 def test_int_accepted_for_float_setting():
     assert config_from_dict({"train": {"kl_weight": 1}}).train.kl_weight == 1
 

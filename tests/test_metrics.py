@@ -47,6 +47,22 @@ class TestEce:
         with pytest.raises(ValueError):
             calibration_report(np.array([[1.2, -0.2]]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_probability_rejected(self, bad):
+        # NaN passes the [0, 1] confidence check, since every comparison
+        # with it is false.
+        probs = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            calibration_report(probs, np.array([0, 1]))
+
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_label_outside_the_classes_rejected(self, label):
+        # Index -1 would silently score the last class.
+        probs = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            calibration_report(probs, np.array([0, label]))
+
 
 class TestMce:
     def test_perfect_is_zero(self):

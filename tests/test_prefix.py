@@ -79,7 +79,7 @@ def _predict_full_forward(model, x, rng):
         with T.no_grad():
             logits, records = model.forward(
                 x, "eval", router_noise={i: v[s] for i, v in plan.items()})
-            probs.append(T.softmax(logits, axis=-1).data)
+            probs.append(T.softmax(logits).data)
         for r in records:
             if r.kl is not None:
                 kl += r.kl.data
@@ -438,7 +438,7 @@ def _sweep_full_forward(model, dataset, t_grid, layers, seed):
                     dataset.features, "eval",
                     rng=base.derive("sweep", layer, f"{t!r}"))
             blk.moe.router = original
-            rep = calibration_report(T.softmax(logits, axis=-1).data,
+            rep = calibration_report(T.softmax(logits).data,
                                      dataset.labels)
             rows.append({"layer": layer, "temperature": t,
                          "accuracy": rep.accuracy, "ece": rep.ece})

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vroute import tensor as T
 from vroute.model import mc_logit_var, shannon_entropy
 from vroute.rng import RngStream
 from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
@@ -298,6 +300,26 @@ class TestVglrRoute:
         for _, p in phi.param_items():
             assert p.grad is not None
 
+
+    def test_full_covariance_eval_route_builds_no_outer_product(self):
+        # At B=500, S=35, N=8 the broadcast product of the Cholesky factors
+        # with the noise, [B, S, N, N], takes 8.96 MB by itself.  The column
+        # products keep at most five [B, S, N] arrays (1.12 MB each) alive.
+        b, s, n, d = 500, 35, 8, 32
+        phi = GaussianInferenceNet(d, 8, n, full_cov=True, rng=RngStream(2))
+        router = VglrRouter(Tensor(RngStream(1).normal((d, n))), 2,
+                            RouterSettings(eval_samples=s), phi)
+        u = Tensor(RngStream(3).normal((b, d)))
+        noise = router.draw_noise(RngStream(4), (b,), s)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                res = router.route(u, "eval", noise=noise)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.logits_sampled.shape == (b, s, n)
+        assert peak < 0.75 * (b * s * n * n * 8)
 
 class TestVtsrRoute:
     def _router(self, w, net):

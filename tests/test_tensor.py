@@ -329,6 +329,84 @@ class TestExpertDispatch:
         np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2), expected)
 
 
+def _reduction_operand(rng, shape):
+    """Values spanning many magnitudes, so that a sum's bits depend on the
+    order of its additions, with tied values and signed zeros mixed in."""
+    a = rng.normal(size=shape) * np.exp(rng.normal(scale=8.0, size=shape))
+    flat = a.reshape(-1, shape[-1])
+    flat[::3, ::2] = np.round(flat[::3, ::2])    # ties, most of them 0 or +-1
+    flat[1::4, 1::3] = -0.0
+    flat[2::5] = -0.0                            # whole rows of -0.0
+    return a
+
+
+class TestExpertAxisReductions:
+    """``max_last``/``sum_last`` read the last axis column by column and
+    ``matvec_last`` forms column products; all three must give the bits of
+    the numpy reductions they replace."""
+
+    WIDTHS = list(range(1, 18)) + [32, 64, 128, 129, 300]
+    # Fewer than 128 rows keep numpy's reduction; 128 or more read columns.
+    LEADS = [(7,), (130,), (5, 3), (9, 15), (2, 3, 4), (2, 5, 13)]
+
+    def test_many_rows_select_the_columns(self):
+        assert T._columns(np.zeros((2, 63, 8))) is None
+        assert T._columns(np.zeros((2, 64, 8))).shape == (8, 128)
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    @pytest.mark.parametrize("lead", LEADS, ids=["2d-few", "2d-many",
+                                                 "3d-few", "3d-many",
+                                                 "4d-few", "4d-many"])
+    def test_helpers_match_numpy_bit_for_bit(self, n, lead, np_rng):
+        a = _reduction_operand(np_rng, lead + (n,))
+        want_max = a.max(axis=-1, keepdims=True)
+        want_sum = a.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(T.max_last(a), want_max)
+        got = T.sum_last(a)
+        np.testing.assert_array_equal(got, want_sum)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want_sum))
+        assert got.shape == want_sum.shape
+
+    @pytest.mark.parametrize("n", [8, 20, 300])
+    def test_operand_tells_summation_orders_apart(self, n, np_rng):
+        # Guards the test above: on this data a left-to-right sum has other
+        # bits than numpy's pairwise one, so an order slip would show.
+        a = _reduction_operand(np_rng, (400, n))
+        assert not np.array_equal(np.cumsum(a, axis=-1)[:, -1:], T.sum_last(a))
+
+    @staticmethod
+    def _matvec_operands(rng, samples, n=8, batch=6):
+        lower = np.tril(_reduction_operand(rng, (batch, 1, n, n)))
+        return (Tensor(lower, requires_grad=True),
+                _reduction_operand(rng, (batch, samples, n)))
+
+    @pytest.mark.parametrize("samples", [1, 35])
+    def test_matvec_forward_matches_the_broadcast_product(self, samples,
+                                                          np_rng):
+        m, v = self._matvec_operands(np_rng, samples)
+        got = T.matvec_last(m, v).data
+        want = (m.data * v[..., None, :]).sum(-1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("samples", [1, 35])
+    def test_matvec_backward_matches_mul_then_sum(self, samples, np_rng):
+        m, v = self._matvec_operands(np_rng, samples)
+        w = np_rng.normal(size=(6, samples, 8))
+        (T.matvec_last(m, v) * Tensor(w)).sum().backward()
+        got = m.grad
+        m.grad = None
+        ((m * Tensor(v[:, :, None, :])).sum(axis=3) * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(got, m.grad)
+
+    def test_matvec_records_one_node_on_the_matrix(self, np_rng):
+        m, v = self._matvec_operands(np_rng, 3)
+        out = T.matvec_last(m, v)
+        assert out._parents == (m,)
+        with T.no_grad():
+            assert T.matvec_last(m, v)._parents == ()
+
+
 def test_broadcast_gradients(np_rng):
     a = Tensor(np_rng.normal(size=(5, 3)), requires_grad=True)
     b = Tensor(np_rng.normal(size=(3,)), requires_grad=True)
@@ -360,6 +438,8 @@ class TestFiniteGuard:
         ("sum", lambda: Tensor([1e308, 1e308]).sum()),
         ("mean", lambda: Tensor([1e308, 1e308]).mean()),
         ("sqrt", lambda: T.sqrt(Tensor([-1.0]))),
+        ("matvec_last", lambda: T.matvec_last(
+            Tensor([[1e308, 1e308], [0.0, 1.0]]), np.array([1.0, 1.0]))),
         ("expert_mix", lambda: T.expert_mix(
             Tensor([[1e200, 1e200]]), Tensor([[1.0]]),
             Tensor([[[1e200], [1e200]]]), Tensor([[[1.0, 1.0]]]))),
