@@ -47,18 +47,21 @@ def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
     """Accuracy, NLL, ECE/MCE, and the per-bin reliability table.
 
     ECE is the count-weighted |accuracy - confidence| over the bins, MCE the
-    worst one over the nonempty bins.
+    worst one over the nonempty bins.  Zero rows are rejected: every mean
+    over them would be NaN.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or len(probs) != len(labels):
         raise ValueError("probs must be [n, C] rows aligned with labels")
+    if not len(labels):
+        raise ValueError("no rows to score")
     if not np.isfinite(probs).all():
         raise ValueError("probabilities must be finite")
-    if labels.size and (labels.min() < 0 or labels.max() >= probs.shape[1]):
+    if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ValueError(f"labels must lie in [0, {probs.shape[1]})")
     conf = probs.max(axis=1)
-    if conf.size and (conf.min() < 0.0 or conf.max() > 1.0):
+    if conf.min() < 0.0 or conf.max() > 1.0:
         raise ValueError("confidences must lie in [0, 1]")
     pred = probs.argmax(axis=1)
     correct = (pred == labels).astype(np.float64)
@@ -78,7 +81,7 @@ def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
     return CalibrationReport(
         accuracy=float(correct.mean()), nll=nll,
         ece=float((count / count.sum() * gaps).sum()),
-        mce=float(gaps[nonempty].max()) if nonempty.any() else 0.0,
+        mce=float(gaps[nonempty].max()),
         bin_edges=[i / bins for i in range(bins + 1)],
         bin_confidence=bin_conf.tolist(),
         bin_accuracy=bin_acc.tolist(),

@@ -417,10 +417,11 @@ class McDropoutRouter(RouterBase):
         rate = self.settings.dropout_rate
         dim, n = self.w_r.shape
         s = noise.shape[1]
-        keep = (noise >= rate).astype(np.float64)
+        # The scaled keep mask times u, formed in place: [B, S, D].
+        dropped = (noise >= rate).astype(np.float64)
         if rate > 0.0:
-            keep /= (1.0 - rate)
-        dropped = u.data[:, None, :] * keep                      # [B,S,D]
+            dropped /= (1.0 - rate)
+        dropped *= u.data[:, None, :]
         logits_s = (dropped.reshape(-1, dim) @ self.w_r.data)
         logits_s = logits_s.reshape(u.shape[0], s, n)
         p_bar = _softmax_np(logits_s).mean(axis=1)

@@ -367,21 +367,35 @@ def scatter(a, indices, size: int) -> Tensor:
     return _result(data, (a,), lambda g: (g[:, idx],), "scatter")
 
 
-def _expert_out(u: np.ndarray, w1: np.ndarray, w2: np.ndarray, j: int,
-                rows) -> tuple[np.ndarray, np.ndarray]:
-    """Expert ``j`` on ``u[rows]``: its hidden activations and its output."""
-    hid = np.maximum(u[rows] @ w1[j], 0.0)
-    return hid, hid @ w2[j]
+def _expert_out(u: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                j: int) -> np.ndarray:
+    """Expert ``j``'s output on the rows of ``u``."""
+    return np.maximum(u @ w1[j], 0.0) @ w2[j]
 
 
 def expert_outputs(u, w1, w2) -> np.ndarray:
     """Every expert's output on every row, without a tape: [N, B, D], where
-    entry j is relu(u @ w1[j]) @ w2[j], computed as :func:`expert_mix`
-    computes it on the whole batch."""
+    entry j is relu(u @ w1[j]) @ w2[j], with the bits :func:`expert_mix`
+    gets for it on the whole batch.
+
+    The experts run one at a time, so no [N, B, H] hidden stack is built.
+    The result passes the finite guard: :func:`expert_mix` reads it densely,
+    and a zero gate times an infinite output would be NaN there.
+    """
     u, w1, w2 = (as_tensor(t).data for t in (u, w1, w2))
     out = np.empty((w1.shape[0], u.shape[0], w2.shape[2]))
     for j in range(w1.shape[0]):
-        out[j] = _expert_out(u, w1, w2, j, slice(None))[1]
+        out[j] = _expert_out(u, w1, w2, j)
+    _check_finite(out, "expert_outputs")
+    return out
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)`` with a loop's bits: added from zeros in index
+    order, one term after another."""
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
     return out
 
 
@@ -389,60 +403,67 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
     w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
 
-    The experts run one at a time and are added in index order, so no
-    [N, B, H] temporary is built.  When the op records no tape, expert j
-    runs only on the rows whose gate j is non-zero (top-k dispatch) and is
-    skipped when there are none; the terms left out are exact zeros, so the
-    sum has the bits of the dense one.  An expert that exactly one row
-    selects runs on the whole batch instead: numpy sends a one-row matmul
-    to gemv, whose last bits differ from a gemm row's.  ``outputs``, the
-    :func:`expert_outputs` of this ``u``, stands in for running the experts:
-    the same rows are read from it and added in the same order, so the sum
-    has the same bits; it is for passes that share ``u`` and record no tape.
-    A taped op runs every expert on every row and keeps the activations,
-    because its backward (vtsr's straight-through gate gradient) reaches all
-    N experts.  The backward computes only the gradients the tape keeps:
-    frozen experts get no ``w1``/``w2`` gradient, and an input with nothing
-    upstream to train (a frozen prefix, say) gets no ``u`` gradient.
+    A taped op runs every expert on every row, because its backward (vtsr's
+    straight-through gate gradient) reaches all N experts.  Each weight is
+    one ``np.matmul`` stacked over the expert axis, which makes the same
+    gemm call per expert as a loop would, so each expert's activations have
+    a loop's bits; the stacked [N, B, H] activations and [N, B, D] outputs
+    are kept for the backward.  The gated terms are added from zeros in
+    index order.  The backward stacks its products the same way and computes
+    only the gradients the tape keeps: frozen experts get no ``w1``/``w2``
+    gradient, and an input with nothing upstream to train (a frozen prefix,
+    say) gets no ``u`` gradient.
+
+    ``outputs``, the :func:`expert_outputs` of this ``u``, stands in for
+    running the experts, for passes that share ``u`` and record no tape.
+    It is read densely: a zero gate adds a signed zero to a running sum that
+    starts at +0, which leaves the sum's bits alone because the outputs are
+    finite.  Otherwise an untaped op runs expert j only on the rows whose
+    gate j is non-zero (top-k dispatch) and skips it when there are none;
+    the terms left out are exact zeros, so the sum has the bits of the dense
+    one.  An expert that exactly one row selects runs on the whole batch
+    instead: numpy sends a one-row matmul to gemv, whose last bits differ
+    from a gemm row's.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
     keep = _recording(parents)
     if keep and outputs is not None:
         raise NumericsError("stored expert outputs carry no tape")
-    acts, data = [], np.zeros((u.shape[0], w2.shape[2]))
-    rows = slice(None)
-    for j in range(w1.shape[0]):
-        if not keep:
+    if keep or outputs is not None:
+        ys = outputs
+        if keep:
+            hid = np.matmul(u.data, w1.data)                        # [N, B, H]
+            np.maximum(hid, 0.0, out=hid)
+            ys = np.matmul(hid, w2.data)                            # [N, B, D]
+        data = _sum_in_order(gates.data.T[:, :, None] * ys)
+    else:
+        data = np.zeros((u.shape[0], w2.shape[2]))
+        for j in range(w1.shape[0]):
             rows = np.flatnonzero(gates.data[:, j])
             if rows.size == 0:
                 continue
             if rows.size == 1:
                 rows = slice(None)
-        if outputs is None:
-            hid, y = _expert_out(u.data, w1.data, w2.data, j, rows)
-        else:
-            y = outputs[j, rows]
-        data[rows] += gates.data[rows, j:j + 1] * y
-        if keep:
-            acts.append((hid, y))
+            y = _expert_out(u.data[rows], w1.data, w2.data, j)
+            data[rows] += gates.data[rows, j:j + 1] * y
 
     def backward(g):
         want_u, want_w1, want_w2 = (_tracked(t) for t in (u, w1, w2))
-        gu = np.zeros_like(u.data) if want_u else None
         gg = np.empty_like(gates.data)
-        gw1 = np.empty_like(w1.data) if want_w1 else None
-        gw2 = np.empty_like(w2.data) if want_w2 else None
-        for j, (hid, y) in enumerate(acts):
-            gg[:, j] = (g * y).sum(axis=1)
-            gy = g * gates.data[:, j:j + 1]
-            if want_w2:
-                gw2[j] = hid.T @ gy
-            if want_u or want_w1:
-                gpre = (gy @ w2.data[j].T) * (hid > 0.0)
-                if want_w1:
-                    gw1[j] = u.data.T @ gpre
-                if want_u:
-                    gu += gpre @ w1.data[j].T
+        gg[...] = (g * ys).sum(axis=2).T
+        gu = gw1 = gw2 = None
+        if not (want_u or want_w1 or want_w2):
+            return gu, gg, gw1, gw2
+        gy = gates.data.T[:, :, None] * g                           # [N, B, D]
+        if want_w2:
+            gw2 = np.matmul(hid.transpose(0, 2, 1), gy)
+        if want_u or want_w1:
+            gpre = np.matmul(gy, w2.data.transpose(0, 2, 1))
+            gpre *= hid > 0.0
+            if want_w1:
+                gw1 = np.matmul(u.data.T, gpre)
+            if want_u:
+                gu = _sum_in_order(np.matmul(gpre, w1.data.transpose(0, 2, 1)))
         return gu, gg, gw1, gw2
 
     return _result(data, parents, backward, "expert_mix")

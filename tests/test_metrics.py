@@ -63,6 +63,11 @@ class TestEce:
         with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
             calibration_report(probs, np.array([0, label]))
 
+    def test_zero_rows_rejected(self):
+        # Every mean over zero rows would be NaN.
+        with pytest.raises(ValueError, match="no rows"):
+            calibration_report(np.zeros((0, 3)), np.zeros(0, dtype=int))
+
 
 class TestMce:
     def test_perfect_is_zero(self):

@@ -423,6 +423,24 @@ class TestMcDropoutRoute:
         assert res.logits_sampled.shape == (b, 1, n)
         assert res.kl is None and res.signals == {}
 
+    def test_eval_route_holds_one_dropped_input(self):
+        # At B=500, S=35, D=32 one [B, S, D] array takes 4.48 MB.  The keep
+        # mask is scaled and multiplied by u in place, so the route holds one
+        # such array (7.1 MB peak); a separate product holds two (11.6 MB).
+        b, s, d, n = 500, 35, 32, 8
+        router = self._router(RngStream(1).normal((d, n)), 0.1, s=s)
+        u = Tensor(RngStream(3).normal((b, d)))
+        noise = router.draw_noise(RngStream(4), (b,), s)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                res = router.route(u, "eval", noise=noise)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.logits_sampled.shape == (b, s, n)
+        assert peak < 2 * (b * s * d * 8)
+
 
 class TestFixedTempRoute:
     def _router(self, w, t_global, k=2):

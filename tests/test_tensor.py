@@ -329,6 +329,117 @@ class TestExpertDispatch:
         np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2), expected)
 
 
+def _loop_mix(u, gates, w1, w2):
+    """The per-expert taped forward that the stacked products replaced: the
+    mixed output and each expert's (hidden, output) pair."""
+    acts, data = [], np.zeros((u.shape[0], w2.shape[2]))
+    for j in range(w1.shape[0]):
+        hid = np.maximum(u @ w1[j], 0.0)
+        y = hid @ w2[j]
+        data += gates[:, j:j + 1] * y
+        acts.append((hid, y))
+    return data, acts
+
+
+def _loop_mix_backward(g, u, gates, w1, w2, acts, want_u, want_w1, want_w2):
+    """The per-expert backward that the stacked products replaced."""
+    gu = np.zeros_like(u) if want_u else None
+    gg = np.empty_like(gates)
+    gw1 = np.empty_like(w1) if want_w1 else None
+    gw2 = np.empty_like(w2) if want_w2 else None
+    for j, (hid, y) in enumerate(acts):
+        gg[:, j] = (g * y).sum(axis=1)
+        gy = g * gates[:, j:j + 1]
+        if want_w2:
+            gw2[j] = hid.T @ gy
+        if want_u or want_w1:
+            gpre = (gy @ w2[j].T) * (hid > 0.0)
+            if want_w1:
+                gw1[j] = u.T @ gpre
+            if want_u:
+                gu += gpre @ w1[j].T
+    return gu, gg, gw1, gw2
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStackedExpertMix:
+    """The taped ``expert_mix`` stacks each weight's product over the expert
+    axis, and the stored-output read is a dense gated sum; both must give
+    the per-expert loop's bits."""
+
+    # Which of (u, gates, w1, w2) the tape tracks: stage 1 trains everything;
+    # a stage-2 block after the first stochastic one trains u's upstream and
+    # the gates; the first stochastic block trains only the gates.
+    TRACKING = {"stage1": (True, True, True, True),
+                "stage2-later-block": (True, True, False, False),
+                "stage2-first-block": (False, True, False, False)}
+
+    @pytest.mark.parametrize("b", [1, 2, 16, 64])
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("tracking", list(TRACKING))
+    def test_forward_and_gradients_match_the_loop(self, b, n, tracking,
+                                                  np_rng):
+        u, w1, w2 = _model_sized_experts(np_rng, b, n=n)
+        gates = _top_k_gates(np_rng, b, n, min(2, n))
+        flags = self.TRACKING[tracking]
+        ops = [Tensor(a, requires_grad=f)
+               for a, f in zip((u, gates, w1, w2), flags)]
+        out = T.expert_mix(*ops)
+        want, acts = _loop_mix(u, gates, w1, w2)
+        assert _same_bits(out.data, want)
+        g = np_rng.normal(size=out.shape)
+        slots = out._backward(g)
+        oracle = _loop_mix_backward(g, u, gates, w1, w2, acts,
+                                    flags[0], flags[2], flags[3])
+        for got, want_slot, flag in zip(slots, oracle, flags):
+            if flag:
+                assert _same_bits(got, want_slot)
+                assert got.flags.c_contiguous
+            else:
+                assert got is None
+
+    @staticmethod
+    def _stored_read(rng, b):
+        """Gates with a zero selected gate, an expert that one row selects
+        and one that no row selects; the experts' stored outputs; and the
+        dense read of them."""
+        u, w1, w2 = _model_sized_experts(rng, b)
+        gates = _top_k_gates(rng, b, 8, 2)
+        gates[:, 3] = 0.0              # no row selects expert 3
+        gates[::5, 1] = 0.0            # a selected gate that is exactly 0
+        gates[:, 0] = 0.0
+        gates[b // 2, 0] = 0.5         # one row selects expert 0
+        outputs = T.expert_outputs(u, w1, w2)
+        with T.no_grad():
+            got = T.expert_mix(Tensor(u), Tensor(gates), Tensor(w1),
+                               Tensor(w2), outputs=outputs).data
+        return (u, gates, w1, w2), outputs, got
+
+    @pytest.mark.parametrize("b", [1, 3, 64, 500])
+    def test_stored_outputs_match_the_row_indexed_read(self, b, np_rng):
+        # The read it replaced: each expert's selecting rows, added in order.
+        (_, gates, _, _), outputs, got = self._stored_read(np_rng, b)
+        want = np.zeros_like(got)
+        for j in range(8):
+            rows = np.flatnonzero(gates[:, j])
+            want[rows] += gates[rows, j:j + 1] * outputs[j, rows]
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("b", [1, 3, 64, 500])
+    def test_stored_outputs_match_dispatch(self, b, np_rng):
+        ops, _, got = self._stored_read(np_rng, b)
+        assert _same_bits(got, _untaped_mix(*ops))
+
+    def test_stored_outputs_are_the_taped_outputs(self, np_rng):
+        u, w1, w2 = _model_sized_experts(np_rng, 64)
+        _, acts = _loop_mix(u, np.ones((64, 8)), w1, w2)
+        assert _same_bits(T.expert_outputs(u, w1, w2),
+                          np.stack([y for _, y in acts]))
+
+
 def _reduction_operand(rng, shape):
     """Values spanning many magnitudes, so that a sum's bits depend on the
     order of its additions, with tied values and signed zeros mixed in."""
@@ -443,6 +554,9 @@ class TestFiniteGuard:
         ("expert_mix", lambda: T.expert_mix(
             Tensor([[1e200, 1e200]]), Tensor([[1.0]]),
             Tensor([[[1e200], [1e200]]]), Tensor([[[1.0, 1.0]]]))),
+        ("expert_outputs", lambda: T.expert_outputs(
+            np.array([[1e200, 1e200]]), np.array([[[1e200], [1e200]]]),
+            np.array([[[1.0, 1.0]]]))),
     ])
     def test_checked_op_overflow_aborts(self, name, make):
         with np.errstate(over="ignore", invalid="ignore"), \
