@@ -30,8 +30,7 @@ import time
 from . import __version__
 from .checkpoint import load_checkpoint
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
-                     atomic_open, config_to_dict, load_config,
-                     write_manifest)
+                     atomic_open, load_config, write_manifest)
 from .data import load_csv
 from .efficiency import ArchSpec, VARIANT_ORDER, cost_report, granite_preset
 from .experiment import (build_splits, build_suite, evaluate_calibration,
@@ -204,7 +203,7 @@ def cmd_train(args, cfg, writer) -> None:
               "mean_jaccard": c.mean_jaccard,
               "selected": int(c.layer in outcome.selected_layers)}
              for c in outcome.ranking_cells])
-    writer.write_json("config_resolved.json", config_to_dict(cfg))
+    writer.write_json("config_resolved.json", dataclasses.asdict(cfg))
 
 
 def cmd_eval(args, cfg, writer) -> None:
@@ -260,31 +259,34 @@ def cmd_stability(args, cfg, writer) -> None:
                           _svg_line_chart(series, "gamma", "mean Jaccard"))
 
 
-def _temperature_grid(text: str) -> list[float]:
-    """``--grid`` as floats, each finite and > 0."""
+def _comma_list(flag: str, text: str, parse, rule: str) -> list:
+    """``flag``'s value ``text`` as a list: each comma-separated item through
+    ``parse``, which raises ValueError on an item that breaks ``rule``, and
+    no item given twice."""
     try:
-        grid = [float(t) for t in text.split(",")]
+        items = [parse(t) for t in text.split(",")]
     except ValueError:
-        grid = []
-    if not grid or not all(0 < t < math.inf for t in grid):
-        raise ConfigError(f"--grid {text!r}: temperatures must be "
-                          "comma-separated finite numbers > 0")
-    return grid
+        raise ConfigError(f"{flag} {text!r}: {rule}") from None
+    twice = sorted({v for v in items if items.count(v) > 1})
+    if twice:
+        raise ConfigError(f"{flag} {text!r}: {','.join(map(str, twice))} "
+                          "given more than once")
+    return items
 
 
-def _block_list(text: str) -> list[int]:
-    """``--layers`` as integers; whether each is a block of the checkpoint
-    is checked once it is loaded."""
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"--layers {text!r}: blocks must be "
-                          "comma-separated integers") from None
+def _temperature(text: str) -> float:
+    t = float(text)
+    if not 0 < t < math.inf:
+        raise ValueError(text)
+    return t
 
 
 def cmd_sweep_temp(args, cfg, writer) -> None:
-    grid = _temperature_grid(args.grid)
-    layers = _block_list(args.layers) if args.layers else None
+    grid = _comma_list("--grid", args.grid, _temperature, "temperatures "
+                       "must be comma-separated finite numbers > 0")
+    # Whether each block is in the checkpoint is checked once it is loaded.
+    layers = (_comma_list("--layers", args.layers, int, "blocks must be "
+                          "comma-separated integers") if args.layers else None)
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
     if layers is None:
@@ -299,23 +301,17 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
                      ["layer", "temperature", "accuracy", "ece"], rows)
 
 
-def _variant_list(text: str) -> list[str]:
-    """``--variants`` as names of :data:`VARIANT_ORDER`, each given once."""
-    names = text.split(",")
-    unknown = [v for v in names if v not in VARIANT_ORDER]
-    if text == "" or unknown:
-        raise ConfigError(f"--variants {text!r}: choose comma-separated "
-                          f"names from {','.join(VARIANT_ORDER)}")
-    twice = sorted({v for v in names if names.count(v) > 1})
-    if twice:
-        raise ConfigError(f"--variants {text!r}: {','.join(twice)} given "
-                          "more than once")
-    return names
+def _variant(name: str) -> str:
+    if name not in VARIANT_ORDER:
+        raise ValueError(name)
+    return name
 
 
 def cmd_efficiency(args, cfg, writer) -> None:
     variants = (list(VARIANT_ORDER) if args.variants is None
-                else _variant_list(args.variants))
+                else _comma_list("--variants", args.variants, _variant,
+                                 "choose comma-separated names from "
+                                 + ",".join(VARIANT_ORDER)))
     if args.granite:
         spec = granite_preset()
     else:

@@ -17,7 +17,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .data import SyntheticDomainSpec
+from .data import SyntheticDomainSpec, check_shift_order
 from .model import ModelConfig
 from .routers import VARIANTS, RouterSettings
 from .stability import PerturbationSpec
@@ -42,6 +42,13 @@ class DataConfig:
     n_val: int = 200
     n_test: int = 500
     n_ood: int = 500
+
+    def __post_init__(self):
+        for name in ("n_train", "n_val", "n_test", "n_ood"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        check_shift_order(self.delta_near, self.delta_far)
+        self.domain_spec(ModelConfig(), 0)      # the spec's own checks
 
     def domain_spec(self, model: ModelConfig, seed: int) -> SyntheticDomainSpec:
         return SyntheticDomainSpec(
@@ -118,8 +125,6 @@ def _strict_build(cls, payload: dict, path: str):
         sub = _NESTED.get(key)
         if cls is ExperimentConfig and sub is not None:
             kwargs[key] = _strict_build(sub, value, key)
-        elif key == "gamma_levels" and isinstance(value, list):
-            kwargs[key] = tuple(value)
         else:
             kwargs[key] = value
     try:
@@ -141,14 +146,8 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(payload)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    out["perturbation"]["gamma_levels"] = list(out["perturbation"]["gamma_levels"])
-    return out
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

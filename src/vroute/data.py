@@ -123,6 +123,11 @@ def split_dataset(ds: Dataset, n_train: int, n_val: int, n_test: int) -> dict:
     return out
 
 
+def check_shift_order(delta_near: float, delta_far: float) -> None:
+    if not (0.0 <= delta_near < delta_far):
+        raise DataError("ordering violation: require 0 <= delta_near < delta_far")
+
+
 def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,
                    delta_far: float, n_each: int) -> dict:
     """Near-shift and far-shift datasets of n_each samples.
@@ -130,8 +135,7 @@ def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,
     Both share the base domain's class structure (same seed, hence same base
     means) and move its means by delta_near < delta_far.
     """
-    if not (0.0 <= delta_near < delta_far):
-        raise DataError("ordering violation: require 0 <= delta_near < delta_far")
+    check_shift_order(delta_near, delta_far)
     return {
         "near": generate_domain(replace(base_spec, shift_magnitude=delta_near),
                                 n_each, "near"),

@@ -459,7 +459,7 @@ def predict_with_uncertainty(model: MoEClassifier, x,
             logits, records = model.forward(
                 x, "eval", router_noise={i: v[s] for i, v in plan.items()},
                 prefix=prefix)
-            p = T.softmax(logits).data
+            p = T.softmax_last(logits.data)
         prob_sum = p if prob_sum is None else prob_sum + p
         for rec in records:
             if rec is not None and rec.kl is not None:

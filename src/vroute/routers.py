@@ -29,8 +29,6 @@ VARIANTS = ("map", "temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 
 # Additive floor keeping the learned temperature strictly positive.
 TEMPERATURE_FLOOR = 1e-6
-# Relaxation temperature of the straight-through Gumbel estimator.
-GUMBEL_TAU = 1.0
 # Init scale of the Gaussian nets' heads: the posterior opens next to the
 # deterministic logits with unit covariance.
 HEAD_INIT_STD = 1e-3
@@ -120,15 +118,6 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros_like(s)
     np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
     return mask
-
-
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis without a tape: the bits of
-    :func:`vroute.tensor.softmax`, whose column-wise reductions it shares."""
-    e = x - T.max_last(x)
-    np.exp(e, out=e)
-    e /= T.sum_last(e)
-    return e
 
 
 def _renorm_gates_t(probs: Tensor, mask: np.ndarray) -> Tensor:
@@ -237,7 +226,7 @@ def gumbel_top_k(scaled_logits, k: int, uniforms: np.ndarray,
     if not relaxed:
         return top_k_mask(logits.data + gumbels, k), None
     perturbed = logits + Tensor(gumbels)
-    relaxed_weights = T.softmax(perturbed / GUMBEL_TAU)
+    relaxed_weights = T.softmax(perturbed)
     return top_k_mask(perturbed.data, k), relaxed_weights
 
 
@@ -361,6 +350,13 @@ class RouterBase:
         raise NotImplementedError
 
 
+def _gumbel_noise(router, rng, lead, samples):
+    """The :meth:`RouterBase.draw_noise` of the routers that select by
+    :func:`gumbel_top_k`: one uniform per token and expert, since they draw
+    one selection per token whatever ``samples`` is."""
+    return rng.uniform((*lead, router.w_r.shape[1]))
+
+
 class MapRouter(RouterBase):
     """Deterministic top-k over softmax of the linear routing logits."""
 
@@ -386,14 +382,13 @@ class TempScaleRouter(RouterBase):
 
     variant = "temp_scale"
 
-    def draw_noise(self, rng, lead, samples):
-        return rng.uniform((*lead, self.w_r.shape[1]))
+    draw_noise = _gumbel_noise
 
     def encode(self, u):
         """The scaled logits, their softmax and the unscaled softmax."""
         l_det = u.data @ self.w_r.data
         scaled = l_det / self.settings.global_temperature
-        return scaled, _softmax_np(scaled), _softmax_np(l_det)
+        return scaled, T.softmax_last(scaled), T.softmax_last(l_det)
 
     def route(self, u, mode, noise=None, encoding=None):
         _check_mode(mode)
@@ -424,7 +419,7 @@ class McDropoutRouter(RouterBase):
         dropped *= u.data[:, None, :]
         logits_s = (dropped.reshape(-1, dim) @ self.w_r.data)
         logits_s = logits_s.reshape(u.shape[0], s, n)
-        p_bar = _softmax_np(logits_s).mean(axis=1)
+        p_bar = T.softmax_last(logits_s).mean(axis=1)
         mask = top_k_mask(p_bar, self.top_k)
         gates = Tensor(_renorm_gates_np(p_bar, mask))
         return BatchRouteResult(probs=p_bar, selection=mask, gate_weights=gates,
@@ -506,15 +501,14 @@ class VtsrRouter(RouterBase):
     def phi_items(self):
         return self.temperature_net.param_items()
 
-    def draw_noise(self, rng, lead, samples):
-        return rng.uniform((*lead, self.w_r.shape[1]))
+    draw_noise = _gumbel_noise
 
     def encode(self, u):
         """The scaled logits, their softmax, the regulariser and the
         temperature readout."""
         temp = self.temperature_net.temperature(u)                   # [B,1]
         scaled = Tensor(u.data @ self.w_r.data) / temp
-        return (scaled, _softmax_np(scaled.data),
+        return (scaled, T.softmax_last(scaled.data),
                 -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
 
     def route(self, u, mode, noise=None, encoding=None):

@@ -178,7 +178,7 @@ def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
                         dataset.features, "eval",
                         rng=base.derive("sweep", layer, f"{t!r}"),
                         prefix=prefix)
-                    probs = T.softmax(logits).data
+                    probs = T.softmax_last(logits.data)
             finally:
                 blk.moe.router = original
             rep = calibration_report(probs, dataset.labels)

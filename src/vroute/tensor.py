@@ -305,34 +305,32 @@ def softplus(a) -> Tensor:
 # -- reductions / shaping -----------------------------------------------------
 
 
+def _spread(shape: tuple, axis, keepdims: bool, count: int = 1):
+    """Backward of a sum (``count`` 1) or mean over ``axis`` of an operand
+    of ``shape``: the upstream gradient, divided by ``count``, broadcast
+    back over the reduced axis."""
+    def backward(g):
+        if not (axis is None or keepdims):
+            g = np.expand_dims(g, axis)
+        if count != 1:
+            g = g / count
+        return (np.broadcast_to(g, shape).copy(),)
+
+    return backward
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return _result(data, (a,), backward, "sum")
+    return _result(data, (a,), _spread(a.shape, axis, keepdims), "sum")
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.data.shape).copy(),)
-
-    return _result(data, (a,), backward, "mean")
+    count = a.data.size if axis is None else a.data.shape[axis]
+    return _result(data, (a,), _spread(a.shape, axis, keepdims, count),
+                   "mean")
 
 
 def reshape(a, shape) -> Tensor:
@@ -367,25 +365,25 @@ def scatter(a, indices, size: int) -> Tensor:
     return _result(data, (a,), lambda g: (g[:, idx],), "scatter")
 
 
-def _expert_out(u: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                j: int) -> np.ndarray:
-    """Expert ``j``'s output on the rows of ``u``."""
-    return np.maximum(u @ w1[j], 0.0) @ w2[j]
+def _experts(u: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """Every expert on every row: the ReLU activations [N, B, H] and the
+    outputs [N, B, D], where entry j is relu(u @ w1[j]) @ w2[j].  Each
+    weight is one ``np.matmul`` stacked over the expert axis, which makes
+    the same gemm call per expert as a loop would, so each expert gets a
+    loop's bits."""
+    hid = np.matmul(u, w1)
+    np.maximum(hid, 0.0, out=hid)
+    return hid, np.matmul(hid, w2)
 
 
 def expert_outputs(u, w1, w2) -> np.ndarray:
-    """Every expert's output on every row, without a tape: [N, B, D], where
-    entry j is relu(u @ w1[j]) @ w2[j], with the bits :func:`expert_mix`
-    gets for it on the whole batch.
+    """Every expert's output on every row, without a tape: [N, B, D], with
+    the bits :func:`expert_mix` gets on the whole batch.
 
-    The experts run one at a time, so no [N, B, H] hidden stack is built.
     The result passes the finite guard: :func:`expert_mix` reads it densely,
     and a zero gate times an infinite output would be NaN there.
     """
-    u, w1, w2 = (as_tensor(t).data for t in (u, w1, w2))
-    out = np.empty((w1.shape[0], u.shape[0], w2.shape[2]))
-    for j in range(w1.shape[0]):
-        out[j] = _expert_out(u, w1, w2, j)
+    out = _experts(*(as_tensor(t).data for t in (u, w1, w2)))[1]
     _check_finite(out, "expert_outputs")
     return out
 
@@ -403,12 +401,10 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
     w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
 
-    A taped op runs every expert on every row, because its backward (vtsr's
-    straight-through gate gradient) reaches all N experts.  Each weight is
-    one ``np.matmul`` stacked over the expert axis, which makes the same
-    gemm call per expert as a loop would, so each expert's activations have
-    a loop's bits; the stacked [N, B, H] activations and [N, B, D] outputs
-    are kept for the backward.  The gated terms are added from zeros in
+    A taped op runs every expert on every row (:func:`_experts`), because
+    its backward (vtsr's straight-through gate gradient) reaches all N
+    experts; the stacked [N, B, H] activations and [N, B, D] outputs are
+    kept for the backward.  The gated terms are added from zeros in
     index order.  The backward stacks its products the same way and computes
     only the gradients the tape keeps: frozen experts get no ``w1``/``w2``
     gradient, and an input with nothing upstream to train (a frozen prefix,
@@ -430,11 +426,8 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     if keep and outputs is not None:
         raise NumericsError("stored expert outputs carry no tape")
     if keep or outputs is not None:
-        ys = outputs
-        if keep:
-            hid = np.matmul(u.data, w1.data)                        # [N, B, H]
-            np.maximum(hid, 0.0, out=hid)
-            ys = np.matmul(hid, w2.data)                            # [N, B, D]
+        hid, ys = (_experts(u.data, w1.data, w2.data) if keep
+                   else (None, outputs))
         data = _sum_in_order(gates.data.T[:, :, None] * ys)
     else:
         data = np.zeros((u.shape[0], w2.shape[2]))
@@ -444,7 +437,7 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
                 continue
             if rows.size == 1:
                 rows = slice(None)
-            y = _expert_out(u.data[rows], w1.data, w2.data, j)
+            y = np.maximum(u.data[rows] @ w1.data[j], 0.0) @ w2.data[j]
             data[rows] += gates.data[rows, j:j + 1] * y
 
     def backward(g):
@@ -575,16 +568,23 @@ def matvec_last(m, v: np.ndarray) -> Tensor:
 # -- softmax family ------------------------------------------------------------
 
 
-def softmax(a) -> Tensor:
-    """Probabilities along the last axis; max-subtracted for stability.  A
-    shift that overflows gives exp(-inf) = 0, and the sum is still >= 1.
-    Both directions reduce with :func:`max_last` and :func:`sum_last`, so
-    they have the bits of numpy's own reductions."""
-    a = as_tensor(a)
+def softmax_last(x: np.ndarray) -> np.ndarray:
+    """Probabilities along the last axis of an array; max-subtracted for
+    stability.  A shift that overflows gives exp(-inf) = 0, and the sum is
+    still >= 1.  It reduces with :func:`max_last` and :func:`sum_last`, so
+    it has the bits of numpy's own reductions."""
     with np.errstate(over="ignore"):
-        data = a.data - max_last(a.data)
-    np.exp(data, out=data)
-    data /= sum_last(data)
+        out = x - max_last(x)
+    np.exp(out, out=out)
+    out /= sum_last(out)
+    return out
+
+
+def softmax(a) -> Tensor:
+    """:func:`softmax_last` on the tape; the backward reduces with
+    :func:`sum_last` too."""
+    a = as_tensor(a)
+    data = softmax_last(a.data)
 
     def backward(g):
         return (data * (g - sum_last(g * data)),)

@@ -154,6 +154,26 @@ def test_bad_router_setting_rejected_at_load(section, bad, message):
     assert str(err.value) == f"invalid {section}: {message}"
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"n_val": 0}, "n_val must be >= 1"),
+    ({"n_ood": 0}, "n_ood must be >= 1"),
+    ({"n_test": -5}, "n_test must be >= 1"),
+    ({"delta_near": 3, "delta_far": 1},
+     "ordering violation: require 0 <= delta_near < delta_far"),
+    ({"modes_per_class": 0},
+     "num_classes, modes_per_class, feature_dim must be >= 1"),
+], ids=["no-val", "no-ood", "negative-test", "deltas-reversed", "no-modes"])
+def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
+                                                    message):
+    # Checked when the config loads, before any command does work.
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, data=dict(TINY["data"], **bad))
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid data: {message}"]
+    assert _left_behind(out) == []
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"router": {"eval_samples": 2.5}}, "router.eval_samples"),
     ({"router": {"eval_samples": True}}, "router.eval_samples"),
@@ -329,6 +349,23 @@ def test_bad_sweep_layers_is_one_error_line_before_any_work(tmp_path, capsys,
     assert capsys.readouterr().err.splitlines() == [
         f"error: --layers {layers!r}: blocks must be comma-separated integers"]
     assert not (out / "sweep_temp.csv").exists()
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("flag, value, repeated", [
+    ("--layers", "1,1", "1"), ("--layers", "1,0,1,0", "0,1"),
+    ("--grid", "0.5,0.5", "0.5"), ("--grid", "2,0.5,2.0", "2.0"),
+])
+def test_repeated_sweep_entry_is_one_error_line_before_any_work(
+        tmp_path, capsys, monkeypatch, flag, value, repeated):
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "_load_model", no_load)
+    code, out = _sweep(tmp_path, f"{flag}={value}")
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {flag} {value!r}: {repeated} given more than once"]
     assert _left_behind(out) == []
 
 

@@ -5,12 +5,18 @@ Refactors run against this file.  A change that moves these numbers on
 purpose regenerates it and says in CHANGES.md what moved and why::
 
     PYTHONPATH=src python tests/test_golden.py
+
+The pinned bits belong to one numpy and one BLAS kernel, so the file also
+records both under ``provenance``, which the comparison skips, and a
+mismatch names the run's and the pin's.
 """
 import csv
+import ctypes
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from vroute import cli
@@ -28,6 +34,21 @@ CONFIG = {
               "learning_rate_stage2": 1e-2, "early_stop_patience": 4},
     "data": {"n_train": 120, "n_val": 40, "n_test": 40, "n_ood": 40},
 }
+
+
+def provenance() -> dict:
+    """The numpy version and the OpenBLAS core (``OPENBLAS_CORETYPE``'s
+    names) that this process computes with; the core is "unknown" when
+    numpy's BLAS does not export scipy-openblas's corename query."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (ImportError, OSError, AttributeError):
+        core = "unknown"
+    else:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    return {"numpy": np.__version__, "openblas_core": core}
 
 
 def _rows(path):
@@ -73,12 +94,21 @@ def run_pin(work_dir: str, seed: int) -> dict:
 def test_outputs_match_golden(tmp_path, seed):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert run_pin(str(tmp_path), seed) == golden[str(seed)]
+    assert run_pin(str(tmp_path), seed) == golden[str(seed)], (
+        f"run on {provenance()}, pinned on {golden['provenance']}")
+
+
+def test_pin_records_its_provenance():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        pinned = json.load(fh)["provenance"]
+    assert set(pinned) == set(provenance()) == {"numpy", "openblas_core"}
+    assert all(isinstance(v, str) and v for v in provenance().values())
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         results = {str(s): run_pin(tmp, s) for s in SEEDS}
+    results["provenance"] = provenance()
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(results, fh, indent=1, sort_keys=True)
         fh.write("\n")

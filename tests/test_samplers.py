@@ -83,6 +83,16 @@ class TestGumbelTopK:
 
         assert_grad_close(logits.grad, central_difference(lambda: ref(), logits))
 
+    def test_relaxed_weights_are_the_softmax_of_the_perturbed_logits(
+            self, np_rng):
+        # The relaxation runs at temperature 1, so no op stands between the
+        # perturbed logits and their softmax.
+        logits = Tensor(np_rng.normal(size=(3, 5)), requires_grad=True)
+        _, relaxed = gumbel_top_k(logits, 2, np_rng.uniform(size=(3, 5)),
+                                  relaxed=True)
+        (perturbed,) = relaxed._parents
+        assert perturbed._parents[0] is logits
+
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7)
                                  for k in range(1, min(3, n) + 1)])

@@ -120,6 +120,18 @@ class TestBackward:
             fd = central_difference(lambda: loss_fn().item(), w)
             assert_grad_close(w.grad, fd)
 
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_mean_backward_divides_by_the_count(self, keepdims, np_rng):
+        x = Tensor(np_rng.normal(size=(40, 7)), requires_grad=True)
+        out = T.tmean(x, axis=1, keepdims=keepdims)
+        g = np_rng.normal(size=out.shape)
+        (got,) = out._backward(g)
+        want = np.broadcast_to((g if keepdims else g[:, None]) / 7, x.shape)
+        assert _same_bits(got, want)
+        # Multiplying by the reciprocal would give other bits.
+        assert not _same_bits(got, np.broadcast_to(
+            (g if keepdims else g[:, None]) * (1 / 7), x.shape))
+
     def test_second_backward_is_an_error(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = x.sum()
