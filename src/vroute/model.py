@@ -344,8 +344,11 @@ def mc_logit_var(samples: np.ndarray) -> np.ndarray:
     """Total variance of the logit vectors across S >= 2 passes, per token.
 
     For ``samples`` of shape [B, S, N]: sum_s ||l_s - mean||^2 / (S - 1)
-    per row; zero for identical samples.
+    per row; zero for identical samples.  numpy orders a reduction by
+    memory layout, so the samples are reduced C-contiguous: the routers'
+    ``logits_sampled``, and a stack of them, are laid out sample-major.
     """
+    samples = np.ascontiguousarray(samples)
     dev = samples - samples.mean(axis=1, keepdims=True)
     return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
 
@@ -467,7 +470,10 @@ def predict_with_uncertainty(model: MoEClassifier, x,
         for i in layers:
             route_prob_sum[i] = route_prob_sum[i] + records[i].probs
             if records[i].logits_sampled is not None:
-                logit_samples[i].append(records[i].logits_sampled[:, 0, :])
+                # A C-contiguous copy frees the pass's sample-major logits
+                # and stacks into the layout mc_logit_var reduces.
+                logit_samples[i].append(
+                    np.ascontiguousarray(records[i].logits_sampled[:, 0, :]))
         if first_records is None:
             first_records = records
     per_layer = []

@@ -92,7 +92,10 @@ class BatchRouteResult:
     tensor [B] (None for a variant without one); ``signals`` holds the
     router's own per-token readout (``inf_logit_var`` for vglr, ``inf_temp``
     for vtsr) and ``logits_sampled`` [B, S, N] its sampled logit vectors.
-    The readouts that need every pass live in
+    ``probs`` and ``selection`` are C-contiguous [B, N]; the sampling
+    routers (vglr, mc_dropout) hold their samples sample-major, so their
+    ``logits_sampled`` is a view of a C-contiguous [N, S, B] array.  The
+    readouts that need every pass live in
     :func:`vroute.model.predict_with_uncertainty`.
     """
 
@@ -400,7 +403,13 @@ class TempScaleRouter(RouterBase):
 
 
 class McDropoutRouter(RouterBase):
-    """Averages routing over S input-dropout passes of the projection."""
+    """Averages routing over S input-dropout passes of the projection.
+
+    The S sampled logit vectors of a token are one [B·S, D] @ [D, N] gemm,
+    transposed to C-contiguous [N, S, B] (experts, samples, rows) for
+    :func:`vroute.tensor.softmax_mean`; ``logits_sampled`` is a [B, S, N]
+    view of that array, and ``probs`` a C-contiguous [B, N].
+    """
 
     variant = "mc_dropout"
 
@@ -417,13 +426,14 @@ class McDropoutRouter(RouterBase):
         if rate > 0.0:
             dropped /= (1.0 - rate)
         dropped *= u.data[:, None, :]
-        logits_s = (dropped.reshape(-1, dim) @ self.w_r.data)
-        logits_s = logits_s.reshape(u.shape[0], s, n)
-        p_bar = T.softmax_last(logits_s).mean(axis=1)
+        logits_s = dropped.reshape(-1, dim) @ self.w_r.data
+        del dropped
+        logits_s = np.ascontiguousarray(logits_s.reshape(u.shape[0], s, n).T)
+        p_bar = T.transpose(T.softmax_mean(logits_s)).data
         mask = top_k_mask(p_bar, self.top_k)
         gates = Tensor(_renorm_gates_np(p_bar, mask))
         return BatchRouteResult(probs=p_bar, selection=mask, gate_weights=gates,
-                                logits_sampled=logits_s)
+                                logits_sampled=logits_s.T)
 
 
 class VglrRouter(RouterBase):
@@ -431,7 +441,12 @@ class VglrRouter(RouterBase):
 
     The base projection stays frozen; only the inference net (trunk plus
     mean/scale heads) trains.  One sample drives training; evaluation draws
-    ``eval_samples`` and averages the softmax outputs before top-k.
+    ``eval_samples`` and averages the softmax outputs before top-k.  Both
+    modes hold the samples C-contiguous as [N, S, B] (experts, samples,
+    rows) from the noise to the sample mean, so each operation over the
+    expert or sample axis reads whole slabs; ``probs`` and the gates come
+    back as C-contiguous [B, N], and ``logits_sampled`` is a [B, S, N]
+    view of the sample-major logits.
     """
 
     def __init__(self, w_r, top_k, settings, phi: GaussianInferenceNet):
@@ -446,41 +461,43 @@ class VglrRouter(RouterBase):
         return rng.normal((*lead, samples, self.w_r.shape[1]))
 
     def encode(self, u):
-        """The posterior's centre [B, 1, N] and scale ([B, 1, N] standard
-        deviations or [B, 1, N, N] Cholesky factors), the per-token KL and
-        the inferred logit variance."""
+        """The posterior's centre [N, 1, B] and scale ([N, 1, B] standard
+        deviations or [N, N, 1, B] axis-reversed Cholesky factors), the
+        per-token KL and the inferred logit variance."""
         batch, n = u.shape[0], self.w_r.shape[1]
         l_det = u.data @ self.w_r.data
         post = self.phi.posterior(u)
-        centre = Tensor(l_det[:, None, :]) + post.delta_mu.reshape((batch, 1, n))
+        centre = T.transpose(Tensor(l_det[:, None, :])
+                             + post.delta_mu.reshape((batch, 1, n)))
         if post.is_full_cov:
             lmat = post.cholesky_L
-            return (centre, lmat.reshape((batch, 1, n, n)),
+            return (centre, T.transpose(lmat.reshape((batch, 1, n, n))),
                     kl_fc_per_token(post.delta_mu, lmat),
                     (lmat.data ** 2).sum(axis=(1, 2)))
-        return (centre, post.diag_sigma.reshape((batch, 1, n)),
+        return (centre, T.transpose(post.diag_sigma.reshape((batch, 1, n))),
                 kl_mf_per_token(post.delta_mu, post.diag_sigma),
                 (post.diag_sigma.data ** 2).sum(axis=1))
 
     def route(self, u, mode, noise=None, encoding=None):
         """Route with ``noise`` [B, S, N] of standard normals: sample s of
         token b is centre + sigma * eps (mean field) or centre + L @ eps
-        (full covariance; :func:`vroute.tensor.matvec_last`, which builds
-        no [B, S, N, N] product), and the S softmaxes are averaged."""
+        (full covariance; :func:`vroute.tensor.spread`, which skips the
+        zeros above the diagonal), and the S softmaxes are averaged."""
         _check_mode(mode)
-        eps = np.asarray(noise, dtype=np.float64)
+        eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
         if scale.ndim == 4:                                 # Cholesky factors
-            l_samples = centre + T.matvec_last(scale, eps)            # [B,S,N]
+            l_samples = centre + T.spread(scale, eps)               # [N,S,B]
         else:
             l_samples = centre + scale * Tensor(eps)
-        p_bar = T.softmax(l_samples).mean(axis=1)
+        p_bar = T.transpose(T.softmax_mean(l_samples))                # [B,N]
         mask = top_k_mask(p_bar.data, self.top_k)
         gates = _renorm_gates_t(p_bar, mask)
         return BatchRouteResult(
             probs=p_bar.data, selection=mask, gate_weights=gates, kl=kl_tok,
-            signals={"inf_logit_var": inf_var}, logits_sampled=l_samples.data)
+            signals={"inf_logit_var": inf_var},
+            logits_sampled=l_samples.data.T)
 
 
 class VtsrRouter(RouterBase):

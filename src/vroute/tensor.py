@@ -192,7 +192,8 @@ def _recording(parents: tuple) -> bool:
 
 # Ops whose output is finite whenever their input is: the guard skips them.
 # Max-shifted softmax divides by a sum >= 1, even when the shift overflows.
-_FINITE_PRESERVING = frozenset({"reshape", "gather", "scatter", "relu", "softmax"})
+_FINITE_PRESERVING = frozenset({"reshape", "transpose", "gather", "scatter",
+                                "relu", "softmax", "softmax_mean"})
 
 
 def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
@@ -462,13 +463,14 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
     return _result(data, parents, backward, "expert_mix")
 
 
-# -- reductions over the last axis ---------------------------------------------
+# -- reductions over the expert axis -------------------------------------------
 #
 # numpy reduces a short last axis row by row, with a per-row overhead that
-# dwarfs the arithmetic over eight experts once there are many rows (the
-# [B, S, N] samples of an eval route).  These helpers then read the axis one
-# column at a time instead, over every row at once, and give numpy's bits.
-# Each column operation costs about a microsecond of call overhead, so below
+# dwarfs the arithmetic over eight experts once there are many rows, and a
+# leading axis in another order.  These helpers reduce a leading axis one
+# slab at a time, with the bits numpy gives a contiguous last axis; the
+# ``_last`` ones read the last axis as the leading axis of its transpose.
+# Each slab operation costs about a microsecond of call overhead, so below
 # _COLUMN_ROWS rows (a training batch) numpy's own reduction is the faster.
 _COLUMN_ROWS = 128
 
@@ -526,58 +528,111 @@ def _sum_terms(col, n: int) -> np.ndarray:
     return out
 
 
+def _sum_lead(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=0)`` with the bits numpy gives a contiguous last axis."""
+    return _sum_terms(a.__getitem__, len(a))
+
+
+def _max_lead(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=0)``, as a chain of ``np.maximum`` over the leading axis
+    (a max is exact in any order)."""
+    out = a[0].copy() if len(a) == 1 else np.maximum(a[0], a[1])
+    for x in a[2:]:
+        np.maximum(out, x, out=out)
+    return out
+
+
 def sum_last(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=-1, keepdims=True)`` with the same bits for a
     C-contiguous ``a``, added column by column when it has many rows."""
     cols = _columns(a)
     if cols is None:
         return a.sum(axis=-1, keepdims=True)
-    out = _sum_terms(cols.__getitem__, a.shape[-1])
-    return out.reshape(a.shape[:-1] + (1,))
+    return _sum_lead(cols).reshape(a.shape[:-1] + (1,))
 
 
 def max_last(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1, keepdims=True)``, as a chain of ``np.maximum`` over
-    the columns when it has many rows (a max is exact in any order)."""
+    """``a.max(axis=-1, keepdims=True)``, column by column when it has many
+    rows."""
     cols = _columns(a)
     if cols is None:
         return a.max(axis=-1, keepdims=True)
-    out = cols[0].copy() if len(cols) == 1 else np.maximum(cols[0], cols[1])
-    for c in cols[2:]:
-        np.maximum(out, c, out=out)
-    return out.reshape(a.shape[:-1] + (1,))
+    return _max_lead(cols).reshape(a.shape[:-1] + (1,))
 
 
-def matvec_last(m, v: np.ndarray) -> Tensor:
-    """Matrix-vector products over the last axes: m [..., N, N] and the
-    constant v [..., N] broadcast against each other to out [..., N], with
-    out[..., i] = sum_j m[..., i, j] * v[..., j].
+class _Rows:
+    """The last ``len(rows)`` rows of an [N, ...] term whose earlier rows are
+    exact zeros.  A sum adds only the rows both terms hold, in place on the
+    left one, which :func:`_pairwise` always gives at least as many rows;
+    x + 0 = x, so that changes at most the sign of a zero sum, which the
+    ``+ 0.0`` of :func:`_sum_terms` sets to +0 either way."""
 
-    The forward has the bits of the broadcast ``(m * v[..., None, :]).sum(-1)``
-    without building its [..., N, N] product: it forms the N column products
-    m[..., :, j] * v[..., j] and adds them in numpy's pairwise order.  The
-    backward is that mul -> sum pair's."""
-    m = as_tensor(m)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __iadd__(self, other):
+        if isinstance(other, _Rows):
+            self.rows[len(self.rows) - len(other.rows):] += other.rows
+        else:
+            self.rows += other
+        return self
+
+    __add__ = __iadd__
+
+
+def spread(mt, v: np.ndarray) -> Tensor:
+    """Lower-triangular matrix-vector products over a leading axis: for the
+    axis-reversed factor mt [N, N, ...] (mt[j, i] = L[..., i, j]) and the
+    constant v [N, ...], out[i] = sum_{j <= i} mt[j, i] * v[j].
+
+    Column j is one product ``mt[j, j:] * v[j]`` over the rows i >= j, and
+    the columns are added in numpy's pairwise order (:class:`_Rows`), so
+    each row has the bits of the broadcast ``(L * v[..., None, :]).sum(-1)``
+    without its zeros above the diagonal: n(n+1)/2 multiply-adds per
+    vector.  Those entries of mt are never read and get a zero gradient;
+    the rest get the mul -> sum pair's."""
+    mt = as_tensor(mt)
     v = np.asarray(v, dtype=np.float64)
-    data = _sum_terms(lambda j: m.data[..., j] * v[..., None, j], m.shape[-1])
-    return _result(data, (m,), lambda g: (
-        _unbroadcast(g[..., :, None] * v[..., None, :], m.data.shape),),
-        "matvec_last")
+    data = _sum_terms(lambda j: _Rows(mt.data[j, j:] * v[j]), len(v)).rows
+
+    def backward(g):
+        gm = np.zeros_like(mt.data)
+        for j in range(len(v)):
+            gm[j, j:] = _unbroadcast(g[j:] * v[j], gm[j, j:].shape)
+        return (gm,)
+
+    return _result(data, (mt,), backward, "spread")
+
+
+def transpose(a) -> Tensor:
+    """``a`` with its axes reversed, as a C-contiguous copy; the backward
+    copies the gradient back the same way, so every op on either side sees
+    the layout it would see without the transpose."""
+    a = as_tensor(a)
+    return _result(np.ascontiguousarray(a.data.T), (a,),
+                   lambda g: (np.ascontiguousarray(g.T),), "transpose")
 
 
 # -- softmax family ------------------------------------------------------------
 
 
-def softmax_last(x: np.ndarray) -> np.ndarray:
-    """Probabilities along the last axis of an array; max-subtracted for
-    stability.  A shift that overflows gives exp(-inf) = 0, and the sum is
-    still >= 1.  It reduces with :func:`max_last` and :func:`sum_last`, so
-    it has the bits of numpy's own reductions."""
+def _softmax(x: np.ndarray, top, total) -> np.ndarray:
+    """Max-subtracted softmax with the reductions ``top`` and ``total``.  A
+    shift that overflows gives exp(-inf) = 0, and the sum is still >= 1."""
     with np.errstate(over="ignore"):
-        out = x - max_last(x)
+        out = x - top(x)
     np.exp(out, out=out)
-    out /= sum_last(out)
+    out /= total(out)
     return out
+
+
+def softmax_last(x: np.ndarray) -> np.ndarray:
+    """Probabilities along the last axis of an array.  It reduces with
+    :func:`max_last` and :func:`sum_last`, so it has the bits of numpy's
+    own reductions."""
+    return _softmax(x, max_last, sum_last)
 
 
 def softmax(a) -> Tensor:
@@ -590,6 +645,29 @@ def softmax(a) -> Tensor:
         return (data * (g - sum_last(g * data)),)
 
     return _result(data, (a,), backward, "softmax")
+
+
+def softmax_mean(a) -> Tensor:
+    """C-contiguous sampled logits [N, S, B] (experts, samples, rows) to the
+    mean over the S samples of their softmax over the N experts: [N, B].
+
+    It has the bits of ``softmax_last(x).mean(axis=1)`` on the same logits
+    laid out [B, S, N]: the experts are reduced as a contiguous last axis,
+    ``np.exp`` sees a contiguous array, and the samples are added in index
+    order, as numpy adds a middle axis (numpy adds [N, S, 1] pairwise, so
+    its own mean would not do at B = 1).  The backward is the mean ->
+    softmax pair's."""
+    a = as_tensor(a)
+    probs = _softmax(a.data, _max_lead, _sum_lead)
+    samples = probs.shape[1]
+    data = _sum_in_order(probs.swapaxes(0, 1))
+    data /= samples
+
+    def backward(g):
+        g = np.broadcast_to((g / samples)[:, None], probs.shape)
+        return (probs * (g - _sum_lead(g * probs)),)
+
+    return _result(data, (a,), backward, "softmax_mean")
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -6,9 +6,9 @@ purpose regenerates it and says in CHANGES.md what moved and why::
 
     PYTHONPATH=src python tests/test_golden.py
 
-The pinned bits belong to one numpy and one BLAS kernel, so the file also
-records both under ``provenance``, which the comparison skips, and a
-mismatch names the run's and the pin's.
+The pinned bits belong to one numpy, one set of numpy's SIMD loops and one
+BLAS kernel, so the file also records all three under ``provenance``,
+which the comparison skips, and a mismatch names the run's and the pin's.
 """
 import csv
 import ctypes
@@ -37,18 +37,26 @@ CONFIG = {
 
 
 def provenance() -> dict:
-    """The numpy version and the OpenBLAS core (``OPENBLAS_CORETYPE``'s
-    names) that this process computes with; the core is "unknown" when
-    numpy's BLAS does not export scipy-openblas's corename query."""
+    """The numpy version, the SIMD targets numpy dispatches to (the
+    ``NPY_DISABLE_CPU_FEATURES`` names; ``np.exp`` and ``np.log`` give other
+    bits on the AVX2 path than on the AVX-512 one) and the OpenBLAS core
+    (``OPENBLAS_CORETYPE``'s names) that this process computes with.  The
+    core is "unknown" when numpy's BLAS does not export scipy-openblas's
+    corename query."""
     try:
         from numpy._core import _multiarray_umath as umath
+    except ImportError:                                          # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+    try:
         corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
-    except (ImportError, OSError, AttributeError):
+    except (OSError, AttributeError):
         core = "unknown"
     else:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
-    return {"numpy": np.__version__, "openblas_core": core}
+    return {"numpy": np.__version__, "numpy_cpu_dispatch": dispatch,
+            "openblas_core": core}
 
 
 def _rows(path):
@@ -101,8 +109,12 @@ def test_outputs_match_golden(tmp_path, seed):
 def test_pin_records_its_provenance():
     with open(GOLDEN, encoding="utf-8") as fh:
         pinned = json.load(fh)["provenance"]
-    assert set(pinned) == set(provenance()) == {"numpy", "openblas_core"}
-    assert all(isinstance(v, str) and v for v in provenance().values())
+    run = provenance()
+    assert set(pinned) == set(run) == {"numpy", "numpy_cpu_dispatch",
+                                       "openblas_core"}
+    assert all(isinstance(run[k], str) and run[k]
+               for k in ("numpy", "openblas_core"))
+    assert all(isinstance(t, str) for t in run["numpy_cpu_dispatch"])
 
 
 if __name__ == "__main__":

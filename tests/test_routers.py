@@ -10,7 +10,8 @@ from vroute.rng import RngStream
 from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
                             RouterSettings, TempScaleRouter, TemperatureNet,
                             VglrRouter, VtsrRouter, build_cholesky,
-                            kl_fc_per_token, kl_mf_per_token, top_k_mask)
+                            kl_fc_per_token, kl_mf_per_token, make_router,
+                            top_k_mask)
 from vroute.tensor import Tensor
 
 from conftest import (ZERO_GUMBEL_UNIFORM, FixedGaussianPhi,
@@ -440,6 +441,95 @@ class TestMcDropoutRoute:
                 tracemalloc.stop()
         assert res.logits_sampled.shape == (b, s, n)
         assert peak < 2 * (b * s * d * 8)
+
+
+def _c_layout_route(router, u, mode, noise):
+    """A route computed on [B, S, N] samples, with the broadcast spread and
+    numpy's last-axis softmax and middle-axis mean: the reference whose bits
+    the sample-major routes keep.  Returns (probs, selection, gates as a
+    tensor, logits_sampled, kl)."""
+    b, n = u.shape[0], router.w_r.shape[1]
+    if router.variant == "mc_dropout":
+        rate = router.settings.dropout_rate
+        dropped = (noise >= rate).astype(np.float64) / (1.0 - rate)
+        dropped *= u.data[:, None, :]
+        logits = (dropped.reshape(-1, u.shape[1]) @ router.w_r.data).reshape(
+            b, noise.shape[1], n)
+        probs = T.softmax_last(logits).mean(axis=1)
+        mask = top_k_mask(probs, router.top_k)
+        masked = probs * mask
+        return (probs, mask, Tensor(masked / masked.sum(-1, keepdims=True)),
+                logits, None)
+    post = router.phi.posterior(u)
+    centre = (Tensor((u.data @ router.w_r.data)[:, None, :])
+              + post.delta_mu.reshape((b, 1, n)))
+    if post.is_full_cov:
+        lmat = post.cholesky_L
+        scale = lmat.reshape((b, 1, n, n))
+        kl = kl_fc_per_token(post.delta_mu, lmat)
+        logits = centre + (scale * Tensor(noise[:, :, None, :])).sum(axis=3)
+    else:
+        scale = post.diag_sigma.reshape((b, 1, n))
+        kl = kl_mf_per_token(post.delta_mu, post.diag_sigma)
+        logits = centre + scale * Tensor(noise)
+    probs = T.softmax(logits).mean(axis=1)
+    mask = top_k_mask(probs.data, router.top_k)
+    masked = probs * Tensor(mask)
+    return (probs.data, mask, masked / masked.sum(axis=-1, keepdims=True),
+            logits.data, kl)
+
+
+class TestSampleMajorRoute:
+    """The sampling routers hold their samples as [N, S, B]; every output,
+    and in training every inference-net gradient, keeps the bits of the
+    [B, S, N] computation."""
+
+    @staticmethod
+    def _router(variant, n, samples):
+        d = 16
+        router = make_router(variant, Tensor(RngStream(1).normal((d, n))), 2,
+                             RouterSettings(eval_samples=samples), 8,
+                             RngStream(2))
+        for name, p in router.phi_items():
+            if name != "trunk":          # a posterior away from N(l_det, I)
+                p.data *= 300.0
+        return router
+
+    @pytest.mark.parametrize("b, s, n", [(1, 35, 8), (3, 1, 8), (3, 35, 4),
+                                         (200, 35, 8), (500, 1, 8),
+                                         (64, 9, 12)])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("variant", ["vglr_mf", "vglr_fc", "mc_dropout"])
+    def test_route_matches_the_c_layout_reference(self, variant, mode, b, s,
+                                                   n):
+        router = self._router(variant, n, s)
+        u = Tensor(RngStream(3).normal((b, 16)))
+        samples = 1 if mode == "train" else s
+        noise = router.draw_noise(RngStream(4), (b,), samples)
+        res = router.route(u, mode, noise=noise)
+        probs, mask, gates, logits, kl = _c_layout_route(router, u, mode,
+                                                         noise)
+        assert res.probs.flags.c_contiguous
+        assert res.logits_sampled.shape == (b, samples, n)
+        for got, want in [(res.probs, probs), (res.selection, mask),
+                          (res.gate_weights.data, gates.data),
+                          (res.logits_sampled, logits)]:
+            np.testing.assert_array_equal(got, want)
+        if samples >= 2:
+            # A reduction over the sample-major view reads it C-contiguous.
+            np.testing.assert_array_equal(mc_logit_var(res.logits_sampled),
+                                          mc_logit_var(logits))
+        if mode == "eval" or kl is None:
+            return
+        w = Tensor(RngStream(5).normal((b, n)))
+        grads = []
+        for g, k in [(res.gate_weights, res.kl), (gates, kl)]:
+            ((g * w).sum() + k.mean()).backward()
+            grads.append([p.grad for _, p in router.phi_items()])
+            for _, p in router.phi_items():
+                p.grad = None
+        for got, want in zip(*grads):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFixedTempRoute:

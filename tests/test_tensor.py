@@ -464,9 +464,11 @@ def _reduction_operand(rng, shape):
 
 
 class TestExpertAxisReductions:
-    """``max_last``/``sum_last`` read the last axis column by column and
-    ``matvec_last`` forms column products; all three must give the bits of
-    the numpy reductions they replace."""
+    """``max_last``/``sum_last`` read the last axis column by column,
+    ``spread`` forms the column products of a lower-triangular
+    matrix-vector product, and ``softmax_mean`` reduces sample-major
+    [N, S, B] logits over their leading and middle axes; all must give the
+    bits of the numpy computations they replace."""
 
     WIDTHS = list(range(1, 18)) + [32, 64, 128, 129, 300]
     # Fewer than 128 rows keep numpy's reduction; 128 or more read columns.
@@ -499,35 +501,102 @@ class TestExpertAxisReductions:
 
     @staticmethod
     def _matvec_operands(rng, samples, n=8, batch=6):
+        """A lower-triangular [batch, 1, n, n] factor and [batch, samples, n]
+        vectors, in the [B, S, N] layout; :func:`_sample_major` turns them
+        into the operands of ``spread``."""
         lower = np.tril(_reduction_operand(rng, (batch, 1, n, n)))
         return (Tensor(lower, requires_grad=True),
                 _reduction_operand(rng, (batch, samples, n)))
 
+    @staticmethod
+    def _spread(m, v):
+        """``spread`` on the [B, S, N] operands, back in their layout."""
+        return T.transpose(T.spread(T.transpose(m), _sample_major(v)))
+
+    # B·S is 6 and 210 here: fewer and more rows than _COLUMN_ROWS.
     @pytest.mark.parametrize("samples", [1, 35])
     def test_matvec_forward_matches_the_broadcast_product(self, samples,
                                                           np_rng):
         m, v = self._matvec_operands(np_rng, samples)
-        got = T.matvec_last(m, v).data
+        got = self._spread(m, v).data
+        want = (m.data * v[..., None, :]).sum(-1)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [3, 12, 20, 130])
+    def test_spread_matches_the_broadcast_product_at_other_widths(self, n,
+                                                                  np_rng):
+        # Below 8 terms, between the running sums and past the halving.
+        m, v = self._matvec_operands(np_rng, 5, n=n, batch=2)
+        got = self._spread(m, v).data
         want = (m.data * v[..., None, :]).sum(-1)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("samples", [1, 35])
     def test_matvec_backward_matches_mul_then_sum(self, samples, np_rng):
+        # The spread reads only the lower triangle, whose gradient is the
+        # mul -> sum pair's; the entries above it get zero.
         m, v = self._matvec_operands(np_rng, samples)
         w = np_rng.normal(size=(6, samples, 8))
-        (T.matvec_last(m, v) * Tensor(w)).sum().backward()
+        (self._spread(m, v) * Tensor(w)).sum().backward()
         got = m.grad
         m.grad = None
         ((m * Tensor(v[:, :, None, :])).sum(axis=3) * Tensor(w)).sum().backward()
-        np.testing.assert_array_equal(got, m.grad)
+        upper = np.triu(np.ones((8, 8), dtype=bool), k=1)
+        np.testing.assert_array_equal(got[..., ~upper], m.grad[..., ~upper])
+        np.testing.assert_array_equal(got[..., upper], 0.0)
+
+    def test_spread_reads_no_entry_above_the_diagonal(self, np_rng):
+        m, v = self._matvec_operands(np_rng, 4)
+        filled = m.data + np.triu(np.full((8, 8), 1e300), k=1)
+        np.testing.assert_array_equal(self._spread(filled, v).data,
+                                      self._spread(m, v).data)
 
     def test_matvec_records_one_node_on_the_matrix(self, np_rng):
         m, v = self._matvec_operands(np_rng, 3)
-        out = T.matvec_last(m, v)
-        assert out._parents == (m,)
+        mt = T.transpose(m)
+        out = T.spread(mt, _sample_major(v))
+        assert out._parents == (mt,)
         with T.no_grad():
-            assert T.matvec_last(m, v)._parents == ()
+            assert T.spread(mt, _sample_major(v))._parents == ()
+
+    @pytest.mark.parametrize("batch, samples", [(1, 35), (3, 1), (3, 35),
+                                                (200, 1), (200, 35)])
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_softmax_mean_matches_softmax_then_mean(self, batch, samples, n,
+                                                    np_rng):
+        x = _reduction_operand(np_rng, (batch, samples, n))
+        x = np.clip(x, -1e3, 1e3)         # logits a softmax can tell apart
+        got = T.softmax_mean(_sample_major(x)).data
+        assert got.flags.c_contiguous and got.shape == (n, batch)
+        np.testing.assert_array_equal(got.T, T.softmax_last(x).mean(axis=1))
+
+    @pytest.mark.parametrize("batch, samples", [(3, 1), (3, 35), (200, 1)])
+    def test_softmax_mean_backward_matches_mean_of_softmax(self, batch,
+                                                           samples, np_rng):
+        x = np_rng.normal(size=(batch, samples, 8)) * 3.0
+        w = np_rng.normal(size=(batch, 8))
+        xt = Tensor(_sample_major(x), requires_grad=True)
+        (T.transpose(T.softmax_mean(xt)) * Tensor(w)).sum().backward()
+        xc = Tensor(x, requires_grad=True)
+        (T.softmax(xc).mean(axis=1) * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(xt.grad.T, xc.grad)
+
+    def test_transpose_is_contiguous_both_ways(self, np_rng):
+        a = Tensor(np_rng.normal(size=(2, 3, 4)), requires_grad=True)
+        out = T.transpose(a)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, a.data.T)
+        w = np_rng.normal(size=(4, 3, 2))
+        (out * Tensor(w)).sum().backward()
+        assert a.grad.flags.c_contiguous
+        np.testing.assert_array_equal(a.grad, w.T)
+
+
+def _sample_major(a: np.ndarray) -> np.ndarray:
+    """[B, S, N] as the C-contiguous [N, S, B] the sampling routers hold."""
+    return np.ascontiguousarray(a.T)
 
 
 def test_broadcast_gradients(np_rng):
@@ -561,8 +630,9 @@ class TestFiniteGuard:
         ("sum", lambda: Tensor([1e308, 1e308]).sum()),
         ("mean", lambda: Tensor([1e308, 1e308]).mean()),
         ("sqrt", lambda: T.sqrt(Tensor([-1.0]))),
-        ("matvec_last", lambda: T.matvec_last(
-            Tensor([[1e308, 1e308], [0.0, 1.0]]), np.array([1.0, 1.0]))),
+        ("spread", lambda: T.spread(
+            Tensor([[[1e308], [1e308]], [[0.0], [1e308]]]),
+            np.array([[1.0], [1.0]]))),
         ("expert_mix", lambda: T.expert_mix(
             Tensor([[1e200, 1e200]]), Tensor([[1.0]]),
             Tensor([[[1e200], [1e200]]]), Tensor([[[1.0, 1.0]]]))),
@@ -577,8 +647,10 @@ class TestFiniteGuard:
 
     @pytest.mark.parametrize("make", [
         lambda x: x.reshape((4,)), lambda x: T.gather(x, [1, 0]),
-        lambda x: T.scatter(x, [0, 2], 3), T.relu, T.softmax,
-    ], ids=["reshape", "gather", "scatter", "relu", "softmax"])
+        lambda x: T.scatter(x, [0, 2], 3), T.relu, T.softmax, T.transpose,
+        lambda x: T.softmax_mean(x.reshape((2, 1, 2))),
+    ], ids=["reshape", "gather", "scatter", "relu", "softmax", "transpose",
+            "softmax_mean"])
     def test_finite_preserving_ops_skip_the_guard(self, make, monkeypatch):
         x = Tensor(np.arange(4.0).reshape(2, 2))
         ops = []
