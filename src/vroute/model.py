@@ -65,7 +65,7 @@ class MoELayer:
         experts' outputs on ``u``, when a prefix holds them."""
         rec = self.router.route(u, mode, noise, encoding)
         return (T.expert_mix(u, rec.gate_weights, self.w1, self.w2,
-                             outputs=experts), rec)
+                             outputs=experts, selection=rec.selection), rec)
 
 
 class _Block:

@@ -30,9 +30,19 @@ GUMBEL_CLAMP = 1e-12
 # One Philox and one Generator over it serve every stream: a draw sets the
 # key and counter of the stream it draws from, instead of building a bit
 # generator (which would first gather OS entropy for a seed the key then
-# overrides).
+# overrides).  The state it sets is one dict, refilled in place per draw;
+# the setter copies the words out, so the arrays are never shared.
 _PHILOX = np.random.Philox(0)
 _GENERATOR = np.random.Generator(_PHILOX)
+_STATE = {"bit_generator": "Philox",
+          "state": {"key": np.zeros(2, dtype=np.uint64),
+                    "counter": np.zeros(4, dtype=np.uint64)},
+          "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+          "has_uint32": 0, "uinteger": 0}
+_KEY = _STATE["state"]["key"]
+_COUNTER = _STATE["state"]["counter"]
+# float64 staging for a key that numpy would round (see _generator).
+_ROUNDED_KEY = np.zeros(2)
 
 
 def _splitmix64(x: int) -> int:
@@ -87,16 +97,27 @@ class RngStream:
         """The shared generator, set to this stream's key and counter.
 
         It stays valid only until the next draw from any stream, so every
-        method draws from it at once.  The key and counter lists go through
-        ``np.asarray`` as in ``Philox(key=..., counter=...)``, float64
-        rounding included.
+        method draws from it at once.  The key and counter words are those
+        of ``np.asarray([seed, stream_id]).astype(np.uint64)`` and
+        ``np.asarray([0, 0, counter, 0]).astype(np.uint64)``, as in
+        ``Philox(key=..., counter=...)``.  numpy gives a list of ints one
+        integer type when its words are all below 2**63 or all at least
+        2**63, so those words are exact; a list with both goes through
+        float64, and such a key gets the same float64 cast here, rounding
+        and invalid casts included.  A counter at 2**63 or above keeps the
+        list expression.
         """
-        _PHILOX.state = {
-            "bit_generator": "Philox",
-            "state": {"key": np.asarray([self.seed, self.stream_id]).astype(np.uint64),
-                      "counter": np.asarray([0, 0, self.counter, 0]).astype(np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        seed, sid, counter = self.seed, self.stream_id, self.counter
+        if (seed ^ sid) >> 63:
+            _ROUNDED_KEY[0], _ROUNDED_KEY[1] = seed, sid
+            np.copyto(_KEY, _ROUNDED_KEY, casting="unsafe")
+        else:
+            _KEY[0], _KEY[1] = seed, sid
+        if counter >> 63:
+            _COUNTER[:] = np.asarray([0, 0, counter, 0]).astype(np.uint64)
+        else:
+            _COUNTER[2] = counter
+        _PHILOX.state = _STATE
         return _GENERATOR
 
     def _tick(self) -> np.random.Generator:

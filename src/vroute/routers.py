@@ -113,13 +113,16 @@ class BatchRouteResult:
 
 
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
-    """0/1 mask of the k largest entries per row; ties to the lowest index."""
+    """0/1 float mask [B, N] of the k largest entries of each row of
+    ``scores`` [B, N]; ties go to the lowest index.  Every row holds
+    exactly k ones, which the stored-output read of
+    :func:`vroute.tensor.expert_mix` relies on."""
     s = np.asarray(scores, dtype=np.float64)
     if k > s.shape[-1]:
         raise ValueError("k exceeds the number of experts")
-    order = np.argsort(-s, axis=-1, kind="stable")
+    top = np.argsort(-s, axis=1, kind="stable")[:, :k]
     mask = np.zeros_like(s)
-    np.put_along_axis(mask, order[..., :k], 1.0, axis=-1)
+    mask[np.arange(s.shape[0])[:, None], top] = 1.0
     return mask
 
 

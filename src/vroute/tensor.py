@@ -41,7 +41,9 @@ def no_grad():
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if arr.size and not np.isfinite(arr).all():
+    # The ufunc reduce skips the Python wrapper of ``ndarray.all``; the guard
+    # runs on every checked op and gradient.
+    if arr.size and not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericsError(f"{op} produced non-finite values")
 
 
@@ -381,8 +383,9 @@ def expert_outputs(u, w1, w2) -> np.ndarray:
     """Every expert's output on every row, without a tape: [N, B, D], with
     the bits :func:`expert_mix` gets on the whole batch.
 
-    The result passes the finite guard: :func:`expert_mix` reads it densely,
-    and a zero gate times an infinite output would be NaN there.
+    The result passes the finite guard: :func:`expert_mix` multiplies the
+    selected outputs by their gates, and a zero gate times an infinite
+    output would be NaN there.
     """
     out = _experts(*(as_tensor(t).data for t in (u, w1, w2)))[1]
     _check_finite(out, "expert_outputs")
@@ -398,7 +401,8 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
+def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None,
+               selection: np.ndarray | None = None) -> Tensor:
     """Gate-weighted sum of N two-layer ReLU experts: u [B, D], gates [B, N],
     w1 [N, D, H], w2 [N, H, D] -> sum_j gates[:, j] * relu(u @ w1[j]) @ w2[j].
 
@@ -413,33 +417,53 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None) -> Tensor:
 
     ``outputs``, the :func:`expert_outputs` of this ``u``, stands in for
     running the experts, for passes that share ``u`` and record no tape.
-    It is read densely: a zero gate adds a signed zero to a running sum that
-    starts at +0, which leaves the sum's bits alone because the outputs are
-    finite.  Otherwise an untaped op runs expert j only on the rows whose
-    gate j is non-zero (top-k dispatch) and skips it when there are none;
-    the terms left out are exact zeros, so the sum has the bits of the dense
-    one.  An expert that exactly one row selects runs on the whole batch
-    instead: numpy sends a one-row matmul to gemv, whose last bits differ
-    from a gemm row's.
+    It comes with ``selection``, the [B, N] 0/1 top-k mask the gates were
+    renormalised over, and the gates must be zero outside it.  Each row
+    reads its k selected outputs in ascending expert order, scales them by
+    their gates and adds them from zeros.  The terms left out are gate 0
+    times a finite output, a signed zero, and a signed zero added to a
+    running sum that starts at +0 leaves its bits alone; so the sum has the
+    bits of the dense gated sum over all N experts.  A zero gate inside the
+    selection is read like any other.
+
+    Otherwise an untaped op runs expert j only on the rows whose gate j is
+    non-zero (top-k dispatch) and skips it when there are none; the terms
+    left out are exact zeros, so the sum has the bits of the dense one.  An
+    expert that exactly one row selects runs on the whole batch, and only
+    that row's term is added: numpy sends a one-row matmul to gemv, whose
+    last bits differ from a gemm row's.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
     keep = _recording(parents)
-    if keep and outputs is not None:
-        raise NumericsError("stored expert outputs carry no tape")
-    if keep or outputs is not None:
-        hid, ys = (_experts(u.data, w1.data, w2.data) if keep
-                   else (None, outputs))
+    if outputs is not None:
+        if keep:
+            raise NumericsError("stored expert outputs carry no tape")
+        if selection is None:
+            raise ValueError("stored expert outputs are read by selection")
+        n, batch, dim = outputs.shape
+        picked = np.flatnonzero(selection)          # b * N + j, row by row
+        picked = picked.reshape(batch, picked.size // max(batch, 1)).T  # [k, B]
+        terms = outputs.reshape(n * batch, dim).take(
+            picked % n * batch + picked // n, axis=0)            # [k, B, D]
+        terms *= gates.data.take(picked)[:, :, None]
+        data = _sum_in_order(terms)
+    elif keep:
+        hid, ys = _experts(u.data, w1.data, w2.data)
         data = _sum_in_order(gates.data.T[:, :, None] * ys)
     else:
         data = np.zeros((u.shape[0], w2.shape[2]))
-        for j in range(w1.shape[0]):
-            rows = np.flatnonzero(gates.data[:, j])
+        for j, col in enumerate(np.ascontiguousarray(gates.data.T)):
+            rows = np.flatnonzero(col)
             if rows.size == 0:
                 continue
+            x = u.data if rows.size == 1 else u.data.take(rows, axis=0)
+            y = x @ w1.data[j]
+            np.maximum(y, 0.0, out=y)
+            y = y @ w2.data[j]
             if rows.size == 1:
-                rows = slice(None)
-            y = np.maximum(u.data[rows] @ w1.data[j], 0.0) @ w2.data[j]
-            data[rows] += gates.data[rows, j:j + 1] * y
+                y = y[rows]
+            y *= col.take(rows)[:, None]
+            data[rows] += y
 
     def backward(g):
         want_u, want_w1, want_w2 = (_tracked(t) for t in (u, w1, w2))

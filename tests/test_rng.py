@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vroute.rng import RngStream, gumbel_from_uniform
+from vroute.rng import _PHILOX, RngStream, gumbel_from_uniform
 
 
 def test_triple_determines_sequence():
@@ -102,3 +102,41 @@ def test_key_keeps_the_top_53_bits_of_a_large_id():
     small = 12345
     assert not np.array_equal(RngStream(0, small).uniform((3,)),
                               RngStream(0, small ^ 1).uniform((3,)))
+
+
+def _per_draw_state(seed, stream_id, counter):
+    """The Philox state a draw built afresh before the state was reused."""
+    return {"bit_generator": "Philox",
+            "state": {"key": np.asarray([seed, stream_id]).astype(np.uint64),
+                      "counter": np.asarray([0, 0, counter, 0]).astype(np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
+# Within 2,048 of 2**64: as float64 it rounds to 2**64, whose uint64 cast is
+# invalid (numpy warns, and the word it gives depends on the platform).
+_NEAR_2_64 = (1 << 64) - 1000
+
+
+@pytest.mark.parametrize("seed", [11, (1 << 63) + 5])
+@pytest.mark.parametrize("stream_id", _IDS + [_NEAR_2_64])
+@pytest.mark.parametrize("counter", [0, 3, 1 << 40, (1 << 63) + 12345,
+                                     _NEAR_2_64])
+def test_reused_state_matches_the_per_draw_dict(seed, stream_id, counter):
+    s = RngStream(seed, stream_id, counter)
+    for tick, draw in enumerate(["uniform", "normal", "uniform"]):
+        now = (counter + tick) % (1 << 64)
+        with np.errstate(invalid="ignore"):
+            want = _per_draw_state(seed, stream_id, now)
+            s._generator()
+        got = _PHILOX.state["state"]
+        np.testing.assert_array_equal(got["key"], want["state"]["key"])
+        np.testing.assert_array_equal(got["counter"], want["state"]["counter"])
+        ref = np.random.Philox(0)
+        ref.state = want
+        ref = np.random.Generator(ref)
+        with np.errstate(invalid="ignore"):
+            values = getattr(s, draw)((5,))
+        np.testing.assert_array_equal(
+            values, ref.random(5) if draw == "uniform" else ref.standard_normal(5))
+    assert s.counter == (counter + 3) % (1 << 64)

@@ -283,14 +283,28 @@ class TestExpertMix:
             assert_grad_close(t.grad, fd)
 
 
-def _top_k_gates(rng, b, n, k):
-    """Softmax gates over each row's k largest logits, zero elsewhere."""
-    logits = rng.normal(size=(b, n))
+def _top_k_gates(rng, b, n, k, logits=None):
+    """Softmax gates over each row's k largest logits (normal draws unless
+    given), zero elsewhere."""
+    if logits is None:
+        logits = rng.normal(size=(b, n))
     keep = np.argsort(-logits, axis=1)[:, :k]
     mask = np.zeros((b, n), dtype=bool)
     np.put_along_axis(mask, keep, True, axis=1)
     e = np.where(mask, np.exp(logits), 0.0)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _skewed_logits(rng, b, n=8):
+    """Logits whose top-1 and top-2 loads look trained: no row selects
+    expert 3, only row b // 2 selects expert 0, and every other row ranks
+    expert 5 first."""
+    logits = rng.normal(size=(b, n))
+    low, high = logits.min(axis=1), logits.max(axis=1)
+    logits[:, 0] = logits[:, 3] = low - 1.0
+    logits[:, 5] = high + 1.0
+    logits[b // 2, 0] = high[b // 2] + 2.0
+    return logits
 
 
 def _untaped_mix(u, gates, w1, w2):
@@ -340,6 +354,18 @@ class TestExpertDispatch:
         w1[3] = 1e308
         np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2), expected)
 
+    @pytest.mark.parametrize("b", [3, 64, 500])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_skewed_loads(self, b, k, np_rng):
+        # Trained loads: one expert with no rows, one with exactly one row
+        # and one with more than half the rows.
+        u, w1, w2 = _model_sized_experts(np_rng, b)
+        gates = _top_k_gates(np_rng, b, 8, k, _skewed_logits(np_rng, b))
+        loads = np.count_nonzero(gates, axis=0)
+        assert loads[3] == 0 and loads[0] == 1 and loads[5] > b / 2
+        np.testing.assert_array_equal(_untaped_mix(u, gates, w1, w2),
+                                      _mix_reference(u, gates, w1, w2))
+
 
 def _loop_mix(u, gates, w1, w2):
     """The per-expert taped forward that the stacked products replaced: the
@@ -379,8 +405,8 @@ def _same_bits(got, want):
 
 class TestStackedExpertMix:
     """The taped ``expert_mix`` stacks each weight's product over the expert
-    axis, and the stored-output read is a dense gated sum; both must give
-    the per-expert loop's bits."""
+    axis, and the stored-output read takes the selected outputs by index;
+    both must give the per-expert loop's bits."""
 
     # Which of (u, gates, w1, w2) the tape tracks: stage 1 trains everything;
     # a stage-2 block after the first stochastic one trains u's upstream and
@@ -417,17 +443,16 @@ class TestStackedExpertMix:
     def _stored_read(rng, b):
         """Gates with a zero selected gate, an expert that one row selects
         and one that no row selects; the experts' stored outputs; and the
-        dense read of them."""
+        read of them by selection."""
         u, w1, w2 = _model_sized_experts(rng, b)
-        gates = _top_k_gates(rng, b, 8, 2)
-        gates[:, 3] = 0.0              # no row selects expert 3
-        gates[::5, 1] = 0.0            # a selected gate that is exactly 0
-        gates[:, 0] = 0.0
-        gates[b // 2, 0] = 0.5         # one row selects expert 0
+        gates = _top_k_gates(rng, b, 8, 2, _skewed_logits(rng, b))
+        selection = (gates != 0.0).astype(np.float64)
+        gates[::5, 5] = 0.0            # a selected gate that is exactly 0
         outputs = T.expert_outputs(u, w1, w2)
         with T.no_grad():
             got = T.expert_mix(Tensor(u), Tensor(gates), Tensor(w1),
-                               Tensor(w2), outputs=outputs).data
+                               Tensor(w2), outputs=outputs,
+                               selection=selection).data
         return (u, gates, w1, w2), outputs, got
 
     @pytest.mark.parametrize("b", [1, 3, 64, 500])
@@ -450,6 +475,50 @@ class TestStackedExpertMix:
         _, acts = _loop_mix(u, np.ones((64, 8)), w1, w2)
         assert _same_bits(T.expert_outputs(u, w1, w2),
                           np.stack([y for _, y in acts]))
+
+
+class TestSelectedExpertRead:
+    """The stored-output read of untaped ``expert_mix`` takes each row's k
+    selected outputs by index; it must give the bits, signbits included,
+    of the dense gated sum over all N experts added in index order."""
+
+    @staticmethod
+    def _operands(rng, b, k, n=8, d=32):
+        """Top-k gates with a zero gate inside the selection of every fourth
+        row, their selection, and outputs holding -0.0 entries."""
+        gates = _top_k_gates(rng, b, n, k)
+        selection = (gates != 0.0).astype(np.float64)
+        rows = np.arange(0, b, 4)
+        gates[rows, selection[rows].argmax(axis=1)] = 0.0
+        outputs = rng.normal(size=(n, b, d))
+        outputs[:, ::2, ::3] = -0.0
+        outputs[1::3, 1::5] = -0.0
+        return gates, selection, outputs
+
+    @staticmethod
+    def _read(gates, selection, outputs):
+        n, b, d = outputs.shape
+        with T.no_grad():
+            return T.expert_mix(np.zeros((b, d)), gates,
+                                np.zeros((n, d, 4)), np.zeros((n, 4, d)),
+                                outputs=outputs, selection=selection)
+
+    @pytest.mark.parametrize("b", [0, 1, 2, 3, 64, 500])
+    @pytest.mark.parametrize("k", [1, 2, 8])
+    def test_matches_the_dense_gated_sum(self, b, k, np_rng):
+        gates, selection, outputs = self._operands(np_rng, b, k)
+        got = self._read(gates, selection, outputs).data
+        want = T._sum_in_order(gates.T[:, :, None] * outputs)
+        assert got.shape == want.shape == (b, 32)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_nan_gate_raises(self, np_rng):
+        gates, selection, outputs = self._operands(np_rng, 5, 2)
+        gates = Tensor(gates)       # a finite tensor, then a NaN selected gate
+        gates.data[2, np.flatnonzero(selection[2])[1]] = np.nan
+        with pytest.raises(NumericsError, match="expert_mix"):
+            self._read(gates, selection, outputs)
 
 
 def _reduction_operand(rng, shape):
