@@ -346,11 +346,12 @@ def mc_logit_var(samples: np.ndarray) -> np.ndarray:
     For ``samples`` of shape [B, S, N]: sum_s ||l_s - mean||^2 / (S - 1)
     per row; zero for identical samples.  numpy orders a reduction by
     memory layout, so the samples are reduced C-contiguous: the routers'
-    ``logits_sampled``, and a stack of them, are laid out sample-major.
+    ``logits_sampled``, and the per-layer buffer of
+    :func:`predict_with_uncertainty`, are laid out sample-major.
     """
     samples = np.ascontiguousarray(samples)
     dev = samples - samples.mean(axis=1, keepdims=True)
-    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
+    return np.square(dev, out=dev).sum(axis=(1, 2)) / (samples.shape[1] - 1)
 
 
 def _content_noise_block(model: MoEClassifier, x: np.ndarray,
@@ -358,9 +359,9 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     """Pre-draw router noise for every pass, keyed by token content rather
     than batch slot, so duplicated inputs inside one batch route identically.
 
-    Returns stochastic layer -> array of shape [passes, batch, ...], filled
-    row by row from one stream per row; MAP layers have no entry and derive
-    no stream."""
+    Returns stochastic layer -> array of shape [passes, batch, ...] with the
+    dtype of the router's draw, filled row by row from one stream per row;
+    MAP layers have no entry and derive no stream."""
     plans: dict[int, np.ndarray] = {}
     for idx in model.stochastic_blocks():
         router = model.blocks[idx].moe.router
@@ -372,7 +373,8 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
                 layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
                 (passes,), 1)
             if i == 0:
-                plans[idx] = np.empty((passes, len(x)) + draw.shape[1:])
+                plans[idx] = np.empty((passes, len(x)) + draw.shape[1:],
+                                      dtype=draw.dtype)
             plans[idx][:, i] = draw
     return plans
 
@@ -455,7 +457,9 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     prob_sum = None
     kl_sum = np.zeros(x.shape[0])
     route_prob_sum = dict.fromkeys(layers, 0.0)
-    logit_samples: dict = {i: [] for i in layers}
+    # Per layer, the passes' sampled logits in one C-contiguous [B, S, N]
+    # buffer: the layout mc_logit_var reduces.
+    logit_samples: dict = {}
     first_records = None
     for s in range(passes):
         with T.no_grad():
@@ -469,11 +473,12 @@ def predict_with_uncertainty(model: MoEClassifier, x,
                 kl_sum += rec.kl.data
         for i in layers:
             route_prob_sum[i] = route_prob_sum[i] + records[i].probs
-            if records[i].logits_sampled is not None:
-                # A C-contiguous copy frees the pass's sample-major logits
-                # and stacks into the layout mc_logit_var reduces.
-                logit_samples[i].append(
-                    np.ascontiguousarray(records[i].logits_sampled[:, 0, :]))
+            sampled = records[i].logits_sampled
+            if sampled is not None and passes >= 2:
+                if i not in logit_samples:
+                    logit_samples[i] = np.empty(
+                        (x.shape[0], passes, sampled.shape[2]))
+                logit_samples[i][:, s, :] = sampled[:, 0, :]
         if first_records is None:
             first_records = records
     per_layer = []
@@ -481,8 +486,8 @@ def predict_with_uncertainty(model: MoEClassifier, x,
         sig = dict.fromkeys(SIGNAL_NAMES)
         sig.update(first_records[i].signals)
         sig["gate_entropy"] = shannon_entropy(route_prob_sum[i] / passes)
-        if len(logit_samples[i]) >= 2:
-            sig["mc_logit_var"] = mc_logit_var(np.stack(logit_samples[i], axis=1))
+        if i in logit_samples:
+            sig["mc_logit_var"] = mc_logit_var(logit_samples[i])
         per_layer.append(sig)
     signals: dict = {}
     for key in SIGNAL_NAMES:

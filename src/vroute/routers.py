@@ -118,11 +118,28 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     exactly k ones, which the stored-output read of
     :func:`vroute.tensor.expert_mix` relies on."""
     s = np.asarray(scores, dtype=np.float64)
-    if k > s.shape[-1]:
+    b, n = s.shape
+    if k > n:
         raise ValueError("k exceeds the number of experts")
-    top = np.argsort(-s, axis=1, kind="stable")[:, :k]
-    mask = np.zeros_like(s)
-    mask[np.arange(s.shape[0])[:, None], top] = 1.0
+    # k argmax passes, each taking a row's first maximum and then ruling it
+    # out, select what a stable sort of -s would wherever a row holds no
+    # NaN and at least k entries above -inf; any other row is sorted.  The
+    # passes write through flat indices into C-contiguous arrays.
+    mask = np.zeros((b, n))
+    work = s.copy()
+    flat_mask, flat_work = mask.reshape(-1), work.reshape(-1)
+    starts = np.arange(0, b * n, n)
+    for _ in range(k):
+        top = work.argmax(axis=1)
+        top += starts
+        flat_mask[top] = 1.0
+        flat_work[top] = -np.inf
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
+        odd = np.flatnonzero(np.isnan(s).any(axis=1)
+                             | ((s > -np.inf).sum(axis=1) < k))
+        mask[odd] = 0.0
+        mask[odd[:, None],
+             np.argsort(-s[odd], axis=1, kind="stable")[:, :k]] = 1.0
     return mask
 
 
@@ -405,6 +422,15 @@ class TempScaleRouter(RouterBase):
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
 
+def kept_inputs(keep: np.ndarray, u: np.ndarray, rate: float) -> np.ndarray:
+    """The inverted-dropout inputs [B, S, D] of ``u`` [B, D] under the
+    boolean keep mask ``keep`` [B, S, D]: one multiply of the mask by
+    ``u / (1 - rate)``.  A kept entry is 1.0 times that, a dropped one 0.0
+    times it, a zero with u's sign: the bits of the float mask scaled by
+    ``1 / (1 - rate)`` and times ``u``."""
+    return np.multiply(keep, (u * (1.0 / (1.0 - rate)))[:, None, :])
+
+
 class McDropoutRouter(RouterBase):
     """Averages routing over S input-dropout passes of the projection.
 
@@ -417,20 +443,22 @@ class McDropoutRouter(RouterBase):
     variant = "mc_dropout"
 
     def draw_noise(self, rng, lead, samples):
-        return rng.uniform((*lead, samples, self.w_r.shape[0]))
+        """The boolean keep mask ``v >= dropout_rate`` of one uniform ``v``
+        per token, sample and input coordinate."""
+        return (rng.uniform((*lead, samples, self.w_r.shape[0]))
+                >= self.settings.dropout_rate)
 
     def route(self, u, mode, noise=None, encoding=None):
+        """Route with ``noise`` [B, S, D], the boolean keep mask of
+        :meth:`draw_noise`."""
         _check_mode(mode)
-        rate = self.settings.dropout_rate
+        if noise.dtype != np.bool_:
+            raise TypeError("mc_dropout noise must be a boolean keep mask, "
+                            f"not {noise.dtype}")
         dim, n = self.w_r.shape
         s = noise.shape[1]
-        # The scaled keep mask times u, formed in place: [B, S, D].
-        dropped = (noise >= rate).astype(np.float64)
-        if rate > 0.0:
-            dropped /= (1.0 - rate)
-        dropped *= u.data[:, None, :]
-        logits_s = dropped.reshape(-1, dim) @ self.w_r.data
-        del dropped
+        logits_s = (kept_inputs(noise, u.data, self.settings.dropout_rate)
+                    .reshape(-1, dim) @ self.w_r.data)
         logits_s = np.ascontiguousarray(logits_s.reshape(u.shape[0], s, n).T)
         p_bar = T.transpose(T.softmax_mean(logits_s)).data
         mask = top_k_mask(p_bar, self.top_k)

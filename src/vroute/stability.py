@@ -132,10 +132,10 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed[layer].selection))
             j = np.concatenate(values)
+            q10, q50, q90 = np.quantile(j, (0.10, 0.50, 0.90)).tolist()
             report.cells.append(StabilityCell(
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),
-                q10=float(np.quantile(j, 0.10)), q50=float(np.quantile(j, 0.50)),
-                q90=float(np.quantile(j, 0.90))))
+                q10=q10, q50=q50, q90=q90))
         del held                     # free it before the next layer's draw
     return report
 

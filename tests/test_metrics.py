@@ -274,6 +274,16 @@ class TestMcLogitVar:
         assert mc_logit_var(doubled)[0] == pytest.approx(
             4 * mc_logit_var(s)[0], rel=1e-12)
 
+    @pytest.mark.parametrize("sample_major", [False, True])
+    def test_squares_in_place_with_the_bits_of_power(self, sample_major):
+        rng = np.random.default_rng(9)
+        s = rng.normal(size=(8, 35, 500)).T if sample_major else \
+            rng.normal(size=(500, 35, 8))
+        c = np.ascontiguousarray(s)
+        dev = c - c.mean(axis=1, keepdims=True)
+        want = (dev ** 2).sum(axis=(1, 2)) / 34
+        np.testing.assert_array_equal(mc_logit_var(s), want)
+
 
 def jaccard(set_a, set_b) -> float:
     """Oracle: |intersection| / |union| of two expert sets.

@@ -17,7 +17,7 @@ from vroute.metrics import jaccard_rows
 from vroute import model as M
 from vroute.metrics import calibration_report
 from vroute.model import (ModelConfig, MoEClassifier, Prefix,
-                          attach_variational_routers, elbo_loss, mc_logit_var,
+                          attach_variational_routers, elbo_loss,
                           predict_with_uncertainty, shannon_entropy)
 from vroute.rng import RngStream
 from vroute.routers import SIGNAL_NAMES, RouterSettings, TempScaleRouter
@@ -66,9 +66,19 @@ def _assert_same_prediction(got, want):
             np.testing.assert_array_equal(got.signals[key], want.signals[key])
 
 
+def _stacked_mc_logit_var(runs, i):
+    """Layer ``i``'s multi-pass logit variance as a stack of the passes'
+    C-contiguous sampled logits, with the deviations squared by ``** 2``."""
+    samples = np.stack([np.ascontiguousarray(r[i].logits_sampled[:, 0, :])
+                        for r in runs], axis=1)
+    dev = samples - samples.mean(axis=1, keepdims=True)
+    return (dev ** 2).sum(axis=(1, 2)) / (samples.shape[1] - 1)
+
+
 def _predict_full_forward(model, x, rng):
     """The marginalisation as S plain whole passes, with the predict's noise
-    plan and no shared prefix, expert outputs or router encoding."""
+    plan and no shared prefix, expert outputs, router encoding or logit
+    buffer."""
     layers = model.stochastic_blocks()
     passes = max((model.blocks[i].moe.router.settings.eval_samples
                   for i in layers), default=1)
@@ -91,8 +101,7 @@ def _predict_full_forward(model, x, rng):
         sig["gate_entropy"] = shannon_entropy(
             sum(r[i].probs for r in runs) / passes)
         if runs[0][i].logits_sampled is not None and passes >= 2:
-            sig["mc_logit_var"] = mc_logit_var(np.stack(
-                [r[i].logits_sampled[:, 0, :] for r in runs], axis=1))
+            sig["mc_logit_var"] = _stacked_mc_logit_var(runs, i)
         per_layer.append(sig)
     signals = {}
     for key in SIGNAL_NAMES:
@@ -310,6 +319,18 @@ def test_noise_plan_skips_map_layers(variant, monkeypatch):
     assert list(plan) == [1]
     assert plan[1].shape[:2] == (4, len(x))
     assert rows == {0: len(x)}
+
+
+@pytest.mark.parametrize("rows", [0, 7])
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_noise_plan_keeps_the_draw_dtype(variant, rows):
+    # mc_dropout draws a boolean keep mask, the others float64 noise.
+    model = _model(variant, layers=(1,))
+    x = _splits(40)["test"].features[:rows]
+    plan = M._content_noise_block(model, x, RngStream(3), passes=4)
+    want = np.bool_ if variant == "mc_dropout" else np.float64
+    assert plan[1].dtype == want
+    assert plan[1].shape[:2] == (4, rows)
 
 
 @pytest.mark.parametrize("variant", STOCHASTIC)

@@ -10,8 +10,8 @@ from vroute.rng import RngStream
 from vroute.routers import (GaussianInferenceNet, McDropoutRouter, MapRouter,
                             RouterSettings, TempScaleRouter, TemperatureNet,
                             VglrRouter, VtsrRouter, build_cholesky,
-                            kl_fc_per_token, kl_mf_per_token, make_router,
-                            top_k_mask)
+                            kept_inputs, kl_fc_per_token, kl_mf_per_token,
+                            make_router, top_k_mask)
 from vroute.tensor import Tensor
 
 from conftest import (ZERO_GUMBEL_UNIFORM, FixedGaussianPhi,
@@ -395,8 +395,8 @@ class TestMcDropoutRoute:
         n = 4
         u, w = _logit_router(np.ones(n))
         router = self._router(w, 0.5, s=6)
-        # uniforms all 0.9 -> every mask keeps every coordinate
-        noise = np.full((1, 6, n), 0.9)
+        # every mask keeps every coordinate
+        noise = np.ones((1, 6, n), dtype=bool)
         res = router.route(Tensor(u[None, :]), "eval", noise=noise)
         assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
 
@@ -418,16 +418,29 @@ class TestMcDropoutRoute:
         # eval_samples says.
         n, b = 4, 3
         router = self._router(np_rng.normal(size=(n, n)), 0.5, s=35)
-        noise = np_rng.uniform(size=(b, 1, n))
+        noise = np_rng.uniform(size=(b, 1, n)) >= 0.5
         res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
                            noise=noise)
         assert res.logits_sampled.shape == (b, 1, n)
         assert res.kl is None and res.signals == {}
 
+    def test_draw_is_the_keep_mask_of_the_uniforms(self):
+        router = self._router(np.eye(4), 0.3, s=5)
+        mask = router.draw_noise(RngStream(4), (3,), 5)
+        assert mask.dtype == np.bool_
+        np.testing.assert_array_equal(
+            mask, RngStream(4).uniform((3, 5, 4)) >= 0.3)
+
+    def test_float_noise_is_rejected(self):
+        router = self._router(np.eye(4), 0.5, s=2)
+        with pytest.raises(TypeError, match="boolean keep mask, not float64"):
+            router.route(Tensor(np.ones((1, 4))), "eval",
+                         noise=np.full((1, 2, 4), 0.9))
+
     def test_eval_route_holds_one_dropped_input(self):
-        # At B=500, S=35, D=32 one [B, S, D] array takes 4.48 MB.  The keep
-        # mask is scaled and multiplied by u in place, so the route holds one
-        # such array (7.1 MB peak); a separate product holds two (11.6 MB).
+        # At B=500, S=35, D=32 one float [B, S, D] array takes 4.48 MB.  The
+        # boolean keep mask times the scaled u is the route's one such array;
+        # a float mask and a separate product would hold two.
         b, s, d, n = 500, 35, 32, 8
         router = self._router(RngStream(1).normal((d, n)), 0.1, s=s)
         u = Tensor(RngStream(3).normal((b, d)))
@@ -443,11 +456,55 @@ class TestMcDropoutRoute:
         assert peak < 2 * (b * s * d * 8)
 
 
+class TestKeepMaskRoute:
+    """The boolean keep mask gives the bits of the float mask formula
+    ``(v >= rate).astype(float) / (1 - rate) * u`` on the same uniforms."""
+
+    @staticmethod
+    def _u(b, d):
+        u = RngStream(3).normal((b, d))
+        u[0, :4] = [0.0, -0.0, -1e-300, 5e-324]
+        u[-1, -2:] = [-0.0, -3.5]
+        return u
+
+    @pytest.mark.parametrize("s", [1, 35])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_kept_inputs_match_the_float_formula(self, rate, s):
+        b, d = 7, 16
+        u = self._u(b, d)
+        v = RngStream(4).uniform((b, s, d))
+        got = kept_inputs(v >= rate, u, rate)
+        want = (v >= rate).astype(float) / (1 - rate) * u[:, None, :]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        assert np.signbit(got[0, :, 1]).all()      # -0.0 kept or dropped
+
+    @pytest.mark.parametrize("s", [1, 35])
+    @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
+    def test_route_matches_the_float_formula(self, rate, s):
+        b, d, n = 7, 16, 8
+        router = McDropoutRouter(Tensor(RngStream(1).normal((d, n))), 2,
+                                 RouterSettings(eval_samples=s,
+                                                dropout_rate=rate))
+        u = Tensor(self._u(b, d))
+        res = router.route(u, "eval",
+                           noise=router.draw_noise(RngStream(4), (b,), s))
+        v = RngStream(4).uniform((b, s, d))
+        dropped = (v >= rate).astype(float) / (1 - rate) * u.data[:, None, :]
+        logits = (dropped.reshape(-1, d) @ router.w_r.data).reshape(b, s, n)
+        np.testing.assert_array_equal(res.logits_sampled, logits)
+        np.testing.assert_array_equal(np.signbit(res.logits_sampled),
+                                      np.signbit(logits))
+        np.testing.assert_array_equal(
+            res.probs, T.softmax_last(logits).mean(axis=1))
+
+
 def _c_layout_route(router, u, mode, noise):
     """A route computed on [B, S, N] samples, with the broadcast spread and
     numpy's last-axis softmax and middle-axis mean: the reference whose bits
-    the sample-major routes keep.  Returns (probs, selection, gates as a
-    tensor, logits_sampled, kl)."""
+    the sample-major routes keep.  mc_dropout's ``noise`` is the uniforms
+    its keep mask is drawn from, dropped by the float formula.  Returns
+    (probs, selection, gates as a tensor, logits_sampled, kl)."""
     b, n = u.shape[0], router.w_r.shape[1]
     if router.variant == "mc_dropout":
         rate = router.settings.dropout_rate
@@ -507,6 +564,8 @@ class TestSampleMajorRoute:
         samples = 1 if mode == "train" else s
         noise = router.draw_noise(RngStream(4), (b,), samples)
         res = router.route(u, mode, noise=noise)
+        if variant == "mc_dropout":
+            noise = RngStream(4).uniform(noise.shape)
         probs, mask, gates, logits, kl = _c_layout_route(router, u, mode,
                                                          noise)
         assert res.probs.flags.c_contiguous
@@ -570,3 +629,58 @@ class TestFixedTempRoute:
 def test_top_k_mask_tie_rule():
     mask = top_k_mask(np.array([[1.0, 1.0, 1.0, 0.5]]), 2)
     np.testing.assert_array_equal(mask[0], [1, 1, 0, 0])
+
+
+def _sorted_top_k_mask(scores, k):
+    """The k first entries of a stable sort of -scores: the selection rule,
+    NaN last."""
+    top = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    mask = np.zeros_like(scores)
+    mask[np.arange(len(scores))[:, None], top] = 1.0
+    return mask
+
+
+class TestTopKMask:
+    """The argmax passes select what a stable sort would, for every input."""
+
+    @pytest.mark.parametrize("row, k, want", [
+        ([1.0, 1.0, 1.0, 0.5], 3, [1, 1, 1, 0]),
+        ([0.5, 2.0, 2.0, 2.0], 2, [0, 1, 1, 0]),
+        ([0.0, -0.0, 0.0, -1.0], 2, [1, 1, 0, 0]),
+        ([-np.inf, 3.0, -np.inf, 1.0], 2, [0, 1, 0, 1]),
+        ([1.0, -np.inf, -np.inf, -np.inf], 2, [1, 1, 0, 0]),
+        ([-np.inf] * 4, 3, [1, 1, 1, 0]),
+        ([np.inf, 2.0, np.inf, np.inf], 2, [1, 0, 1, 0]),
+        ([np.nan, 1.0, 2.0, 0.0], 2, [0, 1, 1, 0]),
+        ([np.nan, -np.inf, np.nan, 0.0], 2, [0, 1, 0, 1]),
+        ([np.nan, 1.0, np.nan, np.nan], 3, [1, 1, 1, 0]),
+        ([np.nan, -np.inf, np.inf, 0.0], 4, [1, 1, 1, 1]),
+        ([3.0, 1.0, 2.0, 0.0], 4, [1, 1, 1, 1]),
+    ])
+    def test_row(self, row, k, want):
+        scores = np.array([row, [4.0, 3.0, 2.0, 1.0]])
+        mask = top_k_mask(scores, k)
+        np.testing.assert_array_equal(mask[0], want)
+        np.testing.assert_array_equal(mask, _sorted_top_k_mask(scores, k))
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_matches_the_stable_sort(self, n):
+        # Rows drawn from a small pool of values: many ties, signed zeros,
+        # infinities and NaNs, next to rows of distinct finite scores.
+        rng = np.random.default_rng(n)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+        scores = np.concatenate([pool[rng.integers(0, len(pool), (300, n))],
+                                 rng.normal(size=(100, n))])
+        for k in range(n + 1):
+            mask = top_k_mask(scores, k)
+            np.testing.assert_array_equal(mask, _sorted_top_k_mask(scores, k))
+            assert (mask.sum(axis=1) == k).all()
+
+    def test_leaves_the_scores_alone(self):
+        scores = np.array([[1.0, np.nan, -np.inf, 2.0]])
+        top_k_mask(scores, 2)
+        np.testing.assert_array_equal(
+            scores, np.array([[1.0, np.nan, -np.inf, 2.0]]))
+
+    def test_no_rows(self):
+        assert top_k_mask(np.zeros((0, 8)), 2).shape == (0, 8)
