@@ -8,7 +8,7 @@ matrices; everything runs on the tape from :mod:`vroute.tensor`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,25 +195,18 @@ class MoEClassifier:
 
     def prefix(self, x, block: int, experts: bool = False) -> Prefix:
         """Run ``x`` without a tape up to block ``block``'s MoE layer, and
-        with ``experts`` also run that layer's experts on every row.
+        with ``experts`` also run that layer's experts and router encoding
+        on every row.
 
         The routers before ``block`` get no stream, so they must be MAP.
         """
         with T.no_grad():
             h = self._run_blocks(self._entry(x), 0, block, "eval", None, [])
-        moe = self.blocks[block].moe
-        return Prefix(block, h.data,
-                      T.expert_outputs(h, moe.w1, moe.w2) if experts else None)
-
-    def prefix_params(self, block: int) -> list[Tensor]:
-        """The weights a prefix at ``block`` with expert outputs is computed
-        from: everything before that block's router, and its experts."""
-        covered = [self.input_proj]
-        for idx, blk in enumerate(self.blocks[:block + 1]):
-            covered += [blk.dense, blk.moe.w1, blk.moe.w2]
-            if idx < block:
-                covered += [p for _, p in blk.moe.router.param_items()]
-        return covered
+            if not experts:
+                return Prefix(block, h.data)
+            moe = self.blocks[block].moe
+            return Prefix(block, h.data, T.expert_outputs(h, moe.w1, moe.w2),
+                          moe.router.encode(h))
 
     def _entry(self, x) -> Tensor:
         """The input projection and block 0's dense projection."""
@@ -354,14 +347,24 @@ def mc_logit_var(samples: np.ndarray) -> np.ndarray:
     return np.square(dev, out=dev).sum(axis=(1, 2)) / (samples.shape[1] - 1)
 
 
+def _eval_passes(model: MoEClassifier) -> int:
+    """The pass count of a predict: the largest ``eval_samples`` of the
+    model's stochastic routers, or one pass without any."""
+    return max((model.blocks[i].moe.router.settings.eval_samples
+                for i in model.stochastic_blocks()), default=1)
+
+
 def _content_noise_block(model: MoEClassifier, x: np.ndarray,
-                         rng: RngStream, passes: int) -> dict:
-    """Pre-draw router noise for every pass, keyed by token content rather
-    than batch slot, so duplicated inputs inside one batch route identically.
+                         rng: RngStream) -> dict:
+    """Pre-draw router noise for every pass of a predict, keyed by token
+    content rather than batch slot, so duplicated inputs inside one batch
+    route identically.
 
     Returns stochastic layer -> array of shape [passes, batch, ...] with the
     dtype of the router's draw, filled row by row from one stream per row;
-    MAP layers have no entry and derive no stream."""
+    MAP layers have no entry and derive no stream.  It reads no trained
+    weight, so it holds while the model trains."""
+    passes = _eval_passes(model)
     plans: dict[int, np.ndarray] = {}
     for idx in model.stochastic_blocks():
         router = model.blocks[idx].moe.router
@@ -379,41 +382,9 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     return plans
 
 
-@dataclass
-class PredictiveSetup:
-    """The part of a predict that no trained router weight changes.
-
-    ``passes`` is the pass count, ``plan`` the content-keyed router noise
-    of every pass (:func:`_content_noise_block`), and ``prefix`` the blocks
-    before the first stochastic one run once, with that block's expert
-    outputs (None for a model without stochastic blocks).  It depends only
-    on ``x``, the stream and the weights the prefix covers
-    (:meth:`MoEClassifier.prefix_params`), so it stays valid while only the
-    routers' inference nets train.
-    """
-
-    passes: int
-    plan: dict
-    prefix: Prefix | None
-
-
-def predictive_setup(model: MoEClassifier, x,
-                     rng: RngStream) -> PredictiveSetup:
-    """The noise plan and shared prefix of :func:`predict_with_uncertainty`
-    on ``x`` with stream ``rng``."""
-    x = np.asarray(x, dtype=np.float64)
-    layers = model.stochastic_blocks()
-    passes = max((model.blocks[i].moe.router.settings.eval_samples
-                  for i in layers), default=1)
-    plan = _content_noise_block(model, x, rng, passes)
-    prefix = model.prefix(x, layers[0], experts=True) if layers else None
-    return PredictiveSetup(passes, plan, prefix)
-
-
 def predict_with_uncertainty(model: MoEClassifier, x,
                              rng: RngStream | None = None,
-                             setup: PredictiveSetup | None = None
-                             ) -> Prediction:
+                             plan: dict | None = None) -> Prediction:
     """Monte-Carlo predictive distribution plus per-example signals.
 
     Runs S stochastic forward passes, S being the largest ``eval_samples``
@@ -423,36 +394,32 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     place the pass-level signals are defined.  Per stochastic layer (every
     layer of an all-MAP model), gate entropy is the entropy of the
     pass-averaged routing distribution, the inferred variance/temperature
-    are the router's own (pass-independent) readouts, and the multi-pass
+    are the router's own readouts in the first pass, and the multi-pass
     logit variance is taken across the passes' sampled logit vectors (None
-    with fewer than two passes).  Each signal is the mean over the layers
+    with fewer than two passes).  Only the first stochastic layer's
+    readout is the same in every pass: a later layer's input follows the
+    routing sampled before it.  Each signal is the mean over the layers
     that report it.  ``kl_per_token`` is each example's KL / regulariser
     term summed over layers and averaged over the passes: the quantity the
     training objective weights by ``kl_weight``, read off the same passes.
     Deterministic given the stream, and independent of batch order because
     router noise is keyed by token content.
 
-    The passes differ only in their router noise, so what precedes the
-    first noise draw runs once: :func:`predictive_setup` (the noise plan,
-    the MAP blocks before the first stochastic block, and that block's
-    expert outputs), then that block's router encoding, computed here
-    because it reads the trainable inference nets.  ``setup``, when given,
-    must be ``predictive_setup(model, x, rng)`` under the current weights
-    of everything it covers; stage-2 validation builds it once per stage.
-    Every output bit is that of S whole passes.
+    ``plan``, when given, must be ``_content_noise_block(model, x, rng)``:
+    it reads no trained weight, so a training stage's validation draws it
+    once per stage.  The passes differ only in their router noise, so what precedes
+    the first noise draw runs once, as one :class:`Prefix`: the MAP blocks
+    before the first stochastic block, and that block's expert outputs and
+    router encoding.  Every output bit is that of S whole passes.
     """
     if rng is None:
         rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
-    if setup is None:
-        setup = predictive_setup(model, x, rng)
-    passes, plan, prefix = setup.passes, setup.plan, setup.prefix
-    if prefix is not None:
-        with T.no_grad():
-            encoding = model.blocks[prefix.block].moe.router.encode(
-                Tensor(prefix.h))
-        prefix = replace(prefix, encoding=encoding)
+    if plan is None:
+        plan = _content_noise_block(model, x, rng)
+    passes = _eval_passes(model)
     layers = model.stochastic_blocks()
+    prefix = model.prefix(x, layers[0], experts=True) if layers else None
     layers = layers or range(len(model.blocks))
     prob_sum = None
     kl_sum = np.zeros(x.shape[0])

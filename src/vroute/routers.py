@@ -116,15 +116,17 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     """0/1 float mask [B, N] of the k largest entries of each row of
     ``scores`` [B, N]; ties go to the lowest index.  Every row holds
     exactly k ones, which the stored-output read of
-    :func:`vroute.tensor.expert_mix` relies on."""
+    :func:`vroute.tensor.expert_mix` relies on.  A non-finite score raises
+    :class:`~vroute.tensor.NumericsError`."""
     s = np.asarray(scores, dtype=np.float64)
     b, n = s.shape
     if k > n:
         raise ValueError("k exceeds the number of experts")
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
+        raise T.NumericsError("top_k_mask got non-finite scores")
     # k argmax passes, each taking a row's first maximum and then ruling it
-    # out, select what a stable sort of -s would wherever a row holds no
-    # NaN and at least k entries above -inf; any other row is sorted.  The
-    # passes write through flat indices into C-contiguous arrays.
+    # out, select what a stable sort of -s would.  The passes write through
+    # flat indices into C-contiguous arrays.
     mask = np.zeros((b, n))
     work = s.copy()
     flat_mask, flat_work = mask.reshape(-1), work.reshape(-1)
@@ -134,12 +136,6 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
         top += starts
         flat_mask[top] = 1.0
         flat_work[top] = -np.inf
-    if not np.logical_and.reduce(np.isfinite(s), axis=None):
-        odd = np.flatnonzero(np.isnan(s).any(axis=1)
-                             | ((s > -np.inf).sum(axis=1) < k))
-        mask[odd] = 0.0
-        mask[odd[:, None],
-             np.argsort(-s[odd], axis=1, kind="stable")[:, :k]] = 1.0
     return mask
 
 

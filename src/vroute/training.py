@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import calibration_report
-from .model import (MoEClassifier, PredictiveSetup, Prefix, elbo_loss,
-                    predict_with_uncertainty, predictive_setup)
+from .model import (MoEClassifier, Prefix, _content_noise_block, elbo_loss,
+                    predict_with_uncertainty)
 from .optim import Adam
 from .rng import RngStream
 
@@ -63,19 +63,18 @@ class TrainLog:
 
 
 def predictive_nll_acc(model: MoEClassifier, dataset, rng: RngStream,
-                       setup: PredictiveSetup | None = None
-                       ) -> tuple[float, float, float]:
+                       plan: dict | None = None) -> tuple[float, float, float]:
     """NLL/accuracy of the Monte-Carlo predictive distribution, plus the
     mean over examples of the summed per-layer KL read off the same passes.
 
     The validation step of both stages: the early-stopping objective is
     built from the NLL and the KL.  It is deterministic given the stream (so
     epoch-to-epoch changes reflect parameters, not sampler luck) and the NLL
-    is the quantity the evaluation reports.  ``setup`` is the predict's
-    setup on ``dataset`` with ``rng``, when the caller holds it.
+    is the quantity the evaluation reports.  ``plan`` is the predict's
+    noise plan on ``dataset`` with ``rng``, when the caller holds it.
     """
     pred = predict_with_uncertainty(model, dataset.features, rng=rng,
-                                    setup=setup)
+                                    plan=plan)
     report = calibration_report(pred.probs, dataset.labels)
     return report.nll, report.accuracy, float(pred.kl_per_token.mean())
 
@@ -85,9 +84,8 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
                kl_weight: float, epochs: int, prefix_block: int = 0) -> TrainLog:
     """Train ``params``; with ``prefix_block`` > 0 the blocks before it are
     frozen, so the train set runs through them once and each step starts
-    from its rows of that prefix.  The validation predict's setup (noise
-    plan, prefix and expert outputs) is built once per stage, so no trained
-    parameter may lie inside it."""
+    from its rows of that prefix.  The validation predict's noise plan
+    reads no weight, so it is drawn once per stage."""
     log = TrainLog(stage=stage)
     if epochs == 0 or not params:
         return log
@@ -95,13 +93,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
     opt = Adam(params, lr)
     stream = RngStream(seed).derive(stage)
     val_rng = stream.derive("val")
-    val_setup = predictive_setup(model, val_ds.features, val_rng)
-    if val_setup.prefix is not None:
-        covered = model.prefix_params(val_setup.prefix.block)
-        inside = [n for n, p in params if any(p is q for q in covered)]
-        if inside:
-            raise ValueError(f"{stage} trains {inside}, which the validation "
-                             "setup holds fixed")
+    val_plan = _content_noise_block(model, val_ds.features, val_rng)
     n = len(train_ds.labels)
     best = None
     patience_left = cfg.early_stop_patience
@@ -123,7 +115,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
             opt.step()
             losses.append(loss.item())
         val_nll, val_acc, val_kl = predictive_nll_acc(model, val_ds, val_rng,
-                                                      val_setup)
+                                                      val_plan)
         stats = EpochStats(stage, epoch, float(np.mean(losses)), val_nll,
                            val_acc, val_kl)
         log.epochs.append(stats)

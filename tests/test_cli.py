@@ -3,7 +3,9 @@ from ``metrics_train.csv`` and ``config_resolved.json`` alone, a failed run
 prints one error line, exits 1 and leaves no artifacts, and a write that
 fails midway leaves no partial file."""
 import csv
+import hashlib
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -95,6 +97,40 @@ def test_failed_run_removes_checkpoints_already_written(tmp_path, monkeypatch,
     assert seen == [True]
     assert "error: injected stage-2 failure" in capsys.readouterr().err
     assert _left_behind(out) == []
+
+
+def _stability_svg(out, cfg_path):
+    return cli.main(["stability", "--config", str(cfg_path), "--out", str(out),
+                     "--variant", "vglr_mf", "--svg"])
+
+
+def test_stability_svg_is_one_polyline_per_layer_in_the_manifest(tmp_path):
+    out, _, _ = _train(tmp_path)
+    assert _stability_svg(out, tmp_path / "config.json") == 0
+    svg = out / "stability_vglr_mf.svg"
+    root = ElementTree.parse(svg).getroot()
+    polylines = root.findall("{http://www.w3.org/2000/svg}polyline")
+    with open(out / "stability_vglr_mf.csv", encoding="utf-8") as fh:
+        layers = {row["layer"] for row in csv.DictReader(fh)}
+    assert len(polylines) == len(layers) == TINY["model"]["num_blocks"]
+    manifest = json.loads((out / "manifest_stability.json").read_text())
+    assert {"path": svg.name,
+            "sha256": hashlib.sha256(svg.read_bytes()).hexdigest()
+            } in manifest["files"]
+
+
+def test_failed_stability_svg_run_leaves_no_svg(tmp_path, monkeypatch, capsys):
+    out, _, _ = _train(tmp_path)
+    before = _left_behind(out)
+
+    def failing_manifest(*args, **kwargs):
+        assert (out / "stability_vglr_mf.svg").exists()
+        raise RuntimeError("injected manifest failure")
+
+    monkeypatch.setattr(cli, "write_manifest", failing_manifest)
+    assert _stability_svg(out, tmp_path / "config.json") == 1
+    assert "error: injected manifest failure" in capsys.readouterr().err
+    assert _left_behind(out) == before
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ood", "stability",

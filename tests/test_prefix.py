@@ -15,6 +15,7 @@ from vroute import tensor as T
 from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.metrics import jaccard_rows
 from vroute import model as M
+from vroute import training as TR
 from vroute.metrics import calibration_report
 from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           attach_variational_routers, elbo_loss,
@@ -25,7 +26,8 @@ from vroute.stability import (PerturbationSpec, _route_records,
                               fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise)
 from vroute.tensor import Tensor
-from vroute.training import TrainConfig, stage1_train, stage2_train
+from vroute.training import (TrainConfig, predictive_nll_acc,
+                             stage1_train, stage2_train)
 
 STOCHASTIC = ("temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 TRAINED = ("vglr_mf", "vglr_fc", "vtsr")
@@ -82,7 +84,7 @@ def _predict_full_forward(model, x, rng):
     layers = model.stochastic_blocks()
     passes = max((model.blocks[i].moe.router.settings.eval_samples
                   for i in layers), default=1)
-    plan = M._content_noise_block(model, x, rng, passes)
+    plan = M._content_noise_block(model, x, rng)
     layers = layers or range(len(model.blocks))
     probs, kl, runs = [], np.zeros(len(x)), []
     for s in range(passes):
@@ -121,6 +123,28 @@ def test_predict_matches_full_forward(variant, layers):
     x = _splits(40)["test"].features
     got = predict_with_uncertainty(model, x, rng=RngStream(3))
     _assert_same_prediction(got, _predict_full_forward(model, x, RngStream(3)))
+
+
+@pytest.mark.parametrize("variant, key", [("vglr_mf", "inf_logit_var"),
+                                          ("vglr_fc", "inf_logit_var"),
+                                          ("vtsr", "inf_temp")])
+def test_inferred_readout_is_read_from_the_first_pass(variant, key):
+    # Block 2's input follows block 1's sampled routing, so its readout
+    # changes from pass to pass; the predict reports pass 0's.
+    model = _model(variant, layers=(1, 2))
+    x = _splits(40)["test"].features
+    plan = M._content_noise_block(model, x, RngStream(3))
+    readouts = []
+    for s in (0, 1):
+        with T.no_grad():
+            _, records = model.forward(
+                x, "eval", router_noise={i: v[s] for i, v in plan.items()})
+        readouts.append([records[i].signals[key] for i in (1, 2)])
+    np.testing.assert_array_equal(readouts[0][0], readouts[1][0])
+    assert not np.array_equal(readouts[0][1], readouts[1][1])
+    got = predict_with_uncertainty(model, x, rng=RngStream(3))
+    np.testing.assert_array_equal(got.signals[key],
+                                  np.mean(readouts[0], axis=0))
 
 
 @pytest.mark.parametrize("variant", STOCHASTIC)
@@ -315,7 +339,7 @@ def test_noise_plan_skips_map_layers(variant, monkeypatch):
     x = _splits(40)["test"].features
     rows = _count_calls(monkeypatch, RngStream, "derive_from_bytes",
                         lambda *a: 0)
-    plan = M._content_noise_block(model, x, RngStream(3), passes=4)
+    plan = M._content_noise_block(model, x, RngStream(3))
     assert list(plan) == [1]
     assert plan[1].shape[:2] == (4, len(x))
     assert rows == {0: len(x)}
@@ -327,7 +351,7 @@ def test_noise_plan_keeps_the_draw_dtype(variant, rows):
     # mc_dropout draws a boolean keep mask, the others float64 noise.
     model = _model(variant, layers=(1,))
     x = _splits(40)["test"].features[:rows]
-    plan = M._content_noise_block(model, x, RngStream(3), passes=4)
+    plan = M._content_noise_block(model, x, RngStream(3))
     want = np.bool_ if variant == "mc_dropout" else np.float64
     assert plan[1].dtype == want
     assert plan[1].shape[:2] == (4, rows)
@@ -416,12 +440,14 @@ class TestForwardStop:
         _assert_same_records(records, [None, want[1], None])
 
 
-class TestStage2ValSetup:
+class TestStage2ValPlan:
     def _run(self, monkeypatch, variant="vglr_mf", epochs=3):
         splits = _splits(40)
         model = _model(variant)
         plans = _count_calls(monkeypatch, M, "_content_noise_block",
                              lambda m, x, *a: len(x))
+        # training binds the plan function by name; count its calls too.
+        monkeypatch.setattr(TR, "_content_noise_block", M._content_noise_block)
         prefixes = _count_calls(monkeypatch, MoEClassifier, "prefix",
                                 lambda m, x, *a, **k: len(x))
         cfg = TrainConfig(epochs_stage2=epochs, early_stop_patience=epochs,
@@ -430,18 +456,38 @@ class TestStage2ValSetup:
         return log, plans, prefixes
 
     @pytest.mark.parametrize("variant", TRAINED)
-    def test_val_setup_runs_once_per_stage(self, variant, monkeypatch):
+    def test_val_plan_is_drawn_once_per_stage(self, variant, monkeypatch):
         log, plans, prefixes = self._run(monkeypatch, variant)
         assert len(log.epochs) == 3                 # one val predict each
         assert plans == {30: 1}                     # val rows only
-        assert prefixes == {40: 1, 30: 1}           # train prefix, val prefix
+        assert prefixes == {40: 1, 30: 3}           # train prefix, val predicts
 
-    def test_stage_training_a_weight_the_setup_holds_is_rejected(self):
+    def test_stage1_runs_on_a_model_with_attached_routers(self):
+        # Stage 1 trains every weight the val predict's prefix reads; the
+        # plan it draws once reads none, so each epoch's val stats are those
+        # of a plan-free predict under that epoch's weights.
         splits = _splits(40)
         model = _model("vglr_mf")
-        with pytest.raises(ValueError, match="validation setup"):
-            stage1_train(model, splits["train"], splits["val"],
-                         TrainConfig(epochs_stage1=1), seed=0)
+        log = stage1_train(model, splits["train"], splits["val"],
+                           TrainConfig(epochs_stage1=1), seed=0)
+        assert log.best_epoch == 0
+        want = predictive_nll_acc(model, splits["val"],
+                                  RngStream(0).derive("stage1").derive("val"))
+        got = log.epochs[0]
+        assert (got.val_nll, got.val_acc, got.val_kl) == want
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_plan_outlives_a_dense_weight_change(variant):
+    model = _model(variant, layers=(1, 2))
+    x = _splits(40)["test"].features
+    plan = M._content_noise_block(model, x, RngStream(3))
+    before = predict_with_uncertainty(model, x, rng=RngStream(3))
+    model.blocks[0].dense.data = model.blocks[0].dense.data * 1.5
+    got = predict_with_uncertainty(model, x, rng=RngStream(3), plan=plan)
+    want = predict_with_uncertainty(model, x, rng=RngStream(3))
+    _assert_same_prediction(got, want)
+    assert not np.array_equal(got.probs, before.probs)
 
 
 def _sweep_full_forward(model, dataset, t_grid, layers, seed):
