@@ -15,6 +15,7 @@ it stays.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -54,6 +55,15 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_id(tag: str) -> int:
+    """The 64-bit id of a string tag: the first 8 bytes of its blake2b
+    digest, little-endian.  A run derives from a few dozen tags, so each is
+    hashed once."""
+    return int.from_bytes(hashlib.blake2b(tag.encode(), digest_size=8).digest(),
+                          "little")
+
+
 def gumbel_from_uniform(v: np.ndarray) -> np.ndarray:
     """Map uniform (0,1) draws to standard Gumbel via -log(-log(v))."""
     v = np.clip(np.asarray(v, dtype=np.float64), GUMBEL_CLAMP, 1.0 - GUMBEL_CLAMP)
@@ -83,8 +93,7 @@ class RngStream:
         sid = self.stream_id
         for i in ids:
             if isinstance(i, str):
-                digest = hashlib.blake2b(i.encode(), digest_size=8).digest()
-                i = int.from_bytes(digest, "little")
+                i = _tag_id(i)
             sid = _splitmix64(sid ^ ((int(i) & _MASK64) * _GOLDEN & _MASK64))
         return RngStream(self.seed, sid, 0)
 

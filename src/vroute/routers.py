@@ -16,6 +16,7 @@ Conventions shared by every variant:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -168,9 +169,11 @@ def kl_mf_per_token(delta_mu: Tensor, sigma: Tensor) -> Tensor:
 
 
 def _validate_cholesky(L: np.ndarray) -> None:
-    if L.shape[-1] != L.shape[-2]:
+    n = L.shape[-1]
+    if L.shape[-2] != n:
         raise ValueError("Cholesky factor must be square")
-    if np.any(np.triu(L, k=1) != 0.0):
+    upper = _triangle(n)[4]
+    if np.any(L.reshape(L.shape[:-2] + (n * n,)).take(upper, axis=-1) != 0.0):
         raise ValueError("Cholesky factor must be lower-triangular")
     diag = np.diagonal(L, axis1=-2, axis2=-1)
     if np.any(diag <= 0.0):
@@ -198,6 +201,22 @@ def kl_fc_per_token(delta_mu: Tensor, L: Tensor) -> Tensor:
 # --------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
+def _triangle(n: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of an n x n factor whose lower triangle is filled in
+    (row, col) order, all ascending: the flat-vector positions of the
+    diagonal and their places in the row-major n * n factor, the same for
+    the entries below the diagonal, and the places above it."""
+    rows, cols = np.tril_indices(n)
+    lin, on_diag = rows * n + cols, rows == cols
+    above = np.triu_indices(n, k=1)
+    out = (np.flatnonzero(on_diag), lin[on_diag], np.flatnonzero(~on_diag),
+           lin[~on_diag], above[0] * n + above[1])
+    for idx in out:
+        idx.flags.writeable = False
+    return out
+
+
 def build_cholesky(flat) -> Tensor:
     """Lower-triangular factor from a flat parameter vector.
 
@@ -213,13 +232,10 @@ def build_cholesky(flat) -> Tensor:
     n = int((math.isqrt(8 * tri + 1) - 1) // 2)
     if n * (n + 1) // 2 != tri:
         raise ValueError(f"flat length {tri} is not a triangular number")
-    rows, cols = np.tril_indices(n)
-    lin, on_diag = rows * n + cols, rows == cols
-    diag = T.gather(t, np.nonzero(on_diag)[0], axis=1)
-    full = T.scatter(T.exp(diag), lin[on_diag], n * n)
+    diag, diag_at, off, off_at, _ = _triangle(n)
+    full = T.scatter(T.exp(T.gather(t, diag, axis=1)), diag_at, n * n)
     if n > 1:
-        off = T.gather(t, np.nonzero(~on_diag)[0], axis=1)
-        full = full + T.scatter(off, lin[~on_diag], n * n)
+        full = full + T.scatter(T.gather(t, off, axis=1), off_at, n * n)
     out = full.reshape((t.shape[0], n, n))
     return out.reshape((n, n)) if single else out
 

@@ -106,24 +106,28 @@ class Tensor:
             raise NumericsError("backward requires a scalar loss")
         if self._done:
             raise NumericsError("backward already ran on this graph")
+        # Depth-first post-order, keyed by node (a Tensor hashes by
+        # identity).  A parent the tape does not keep gets no gradient, so
+        # the walk leaves it out; the order of the rest, and with it the
+        # order in which a node's gradients are added, is unchanged.
         order: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p not in seen and _tracked(p):
                     stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(order):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node._backward is not None:
@@ -131,10 +135,8 @@ class Tensor:
                     if pg is None or not _tracked(parent):
                         continue
                     _check_finite(pg, "backward")
-                    if id(parent) in grads:
-                        grads[id(parent)] = grads[id(parent)] + pg
-                    else:
-                        grads[id(parent)] = pg
+                    acc = grads.get(parent)
+                    grads[parent] = pg if acc is None else acc + pg
             elif node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
         self._done = True
@@ -189,7 +191,11 @@ def _tracked(t: Tensor) -> bool:
 
 
 def _recording(parents: tuple) -> bool:
-    return _grad_enabled and any(_tracked(p) for p in parents)
+    if _grad_enabled:
+        for p in parents:
+            if _tracked(p):
+                return True
+    return False
 
 
 # Ops whose output is finite whenever their input is: the guard skips them.
@@ -219,34 +225,42 @@ def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
 # -- arithmetic --------------------------------------------------------------
 
 
+# A binary op's backward computes the gradient of an operand only when the
+# tape keeps it (``_tracked``), and None for the other operand.
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
     return _result(data, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)), "add")
+        _unbroadcast(g, a.data.shape) if _tracked(a) else None,
+        _unbroadcast(g, b.data.shape) if _tracked(b) else None), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
     return _result(data, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)), "sub")
+        _unbroadcast(g, a.data.shape) if _tracked(a) else None,
+        _unbroadcast(-g, b.data.shape) if _tracked(b) else None), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
     return _result(data, (a, b), lambda g: (
-        _unbroadcast(g * b.data, a.data.shape),
-        _unbroadcast(g * a.data, b.data.shape)), "mul")
+        _unbroadcast(g * b.data, a.data.shape) if _tracked(a) else None,
+        _unbroadcast(g * a.data, b.data.shape) if _tracked(b) else None),
+        "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
     return _result(data, (a, b), lambda g: (
-        _unbroadcast(g / b.data, a.data.shape),
-        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)), "div")
+        _unbroadcast(g / b.data, a.data.shape) if _tracked(a) else None,
+        _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        if _tracked(b) else None), "div")
 
 
 def matmul(a, b) -> Tensor:
@@ -256,7 +270,9 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     data = a.data @ b.data
-    return _result(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+    return _result(data, (a, b), lambda g: (
+        g @ b.data.T if _tracked(a) else None,
+        a.data.T @ g if _tracked(b) else None), "matmul")
 
 
 # -- elementwise nonlinearities ----------------------------------------------
@@ -310,14 +326,19 @@ def softplus(a) -> Tensor:
 
 def _spread(shape: tuple, axis, keepdims: bool, count: int = 1):
     """Backward of a sum (``count`` 1) or mean over ``axis`` of an operand
-    of ``shape``: the upstream gradient, divided by ``count``, broadcast
-    back over the reduced axis."""
+    of ``shape``: a fresh array filled with the upstream gradient, divided
+    by ``count``, across the reduced axes."""
     def backward(g):
-        if not (axis is None or keepdims):
-            g = np.expand_dims(g, axis)
         if count != 1:
             g = g / count
-        return (np.broadcast_to(g, shape).copy(),)
+        if not (axis is None or keepdims):
+            kept = list(shape)
+            for i in (axis if isinstance(axis, tuple) else (axis,)):
+                kept[i] = 1
+            g = g.reshape(kept)
+        out = np.empty(shape)
+        out[...] = g
+        return (out,)
 
     return backward
 
@@ -351,8 +372,13 @@ def gather(a, indices, axis: int = -1) -> Tensor:
     def backward(g):
         out = np.zeros_like(a.data)
         ax = axis % a.data.ndim
-        moved = np.moveaxis(out, ax, 0)
-        np.add.at(moved, idx, np.moveaxis(g, ax, 0))
+        if idx.ndim == 1 and (idx.size == 0 or idx[0] >= 0
+                              and (idx[1:] > idx[:-1]).all()):
+            # Distinct places, each written once: add.at's 0 + g is g,
+            # except that -0.0 becomes +0.0, which adding 0.0 to g does too.
+            out[(slice(None),) * ax + (idx,)] = g + 0.0
+        else:
+            np.add.at(np.moveaxis(out, ax, 0), idx, np.moveaxis(g, ax, 0))
         return (out,)
 
     return _result(data, (a,), backward, "gather")
@@ -412,8 +438,8 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None,
     kept for the backward.  The gated terms are added from zeros in
     index order.  The backward stacks its products the same way and computes
     only the gradients the tape keeps: frozen experts get no ``w1``/``w2``
-    gradient, and an input with nothing upstream to train (a frozen prefix,
-    say) gets no ``u`` gradient.
+    gradient, constant gates no gate gradient, and an input with nothing
+    upstream to train (a frozen prefix, say) gets no ``u`` gradient.
 
     ``outputs``, the :func:`expert_outputs` of this ``u``, stands in for
     running the experts, for passes that share ``u`` and record no tape.
@@ -466,10 +492,11 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None,
             data[rows] += y
 
     def backward(g):
-        want_u, want_w1, want_w2 = (_tracked(t) for t in (u, w1, w2))
-        gg = np.empty_like(gates.data)
-        gg[...] = (g * ys).sum(axis=2).T
-        gu = gw1 = gw2 = None
+        want_u, want_gates, want_w1, want_w2 = (_tracked(t) for t in parents)
+        gu = gg = gw1 = gw2 = None
+        if want_gates:
+            gg = np.empty_like(gates.data)
+            gg[...] = (g * ys).sum(axis=2).T
         if not (want_u or want_w1 or want_w2):
             return gu, gg, gw1, gw2
         gy = gates.data.T[:, :, None] * g                           # [N, B, D]
@@ -558,12 +585,10 @@ def _sum_lead(a: np.ndarray) -> np.ndarray:
 
 
 def _max_lead(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=0)``, as a chain of ``np.maximum`` over the leading axis
-    (a max is exact in any order)."""
-    out = a[0].copy() if len(a) == 1 else np.maximum(a[0], a[1])
-    for x in a[2:]:
-        np.maximum(out, x, out=out)
-    return out
+    """``a.max(axis=0)`` of a C-contiguous ``a``.  A max is exact in any
+    order, and numpy takes the rows of a contiguous leading axis one after
+    another, so zeros keep the signs a chain of ``np.maximum`` gives them."""
+    return a.max(axis=0)
 
 
 def sum_last(a: np.ndarray) -> np.ndarray:
@@ -577,11 +602,15 @@ def sum_last(a: np.ndarray) -> np.ndarray:
 
 def max_last(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=-1, keepdims=True)``, column by column when it has many
-    rows."""
+    rows: a chain of ``np.maximum`` over the strided columns, which numpy's
+    own reduction of that view would read element by element."""
     cols = _columns(a)
     if cols is None:
         return a.max(axis=-1, keepdims=True)
-    return _max_lead(cols).reshape(a.shape[:-1] + (1,))
+    out = cols[0].copy() if len(cols) == 1 else np.maximum(cols[0], cols[1])
+    for col in cols[2:]:
+        np.maximum(out, col, out=out)
+    return out.reshape(a.shape[:-1] + (1,))
 
 
 class _Rows:

@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.model import (ModelConfig, MoEClassifier,
                           attach_variational_routers, elbo_loss, kl_penalty,
                           predict_with_uncertainty)
+from vroute.optim import Adam
 from vroute.rng import RngStream
 from vroute.routers import GaussianPosterior, RouterSettings, gumbel_top_k
 from vroute.tensor import Tensor
@@ -466,3 +468,79 @@ class TestElboGradients:
                     + 0.05 * reg)
 
         self._check(model, loss_fn)
+
+
+class TestFiniteGuardPin:
+    """The finite guard's calls in one training step, by op label.  Every
+    check goes through ``tensor._check_finite``, the hook the benchmark
+    tracer counts, so a dropped, added or moved check changes these."""
+
+    COUNTS = {
+        ("map", 1): {"backward": 32, "cross_entropy": 1, "div": 2,
+                     "expert_mix": 2, "matmul": 6, "mul": 2, "sum": 2,
+                     "tensor construction": 3},
+        ("temp_scale", 1): {"backward": 24, "cross_entropy": 1, "div": 1,
+                            "expert_mix": 2, "matmul": 5, "mul": 1, "sum": 1,
+                            "tensor construction": 4},
+        ("mc_dropout", 1): {"backward": 24, "cross_entropy": 1, "div": 1,
+                            "expert_mix": 2, "matmul": 5, "mul": 1, "sum": 1,
+                            "tensor construction": 4},
+        ("vglr_mf", 1): {"add": 4, "backward": 54, "cross_entropy": 1,
+                         "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
+                         "matmul": 8, "mean": 2, "mul": 8, "sqrt": 1,
+                         "sub": 2, "sum": 3, "tensor construction": 9},
+        ("vglr_fc", 1): {"add": 5, "backward": 61, "cross_entropy": 1,
+                         "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
+                         "matmul": 8, "mean": 2, "mul": 7, "spread": 1,
+                         "sqrt": 1, "sub": 2, "sum": 5,
+                         "tensor construction": 8},
+        ("vtsr", 1): {"add": 6, "backward": 48, "cross_entropy": 1, "div": 3,
+                      "expert_mix": 2, "log": 1, "matmul": 7, "mean": 2,
+                      "mul": 3, "softplus": 1, "sqrt": 1, "sub": 1, "sum": 1,
+                      "tensor construction": 9},
+        ("vglr_mf", 2): {"add": 5, "backward": 41, "cross_entropy": 1,
+                         "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
+                         "matmul": 8, "mean": 2, "mul": 9, "sqrt": 1,
+                         "sub": 2, "sum": 3, "tensor construction": 10},
+        ("vglr_fc", 2): {"add": 6, "backward": 52, "cross_entropy": 1,
+                         "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
+                         "matmul": 8, "mean": 2, "mul": 8, "spread": 1,
+                         "sqrt": 1, "sub": 2, "sum": 5,
+                         "tensor construction": 9},
+        ("vtsr", 2): {"add": 7, "backward": 25, "cross_entropy": 1, "div": 3,
+                      "expert_mix": 2, "log": 1, "matmul": 7, "mean": 2,
+                      "mul": 4, "softplus": 1, "sqrt": 1, "sub": 1, "sum": 1,
+                      "tensor construction": 10},
+    }
+
+    @pytest.mark.parametrize("variant, stage", list(COUNTS),
+                             ids=[f"{v}-stage{s}" for v, s in COUNTS])
+    def test_checks_per_training_step(self, variant, stage, monkeypatch):
+        model = tiny_model()
+        if variant != "map":
+            attach_variational_routers(model, [1], variant, RngStream(1),
+                                       RouterSettings(eval_samples=3))
+        params = model.param_items()
+        if stage == 2:
+            params = model.phi_param_items()
+            names = {n for n, _ in params}
+            for name, p in model.param_items():
+                if name not in names:
+                    p.requires_grad = False
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
+        opt = Adam(params, 1e-3)
+        calls = collections.Counter()
+        check = T._check_finite
+
+        def counted(arr, op):
+            calls[op] += 1
+            check(arr, op)
+
+        monkeypatch.setattr(T, "_check_finite", counted)
+        logits, records = model.forward(x, "train", rng=RngStream(2))
+        loss = elbo_loss(logits, y, records, 0.1 if stage == 2 else 0.0)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        assert dict(calls) == self.COUNTS[variant, stage]

@@ -145,6 +145,76 @@ class TestBackward:
             (x * x).backward()
 
 
+class TestTapeEngine:
+    """Backward bookkeeping: the order a node's gradients are added in, and
+    gradients only for the operands the tape keeps."""
+
+    def test_multi_consumer_gradient_bits(self):
+        # h has four consumers, whose gradients 1e16, 1, -1e16 and 1/3 sum
+        # to 0, 1/3, 1, 4/3 or 2 depending on the order they are added in.
+        # The pin was taken from the id()-keyed walk that preceded the
+        # node-keyed one.
+        x = Tensor([[1.0, 2.0, -3.0], [0.5, -0.25, 4.0]], requires_grad=True)
+        h = x * 3.0
+        loss = ((h * 1e16).sum() + (h * 1.0).sum() + (h * -1e16).sum()
+                + (h / 3.0).sum())
+        loss.backward()
+        assert [v.hex() for v in x.grad.ravel()] == ["0x1.0000000000000p+0"] * 6
+
+    def test_each_leaf_gets_its_gradient_once_per_use(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        (x * x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, 3.0 * x.data * x.data)
+
+    _BINARY = {
+        "add": (lambda a, b, g: (g, g.sum(axis=0))),
+        "sub": (lambda a, b, g: (g, (-g).sum(axis=0))),
+        "mul": (lambda a, b, g: (g * b, (g * a).sum(axis=0))),
+        "div": (lambda a, b, g: (g / b, (-g * a / (b * b)).sum(axis=0))),
+        "matmul": (lambda a, b, g: (g @ b.T, a.T @ g)),
+    }
+
+    @pytest.mark.parametrize("kept", ["left", "right", "both"])
+    @pytest.mark.parametrize("name", list(_BINARY))
+    def test_binary_op_skips_an_untracked_operand(self, name, kept, np_rng):
+        a = Tensor(np_rng.uniform(0.5, 2.0, size=(4, 3)),
+                   requires_grad=kept in ("left", "both"))
+        shape_b = (3, 2) if name == "matmul" else (3,)
+        b = Tensor(np_rng.uniform(0.5, 2.0, size=shape_b),
+                   requires_grad=kept in ("right", "both"))
+        out = getattr(T, name)(a, b)
+        g = np_rng.normal(size=out.shape)
+        got_a, got_b = out._backward(g)
+        want_a, want_b = self._BINARY[name](a.data, b.data, g)
+        if kept == "right":
+            assert got_a is None
+        else:
+            assert _same_bits(got_a, want_a)
+        if kept == "left":
+            assert got_b is None
+        else:
+            assert _same_bits(got_b, want_b)
+
+    def test_expert_mix_skips_constant_gates(self, np_rng):
+        u, gates, w1, w2 = _mix_inputs(np_rng)
+        out = T.expert_mix(u, Tensor(gates.data), w1, w2)
+        assert out._backward(np_rng.normal(size=out.shape))[1] is None
+
+    def test_recording_needs_a_tracked_operand(self):
+        const, leaf = Tensor([1.0]), Tensor([1.0], requires_grad=True)
+        assert (const * 2.0)._backward is None
+        assert (const * leaf)._parents == (const, leaf)
+        assert (leaf * const * const)._backward is not None
+
+    def test_finite_guard_sees_only_kept_gradients(self, monkeypatch):
+        const, leaf = Tensor([1.0, 2.0]), Tensor([3.0, 4.0], requires_grad=True)
+        loss = (const * leaf).sum()
+        ops = []
+        monkeypatch.setattr(T, "_check_finite", lambda arr, op: ops.append(op))
+        loss.backward()
+        assert ops == ["backward", "backward"]
+
+
 @pytest.mark.parametrize("name,op,np_op", [
     ("add", lambda a, b: a + b, lambda a, b: a + b),
     ("sub", lambda a, b: a - b, lambda a, b: a - b),
@@ -186,6 +256,49 @@ def test_gather_forward_and_gradient(np_rng):
     for j in idx:
         expected[:, j] += 1.0
     np.testing.assert_array_equal(x.grad, expected)
+
+
+def _add_at_gather_grad(g, shape, idx, axis):
+    """The gather backward as ``np.add.at`` into zeros."""
+    out = np.zeros(shape)
+    np.add.at(np.moveaxis(out, axis, 0), np.asarray(idx, dtype=np.intp),
+              np.moveaxis(g, axis, 0))
+    return out
+
+
+class TestGatherBackward:
+    """Strictly increasing indices are placed by assignment, then ``+= 0.0``;
+    other indices go through ``np.add.at``.  Both give add.at's bits."""
+
+    @pytest.mark.parametrize("idx, axis", [
+        ([0, 2, 5], 1), ([1, 3], 0), ([4], -1), ([0, 1, 2, 3, 4, 5], 1),
+        ([], 1), ([5, 1, 3], 1), ([5, 1, 1], 1), ([-1, 0], 1), ([2, -3], 1),
+    ], ids=["increasing", "rows", "one", "all", "none", "unsorted",
+            "repeated", "negative", "aliased"])
+    def test_matches_add_at_bit_for_bit(self, idx, axis, np_rng):
+        x = Tensor(np_rng.normal(size=(4, 6)), requires_grad=True)
+        out = T.gather(x, idx, axis=axis)
+        g = np_rng.normal(size=out.shape)
+        g.reshape(-1)[::2] = -0.0
+        (got,) = out._backward(g)
+        want = _add_at_gather_grad(g, x.shape, idx, axis)
+        assert _same_bits(got, want)
+
+    def test_upstream_negative_zero_becomes_positive_zero(self):
+        x = Tensor(np.ones((2, 4)), requires_grad=True)
+        out = T.gather(x, [1, 3], axis=1)
+        (got,) = out._backward(np.full((2, 2), -0.0))
+        assert not np.signbit(got).any()
+        assert _same_bits(got, _add_at_gather_grad(
+            np.full((2, 2), -0.0), (2, 4), [1, 3], 1))
+
+    def test_production_gathers_are_strictly_increasing(self):
+        # kl_fc's diagonal and build_cholesky's two gathers.
+        from vroute.routers import _triangle
+        for n in (1, 2, 8):
+            diag, _, off, _, _ = _triangle(n)
+            for idx in (diag, off, np.arange(n) * n + np.arange(n)):
+                assert idx.size == 0 or (idx[0] >= 0 and np.all(idx[1:] > idx[:-1]))
 
 
 def test_scatter_places_columns_and_is_the_adjoint_of_gather(np_rng):
@@ -542,6 +655,19 @@ class TestExpertAxisReductions:
     WIDTHS = list(range(1, 18)) + [32, 64, 128, 129, 300]
     # Fewer than 128 rows keep numpy's reduction; 128 or more read columns.
     LEADS = [(7,), (130,), (5, 3), (9, 15), (2, 3, 4), (2, 5, 13)]
+
+    @pytest.mark.parametrize("shape", [(8, 1, 64), (8, 35, 500), (8, 1, 1),
+                                       (1, 3, 5), (2, 4, 7), (12, 2, 130)])
+    def test_max_lead_keeps_the_zero_signs_of_a_maximum_chain(self, shape,
+                                                              np_rng):
+        # softmax_mean's max over the experts: one leading-axis reduction,
+        # which must give a chain of np.maximum's bits, signs of zeros too.
+        for a in (np_rng.choice([0.0, -0.0, 1.0, -1.0], size=shape),
+                  _reduction_operand(np_rng, shape)):
+            want = a[0].copy()
+            for row in a[1:]:
+                np.maximum(want, row, out=want)
+            assert _same_bits(T._max_lead(a), want)
 
     def test_many_rows_select_the_columns(self):
         assert T._columns(np.zeros((2, 63, 8))) is None
