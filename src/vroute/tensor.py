@@ -225,8 +225,8 @@ def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
 # -- arithmetic --------------------------------------------------------------
 
 
-# A binary op's backward computes the gradient of an operand only when the
-# tape keeps it (``_tracked``), and None for the other operand.
+# A binary op's backward computes an operand's gradient only when the tape
+# keeps that operand (``_tracked``), and gives None for one it does not.
 
 
 def add(a, b) -> Tensor:

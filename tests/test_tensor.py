@@ -152,19 +152,14 @@ class TestTapeEngine:
     def test_multi_consumer_gradient_bits(self):
         # h has four consumers, whose gradients 1e16, 1, -1e16 and 1/3 sum
         # to 0, 1/3, 1, 4/3 or 2 depending on the order they are added in.
-        # The pin was taken from the id()-keyed walk that preceded the
-        # node-keyed one.
+        # The pin holds the depth-first walk's order; reordering the walk
+        # moves these bits.
         x = Tensor([[1.0, 2.0, -3.0], [0.5, -0.25, 4.0]], requires_grad=True)
         h = x * 3.0
         loss = ((h * 1e16).sum() + (h * 1.0).sum() + (h * -1e16).sum()
                 + (h / 3.0).sum())
         loss.backward()
         assert [v.hex() for v in x.grad.ravel()] == ["0x1.0000000000000p+0"] * 6
-
-    def test_each_leaf_gets_its_gradient_once_per_use(self):
-        x = Tensor([2.0, -1.0], requires_grad=True)
-        (x * x * x).sum().backward()
-        np.testing.assert_array_equal(x.grad, 3.0 * x.data * x.data)
 
     _BINARY = {
         "add": (lambda a, b, g: (g, g.sum(axis=0))),
@@ -205,14 +200,6 @@ class TestTapeEngine:
         assert (const * 2.0)._backward is None
         assert (const * leaf)._parents == (const, leaf)
         assert (leaf * const * const)._backward is not None
-
-    def test_finite_guard_sees_only_kept_gradients(self, monkeypatch):
-        const, leaf = Tensor([1.0, 2.0]), Tensor([3.0, 4.0], requires_grad=True)
-        loss = (const * leaf).sum()
-        ops = []
-        monkeypatch.setattr(T, "_check_finite", lambda arr, op: ops.append(op))
-        loss.backward()
-        assert ops == ["backward", "backward"]
 
 
 @pytest.mark.parametrize("name,op,np_op", [
@@ -267,8 +254,8 @@ def _add_at_gather_grad(g, shape, idx, axis):
 
 
 class TestGatherBackward:
-    """Strictly increasing indices are placed by assignment, then ``+= 0.0``;
-    other indices go through ``np.add.at``.  Both give add.at's bits."""
+    """Strictly increasing indices place ``g + 0.0`` by assignment; other
+    indices go through ``np.add.at``.  Both give add.at's bits."""
 
     @pytest.mark.parametrize("idx, axis", [
         ([0, 2, 5], 1), ([1, 3], 0), ([4], -1), ([0, 1, 2, 3, 4, 5], 1),
@@ -298,7 +285,8 @@ class TestGatherBackward:
         for n in (1, 2, 8):
             diag, _, off, _, _ = _triangle(n)
             for idx in (diag, off, np.arange(n) * n + np.arange(n)):
-                assert idx.size == 0 or (idx[0] >= 0 and np.all(idx[1:] > idx[:-1]))
+                assert idx.size == 0 or (idx[0] >= 0
+                                         and np.all(idx[1:] > idx[:-1]))
 
 
 def test_scatter_places_columns_and_is_the_adjoint_of_gather(np_rng):
