@@ -86,10 +86,10 @@ class ArtifactWriter:
                 pass
 
 
-def _svg_line_chart(series: dict, x_label: str, y_label: str,
-                    width: int = 640, height: int = 400) -> str:
-    """Minimal deterministic SVG polyline chart (one polyline per series)."""
-    pad = 50
+def _svg_line_chart(series: dict, x_label: str, y_label: str) -> str:
+    """Minimal deterministic 640 x 400 SVG polyline chart (one polyline per
+    series)."""
+    width, height, pad = 640, 400, 50
     xs = sorted({x for pts in series.values() for x, _ in pts})
     if not xs:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"

@@ -71,9 +71,13 @@ class ExperimentConfig:
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
 
     def __post_init__(self):
+        if not self.variants:
+            raise ConfigError("variants must name at least one variant")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}")
+            if self.variants.count(v) > 1:
+                raise ConfigError(f"variant {v!r} given more than once")
         if self.layers != "auto":
             if not isinstance(self.layers, (list, tuple)) or not all(
                     type(i) is int for i in self.layers):
@@ -84,6 +88,10 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"layers {bad} out of range for "
                                   f"{self.model.num_blocks} blocks")
+            routed = [v for v in self.variants if v != "map"]
+            if not self.layers and routed:
+                raise ConfigError(f"layers is empty, so variant {routed[0]!r} "
+                                  "would leave every router MAP")
         if self.auto_top_k < 1:
             raise ConfigError("auto_top_k must be >= 1")
 

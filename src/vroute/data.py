@@ -49,8 +49,6 @@ class SyntheticDomainSpec:
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
-    domain_tag: str
-    shift: float
     num_classes: int
 
     def __post_init__(self):
@@ -93,8 +91,7 @@ def domain_mode_means(spec: SyntheticDomainSpec) -> np.ndarray:
     return means
 
 
-def generate_domain(spec: SyntheticDomainSpec, n: int,
-                    domain_tag: str = "id") -> Dataset:
+def generate_domain(spec: SyntheticDomainSpec, n: int) -> Dataset:
     """Draw n samples from the domain's Gaussian mixture; pure in (spec, n)."""
     if n < 1:
         raise DataError("n must be >= 1")
@@ -106,8 +103,7 @@ def generate_domain(spec: SyntheticDomainSpec, n: int,
     modes = stream.derive("modes").integers(0, spec.modes_per_class, (n,))
     eps = stream.derive("noise").normal((n, spec.feature_dim))
     feats = means[labels * spec.modes_per_class + modes] + spec.noise_scale * eps
-    return Dataset(feats, labels, domain_tag, spec.shift_magnitude,
-                   spec.num_classes)
+    return Dataset(feats, labels, spec.num_classes)
 
 
 def split_dataset(ds: Dataset, n_train: int, n_val: int, n_test: int) -> dict:
@@ -119,7 +115,7 @@ def split_dataset(ds: Dataset, n_train: int, n_val: int, n_test: int) -> dict:
                "test": (n_train + n_val, len(ds))}
     for name, (lo, hi) in offsets.items():
         out[name] = Dataset(ds.features[lo:hi], ds.labels[lo:hi],
-                            ds.domain_tag, ds.shift, ds.num_classes)
+                            ds.num_classes)
     return out
 
 
@@ -138,9 +134,9 @@ def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,
     check_shift_order(delta_near, delta_far)
     return {
         "near": generate_domain(replace(base_spec, shift_magnitude=delta_near),
-                                n_each, "near"),
+                                n_each),
         "far": generate_domain(replace(base_spec, shift_magnitude=delta_far),
-                               n_each, "far"),
+                               n_each),
     }
 
 
@@ -187,4 +183,4 @@ def load_csv(path, feature_dim: int, num_classes: int) -> Dataset:
         raise DataError("malformed rows: " + "; ".join(bad))
     if not feats:
         raise DataError("no data rows")
-    return Dataset(np.array(feats), np.array(labels), "id", 0.0, num_classes)
+    return Dataset(np.array(feats), np.array(labels), num_classes)

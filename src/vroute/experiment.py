@@ -24,7 +24,7 @@ def build_splits(cfg: ExperimentConfig) -> dict:
     """Generate the in-distribution pool and partition it."""
     d = cfg.data
     spec = d.domain_spec(cfg.model, cfg.seed)
-    pool = generate_domain(spec, d.n_train + d.n_val + d.n_test, "id")
+    pool = generate_domain(spec, d.n_train + d.n_val + d.n_test)
     return split_dataset(pool, d.n_train, d.n_val, d.n_test)
 
 

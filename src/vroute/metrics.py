@@ -2,8 +2,8 @@
 
 Conventions, all documented so results are comparable across runs:
 
-* calibration bins are equal-width over [0, 1] (15 by default), with the
-  top bin closed so confidence 1.0 lands in it; empty bins are skipped;
+* calibration uses ``CALIBRATION_BINS`` equal-width bins over [0, 1], with
+  the top bin closed so confidence 1.0 lands in it; empty bins are skipped;
 * confidence is the maximum class probability;
 * detection treats out-of-distribution as the positive class; AUROC is the
   Mann-Whitney statistic with ties counted one half, and AUPRC is the
@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+CALIBRATION_BINS = 15
 
 
 @dataclass
@@ -38,12 +40,7 @@ class DetectionReport:
     auprc: float
 
 
-def _bin_index(confidences: np.ndarray, bins: int) -> np.ndarray:
-    idx = np.floor(confidences * bins).astype(int)
-    return np.clip(idx, 0, bins - 1)
-
-
-def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
+def calibration_report(probs, labels) -> CalibrationReport:
     """Accuracy, NLL, ECE/MCE, and the per-bin reliability table.
 
     ECE is the count-weighted |accuracy - confidence| over the bins, MCE the
@@ -67,7 +64,8 @@ def calibration_report(probs, labels, bins: int = 15) -> CalibrationReport:
     correct = (pred == labels).astype(np.float64)
     picked = probs[np.arange(len(labels)), labels]
     nll = float(-np.log(np.clip(picked, 1e-12, None)).mean())
-    idx = _bin_index(conf, bins)
+    bins = CALIBRATION_BINS
+    idx = np.clip(np.floor(conf * bins).astype(int), 0, bins - 1)
     count = np.bincount(idx, minlength=bins).astype(np.float64)
     conf_sum = np.bincount(idx, weights=conf, minlength=bins)
     acc_sum = np.bincount(idx, weights=correct, minlength=bins)

@@ -163,12 +163,12 @@ class MoEClassifier:
         prefix's expert outputs and router encoding when it holds them.
         ``stop=None`` is the whole pass.  An int ``stop`` ends the pass at
         the router of layer ``stop - 1``, the block count included: that
-        layer routes but mixes no experts, block ``stop``'s dense projection
-        (if any) and the head do not run, the logits are None and the
-        records from block ``stop`` on are None.  Each block draws its
-        router noise from ``rng`` by its own index (:meth:`layer_noise`), so
-        a pass cut at either end gives the blocks it runs the same records as
-        the whole pass with the same stream.
+        layer routes (encoding ``h`` itself) but mixes no experts, block
+        ``stop``'s dense projection (if any) and the head do not run, the
+        logits are None and the records from block ``stop`` on are None.
+        Each block draws its router noise from ``rng`` by its own index
+        (:meth:`layer_noise`), so a pass cut at either end gives the blocks
+        it runs the same records as the whole pass with the same stream.
         """
         if prefix is None:
             h, start = self._entry(x), 0
@@ -186,11 +186,9 @@ class MoEClassifier:
             return T.matmul(h, self.head), records
         if block_inputs is not None:
             block_inputs.append(h.data)
-        at_prefix = prefix is not None and prefix.block == last
         records.append(self.blocks[last].moe.router.route(
             h, mode, self.layer_noise(last, rng, h.shape[0], mode,
-                                      router_noise),
-            prefix.encoding if at_prefix else None))
+                                      router_noise)))
         return None, records + [None] * (len(self.blocks) - end)
 
     def prefix(self, x, block: int, experts: bool = False) -> Prefix:
@@ -325,12 +323,12 @@ class Prediction:
     kl_per_token: np.ndarray                # [B] summed layer KL, pass mean
 
 
-def shannon_entropy(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """-sum p log p with 0 log 0 treated as 0."""
+def shannon_entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p log p over the last axis, with 0 log 0 treated as 0."""
     p = np.asarray(p, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
+    return -terms.sum(axis=-1)
 
 
 def mc_logit_var(samples: np.ndarray) -> np.ndarray:

@@ -43,9 +43,12 @@ SIGNAL_NAMES = ("gate_entropy", "inf_logit_var", "inf_temp", "mc_logit_var")
 class RouterSettings:
     """Router knobs shared by every variant (the config's ``router`` section).
 
-    Each variant reads the ones it uses: ``eval_samples`` (vglr, mc_dropout),
-    ``dropout_rate`` (mc_dropout) and ``global_temperature`` (temp_scale).
-    The dimensions come from the routing projection itself.
+    Each variant reads the ones it uses: ``dropout_rate`` (mc_dropout) and
+    ``global_temperature`` (temp_scale).  Every stochastic variant reads
+    ``eval_samples``: the largest one sets the pass count of
+    :func:`vroute.model.predict_with_uncertainty`, and in any other eval
+    forward vglr and mc_dropout draw that many samples per token.  The
+    dimensions come from the routing projection itself.
     """
 
     eval_samples: int = 35
@@ -61,27 +64,6 @@ class RouterSettings:
             raise ValueError("global_temperature must be > 0")
         if not math.isfinite(self.global_temperature):
             raise ValueError("global_temperature must be finite")
-
-
-@dataclass
-class GaussianPosterior:
-    """Residual-mean Gaussian over routing logits.
-
-    Exactly one of ``diag_sigma`` (per-expert standard deviations) or
-    ``cholesky_L`` (lower-triangular factor of the covariance) is set.
-    """
-
-    delta_mu: Tensor
-    diag_sigma: Tensor | None = None
-    cholesky_L: Tensor | None = None
-
-    def __post_init__(self):
-        if (self.diag_sigma is None) == (self.cholesky_L is None):
-            raise ValueError("set exactly one of diag_sigma / cholesky_L")
-
-    @property
-    def is_full_cov(self) -> bool:
-        return self.cholesky_L is not None
 
 
 @dataclass
@@ -140,12 +122,9 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _renorm_gates_t(probs: Tensor, mask: np.ndarray) -> Tensor:
-    masked = probs * Tensor(mask)
-    return masked / masked.sum(axis=-1, keepdims=True)
-
-
-def _renorm_gates_np(probs: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def _renorm_gates(probs, mask: np.ndarray):
+    """``probs`` renormalised over the 0/1 ``mask``: an array for an array,
+    a taped result for a :class:`~vroute.tensor.Tensor`."""
     masked = probs * mask
     return masked / masked.sum(axis=-1, keepdims=True)
 
@@ -189,7 +168,7 @@ def kl_fc_per_token(delta_mu: Tensor, L: Tensor) -> Tensor:
     _validate_cholesky(L.data)
     batch, n = L.shape[0], L.shape[-1]
     flat = L.reshape((batch, n * n))
-    diag = T.gather(flat, np.arange(n) * n + np.arange(n), axis=1)
+    diag = T.gather(flat, np.arange(n) * n + np.arange(n))
     quad = (delta_mu * delta_mu).sum(axis=-1)
     fro = (flat * flat).sum(axis=-1)
     logdet_half = T.log(diag).sum(axis=-1)
@@ -218,26 +197,22 @@ def _triangle(n: int) -> tuple[np.ndarray, ...]:
 
 
 def build_cholesky(flat) -> Tensor:
-    """Lower-triangular factor from a flat parameter vector.
+    """Lower-triangular factors [B, n, n] from a batch of flat parameter
+    vectors [B, n(n+1)/2].
 
     Entries fill the lower triangle in (row, col) order; diagonal entries
     are exponentiated so the factor is always strictly positive definite.
-    Accepts a single vector of length n(n+1)/2 or a batch of them.
     """
     t = T.as_tensor(flat)
-    single = t.ndim == 1
-    if single:
-        t = t.reshape((1, -1))
     tri = t.shape[-1]
     n = int((math.isqrt(8 * tri + 1) - 1) // 2)
     if n * (n + 1) // 2 != tri:
         raise ValueError(f"flat length {tri} is not a triangular number")
     diag, diag_at, off, off_at, _ = _triangle(n)
-    full = T.scatter(T.exp(T.gather(t, diag, axis=1)), diag_at, n * n)
+    full = T.scatter(T.exp(T.gather(t, diag)), diag_at, n * n)
     if n > 1:
-        full = full + T.scatter(T.gather(t, off, axis=1), off_at, n * n)
-    out = full.reshape((t.shape[0], n, n))
-    return out.reshape((n, n)) if single else out
+        full = full + T.scatter(T.gather(t, off), off_at, n * n)
+    return full.reshape((t.shape[0], n, n))
 
 
 # --------------------------------------------------------------------------
@@ -307,13 +282,16 @@ class GaussianInferenceNet:
         return [("trunk", self.w_trunk), ("mean_head", self.w_mean),
                 ("scale_head", self.w_scale)]
 
-    def posterior(self, u: Tensor) -> GaussianPosterior:
+    def posterior(self, u: Tensor) -> tuple[Tensor, Tensor]:
+        """The residual mean shift [B, N] of the logits and the scale: the
+        standard deviations [B, N] (mean field) or the lower-triangular
+        Cholesky factors [B, N, N] of the covariance (full covariance)."""
         h = T.relu(T.matmul(_rms_normalise(u), self.w_trunk))
         dmu = T.matmul(h, self.w_mean)
         raw = T.matmul(h, self.w_scale)
         if self.full_cov:
-            return GaussianPosterior(delta_mu=dmu, cholesky_L=build_cholesky(raw))
-        return GaussianPosterior(delta_mu=dmu, diag_sigma=T.exp(raw))
+            return dmu, build_cholesky(raw)
+        return dmu, T.exp(raw)
 
 
 class TemperatureNet:
@@ -402,7 +380,7 @@ class MapRouter(RouterBase):
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits)
         mask = top_k_mask(probs.data, self.top_k)
-        gates = _renorm_gates_t(probs, mask)
+        gates = _renorm_gates(probs, mask)
         return BatchRouteResult(probs=probs.data, selection=mask,
                                 gate_weights=gates)
 
@@ -430,7 +408,7 @@ class TempScaleRouter(RouterBase):
         scaled, probs, gate_probs = (self.encode(u) if encoding is None
                                      else encoding)
         mask, _ = gumbel_top_k(scaled, self.top_k, noise)
-        gates = Tensor(_renorm_gates_np(gate_probs, mask))
+        gates = Tensor(_renorm_gates(gate_probs, mask))
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
 
@@ -474,7 +452,7 @@ class McDropoutRouter(RouterBase):
         logits_s = np.ascontiguousarray(logits_s.reshape(u.shape[0], s, n).T)
         p_bar = T.transpose(T.softmax_mean(logits_s)).data
         mask = top_k_mask(p_bar, self.top_k)
-        gates = Tensor(_renorm_gates_np(p_bar, mask))
+        gates = Tensor(_renorm_gates(p_bar, mask))
         return BatchRouteResult(probs=p_bar, selection=mask, gate_weights=gates,
                                 logits_sampled=logits_s.T)
 
@@ -483,13 +461,16 @@ class VglrRouter(RouterBase):
     """Gaussian posterior over logits, reparameterised sampling, averaged softmax.
 
     The base projection stays frozen; only the inference net (trunk plus
-    mean/scale heads) trains.  One sample drives training; evaluation draws
-    ``eval_samples`` and averages the softmax outputs before top-k.  Both
-    modes hold the samples C-contiguous as [N, S, B] (experts, samples,
-    rows) from the noise to the sample mean, so each operation over the
-    expert or sample axis reads whole slabs; ``probs`` and the gates come
-    back as C-contiguous [B, N], and ``logits_sampled`` is a [B, S, N]
-    view of the sample-major logits.
+    mean/scale heads) trains.  A route averages the softmax outputs of its
+    samples before top-k.  One sample per token drives training; an eval
+    forward of the stability and sweep harnesses draws ``eval_samples``,
+    while each pass of :func:`vroute.model.predict_with_uncertainty` is
+    handed one sample per token from its noise plan.  Both modes hold the
+    samples C-contiguous as [N, S, B] (experts, samples, rows) from the
+    noise to the sample mean, so each operation over the expert or sample
+    axis reads whole slabs; ``probs`` and the gates come back as
+    C-contiguous [B, N], and ``logits_sampled`` is a [B, S, N] view of the
+    sample-major logits.
     """
 
     def __init__(self, w_r, top_k, settings, phi: GaussianInferenceNet):
@@ -509,17 +490,15 @@ class VglrRouter(RouterBase):
         per-token KL and the inferred logit variance."""
         batch, n = u.shape[0], self.w_r.shape[1]
         l_det = u.data @ self.w_r.data
-        post = self.phi.posterior(u)
+        dmu, scale = self.phi.posterior(u)
         centre = T.transpose(Tensor(l_det[:, None, :])
-                             + post.delta_mu.reshape((batch, 1, n)))
-        if post.is_full_cov:
-            lmat = post.cholesky_L
-            return (centre, T.transpose(lmat.reshape((batch, 1, n, n))),
-                    kl_fc_per_token(post.delta_mu, lmat),
-                    (lmat.data ** 2).sum(axis=(1, 2)))
-        return (centre, T.transpose(post.diag_sigma.reshape((batch, 1, n))),
-                kl_mf_per_token(post.delta_mu, post.diag_sigma),
-                (post.diag_sigma.data ** 2).sum(axis=1))
+                             + dmu.reshape((batch, 1, n)))
+        if self.phi.full_cov:
+            return (centre, T.transpose(scale.reshape((batch, 1, n, n))),
+                    kl_fc_per_token(dmu, scale),
+                    (scale.data ** 2).sum(axis=(1, 2)))
+        return (centre, T.transpose(scale.reshape((batch, 1, n))),
+                kl_mf_per_token(dmu, scale), (scale.data ** 2).sum(axis=1))
 
     def route(self, u, mode, noise=None, encoding=None):
         """Route with ``noise`` [B, S, N] of standard normals: sample s of
@@ -530,13 +509,13 @@ class VglrRouter(RouterBase):
         eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
-        if scale.ndim == 4:                                 # Cholesky factors
+        if self.phi.full_cov:
             l_samples = centre + T.spread(scale, eps)               # [N,S,B]
         else:
             l_samples = centre + scale * Tensor(eps)
         p_bar = T.transpose(T.softmax_mean(l_samples))                # [B,N]
         mask = top_k_mask(p_bar.data, self.top_k)
-        gates = _renorm_gates_t(p_bar, mask)
+        gates = _renorm_gates(p_bar, mask)
         return BatchRouteResult(
             probs=p_bar.data, selection=mask, gate_weights=gates, kl=kl_tok,
             signals={"inf_logit_var": inf_var},
@@ -577,7 +556,7 @@ class VtsrRouter(RouterBase):
         scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
                                            else encoding)
         mask, relaxed = gumbel_top_k(scaled, self.top_k, noise, relaxed=train)
-        gates = Tensor(_renorm_gates_np(probs, mask))
+        gates = Tensor(_renorm_gates(probs, mask))
         if train:
             gates = (relaxed - relaxed.detach()) + gates
         return BatchRouteResult(

@@ -65,7 +65,6 @@ class StabilityCell:
 @dataclass
 class StabilityReport:
     cells: list[StabilityCell] = field(default_factory=list)
-    mean_norms: list[float] = field(default_factory=list)
     diagnostic_gamma: float = 0.01
 
     def cell(self, layer: int, gamma: float) -> StabilityCell:
@@ -115,8 +114,7 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     block_inputs: list[np.ndarray] = []
     clean = _route_records(model, x, base, block_inputs=block_inputs)
     mean_norms = [float(np.linalg.norm(h, axis=1).mean()) for h in block_inputs]
-    report = StabilityReport(mean_norms=mean_norms,
-                             diagnostic_gamma=spec.diagnostic_gamma)
+    report = StabilityReport(diagnostic_gamma=spec.diagnostic_gamma)
     for layer in range(len(model.blocks)):
         held = {layer: model.layer_noise(layer, base.derive("route"), len(x),
                                          "eval")}

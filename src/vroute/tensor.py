@@ -363,22 +363,22 @@ def reshape(a, shape) -> Tensor:
     return _result(data, (a,), lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
-def gather(a, indices, axis: int = -1) -> Tensor:
-    """Select slices along ``axis`` by integer index; scatter-adds on backward."""
+def gather(a, indices) -> Tensor:
+    """The columns of 2-d ``a`` at ``indices``; the adjoint of
+    :func:`scatter`, so the backward scatter-adds."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(a.data, idx, axis=axis)
+    data = np.take(a.data, idx, axis=1)
 
     def backward(g):
         out = np.zeros_like(a.data)
-        ax = axis % a.data.ndim
         if idx.ndim == 1 and (idx.size == 0 or idx[0] >= 0
                               and (idx[1:] > idx[:-1]).all()):
             # Distinct places, each written once: add.at's 0 + g is g,
             # except that -0.0 becomes +0.0, which adding 0.0 to g does too.
-            out[(slice(None),) * ax + (idx,)] = g + 0.0
+            out[:, idx] = g + 0.0
         else:
-            np.add.at(np.moveaxis(out, ax, 0), idx, np.moveaxis(g, ax, 0))
+            np.add.at(out, (slice(None), idx), g)
         return (out,)
 
     return _result(data, (a,), backward, "gather")
@@ -386,7 +386,7 @@ def gather(a, indices, axis: int = -1) -> Tensor:
 
 def scatter(a, indices, size: int) -> Tensor:
     """Place the columns of 2-d ``a`` at ``indices`` of a zero [B, size]
-    array; the adjoint of :func:`gather` along the last axis."""
+    array; the adjoint of :func:`gather`."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     data = np.zeros((a.shape[0], size))

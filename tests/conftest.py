@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from vroute.routers import GaussianPosterior
 from vroute.tensor import Tensor
 
 # Uniform draw whose Gumbel transform is exactly zero: -log(-log(e^-1)) = 0.
@@ -80,10 +79,8 @@ class FixedGaussianPhi:
         b = u.shape[0]
         dmu = Tensor(np.tile(self.delta_mu, (b, 1)))
         if self.full_cov:
-            return GaussianPosterior(dmu, cholesky_L=Tensor(
-                np.tile(self.chol, (b, 1, 1))))
-        return GaussianPosterior(dmu, diag_sigma=Tensor(
-            np.tile(self.sigma, (b, 1))))
+            return dmu, Tensor(np.tile(self.chol, (b, 1, 1)))
+        return dmu, Tensor(np.tile(self.sigma, (b, 1)))
 
 
 @pytest.fixture

@@ -210,6 +210,29 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
     assert _left_behind(out) == []
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"variants": []}, "variants must name at least one variant"),
+    ({"variants": ["vglr_mf", "map", "vglr_mf"]},
+     "variant 'vglr_mf' given more than once"),
+    ({"layers": []},
+     "layers is empty, so variant 'vglr_mf' would leave every router MAP"),
+], ids=["no-variants", "repeated-variant", "no-layers"])
+def test_bad_variant_or_layer_list_is_one_error_line_at_load(
+        tmp_path, capsys, overrides, message):
+    # Each would train and exit 0 with nothing to evaluate, with a variant
+    # trained twice, or with a "variational" checkpoint that is all MAP.
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, **overrides)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid config: {message}"]
+    assert _left_behind(out) == []
+
+
+def test_empty_layers_accepted_for_map_only():
+    assert config_from_dict(dict(TINY, variants=["map"], layers=[])).layers == []
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"router": {"eval_samples": 2.5}}, "router.eval_samples"),
     ({"router": {"eval_samples": True}}, "router.eval_samples"),

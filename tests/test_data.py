@@ -74,8 +74,9 @@ class TestOodSuite:
     def test_tags_and_ordering(self):
         suite = make_ood_suite(_spec(), 1.0, 3.0, 400)
         assert sorted(suite) == ["far", "near"]
-        assert suite["near"].domain_tag == "near" and suite["near"].shift == 1.0
-        assert suite["far"].domain_tag == "far" and suite["far"].shift == 3.0
+        for tag, delta in (("near", 1.0), ("far", 3.0)):
+            want = generate_domain(_spec(shift_magnitude=delta), 400)
+            np.testing.assert_array_equal(suite[tag].features, want.features)
 
     def test_ordering_violation_rejected(self):
         with pytest.raises(DataError):
@@ -202,6 +203,6 @@ class TestEvalFromCsv:
 
 def test_dataset_invariants():
     with pytest.raises(DataError):
-        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), "id", 0.0, 2)
+        Dataset(np.array([[np.nan, 1.0]]), np.array([0]), 2)
     with pytest.raises(DataError):
-        Dataset(np.ones((2, 2)), np.array([0, 5]), "id", 0.0, 2)
+        Dataset(np.ones((2, 2)), np.array([0, 5]), 2)

@@ -1,9 +1,17 @@
-"""Every name a `vroute` module imports is used in that module.
+"""Every name a `vroute` module imports is used in that module, and every
+option a `vroute` function offers is set by some caller in the package.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 ``src/vroute`` is parsed with :mod:`ast`, and every name bound by an import
 statement (module level or inside a function) must appear as a name
 somewhere else in the module, in a quoted annotation, or in ``__all__``.
+
+The unused-option rule: every parameter with a default, in every function
+under ``src/vroute``, is set by some call in ``src/vroute`` to a function of
+that name (a class name calls its ``__init__``), by keyword or with enough
+positional arguments.  A call that passes ``**kwargs`` sets every keyword
+and one that passes ``*args`` every position.  An option that only tests
+set is a knob for the tests alone: make it a constant.
 """
 import ast
 import pathlib
@@ -59,3 +67,100 @@ def test_scan_flags_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     used = _used(tree)
     assert [n for n, _ in _imported(tree) if n not in used] == ["os", "tau"]
+
+
+# Entry points whose defaults are their public calling convention.
+_OPTION_EXEMPT = {("cli.py", "main", "argv")}
+
+
+def _options(tree):
+    """(label, names that call it, parameter, position or None, line) for
+    every parameter with a default; a method's position skips ``self``."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from _function_options(child, cls)
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls)
+
+    return list(visit(tree, None))
+
+
+def _function_options(fn, cls):
+    a = fn.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                 for d in fn.decorator_list)
+    positional = a.posonlyargs + a.args
+    if cls is not None and not static:
+        positional = positional[1:]
+    label = f"{cls}.{fn.name}" if cls else fn.name
+    names = {fn.name} | ({cls} if cls and fn.name == "__init__" else set())
+    first = len(positional) - len(a.defaults)
+    for pos, arg in enumerate(positional[first:], start=first):
+        yield label, names, arg.arg, pos, fn.lineno
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield label, names, arg.arg, None, fn.lineno
+
+
+def _call_settings(trees):
+    """Called name -> (largest positional count, keywords set, any
+    ``**kwargs``) over every call in ``trees``."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else func.attr
+                    if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            count, keys, star = calls.get(name, (0, set(), False))
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                count = float("inf")
+            count = max(count, len(node.args))
+            keys = keys | {kw.arg for kw in node.keywords if kw.arg}
+            star = star or any(kw.arg is None for kw in node.keywords)
+            calls[name] = (count, keys, star)
+    return calls
+
+
+def _unset_options(sources: dict) -> list:
+    """``file:line name(param)`` of each option no call in ``sources`` (file
+    name -> text) sets."""
+    trees = {name: ast.parse(text, filename=name)
+             for name, text in sources.items()}
+    calls = _call_settings(trees.values())
+    unset = []
+    for file, tree in trees.items():
+        for label, names, param, pos, line in _options(tree):
+            if (file, label, param) in _OPTION_EXEMPT:
+                continue
+            if not any(pos is not None and calls[n][0] > pos
+                       or param in calls[n][1] or calls[n][2]
+                       for n in names if n in calls):
+                unset.append(f"{file}:{line} {label}({param})")
+    return unset
+
+
+def test_every_option_is_set_by_some_caller():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    unset = _unset_options(sources)
+    assert not unset, ("options no vroute call sets (make them constants): "
+                       + ", ".join(unset))
+
+
+def test_scan_flags_an_unused_option():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a\n"
+        "def g(x, y=0):\n    return x\n"
+        "class K:\n"
+        "    def __init__(self, v, w=None):\n        self.v = v\n"
+        "    def m(self, p=1):\n        return p\n"
+        "f(0, 5)\ng(1, **{})\nK(1).m(3)\n")
+    assert _unset_options({"mod.py": source}) == [
+        "mod.py:1 f(c)", "mod.py:1 f(d)", "mod.py:6 K.__init__(w)"]

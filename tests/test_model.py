@@ -12,7 +12,7 @@ from vroute.model import (ModelConfig, MoEClassifier,
                           predict_with_uncertainty)
 from vroute.optim import Adam
 from vroute.rng import RngStream
-from vroute.routers import GaussianPosterior, RouterSettings, gumbel_top_k
+from vroute.routers import RouterSettings, gumbel_top_k
 from vroute.tensor import Tensor
 from vroute.training import (TrainConfig, predictive_nll_acc, stage1_train,
                              stage2_train)
@@ -364,8 +364,7 @@ class TestCollapsedScaleLimits:
 
         def posterior(self, u):
             b, n = u.shape[0], 4
-            return GaussianPosterior(Tensor(np.zeros((b, n))),
-                                     diag_sigma=Tensor(np.full((b, n), 1e-8)))
+            return Tensor(np.zeros((b, n))), Tensor(np.full((b, n), 1e-8))
 
     class _CollapsedTemp:
         def param_items(self):

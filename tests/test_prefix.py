@@ -51,7 +51,10 @@ def _splits(n_train):
 
 @pytest.fixture
 def full_forward(monkeypatch):
-    """Turn the prefix off: every pass and step runs the whole model."""
+    """Turn off the stage-2 training prefix: every training step runs the
+    whole model.  Only ``first_stochastic_block`` is patched, and predict
+    and the sweep read ``stochastic_blocks()``, so their prefixes stay on
+    (their validation predict included)."""
     def off():
         monkeypatch.setattr(MoEClassifier, "first_stochastic_block",
                             lambda self: 0)

@@ -109,18 +109,18 @@ class TestDeterministicRoute:
 
 class TestBuildCholesky:
     def test_zeros_give_identity(self):
-        out = build_cholesky(Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(out.data, np.eye(2))
+        out = build_cholesky(Tensor(np.zeros((1, 3))))
+        np.testing.assert_array_equal(out.data[0], np.eye(2))
 
     def test_fill_order_and_diag_exp(self):
         a, b, c = 0.3, -1.2, 0.7
-        out = build_cholesky(Tensor([a, b, c])).data
+        out = build_cholesky(Tensor([[a, b, c]])).data[0]
         np.testing.assert_allclose(
             out, [[math.exp(a), 0.0], [b, math.exp(c)]], atol=1e-15)
 
     def test_product_is_spd(self, np_rng):
-        flat = Tensor(np_rng.normal(size=15))
-        L = build_cholesky(flat).data
+        flat = Tensor(np_rng.normal(size=(1, 15)))
+        L = build_cholesky(flat).data[0]
         sigma = L @ L.T
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
         # brute-force positive-definiteness via eigenvalues
@@ -128,17 +128,17 @@ class TestBuildCholesky:
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            build_cholesky(Tensor(np.zeros(4)))
+            build_cholesky(Tensor(np.zeros((1, 4))))
 
     def test_differentiable(self, np_rng):
-        flat = Tensor(np_rng.uniform(-1, 1, size=6), requires_grad=True)
+        flat = Tensor(np_rng.uniform(-1, 1, size=(1, 6)), requires_grad=True)
         w = np_rng.normal(size=(3, 3))
         (build_cholesky(flat) * Tensor(w)).sum().backward()
 
         def ref():
             L = np.zeros((3, 3))
             r, c = np.tril_indices(3)
-            L[r, c] = flat.data
+            L[r, c] = flat.data[0]
             L[np.arange(3), np.arange(3)] = np.exp(np.diag(L))
             return (L * w).sum()
 
@@ -189,7 +189,7 @@ class TestKlFullCovariance:
     def test_monte_carlo_oracle(self, np_rng):
         n = 4
         dmu = np_rng.uniform(-1.5, 1.5, n) + 0.3
-        L = build_cholesky(Tensor(np_rng.uniform(-0.4, 0.4, 10))).data
+        L = build_cholesky(Tensor(np_rng.uniform(-0.4, 0.4, (1, 10)))).data[0]
         closed = _kl_fc(dmu, L)
         eps = np_rng.standard_normal((1_000_000, n))
         x = dmu + eps @ L.T
@@ -278,7 +278,7 @@ class TestVglrRoute:
     def test_signals_and_kl(self, np_rng):
         n = 4
         u, w = _logit_router(np_rng.normal(size=n))
-        chol = build_cholesky(Tensor(np_rng.uniform(-0.3, 0.3, 10))).data
+        chol = build_cholesky(Tensor(np_rng.uniform(-0.3, 0.3, (1, 10)))).data[0]
         phi = FixedGaussianPhi(np.zeros(n), chol=chol)
         router = self._router(w, phi, eval_samples=16)
         res = _route_one(router, u, seed=5)
@@ -517,17 +517,16 @@ def _c_layout_route(router, u, mode, noise):
         masked = probs * mask
         return (probs, mask, Tensor(masked / masked.sum(-1, keepdims=True)),
                 logits, None)
-    post = router.phi.posterior(u)
+    dmu, post_scale = router.phi.posterior(u)
     centre = (Tensor((u.data @ router.w_r.data)[:, None, :])
-              + post.delta_mu.reshape((b, 1, n)))
-    if post.is_full_cov:
-        lmat = post.cholesky_L
-        scale = lmat.reshape((b, 1, n, n))
-        kl = kl_fc_per_token(post.delta_mu, lmat)
+              + dmu.reshape((b, 1, n)))
+    if router.phi.full_cov:
+        scale = post_scale.reshape((b, 1, n, n))
+        kl = kl_fc_per_token(dmu, post_scale)
         logits = centre + (scale * Tensor(noise[:, :, None, :])).sum(axis=3)
     else:
-        scale = post.diag_sigma.reshape((b, 1, n))
-        kl = kl_mf_per_token(post.delta_mu, post.diag_sigma)
+        scale = post_scale.reshape((b, 1, n))
+        kl = kl_mf_per_token(dmu, post_scale)
         logits = centre + scale * Tensor(noise)
     probs = T.softmax(logits).mean(axis=1)
     mask = top_k_mask(probs.data, router.top_k)

@@ -122,8 +122,7 @@ class TestSensitivityRanking:
         cells = [StabilityCell(layer=i, gamma=gamma, mean_jaccard=j,
                                q10=j, q50=j, q90=j)
                  for i, j in enumerate(jaccards)]
-        return StabilityReport(cells=cells, mean_norms=[],
-                               diagnostic_gamma=gamma)
+        return StabilityReport(cells=cells, diagnostic_gamma=gamma)
 
     def test_uniform_stability_gives_index_order(self):
         assert sensitivity_ranking(self._report([0.5, 0.5, 0.5])) == [0, 1, 2]
@@ -138,7 +137,7 @@ class TestSensitivityRanking:
         test = splits["test"]
         doubled = type(test)(np.vstack([test.features, test.features]),
                              np.concatenate([test.labels, test.labels]),
-                             test.domain_tag, test.shift, test.num_classes)
+                             test.num_classes)
         r1 = sensitivity_ranking(layerwise_stability(model, test, spec, 0))
         r2 = sensitivity_ranking(layerwise_stability(model, doubled, spec, 0))
         assert r1 == r2

@@ -236,7 +236,7 @@ def test_unary_gradients(name, op, np_op, np_rng):
 def test_gather_forward_and_gradient(np_rng):
     x = Tensor(np_rng.normal(size=(4, 6)), requires_grad=True)
     idx = [5, 1, 1]
-    out = T.gather(x, idx, axis=1)
+    out = T.gather(x, idx)
     np.testing.assert_array_equal(out.data, x.data[:, idx])
     out.sum().backward()
     expected = np.zeros((4, 6))
@@ -245,11 +245,11 @@ def test_gather_forward_and_gradient(np_rng):
     np.testing.assert_array_equal(x.grad, expected)
 
 
-def _add_at_gather_grad(g, shape, idx, axis):
-    """The gather backward as ``np.add.at`` into zeros."""
+def _add_at_gather_grad(g, shape, idx):
+    """The gather backward as ``np.add.at`` into the columns of zeros."""
     out = np.zeros(shape)
-    np.add.at(np.moveaxis(out, axis, 0), np.asarray(idx, dtype=np.intp),
-              np.moveaxis(g, axis, 0))
+    np.add.at(np.moveaxis(out, 1, 0), np.asarray(idx, dtype=np.intp),
+              np.moveaxis(g, 1, 0))
     return out
 
 
@@ -257,27 +257,27 @@ class TestGatherBackward:
     """Strictly increasing indices place ``g + 0.0`` by assignment; other
     indices go through ``np.add.at``.  Both give add.at's bits."""
 
-    @pytest.mark.parametrize("idx, axis", [
-        ([0, 2, 5], 1), ([1, 3], 0), ([4], -1), ([0, 1, 2, 3, 4, 5], 1),
-        ([], 1), ([5, 1, 3], 1), ([5, 1, 1], 1), ([-1, 0], 1), ([2, -3], 1),
-    ], ids=["increasing", "rows", "one", "all", "none", "unsorted",
-            "repeated", "negative", "aliased"])
-    def test_matches_add_at_bit_for_bit(self, idx, axis, np_rng):
+    @pytest.mark.parametrize("idx", [
+        [0, 2, 5], [4], [0, 1, 2, 3, 4, 5], [], [5, 1, 3], [5, 1, 1],
+        [-1, 0], [2, -3],
+    ], ids=["increasing", "one", "all", "none", "unsorted", "repeated",
+            "negative", "aliased"])
+    def test_matches_add_at_bit_for_bit(self, idx, np_rng):
         x = Tensor(np_rng.normal(size=(4, 6)), requires_grad=True)
-        out = T.gather(x, idx, axis=axis)
+        out = T.gather(x, idx)
         g = np_rng.normal(size=out.shape)
         g.reshape(-1)[::2] = -0.0
         (got,) = out._backward(g)
-        want = _add_at_gather_grad(g, x.shape, idx, axis)
+        want = _add_at_gather_grad(g, x.shape, idx)
         assert _same_bits(got, want)
 
     def test_upstream_negative_zero_becomes_positive_zero(self):
         x = Tensor(np.ones((2, 4)), requires_grad=True)
-        out = T.gather(x, [1, 3], axis=1)
+        out = T.gather(x, [1, 3])
         (got,) = out._backward(np.full((2, 2), -0.0))
         assert not np.signbit(got).any()
         assert _same_bits(got, _add_at_gather_grad(
-            np.full((2, 2), -0.0), (2, 4), [1, 3], 1))
+            np.full((2, 2), -0.0), (2, 4), [1, 3]))
 
     def test_production_gathers_are_strictly_increasing(self):
         # kl_fc's diagonal and build_cholesky's two gathers.
@@ -298,7 +298,7 @@ def test_scatter_places_columns_and_is_the_adjoint_of_gather(np_rng):
     np.testing.assert_array_equal(out.data, expected)
     w = np_rng.normal(size=(4, 6))
     (out * Tensor(w)).sum().backward()
-    np.testing.assert_array_equal(x.grad, T.gather(Tensor(w), idx, axis=1).data)
+    np.testing.assert_array_equal(x.grad, T.gather(Tensor(w), idx).data)
 
 
 def _mix_inputs(np_rng, b=3, d=4, h=5, n=3):
