@@ -167,15 +167,23 @@ def _run(args) -> int:
 def _load_model(args, cfg):
     """``--checkpoint``, or OUT/model_VARIANT.npz.  The data is built from
     the config's ``model`` section, so the checkpoint must agree with it on
-    the feature and class counts."""
-    path = args.checkpoint or os.path.join(cfg.out_dir,
-                                           f"model_{cfg.variants[0]}.npz")
+    the feature and class counts.  The artifacts are tagged with the
+    variant, so the checkpoint's routers must be of that variant: a MAP
+    checkpoint has only MAP routers, any other has MAP routers and routers
+    of its variant."""
+    tag = cfg.variants[0]
+    path = args.checkpoint or os.path.join(cfg.out_dir, f"model_{tag}.npz")
     model = load_checkpoint(path)
     for key in ("feature_dim", "num_classes"):
         have, want = getattr(model.config, key), getattr(cfg.model, key)
         if have != want:
             raise ConfigError(f"checkpoint {path} has {key} {have}, but the "
                               f"config's model.{key} is {want}")
+    routed = sorted({model.blocks[i].moe.router.variant
+                     for i in model.stochastic_blocks()}) or ["map"]
+    if routed != [tag]:
+        raise ConfigError(f"checkpoint {path} routes with "
+                          f"{','.join(routed)}, but the variant is {tag}")
     return model
 
 

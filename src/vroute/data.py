@@ -25,8 +25,7 @@ class SyntheticDomainSpec:
     num_classes: int = 4
     modes_per_class: int = 2
     feature_dim: int = 16
-    mode_means: np.ndarray | None = None   # (num_classes * modes_per_class, feature_dim)
-    mean_scale: float = 0.35               # spread of auto-generated mode means
+    mean_scale: float = 0.35               # spread of the mode means
     noise_scale: float = 0.5
     shift_magnitude: float = 0.0
     seed: int = 0
@@ -38,11 +37,6 @@ class SyntheticDomainSpec:
             raise DataError("noise_scale must be > 0")
         if self.shift_magnitude < 0:
             raise DataError("shift_magnitude must be >= 0")
-        if self.mode_means is not None:
-            self.mode_means = np.asarray(self.mode_means, dtype=np.float64)
-            want = (self.num_classes * self.modes_per_class, self.feature_dim)
-            if self.mode_means.shape != want:
-                raise DataError(f"mode_means must have shape {want}")
 
 
 @dataclass
@@ -71,8 +65,6 @@ def _float_bits(x: float) -> int:
 
 
 def base_mode_means(spec: SyntheticDomainSpec) -> np.ndarray:
-    if spec.mode_means is not None:
-        return spec.mode_means
     rng = RngStream(spec.seed).derive("means")
     rows = spec.num_classes * spec.modes_per_class
     return spec.mean_scale * rng.normal((rows, spec.feature_dim))

@@ -46,66 +46,42 @@ def _tri(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def params_weight_space(spec: ArchSpec) -> int:
-    """Extra parameters for parallel weight-space sampling: L (S-1) D N."""
-    return spec.layers * (spec.samples - 1) * spec.hidden_dim * spec.num_experts
+def _costs(spec: ArchSpec, variant: str) -> tuple[int, int]:
+    """(added parameters, added MACs per token) of one variant.
 
-
-def params_vglr_mf(spec: ArchSpec) -> int:
-    """Trunk D*H plus mean and log-sigma heads of H*N each."""
-    return spec.layers * (spec.hidden_dim * spec.inference_width
-                          + 2 * spec.inference_width * spec.num_experts)
-
-
-def params_vglr_fc(spec: ArchSpec) -> int:
-    """Trunk D*H, mean head H*N, Cholesky head H*N(N+1)/2."""
-    h, n = spec.inference_width, spec.num_experts
-    return spec.layers * (spec.hidden_dim * h + h * n + h * _tri(n))
-
-
-def params_vtsr(spec: ArchSpec) -> int:
-    """Trunk D*H plus a scalar temperature head of H."""
-    return spec.layers * (spec.hidden_dim * spec.inference_width
-                          + spec.inference_width)
-
-
-_PARAM_FNS = {
-    "weight_space": params_weight_space,
-    "vglr_mf": params_vglr_mf,
-    "vglr_fc": params_vglr_fc,
-    "vtsr": params_vtsr,
-}
+    Each added weight costs one MAC per token; ``extra`` is the per-token
+    work on top of that.
+    """
+    l, n, d = spec.layers, spec.num_experts, spec.hidden_dim
+    h, s = spec.inference_width, spec.samples
+    if variant == "weight_space":
+        # S-1 stored copies of the D x N router projection; a token runs
+        # all S projections, the base one included.
+        params, extra = l * (s - 1) * d * n, l * d * n
+    elif variant == "vglr_mf":
+        # Trunk D*H, mean and log-sigma heads of H*N each; S noise samples
+        # of N logits.
+        params, extra = l * (d * h + 2 * h * n), l * s * n
+    elif variant == "vglr_fc":
+        # Trunk D*H, mean head H*N, Cholesky head H*N(N+1)/2; S triangular
+        # spreads.
+        params, extra = l * (d * h + h * n + h * _tri(n)), l * s * _tri(n)
+    elif variant == "vtsr":
+        # Trunk D*H plus a scalar temperature head of H; N logit divisions.
+        params, extra = l * (d * h + h), l * n
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return params, params + extra
 
 
 def macs_per_token(spec: ArchSpec, variant: str, flops: bool = False) -> int:
     """Added multiply-accumulates per token; ``flops`` doubles the count."""
-    l, n, d = spec.layers, spec.num_experts, spec.hidden_dim
-    h, s = spec.inference_width, spec.samples
-    if variant == "weight_space":
-        count = l * s * d * n
-    elif variant == "vglr_mf":
-        count = l * (d * h + 2 * h * n + s * n)
-    elif variant == "vglr_fc":
-        count = l * (d * h + h * n + h * _tri(n) + s * _tri(n))
-    elif variant == "vtsr":
-        count = l * (d * h + h + n)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    count = _costs(spec, variant)[1]
     return 2 * count if flops else count
 
 
 def added_params(spec: ArchSpec, variant: str) -> int:
-    try:
-        return _PARAM_FNS[variant](spec)
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
-
-
-def overhead_percent(added: float, base: float) -> float:
-    """100 * added / base."""
-    if base <= 0:
-        raise ValueError("base must be > 0")
-    return 100.0 * added / base
+    return _costs(spec, variant)[0]
 
 
 @dataclass
@@ -134,10 +110,10 @@ def cost_report(spec: ArchSpec, variants=VARIANT_ORDER,
         m = macs_per_token(spec, v, flops=flops)
         rows.append(CostRow(
             variant=v, params=p,
-            params_pct=overhead_percent(p, spec.base_active_params),
+            params_pct=100.0 * p / spec.base_active_params,
             macs_per_token=m,
-            macs_pct=overhead_percent(m, (2 if flops else 1)
-                                      * spec.base_macs_per_token)))
+            macs_pct=100.0 * m / ((2 if flops else 1)
+                                  * spec.base_macs_per_token)))
     return CostReport(spec=spec, rows=rows,
                       convention="flop2" if flops else "mac")
 

@@ -48,7 +48,7 @@ def select_layers(cfg: ExperimentConfig, model: MoEClassifier,
     spec = replace(p, gamma_levels=(p.diagnostic_gamma,))
     report = layerwise_stability(
         model, val_ds, spec, RngStream(cfg.seed).derive("ranking").stream_id)
-    ranking = sensitivity_ranking(report)
+    ranking = sensitivity_ranking(report, p.diagnostic_gamma)
     return sorted(ranking[:cfg.auto_top_k]), report.cells
 
 

@@ -380,8 +380,7 @@ def _content_noise_block(model: MoEClassifier, x: np.ndarray,
     return plans
 
 
-def predict_with_uncertainty(model: MoEClassifier, x,
-                             rng: RngStream | None = None,
+def predict_with_uncertainty(model: MoEClassifier, x, rng: RngStream,
                              plan: dict | None = None) -> Prediction:
     """Monte-Carlo predictive distribution plus per-example signals.
 
@@ -410,8 +409,6 @@ def predict_with_uncertainty(model: MoEClassifier, x,
     before the first stochastic block, and that block's expert outputs and
     router encoding.  Every output bit is that of S whole passes.
     """
-    if rng is None:
-        rng = RngStream(0)
     x = np.asarray(x, dtype=np.float64)
     if plan is None:
         plan = _content_noise_block(model, x, rng)

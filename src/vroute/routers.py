@@ -168,7 +168,7 @@ def kl_fc_per_token(delta_mu: Tensor, L: Tensor) -> Tensor:
     _validate_cholesky(L.data)
     batch, n = L.shape[0], L.shape[-1]
     flat = L.reshape((batch, n * n))
-    diag = T.gather(flat, np.arange(n) * n + np.arange(n))
+    diag = T.gather(flat, _triangle(n)[1])
     quad = (delta_mu * delta_mu).sum(axis=-1)
     fro = (flat * flat).sum(axis=-1)
     logdet_half = T.log(diag).sum(axis=-1)

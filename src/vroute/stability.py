@@ -22,7 +22,7 @@ block) run once per layer, as a prefix shared by its temperatures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,8 +64,7 @@ class StabilityCell:
 
 @dataclass
 class StabilityReport:
-    cells: list[StabilityCell] = field(default_factory=list)
-    diagnostic_gamma: float = 0.01
+    cells: list[StabilityCell]
 
     def cell(self, layer: int, gamma: float) -> StabilityCell:
         for c in self.cells:
@@ -114,7 +113,7 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     block_inputs: list[np.ndarray] = []
     clean = _route_records(model, x, base, block_inputs=block_inputs)
     mean_norms = [float(np.linalg.norm(h, axis=1).mean()) for h in block_inputs]
-    report = StabilityReport(diagnostic_gamma=spec.diagnostic_gamma)
+    cells = []
     for layer in range(len(model.blocks)):
         held = {layer: model.layer_noise(layer, base.derive("route"), len(x),
                                          "eval")}
@@ -131,25 +130,25 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                                            perturbed[layer].selection))
             j = np.concatenate(values)
             q10, q50, q90 = np.quantile(j, (0.10, 0.50, 0.90)).tolist()
-            report.cells.append(StabilityCell(
+            cells.append(StabilityCell(
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),
                 q10=q10, q50=q50, q90=q90))
         del held                     # free it before the next layer's draw
-    return report
+    return StabilityReport(cells)
 
 
-def sensitivity_ranking(report: StabilityReport) -> list[int]:
-    """Layers ordered most brittle first: ascending mean Jaccard at the
-    diagnostic noise level, ties broken by layer index."""
+def sensitivity_ranking(report: StabilityReport, gamma: float) -> list[int]:
+    """Layers ordered most brittle first: ascending mean Jaccard at noise
+    level ``gamma``, ties broken by layer index."""
     keyed = []
     for layer in report.layers():
-        cell = report.cell(layer, report.diagnostic_gamma)
+        cell = report.cell(layer, gamma)
         keyed.append((cell.mean_jaccard, layer))
     return [layer for _, layer in sorted(keyed)]
 
 
 def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,
-                                  layers, seed: int = 0) -> list[dict]:
+                                  layers, seed: int) -> list[dict]:
     """Accuracy and ECE with one layer at a time swapped to sampled routing
     at a fixed temperature.  Every other layer keeps the checkpoint's own
     router, so it is deterministic only where that router is MAP.

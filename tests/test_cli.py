@@ -14,6 +14,7 @@ from vroute import cli, experiment
 from vroute.checkpoint import load_checkpoint, save_checkpoint
 from vroute.config import ConfigError, config_from_dict
 from vroute.experiment import build_splits
+from vroute.model import attach_variational_routers
 from vroute.rng import RngStream
 from vroute.routers import RouterSettings
 from vroute.training import predictive_nll_acc
@@ -198,7 +199,9 @@ def test_bad_router_setting_rejected_at_load(section, bad, message):
      "ordering violation: require 0 <= delta_near < delta_far"),
     ({"modes_per_class": 0},
      "num_classes, modes_per_class, feature_dim must be >= 1"),
-], ids=["no-val", "no-ood", "negative-test", "deltas-reversed", "no-modes"])
+    ({"noise_scale": 0}, "noise_scale must be > 0"),
+], ids=["no-val", "no-ood", "negative-test", "deltas-reversed", "no-modes",
+        "no-noise"])
 def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
                                                     message):
     # Checked when the config loads, before any command does work.
@@ -216,7 +219,10 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
      "variant 'vglr_mf' given more than once"),
     ({"layers": []},
      "layers is empty, so variant 'vglr_mf' would leave every router MAP"),
-], ids=["no-variants", "repeated-variant", "no-layers"])
+    ({"variants": ["bogus"]}, "unknown variant 'bogus'"),
+    ({"layers": "auto", "auto_top_k": 0}, "auto_top_k must be >= 1"),
+], ids=["no-variants", "repeated-variant", "no-layers", "unknown-variant",
+        "no-auto-layers"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant
@@ -231,6 +237,48 @@ def test_bad_variant_or_layer_list_is_one_error_line_at_load(
 
 def test_empty_layers_accepted_for_map_only():
     assert config_from_dict(dict(TINY, variants=["map"], layers=[])).layers == []
+
+
+@pytest.mark.parametrize("section, bad, message", [
+    ("router", {"eval_samples": 0}, "eval_samples must be >= 1"),
+    ("perturbation", {"repeats": 0}, "repeats must be >= 1"),
+    ("train", {"epochs_stage1": -1}, "epoch counts must be >= 0"),
+    ("train", {"batch_size": 0}, "batch_size must be >= 1"),
+    ("model", {"hidden_dim": 0}, "all model dimensions must be >= 1"),
+], ids=["no-eval-samples", "no-repeats", "negative-epochs", "no-batch",
+        "no-hidden"])
+def test_bad_section_setting_is_one_error_line_at_load(tmp_path, capsys,
+                                                       section, bad, message):
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path,
+                             **{section: dict(TINY.get(section, {}), **bad)})
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: invalid {section}: {message}"]
+    assert _left_behind(out) == []
+
+
+def _json_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"config is not valid JSON: {exc}"
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(dict(TINY, model=3)), "model must be an object"),
+    ('{"seed": 0,', _json_error('{"seed": 0,')),
+    ("", _json_error("")),
+], ids=["section-not-object", "truncated", "empty"])
+def test_malformed_config_file_is_one_error_line(tmp_path, capsys, text,
+                                                 message):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert _left_behind(out) == []
 
 
 @pytest.mark.parametrize("payload, key", [
@@ -255,6 +303,19 @@ def test_value_of_wrong_type_rejected_at_load(payload, key):
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)
     assert str(err.value).startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("dims", [
+    [], ["--layers", "2", "--experts", "4", "--dim", "8", "--width", "4"],
+], ids=["none", "no-samples"])
+def test_efficiency_without_granite_or_every_dimension_is_one_error_line(
+        tmp_path, capsys, dims):
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", *dims, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: either --granite or all of --layers, --experts, --dim, "
+        "--width, --samples"]
+    assert _left_behind(out) == []
 
 
 @pytest.mark.parametrize("flag, value", [("--base-params", "nan"),
@@ -346,6 +407,36 @@ def test_checkpoint_disagreeing_with_config_is_one_error_line(
     assert capsys.readouterr().err.splitlines() == [
         f"error: checkpoint {checkpoint} has {key} {have}, but the config's "
         f"model.{key} is {value}"]
+    assert _left_behind(out) == []
+
+
+def _checkpoint_of(tmp_path, variant):
+    """An untrained TINY checkpoint routed at block 1 by ``variant``."""
+    model = experiment.build_model(config_from_dict(TINY))
+    if variant != "map":
+        attach_variational_routers(model, [1], variant, RngStream(0),
+                                   RouterSettings(eval_samples=4))
+    path = tmp_path / f"model_{variant}.npz"
+    save_checkpoint(model, path)
+    return path
+
+
+@pytest.mark.parametrize("saved, tag", [
+    ("vtsr", "vglr_mf"), ("vglr_fc", "vglr_mf"), ("vtsr", "map"),
+    ("map", "vtsr"),
+])
+@pytest.mark.parametrize("command", ["eval", "ood", "stability", "sweep-temp"])
+def test_checkpoint_of_another_variant_is_one_error_line(
+        tmp_path, capsys, command, saved, tag):
+    # Each would write artifacts tagged ``tag`` from the ``saved`` model.
+    checkpoint = _checkpoint_of(tmp_path, saved)
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path)
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--variant", tag, "--checkpoint", str(checkpoint)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: checkpoint {checkpoint} routes with {saved}, but the "
+        f"variant is {tag}"]
     assert _left_behind(out) == []
 
 

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vroute.efficiency import (VARIANT_ORDER, ArchSpec, cost_report,
-                               granite_preset, macs_per_token,
-                               overhead_percent, added_params, params_vglr_fc,
-                               params_vglr_mf, params_vtsr,
-                               params_weight_space)
+from vroute.efficiency import (VARIANT_ORDER, ArchSpec, added_params,
+                               cost_report, granite_preset, macs_per_token)
 
 
 GRANITE = granite_preset()
@@ -17,50 +14,52 @@ GRANITE = granite_preset()
 
 class TestParameterCounts:
     def test_granite_weight_space(self):
-        assert params_weight_space(GRANITE) == 20_889_600
-        assert round(params_weight_space(GRANITE) / 1e6, 1) == 20.9
+        assert added_params(GRANITE, "weight_space") == 20_889_600
+        assert round(added_params(GRANITE, "weight_space") / 1e6, 1) == 20.9
 
     def test_weight_space_s1_is_zero(self):
         spec = ArchSpec(10, 40, 1536, 384, 1, 800e6, 800e6)
-        assert params_weight_space(spec) == 0
+        assert added_params(spec, "weight_space") == 0
 
     def test_weight_space_linear_in_layers(self):
         doubled = ArchSpec(20, 40, 1536, 384, 35, 800e6, 800e6)
-        assert params_weight_space(doubled) == 2 * params_weight_space(GRANITE)
+        assert added_params(doubled, "weight_space") == \
+            2 * added_params(GRANITE, "weight_space")
 
     def test_granite_mean_field(self):
-        assert params_vglr_mf(GRANITE) == 6_205_440
-        assert round(params_vglr_mf(GRANITE) / 1e6, 1) == 6.2
+        assert added_params(GRANITE, "vglr_mf") == 6_205_440
+        assert round(added_params(GRANITE, "vglr_mf") / 1e6, 1) == 6.2
 
     def test_mean_field_width_one(self):
         spec = ArchSpec(3, 7, 11, 1, 35, 800e6, 800e6)
-        assert params_vglr_mf(spec) == 3 * (11 + 2 * 7)
+        assert added_params(spec, "vglr_mf") == 3 * (11 + 2 * 7)
 
     def test_granite_full_covariance(self):
-        assert params_vglr_fc(GRANITE) == 9_200_640
-        assert round(params_vglr_fc(GRANITE) / 1e6, 1) == 9.2
+        assert added_params(GRANITE, "vglr_fc") == 9_200_640
+        assert round(added_params(GRANITE, "vglr_fc") / 1e6, 1) == 9.2
 
     def test_full_covariance_single_expert_head(self):
         spec = ArchSpec(1, 1, 8, 4, 35, 800e6, 800e6)
-        assert params_vglr_fc(spec) == 8 * 4 + 4 * 1 + 4 * 1
+        assert added_params(spec, "vglr_fc") == 8 * 4 + 4 * 1 + 4 * 1
 
     def test_fc_exceeds_mf_for_two_plus_experts(self):
         for n in range(2, 65):
             spec = ArchSpec(5, n, 256, 64, 35, 800e6, 800e6)
-            assert params_vglr_fc(spec) > params_vglr_mf(spec)
+            assert added_params(spec, "vglr_fc") > \
+                added_params(spec, "vglr_mf")
 
     def test_granite_temperature(self):
-        assert params_vtsr(GRANITE) == 5_902_080
-        assert round(params_vtsr(GRANITE) / 1e6, 1) == 5.9
+        assert added_params(GRANITE, "vtsr") == 5_902_080
+        assert round(added_params(GRANITE, "vtsr") / 1e6, 1) == 5.9
 
     def test_temperature_width_one(self):
         spec = ArchSpec(4, 9, 33, 1, 35, 800e6, 800e6)
-        assert params_vtsr(spec) == 4 * (33 + 1)
+        assert added_params(spec, "vtsr") == 4 * (33 + 1)
 
     def test_temperature_independent_of_samples(self):
         a = ArchSpec(10, 40, 1536, 384, 1, 800e6, 800e6)
         b = ArchSpec(10, 40, 1536, 384, 99, 800e6, 800e6)
-        assert params_vtsr(a) == params_vtsr(b)
+        assert added_params(a, "vtsr") == added_params(b, "vtsr")
 
     BOUNDS = {"layers": 0, "num_experts": 0, "hidden_dim": 0,
               "inference_width": 0, "samples": 0, "base_active_params": 0.0,
@@ -110,18 +109,11 @@ class TestMacs:
 
 class TestOverhead:
     def test_granite_percentages(self):
-        base = GRANITE.base_active_params
-        assert overhead_percent(params_weight_space(GRANITE), base) == \
-            pytest.approx(2.61, abs=0.02)
-        assert overhead_percent(params_vglr_mf(GRANITE), base) == \
-            pytest.approx(0.78, abs=0.02)
-        assert overhead_percent(params_vglr_fc(GRANITE), base) == \
-            pytest.approx(1.15, abs=0.02)
-        assert overhead_percent(params_vtsr(GRANITE), base) == \
-            pytest.approx(0.74, abs=0.02)
-
-    def test_zero_added(self):
-        assert overhead_percent(0, 800e6) == 0.0
+        rows = {r.variant: r for r in cost_report(GRANITE).rows}
+        assert rows["weight_space"].params_pct == pytest.approx(2.61, abs=0.02)
+        assert rows["vglr_mf"].params_pct == pytest.approx(0.78, abs=0.02)
+        assert rows["vglr_fc"].params_pct == pytest.approx(1.15, abs=0.02)
+        assert rows["vtsr"].params_pct == pytest.approx(0.74, abs=0.02)
 
 
 class TestMonotonicity:
@@ -167,5 +159,6 @@ class TestReport:
     def test_rows_match_functions(self):
         report = cost_report(GRANITE)
         by_name = {r.variant: r for r in report.rows}
-        assert by_name["weight_space"].params == params_weight_space(GRANITE)
+        assert by_name["weight_space"].params == \
+            added_params(GRANITE, "weight_space")
         assert by_name["vtsr"].macs_per_token == macs_per_token(GRANITE, "vtsr")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from vroute import tensor as T
-from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
+from vroute import training
+from vroute.data import Dataset, split_dataset
 from vroute.model import (ModelConfig, MoEClassifier,
                           attach_variational_routers, elbo_loss, kl_penalty,
                           predict_with_uncertainty)
@@ -33,11 +34,13 @@ def expert_out(layer, i, u):
 
 
 def separable_splits(n=420, seed=3):
+    """Two classes, one Gaussian each, centred at 4 on the first or the
+    second axis."""
     means = np.array([[4.0, 0, 0, 0, 0], [0, 4.0, 0, 0, 0]])
-    spec = SyntheticDomainSpec(num_classes=2, modes_per_class=1,
-                               feature_dim=5, mode_means=means,
-                               noise_scale=0.4, seed=seed)
-    return split_dataset(generate_domain(spec, n), n - 120, 60, 60)
+    stream = RngStream(seed)
+    labels = stream.derive("labels").integers(0, 2, (n,))
+    feats = means[labels] + 0.4 * stream.derive("noise").normal((n, 5))
+    return split_dataset(Dataset(feats, labels, 2), n - 120, 60, 60)
 
 
 class TestMoELayerForward:
@@ -163,6 +166,32 @@ class TestStage1:
         nll = [e.val_nll for e in log.epochs]
         assert log.best_epoch == int(np.argmin(nll))
         assert log.best_val_objective == min(nll)
+
+    def test_stops_after_patience_epochs_without_improvement(self,
+                                                             monkeypatch):
+        # A scripted validation NLL: the best is epoch 2, the next three do
+        # not improve on it, and epoch 6 would, if the stage ran that far.
+        script = [0.9, 0.7, 0.5, 0.6, 0.5, 0.8, 0.3, 0.2]
+        snapshots = []
+
+        def scripted(model, dataset, rng, plan):
+            snapshots.append({n: p.data.copy()
+                              for n, p in model.param_items()})
+            return script[len(snapshots) - 1], 0.5, 0.0
+
+        monkeypatch.setattr(training, "predictive_nll_acc", scripted)
+        splits = separable_splits(n=200)
+        model = tiny_model(classes=2)
+        cfg = TrainConfig(epochs_stage1=len(script), batch_size=32,
+                          early_stop_patience=3)
+        log = stage1_train(model, splits["train"], splits["val"], cfg, seed=0)
+        assert [e.val_nll for e in log.epochs] == script[:6]
+        assert log.best_epoch == 2 and log.best_val_objective == 0.5
+        for n, p in model.param_items():
+            np.testing.assert_array_equal(p.data, snapshots[2][n])
+        # Training moved the weights after the restored epoch.
+        assert any(not np.array_equal(snapshots[5][n], snapshots[2][n])
+                   for n in snapshots[2])
 
 
 class TestAttach:

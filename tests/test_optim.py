@@ -1,8 +1,11 @@
-"""Adam over named parameter lists, against the textbook update."""
+"""Adam over named parameter lists, against the textbook update's bits."""
 import numpy as np
+import pytest
 
 from vroute.optim import BETA1, BETA2, EPS, Adam
 from vroute.tensor import Tensor
+
+pytestmark = pytest.mark.bitwise
 
 SHAPES = {"w": (4, 5), "b": (5,), "scale": (1,), "stack": (3, 2, 4)}
 

@@ -5,6 +5,8 @@ passes start from a prefix: the blocks before the first one that differs
 run once.  A predict's prefix also holds the first stochastic block's
 expert outputs and router encoding.  Each test compares against the
 full-forward loop, where every pass runs the whole model, bit for bit.
+The stage-2 oracle takes a batch from the train-set prefix, so it assumes
+that gemm gives a row the same bits in any row subset.
 """
 from dataclasses import replace
 
@@ -28,6 +30,8 @@ from vroute.stability import (PerturbationSpec, _route_records,
 from vroute.tensor import Tensor
 from vroute.training import (TrainConfig, predictive_nll_acc,
                              stage1_train, stage2_train)
+
+pytestmark = pytest.mark.bitwise
 
 STOCHASTIC = ("temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 TRAINED = ("vglr_mf", "vglr_fc", "vtsr")

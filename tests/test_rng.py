@@ -1,7 +1,11 @@
+"""Counter-based streams: a stream's id and counter fix its draws, bit for
+bit, whatever other stream drew before it."""
 import numpy as np
 import pytest
 
 from vroute.rng import _PHILOX, RngStream, gumbel_from_uniform
+
+pytestmark = pytest.mark.blas_bitwise
 
 
 def test_triple_determines_sequence():

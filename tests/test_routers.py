@@ -456,9 +456,11 @@ class TestMcDropoutRoute:
         assert peak < 2 * (b * s * d * 8)
 
 
+@pytest.mark.bitwise
 class TestKeepMaskRoute:
-    """The boolean keep mask gives the bits of the float mask formula
-    ``(v >= rate).astype(float) / (1 - rate) * u`` on the same uniforms."""
+    """mc_dropout's boolean keep mask gives the bits of the float mask
+    formula ``(v >= rate).astype(float) / (1 - rate) * u`` on the same
+    uniforms, down to the signs of its zeros."""
 
     @staticmethod
     def _u(b, d):
@@ -535,6 +537,7 @@ def _c_layout_route(router, u, mode, noise):
             logits.data, kl)
 
 
+@pytest.mark.bitwise
 class TestSampleMajorRoute:
     """The sampling routers hold their samples as [N, S, B]; every output,
     and in training every inference-net gradient, keeps the bits of the

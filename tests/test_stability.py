@@ -118,17 +118,28 @@ class TestLayerwiseStability:
 
 
 class TestSensitivityRanking:
-    def _report(self, jaccards, gamma=0.01):
-        cells = [StabilityCell(layer=i, gamma=gamma, mean_jaccard=j,
+    def _report(self, jaccards):
+        cells = [StabilityCell(layer=i, gamma=0.01, mean_jaccard=j,
                                q10=j, q50=j, q90=j)
                  for i, j in enumerate(jaccards)]
-        return StabilityReport(cells=cells, diagnostic_gamma=gamma)
+        return StabilityReport(cells)
 
     def test_uniform_stability_gives_index_order(self):
-        assert sensitivity_ranking(self._report([0.5, 0.5, 0.5])) == [0, 1, 2]
+        report = self._report([0.5, 0.5, 0.5])
+        assert sensitivity_ranking(report, 0.01) == [0, 1, 2]
 
     def test_weakest_layer_first(self):
-        assert sensitivity_ranking(self._report([0.9, 0.95, 0.2]))[0] == 2
+        report = self._report([0.9, 0.95, 0.2])
+        assert sensitivity_ranking(report, 0.01)[0] == 2
+
+    def test_reads_the_given_noise_level(self):
+        cells = [StabilityCell(layer=i, gamma=g, mean_jaccard=j,
+                               q10=j, q50=j, q90=j)
+                 for g, js in ((0.01, (0.9, 0.2)), (0.05, (0.1, 0.8)))
+                 for i, j in enumerate(js)]
+        report = StabilityReport(cells)
+        assert sensitivity_ranking(report, 0.01) == [1, 0]
+        assert sensitivity_ranking(report, 0.05) == [0, 1]
 
     def test_invariant_under_dataset_duplication(self):
         model, splits = small_trained_model()
@@ -138,8 +149,10 @@ class TestSensitivityRanking:
         doubled = type(test)(np.vstack([test.features, test.features]),
                              np.concatenate([test.labels, test.labels]),
                              test.num_classes)
-        r1 = sensitivity_ranking(layerwise_stability(model, test, spec, 0))
-        r2 = sensitivity_ranking(layerwise_stability(model, doubled, spec, 0))
+        r1 = sensitivity_ranking(layerwise_stability(model, test, spec, 0),
+                                 0.02)
+        r2 = sensitivity_ranking(layerwise_stability(model, doubled, spec, 0),
+                                 0.02)
         assert r1 == r2
 
 

@@ -145,6 +145,7 @@ class TestBackward:
             (x * x).backward()
 
 
+@pytest.mark.bitwise
 class TestTapeEngine:
     """Backward bookkeeping: the order a node's gradients are added in, and
     gradients only for the operands the tape keeps."""
@@ -253,6 +254,7 @@ def _add_at_gather_grad(g, shape, idx):
     return out
 
 
+@pytest.mark.bitwise
 class TestGatherBackward:
     """Strictly increasing indices place ``g + 0.0`` by assignment; other
     indices go through ``np.add.at``.  Both give add.at's bits."""
@@ -320,7 +322,11 @@ def _mix_reference(u, gates, w1, w2):
                for j in range(w1.shape[0]))
 
 
+@pytest.mark.blas_bitwise
 class TestExpertMix:
+    """The taped ``expert_mix``: the gated sum of experts, its gradients,
+    and a zero gate that skips nothing, with the dense loop's bits."""
+
     def test_forward_is_the_gated_sum_of_experts(self, np_rng):
         ops = _mix_inputs(np_rng)
         out = T.expert_mix(*ops)
@@ -420,9 +426,12 @@ def _model_sized_experts(rng, b, d=32, h=32, n=8):
             rng.normal(size=(n, h, d)) / math.sqrt(h))
 
 
+@pytest.mark.blas_bitwise
 class TestExpertDispatch:
     """Untaped ``expert_mix`` runs each expert only on its selecting rows and
-    must still give the dense loop's bits."""
+    must still give the dense loop's bits.  That assumes gemm gives a row
+    the same bits in any row subset, however BLAS splits the work across
+    threads."""
 
     @pytest.mark.parametrize("b", [1, 2, 3, 64, 500])
     @pytest.mark.parametrize("k", [1, 2, 8])
@@ -504,10 +513,12 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.blas_bitwise
 class TestStackedExpertMix:
     """The taped ``expert_mix`` stacks each weight's product over the expert
-    axis, and the stored-output read takes the selected outputs by index;
-    both must give the per-expert loop's bits."""
+    axis, which makes the same per-expert gemm calls as a loop, and the
+    stored-output read takes the selected outputs by index; both must give
+    the per-expert loop's bits."""
 
     # Which of (u, gates, w1, w2) the tape tracks: stage 1 trains everything;
     # a stage-2 block after the first stochastic one trains u's upstream and
@@ -578,6 +589,7 @@ class TestStackedExpertMix:
                           np.stack([y for _, y in acts]))
 
 
+@pytest.mark.bitwise
 class TestSelectedExpertRead:
     """The stored-output read of untaped ``expert_mix`` takes each row's k
     selected outputs by index; it must give the bits, signbits included,
@@ -633,6 +645,7 @@ def _reduction_operand(rng, shape):
     return a
 
 
+@pytest.mark.bitwise
 class TestExpertAxisReductions:
     """``max_last``/``sum_last`` read the last axis column by column,
     ``spread`` forms the column products of a lower-triangular
