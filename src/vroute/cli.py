@@ -90,9 +90,7 @@ def _svg_line_chart(series: dict, x_label: str, y_label: str) -> str:
     """Minimal deterministic 640 x 400 SVG polyline chart (one polyline per
     series)."""
     width, height, pad = 640, 400, 50
-    xs = sorted({x for pts in series.values() for x, _ in pts})
-    if not xs:
-        return "<svg xmlns='http://www.w3.org/2000/svg'/>"
+    xs = [x for pts in series.values() for x, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = 0.0, 1.0
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -250,17 +248,17 @@ def cmd_ood(args, cfg, writer) -> None:
 def cmd_stability(args, cfg, writer) -> None:
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
-    report = layerwise_stability(model, dataset, cfg.perturbation, cfg.seed)
+    cells = layerwise_stability(model, dataset, cfg.perturbation, cfg.seed)
     tag = cfg.variants[0]
     writer.write_csv(f"stability_{tag}.csv",
                      ["layer", "gamma", "mean_jaccard", "q10", "q50", "q90"],
                      [{"layer": c.layer, "gamma": c.gamma,
                        "mean_jaccard": c.mean_jaccard, "q10": c.q10,
                        "q50": c.q50, "q90": c.q90}
-                      for c in report.cells])
+                      for c in cells])
     if args.svg:
         series = {}
-        for c in report.cells:
+        for c in cells:
             series.setdefault(f"layer{c.layer}", []).append(
                 (c.gamma, c.mean_jaccard))
         writer.write_text(f"stability_{tag}.svg",

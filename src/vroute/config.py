@@ -88,6 +88,9 @@ class ExperimentConfig:
             if bad:
                 raise ConfigError(f"layers {bad} out of range for "
                                   f"{self.model.num_blocks} blocks")
+            twice = sorted({i for i in self.layers if self.layers.count(i) > 1})
+            if twice:
+                raise ConfigError(f"layers {twice} given more than once")
             routed = [v for v in self.variants if v != "map"]
             if not self.layers and routed:
                 raise ConfigError(f"layers is empty, so variant {routed[0]!r} "

@@ -46,10 +46,10 @@ def select_layers(cfg: ExperimentConfig, model: MoEClassifier,
         return list(cfg.layers), []
     p = cfg.perturbation
     spec = replace(p, gamma_levels=(p.diagnostic_gamma,))
-    report = layerwise_stability(
+    cells = layerwise_stability(
         model, val_ds, spec, RngStream(cfg.seed).derive("ranking").stream_id)
-    ranking = sensitivity_ranking(report, p.diagnostic_gamma)
-    return sorted(ranking[:cfg.auto_top_k]), report.cells
+    ranking = sensitivity_ranking(cells, p.diagnostic_gamma)
+    return sorted(ranking[:cfg.auto_top_k]), cells
 
 
 @dataclass

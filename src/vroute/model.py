@@ -150,7 +150,7 @@ class MoEClassifier:
     def forward(self, x, mode: str, rng: RngStream | None = None,
                 router_noise: dict | None = None,
                 block_inputs: list | None = None,
-                prefix: Prefix | None = None, stop: int | None = None):
+                prefix: Prefix | None = None, route_only: bool = False):
         """Run a batch; returns class logits and the per-layer route records.
 
         ``router_noise`` maps block index -> that block's pre-drawn router
@@ -161,35 +161,25 @@ class MoEClassifier:
         not read, those blocks' records are None, and ``block_inputs`` gets
         the inputs from that block on; that block's layer reuses the
         prefix's expert outputs and router encoding when it holds them.
-        ``stop=None`` is the whole pass.  An int ``stop`` ends the pass at
-        the router of layer ``stop - 1``, the block count included: that
-        layer routes (encoding ``h`` itself) but mixes no experts, block
-        ``stop``'s dense projection (if any) and the head do not run, the
-        logits are None and the records from block ``stop`` on are None.
-        Each block draws its router noise from ``rng`` by its own index
-        (:meth:`layer_noise`), so a pass cut at either end gives the blocks
-        it runs the same records as the whole pass with the same stream.
+        With ``route_only`` the pass only routes its first layer (block 0,
+        or the prefix's block), encoding ``h`` itself: it mixes no experts,
+        runs no later block or head, fills no ``block_inputs``, and returns
+        None logits and that layer's record.  Each block draws its router
+        noise from ``rng`` by its own index (:meth:`layer_noise`), so either
+        cut gives the layers it routes the whole pass's records.
         """
         if prefix is None:
             h, start = self._entry(x), 0
         else:
             h, start = Tensor(prefix.h), prefix.block
-        end = len(self.blocks) if stop is None else stop
-        if not start < end <= len(self.blocks):
-            raise ValueError(f"stop {stop} must be in ({start}, "
-                             f"{len(self.blocks)}]")
+        if route_only:
+            return None, self.blocks[start].moe.router.route(
+                h, mode, self.layer_noise(start, rng, h.shape[0], mode,
+                                          router_noise))
         records: list = [None] * start
-        last = end if stop is None else end - 1
-        h = self._run_blocks(h, start, last, mode, rng, records,
+        h = self._run_blocks(h, start, len(self.blocks), mode, rng, records,
                              router_noise, block_inputs, prefix)
-        if stop is None:
-            return T.matmul(h, self.head), records
-        if block_inputs is not None:
-            block_inputs.append(h.data)
-        records.append(self.blocks[last].moe.router.route(
-            h, mode, self.layer_noise(last, rng, h.shape[0], mode,
-                                      router_noise)))
-        return None, records + [None] * (len(self.blocks) - end)
+        return T.matmul(h, self.head), records
 
     def prefix(self, x, block: int, experts: bool = False) -> Prefix:
         """Run ``x`` without a tape up to block ``block``'s MoE layer, and
@@ -352,8 +342,7 @@ def _eval_passes(model: MoEClassifier) -> int:
                 for i in model.stochastic_blocks()), default=1)
 
 
-def _content_noise_block(model: MoEClassifier, x: np.ndarray,
-                         rng: RngStream) -> dict:
+def noise_plan(model: MoEClassifier, x: np.ndarray, rng: RngStream) -> dict:
     """Pre-draw router noise for every pass of a predict, keyed by token
     content rather than batch slot, so duplicated inputs inside one batch
     route identically.
@@ -402,16 +391,16 @@ def predict_with_uncertainty(model: MoEClassifier, x, rng: RngStream,
     Deterministic given the stream, and independent of batch order because
     router noise is keyed by token content.
 
-    ``plan``, when given, must be ``_content_noise_block(model, x, rng)``:
-    it reads no trained weight, so a training stage's validation draws it
-    once per stage.  The passes differ only in their router noise, so what precedes
+    ``plan``, when given, must be ``noise_plan(model, x, rng)``: it reads
+    no trained weight, so a training stage's validation draws it once per
+    stage.  The passes differ only in their router noise, so what precedes
     the first noise draw runs once, as one :class:`Prefix`: the MAP blocks
     before the first stochastic block, and that block's expert outputs and
     router encoding.  Every output bit is that of S whole passes.
     """
     x = np.asarray(x, dtype=np.float64)
     if plan is None:
-        plan = _content_noise_block(model, x, rng)
+        plan = noise_plan(model, x, rng)
     passes = _eval_passes(model)
     layers = model.stochastic_blocks()
     prefix = model.prefix(x, layers[0], experts=True) if layers else None

@@ -3,17 +3,19 @@
 Injects isotropic Gaussian noise at one block input at a time, with the
 noise scale tied to the average activation norm, and measures how much the
 perturbed layer's expert selection moves (Jaccard similarity against the
-clean pass).  A pass perturbed at layer L starts from the clean pass's input
-to L plus the noise and stops at layer L's router, the only selection it is
-read at, for the last layer as for the others: it mixes no experts and runs
-no later block or head.  Stochastic routers replay identical streams in the
-clean and perturbed passes (common random numbers): a report draws each
-stochastic layer's router noise once in the clean pass and once more for the
-passes perturbed at that layer, which all replay that one draw.  That
-removes the sampler's pass-to-pass spread, but not its coupling: for the
-Gumbel-top-k routers (temp_scale, vtsr) the Jaccard also reflects how the
-sampler maps one noise draw at two nearby logit vectors, so it is not the
-router's stability alone.
+clean pass).  A report is its list of ``StabilityCell``s, one per (layer,
+gamma), layer-major.  A pass perturbed at layer L starts from the clean
+pass's input to L plus the noise and only routes layer L
+(``forward(route_only=True)``), the only selection it is read at, for the
+last layer as for the others: it mixes no experts and runs no later block or
+head.  Stochastic routers replay identical streams in the clean and
+perturbed passes (common random numbers): a report draws each stochastic
+layer's router noise once in the clean pass and once more for the passes
+perturbed at that layer, which all replay that one draw.  That removes the
+sampler's pass-to-pass spread, but not its coupling: for the Gumbel-top-k
+routers (temp_scale, vtsr) the Jaccard also reflects how the sampler maps
+one noise draw at two nearby logit vectors, so it is not the router's
+stability alone.
 
 The fixed-temperature sweep runs whole passes, since it reads accuracy;
 the MAP blocks before the swapped layer (and before the first stochastic
@@ -62,20 +64,6 @@ class StabilityCell:
     q90: float
 
 
-@dataclass
-class StabilityReport:
-    cells: list[StabilityCell]
-
-    def cell(self, layer: int, gamma: float) -> StabilityCell:
-        for c in self.cells:
-            if c.layer == layer and c.gamma == gamma:
-                return c
-        raise KeyError((layer, gamma))
-
-    def layers(self) -> list[int]:
-        return sorted({c.layer for c in self.cells})
-
-
 def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
                        rng: RngStream) -> np.ndarray:
     """Additive N(0, sigma^2 I) noise of ``shape``, sigma = gamma * mean_norm."""
@@ -85,26 +73,28 @@ def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
 
 
 def _route_records(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
-                   **kwargs) -> list:
+                   **kwargs):
     # A fresh stream derived with fixed tags replays the same router draws on
     # every call: the common-random-numbers policy between passes.  The
     # perturbed passes at one layer pass that layer's noise array, drawn once
     # by ``model.layer_noise`` from this same stream, as ``router_noise``,
-    # which gives the same bits as drawing it again.
+    # which gives the same bits as drawing it again.  Returns the records
+    # list, or with ``route_only`` the one record.
     with T.no_grad():
         return model.forward(x, "eval", rng=rng_base.derive("route"), **kwargs)[1]
 
 
 def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
-                        seed: int) -> StabilityReport:
-    """Mean and quantiles of per-token Jaccard for every (layer, gamma) cell.
+                        seed: int) -> list[StabilityCell]:
+    """Mean and quantiles of per-token Jaccard for every (layer, gamma) cell,
+    layer-major in the order of ``spec.gamma_levels``.
 
     Noise enters at one block input at a time, everything else stays clean,
     and the comparison is made at the perturbed layer's own selection.
     ``seed`` keys the input noise and the router draws.  A pass perturbed at
     layer L repeats the clean pass before L, so it starts from a prefix: the
     clean pass's input to L plus the noise.  No later block feeds back into
-    L's selection, so it stops at layer L's router.  Every pass at layer L
+    L's selection, so it only routes layer L.  Every pass at layer L
     replays the clean pass's router draw there, so that draw is made once
     for all of them (one layer's draw held at a time).
     """
@@ -125,26 +115,23 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                                            base.derive("noise", layer, gi, rep))
                 prefix = Prefix(layer, block_inputs[layer] + noise)
                 perturbed = _route_records(model, x, base, prefix=prefix,
-                                           stop=layer + 1, router_noise=held)
+                                           route_only=True, router_noise=held)
                 values.append(jaccard_rows(clean[layer].selection,
-                                           perturbed[layer].selection))
+                                           perturbed.selection))
             j = np.concatenate(values)
             q10, q50, q90 = np.quantile(j, (0.10, 0.50, 0.90)).tolist()
             cells.append(StabilityCell(
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),
                 q10=q10, q50=q50, q90=q90))
         del held                     # free it before the next layer's draw
-    return StabilityReport(cells)
+    return cells
 
 
-def sensitivity_ranking(report: StabilityReport, gamma: float) -> list[int]:
+def sensitivity_ranking(cells: list[StabilityCell], gamma: float) -> list[int]:
     """Layers ordered most brittle first: ascending mean Jaccard at noise
     level ``gamma``, ties broken by layer index."""
-    keyed = []
-    for layer in report.layers():
-        cell = report.cell(layer, gamma)
-        keyed.append((cell.mean_jaccard, layer))
-    return [layer for _, layer in sorted(keyed)]
+    return [layer for _, layer in sorted((c.mean_jaccard, c.layer)
+                                         for c in cells if c.gamma == gamma)]
 
 
 def fixed_temperature_layer_sweep(model: MoEClassifier, dataset, t_grid,

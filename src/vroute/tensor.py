@@ -162,9 +162,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -359,20 +356,21 @@ def reshape(a, shape) -> Tensor:
 
 def gather(a, indices) -> Tensor:
     """The columns of 2-d ``a`` at ``indices``; the adjoint of
-    :func:`scatter`, so the backward scatter-adds."""
+    :func:`scatter`.  Its backward places the gradient, so it raises
+    ValueError unless the indices are 1-d, >= 0 and strictly increasing."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
     data = np.take(a.data, idx, axis=1)
 
     def backward(g):
+        if not (idx.ndim == 1 and (idx.size == 0 or idx[0] >= 0
+                                   and (idx[1:] > idx[:-1]).all())):
+            raise ValueError("gather's backward needs 1-d, non-negative, "
+                             f"strictly increasing indices, got {idx}")
+        # Distinct places, each written once: a scatter-add's 0 + g is g,
+        # except that -0.0 becomes +0.0, which adding 0.0 to g does too.
         out = np.zeros_like(a.data)
-        if idx.ndim == 1 and (idx.size == 0 or idx[0] >= 0
-                              and (idx[1:] > idx[:-1]).all()):
-            # Distinct places, each written once: add.at's 0 + g is g,
-            # except that -0.0 becomes +0.0, which adding 0.0 to g does too.
-            out[:, idx] = g + 0.0
-        else:
-            np.add.at(out, (slice(None), idx), g)
+        out[:, idx] = g + 0.0
         return (out,)
 
     return _result(data, (a,), backward, "gather")

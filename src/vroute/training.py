@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import calibration_report
-from .model import (MoEClassifier, Prefix, _content_noise_block, elbo_loss,
+from .model import (MoEClassifier, Prefix, elbo_loss, noise_plan,
                     predict_with_uncertainty)
 from .optim import Adam
 from .rng import RngStream
@@ -93,7 +93,7 @@ def _run_stage(model: MoEClassifier, params, train_ds, val_ds,
     opt = Adam(params, lr)
     stream = RngStream(seed).derive(stage)
     val_rng = stream.derive("val")
-    val_plan = _content_noise_block(model, val_ds.features, val_rng)
+    val_plan = noise_plan(model, val_ds.features, val_rng)
     n = len(train_ds.labels)
     best = None
     patience_left = cfg.early_stop_patience

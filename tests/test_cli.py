@@ -219,14 +219,16 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
      "variant 'vglr_mf' given more than once"),
     ({"layers": []},
      "layers is empty, so variant 'vglr_mf' would leave every router MAP"),
+    ({"layers": [1, 0, 1]}, "layers [1] given more than once"),
     ({"variants": ["bogus"]}, "unknown variant 'bogus'"),
     ({"layers": "auto", "auto_top_k": 0}, "auto_top_k must be >= 1"),
-], ids=["no-variants", "repeated-variant", "no-layers", "unknown-variant",
-        "no-auto-layers"])
+], ids=["no-variants", "repeated-variant", "no-layers", "repeated-layer",
+        "unknown-variant", "no-auto-layers"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant
-    # trained twice, or with a "variational" checkpoint that is all MAP.
+    # trained twice, with a "variational" checkpoint that is all MAP, or
+    # with a repeated layer silently attached once.
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1

@@ -48,10 +48,7 @@ def provenance() -> dict:
     (``OPENBLAS_CORETYPE``'s names) that this process computes with.  The
     core is "unknown" when numpy's BLAS does not export scipy-openblas's
     corename query."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:                                          # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
+    from numpy._core import _multiarray_umath as umath
     dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
     try:
         corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_

@@ -1,5 +1,6 @@
-"""Every name a `vroute` module imports is used in that module, and every
-option a `vroute` function offers is set by some caller in the package.
+"""Every name a `vroute` module imports is used in that module, every
+option a `vroute` function offers is set by some caller in the package, and
+no module uses another module's private names.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 ``src/vroute`` is parsed with :mod:`ast`, and every name bound by an import
@@ -12,6 +13,11 @@ that name (a class name calls its ``__init__``), by keyword or with enough
 positional arguments.  A call that passes ``**kwargs`` sets every keyword
 and one that passes ``*args`` every position.  An option that only tests
 set is a knob for the tests alone: make it a constant.
+
+The private-name rule: no module under ``src/vroute`` imports a
+``_``-prefixed name from another `vroute` module, or reads one as an
+attribute of an imported `vroute` module (``T._name``).  Dunders such as
+``__version__`` are exempt.  A name another module needs is public.
 """
 import ast
 import pathlib
@@ -164,3 +170,62 @@ def test_scan_flags_an_unused_option():
         "f(0, 5)\ng(1, **{})\nK(1).m(3)\n")
     assert _unset_options({"mod.py": source}) == [
         "mod.py:1 f(c)", "mod.py:1 f(d)", "mod.py:6 K.__init__(w)"]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _dotted(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _foreign_private_names(tree):
+    """``name (line n)`` for each private name ``tree`` imports from a
+    `vroute` module or reads off an imported `vroute` module."""
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "vroute":
+                    parts = alias.name.split(".")
+                    modules |= ({alias.asname} if alias.asname else
+                                {".".join(parts[:i + 1])
+                                 for i in range(len(parts))})
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "vroute"):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                if node.module is None or node.module == "vroute":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and _dotted(node.value) in modules):
+            found.append(f"{_dotted(node)} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_uses_no_private_name_of_another(path):
+    found = _foreign_private_names(ast.parse(path.read_text(),
+                                             filename=str(path)))
+    assert not found, (f"{path.name} uses other modules' private names "
+                       f"(make them public): {', '.join(found)}")
+
+
+def test_scan_flags_a_foreign_private_name():
+    tree = ast.parse(
+        "from . import tensor as T, __version__\n"
+        "from .model import _plan, Prefix\n"
+        "import vroute.rng\n"
+        "from math import _private_ok\n"
+        "y = T._tracked(T.matmul) + vroute.rng._key + T.__name__\n"
+        "self._own = Prefix._fields\n")
+    assert sorted(_foreign_private_names(tree)) == [
+        "T._tracked (line 5)", "_plan (line 2)", "vroute.rng._key (line 5)"]

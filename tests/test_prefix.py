@@ -91,7 +91,7 @@ def _predict_full_forward(model, x, rng):
     layers = model.stochastic_blocks()
     passes = max((model.blocks[i].moe.router.settings.eval_samples
                   for i in layers), default=1)
-    plan = M._content_noise_block(model, x, rng)
+    plan = M.noise_plan(model, x, rng)
     layers = layers or range(len(model.blocks))
     probs, kl, runs = [], np.zeros(len(x)), []
     for s in range(passes):
@@ -140,7 +140,7 @@ def test_inferred_readout_is_read_from_the_first_pass(variant, key):
     # changes from pass to pass; the predict reports pass 0's.
     model = _model(variant, layers=(1, 2))
     x = _splits(40)["test"].features
-    plan = M._content_noise_block(model, x, RngStream(3))
+    plan = M.noise_plan(model, x, RngStream(3))
     readouts = []
     for s in (0, 1):
         with T.no_grad():
@@ -275,10 +275,10 @@ def test_stability_report_matches_full_forward(variant):
     dataset = _splits(40)["test"]
     spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
                             repeats=2)
-    report = layerwise_stability(model, dataset, spec, seed=7)
+    cells = layerwise_stability(model, dataset, spec, seed=7)
     want = _stability_full_forward(model, dataset, spec, seed=7)
-    assert len(report.cells) == len(want) == 6
-    for cell, (layer, gamma, j) in zip(report.cells, want):
+    assert len(cells) == len(want) == 6
+    for cell, (layer, gamma, j) in zip(cells, want):
         assert (cell.layer, cell.gamma) == (layer, gamma)
         assert cell.mean_jaccard == float(j.mean())
         assert (cell.q10, cell.q50, cell.q90) == tuple(
@@ -311,7 +311,7 @@ def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
                             repeats=2)
     layerwise_stability(model, _splits(40)["test"], spec, seed=7)
     # One clean pass, then each block only in the passes perturbed at it,
-    # which only route it: the last block too, whose stop is the block count.
+    # which only route it: the last block as the others.
     assert [r[0] for r in routes] == [1 + 2 * 2] * len(model.blocks)
     assert mixes == {0: 1, 1: 1, 2: 1}
 
@@ -346,7 +346,7 @@ def test_noise_plan_skips_map_layers(variant, monkeypatch):
     x = _splits(40)["test"].features
     rows = _count_calls(monkeypatch, RngStream, "derive_from_bytes",
                         lambda *a: 0)
-    plan = M._content_noise_block(model, x, RngStream(3))
+    plan = M.noise_plan(model, x, RngStream(3))
     assert list(plan) == [1]
     assert plan[1].shape[:2] == (4, len(x))
     assert rows == {0: len(x)}
@@ -358,7 +358,7 @@ def test_noise_plan_keeps_the_draw_dtype(variant, rows):
     # mc_dropout draws a boolean keep mask, the others float64 noise.
     model = _model(variant, layers=(1,))
     x = _splits(40)["test"].features[:rows]
-    plan = M._content_noise_block(model, x, RngStream(3))
+    plan = M.noise_plan(model, x, RngStream(3))
     want = np.bool_ if variant == "mc_dropout" else np.float64
     assert plan[1].dtype == want
     assert plan[1].shape[:2] == (4, rows)
@@ -388,73 +388,49 @@ def _eval_pass(model, x, **kwargs):
 
 @pytest.mark.parametrize("variant", (None,) + STOCHASTIC,
                          ids=("all-map",) + STOCHASTIC)
-class TestForwardStop:
-    def test_stop_at_block_count_is_the_whole_pass(self, variant,
-                                                   monkeypatch):
-        # ... up to the last router: the records of the whole pass, but the
-        # last layer mixes no experts and the head does not run.
+class TestForwardRouteOnly:
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_routes_its_first_layer_alone(self, variant, block, monkeypatch):
+        # Block 0 from x, a later block from the whole pass's input to it:
+        # that block's record of the whole pass, with no expert mix, no
+        # head and no block input kept.
         model = _model(variant)
         x = _splits(40)["test"].features
-        _, want_records = _eval_pass(model, x)
-        mixed = _count_calls(monkeypatch, T, "expert_mix",
-                             lambda u, gates, w1, w2: id(w1))
-        logits, records = _eval_pass(model, x, stop=len(model.blocks))
-        assert logits is None
-        _assert_same_records(records, want_records)
-        assert mixed == {id(blk.moe.w1): 1 for blk in model.blocks[:-1]}
-
-    @pytest.mark.parametrize("stop", [1, 2])
-    def test_stopped_pass_has_no_logits_or_later_records(self, variant, stop):
-        model = _model(variant)
-        x = _splits(40)["test"].features
-        logits, records = _eval_pass(model, x, stop=stop)
-        _, want = _eval_pass(model, x)
-        assert logits is None
-        _assert_same_records(records,
-                             want[:stop] + [None] * (len(want) - stop))
-
-    def test_stopped_pass_routes_its_last_layer_without_mixing(
-            self, variant, monkeypatch):
-        model = _model(variant)
-        x = _splits(40)["test"].features
-        block_inputs, want_inputs = [], []
+        want_inputs = []
         _, want = _eval_pass(model, x, block_inputs=want_inputs)
+        prefix = Prefix(block, want_inputs[block]) if block else None
         mixed = _count_calls(monkeypatch, T, "expert_mix",
                              lambda u, gates, w1, w2: id(w1))
-        _, records = _eval_pass(model, x, stop=2, block_inputs=block_inputs)
-        assert mixed == {id(model.blocks[0].moe.w1): 1}
-        _assert_same_records(records, want[:2] + [None])
-        for got, w in zip(block_inputs, want_inputs[:2], strict=True):
-            np.testing.assert_array_equal(got, w)
+        products = _count_calls(monkeypatch, T, "matmul", lambda a, b: id(b))
+        block_inputs = []
+        logits, record = _eval_pass(model, x, prefix=prefix, route_only=True,
+                                    block_inputs=block_inputs)
+        assert logits is None
+        _assert_same_records([record], [want[block]])
+        assert mixed == {}
+        assert id(model.head) not in products
+        assert block_inputs == []
 
-    def test_stop_not_after_the_start_is_rejected(self, variant):
-        model = _model(variant)
-        x = _splits(40)["test"].features
-        with pytest.raises(ValueError, match="stop"):
-            _eval_pass(model, x, stop=0)
-        with pytest.raises(ValueError, match="stop"):
-            _eval_pass(model, x, prefix=Prefix(1, model.prefix(x, 1).h),
-                       stop=1)
-
-    def test_prefix_and_stop_reproduce_the_whole_pass(self, variant):
+    def test_held_noise_gives_the_drawn_record(self, variant):
+        # Stability's perturbed passes replay one held draw of their layer.
         model = _model(variant)
         x = _splits(40)["test"].features
         block_inputs = []
         _, want = _eval_pass(model, x, block_inputs=block_inputs)
-        logits, records = _eval_pass(model, x, prefix=Prefix(1, block_inputs[1]),
-                                     stop=2)
-        assert logits is None
-        _assert_same_records(records, [None, want[1], None])
+        held = {1: model.layer_noise(1, RngStream(5), len(x), "eval")}
+        _, record = model.forward(x, "eval", prefix=Prefix(1, block_inputs[1]),
+                                  route_only=True, router_noise=held)
+        _assert_same_records([record], [want[1]])
 
 
 class TestStage2ValPlan:
     def _run(self, monkeypatch, variant="vglr_mf", epochs=3):
         splits = _splits(40)
         model = _model(variant)
-        plans = _count_calls(monkeypatch, M, "_content_noise_block",
+        plans = _count_calls(monkeypatch, M, "noise_plan",
                              lambda m, x, *a: len(x))
         # training binds the plan function by name; count its calls too.
-        monkeypatch.setattr(TR, "_content_noise_block", M._content_noise_block)
+        monkeypatch.setattr(TR, "noise_plan", M.noise_plan)
         prefixes = _count_calls(monkeypatch, MoEClassifier, "prefix",
                                 lambda m, x, *a, **k: len(x))
         cfg = TrainConfig(epochs_stage2=epochs, early_stop_patience=epochs,
@@ -488,7 +464,7 @@ class TestStage2ValPlan:
 def test_plan_outlives_a_dense_weight_change(variant):
     model = _model(variant, layers=(1, 2))
     x = _splits(40)["test"].features
-    plan = M._content_noise_block(model, x, RngStream(3))
+    plan = M.noise_plan(model, x, RngStream(3))
     before = predict_with_uncertainty(model, x, rng=RngStream(3))
     model.blocks[0].dense.data = model.blocks[0].dense.data * 1.5
     got = predict_with_uncertainty(model, x, rng=RngStream(3), plan=plan)

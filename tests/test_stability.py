@@ -7,7 +7,7 @@ from vroute.data import SyntheticDomainSpec, generate_domain, split_dataset
 from vroute.model import ModelConfig, MoEClassifier, attach_variational_routers
 from vroute.rng import RngStream
 from vroute.routers import RouterSettings
-from vroute.stability import (PerturbationSpec, StabilityReport, StabilityCell,
+from vroute.stability import (PerturbationSpec, StabilityCell,
                               fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise,
                               sensitivity_ranking)
@@ -44,8 +44,7 @@ class TestPerturbInput:
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(1e-12,), diagnostic_gamma=1e-12,
                                 repeats=1)
-        report = layerwise_stability(model, splits["test"], spec, seed=0)
-        for cell in report.cells:
+        for cell in layerwise_stability(model, splits["test"], spec, seed=0):
             assert cell.mean_jaccard == 1.0
 
     def test_moment_oracle(self):
@@ -82,8 +81,8 @@ class TestLayerwiseStability:
             model = MoEClassifier(cfg, RngStream(seed).derive("model-init"))
             pspec = PerturbationSpec(gamma_levels=(1e3,), diagnostic_gamma=1e3,
                                      repeats=4)
-            report = layerwise_stability(model, ds, pspec, seed=7)
-            values.extend(c.mean_jaccard for c in report.cells)
+            values.extend(c.mean_jaccard
+                          for c in layerwise_stability(model, ds, pspec, seed=7))
         floor = expected_random_jaccard(8, 2)
         assert abs(np.mean(values) - floor) < 0.02
         assert max(abs(v - floor) for v in values) < 0.06
@@ -92,9 +91,9 @@ class TestLayerwiseStability:
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(0.01, 0.05, 1.0),
                                 diagnostic_gamma=0.01, repeats=1)
-        report = layerwise_stability(model, splits["test"], spec, seed=0)
-        assert len(report.cells) == 3 * len(model.blocks)
-        assert report.layers() == [0, 1, 2]
+        cells = layerwise_stability(model, splits["test"], spec, seed=0)
+        assert [(c.layer, c.gamma) for c in cells] == list(
+            itertools.product(range(len(model.blocks)), spec.gamma_levels))
 
     def test_clean_vs_clean_is_exactly_one_for_stochastic_routers(self):
         from vroute.metrics import jaccard_rows
@@ -112,34 +111,31 @@ class TestLayerwiseStability:
         model, splits = small_trained_model()
         spec = PerturbationSpec(gamma_levels=(0.05,), diagnostic_gamma=0.05,
                                 repeats=2)
-        report = layerwise_stability(model, splits["test"], spec, seed=0)
-        for cell in report.cells:
+        for cell in layerwise_stability(model, splits["test"], spec, seed=0):
             assert 0.0 <= cell.q10 <= cell.q50 <= cell.q90 <= 1.0
 
 
 class TestSensitivityRanking:
-    def _report(self, jaccards):
-        cells = [StabilityCell(layer=i, gamma=0.01, mean_jaccard=j,
-                               q10=j, q50=j, q90=j)
-                 for i, j in enumerate(jaccards)]
-        return StabilityReport(cells)
+    def _cells(self, jaccards):
+        return [StabilityCell(layer=i, gamma=0.01, mean_jaccard=j,
+                              q10=j, q50=j, q90=j)
+                for i, j in enumerate(jaccards)]
 
     def test_uniform_stability_gives_index_order(self):
-        report = self._report([0.5, 0.5, 0.5])
-        assert sensitivity_ranking(report, 0.01) == [0, 1, 2]
+        cells = self._cells([0.5, 0.5, 0.5])
+        assert sensitivity_ranking(cells, 0.01) == [0, 1, 2]
 
     def test_weakest_layer_first(self):
-        report = self._report([0.9, 0.95, 0.2])
-        assert sensitivity_ranking(report, 0.01)[0] == 2
+        cells = self._cells([0.9, 0.95, 0.2])
+        assert sensitivity_ranking(cells, 0.01)[0] == 2
 
     def test_reads_the_given_noise_level(self):
         cells = [StabilityCell(layer=i, gamma=g, mean_jaccard=j,
                                q10=j, q50=j, q90=j)
                  for g, js in ((0.01, (0.9, 0.2)), (0.05, (0.1, 0.8)))
                  for i, j in enumerate(js)]
-        report = StabilityReport(cells)
-        assert sensitivity_ranking(report, 0.01) == [1, 0]
-        assert sensitivity_ranking(report, 0.05) == [0, 1]
+        assert sensitivity_ranking(cells, 0.01) == [1, 0]
+        assert sensitivity_ranking(cells, 0.05) == [0, 1]
 
     def test_invariant_under_dataset_duplication(self):
         model, splits = small_trained_model()
@@ -195,10 +191,10 @@ def test_map_jaccard_non_increasing_in_gamma():
     spec = PerturbationSpec(repeats=2)
     for seed in range(5):
         model, splits = small_trained_model(seed=seed)
-        report = layerwise_stability(model, splits["test"], spec, seed=0)
-        for layer in report.layers():
-            means = [report.cell(layer, g).mean_jaccard
-                     for g in spec.gamma_levels]
+        cells = layerwise_stability(model, splits["test"], spec, seed=0)
+        for layer in range(len(model.blocks)):
+            # Cells are layer-major, in the order of spec.gamma_levels.
+            means = [c.mean_jaccard for c in cells if c.layer == layer]
             inversions = sum(1 for a, b in zip(means, means[1:])
                              if b > a + 0.01)
             assert inversions <= 1, (seed, layer, means)
