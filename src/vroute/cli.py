@@ -52,31 +52,26 @@ class ArtifactWriter:
         self.files: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
     def claim(self, name: str) -> str:
         """Track ``name`` before it is written, so cleanup also removes it
         when a later step fails; returns its path."""
-        path = self.path(name)
+        path = os.path.join(self.out_dir, name)
         self.files.append(path)
         return path
 
-    def write_csv(self, name: str, columns: list[str], rows: list[dict]) -> str:
+    def write_csv(self, name: str, columns: list[str], rows: list[dict]) -> None:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        self.write_text(name, "\n".join(lines) + "\n")
 
-    def write_json(self, name: str, payload: dict) -> str:
-        return self.write_text(name, json.dumps(payload, indent=2,
-                                                sort_keys=True) + "\n")
+    def write_json(self, name: str, payload: dict) -> None:
+        self.write_text(name, json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n")
 
-    def write_text(self, name: str, text: str) -> str:
-        path = self.claim(name)
-        with atomic_open(path) as fh:
+    def write_text(self, name: str, text: str) -> None:
+        with atomic_open(self.claim(name)) as fh:
             fh.write(text.encode("utf-8"))
-        return path
 
     def cleanup(self) -> None:
         for path in self.files:
@@ -86,9 +81,9 @@ class ArtifactWriter:
                 pass
 
 
-def _svg_line_chart(series: dict, x_label: str, y_label: str) -> str:
-    """Minimal deterministic 640 x 400 SVG polyline chart (one polyline per
-    series)."""
+def _svg_line_chart(series: dict) -> str:
+    """Minimal deterministic 640 x 400 SVG polyline chart of mean Jaccard
+    against gamma (one polyline per series)."""
     width, height, pad = 640, 400, 50
     xs = [x for pts in series.values() for x, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
@@ -110,10 +105,10 @@ def _svg_line_chart(series: dict, x_label: str, y_label: str) -> str:
              f"<line x1='{pad}' y1='{pad}' x2='{pad}' y2='{height - pad}' "
              f"stroke='black'/>",
              f"<text x='{width // 2}' y='{height - 10}' "
-             f"text-anchor='middle' font-size='12'>{x_label}</text>",
+             "text-anchor='middle' font-size='12'>gamma</text>",
              f"<text x='14' y='{height // 2}' font-size='12' "
              f"transform='rotate(-90 14 {height // 2})' "
-             f"text-anchor='middle'>{y_label}</text>"]
+             "text-anchor='middle'>mean Jaccard</text>"]
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = colors[i % len(colors)]
         coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in sorted(pts))
@@ -261,8 +256,7 @@ def cmd_stability(args, cfg, writer) -> None:
         for c in cells:
             series.setdefault(f"layer{c.layer}", []).append(
                 (c.gamma, c.mean_jaccard))
-        writer.write_text(f"stability_{tag}.svg",
-                          _svg_line_chart(series, "gamma", "mean Jaccard"))
+        writer.write_text(f"stability_{tag}.svg", _svg_line_chart(series))
 
 
 def _comma_list(flag: str, text: str, parse, rule: str) -> list:

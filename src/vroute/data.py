@@ -22,13 +22,13 @@ class DataError(ValueError):
 
 @dataclass
 class SyntheticDomainSpec:
-    num_classes: int = 4
-    modes_per_class: int = 2
-    feature_dim: int = 16
-    mean_scale: float = 0.35               # spread of the mode means
-    noise_scale: float = 0.5
+    num_classes: int
+    modes_per_class: int
+    feature_dim: int
+    mean_scale: float                      # spread of the mode means
+    noise_scale: float
+    seed: int
     shift_magnitude: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.num_classes, self.modes_per_class, self.feature_dim) < 1:
@@ -112,8 +112,10 @@ def split_dataset(ds: Dataset, n_train: int, n_val: int, n_test: int) -> dict:
 
 
 def check_shift_order(delta_near: float, delta_far: float) -> None:
-    if not (0.0 <= delta_near < delta_far):
-        raise DataError("ordering violation: require 0 <= delta_near < delta_far")
+    """A zero near shift would key the near set's stream like the
+    in-distribution pool's, making it the pool's first rows."""
+    if not (0.0 < delta_near < delta_far):
+        raise DataError("ordering violation: require 0 < delta_near < delta_far")
 
 
 def make_ood_suite(base_spec: SyntheticDomainSpec, delta_near: float,

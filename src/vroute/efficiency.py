@@ -49,8 +49,8 @@ def _tri(n: int) -> int:
 def _costs(spec: ArchSpec, variant: str) -> tuple[int, int]:
     """(added parameters, added MACs per token) of one variant.
 
-    Each added weight costs one MAC per token; ``extra`` is the per-token
-    work on top of that.
+    Each added weight costs one MAC per token, a bias none; ``extra`` is
+    the per-token work on top of that.
     """
     l, n, d = spec.layers, spec.num_experts, spec.hidden_dim
     h, s = spec.inference_width, spec.samples
@@ -67,8 +67,10 @@ def _costs(spec: ArchSpec, variant: str) -> tuple[int, int]:
         # spreads.
         params, extra = l * (d * h + h * n + h * _tri(n)), l * s * _tri(n)
     elif variant == "vtsr":
-        # Trunk D*H plus a scalar temperature head of H; N logit divisions.
+        # Trunk D*H plus a scalar temperature head of H, and their H + 1
+        # biases, which cost no MAC; N logit divisions.
         params, extra = l * (d * h + h), l * n
+        return params + l * (h + 1), params + extra
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return params, params + extra

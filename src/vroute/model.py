@@ -280,8 +280,7 @@ def elbo_loss(logits: Tensor, labels, records: list[BatchRouteResult | None],
 
 
 def attach_variational_routers(model: MoEClassifier, indices, variant: str,
-                               rng: RngStream,
-                               settings: RouterSettings) -> MoEClassifier:
+                               rng: RngStream, settings: RouterSettings) -> None:
     """Replace the routers at ``indices`` with freshly initialised ``variant``
     routers wrapping each layer's existing (to-be-frozen) projection; top-k
     and the inference-net width come from the model config.
@@ -298,7 +297,6 @@ def attach_variational_routers(model: MoEClassifier, indices, variant: str,
         moe = model.blocks[idx].moe
         moe.router = make_router(variant, moe.router.w_r, c.top_k, settings,
                                  c.phi_hidden, rng.derive("attach", idx))
-    return model
 
 
 # --------------------------------------------------------------------------
@@ -356,16 +354,14 @@ def noise_plan(model: MoEClassifier, x: np.ndarray, rng: RngStream) -> dict:
     for idx in model.stochastic_blocks():
         router = model.blocks[idx].moe.router
         layer_rng = rng.derive("layer", idx)
-        if not len(x):                  # a zero-row draw gives the shape
-            plans[idx] = router.draw_noise(layer_rng, (passes, 0), 1)
+        # A zero-row draw gives the per-token shape and dtype; its counter
+        # tick does not reach the row streams, whose keys ignore it.
+        empty = router.draw_noise(layer_rng, (passes, 0), 1)
+        plans[idx] = np.empty((passes, len(x)) + empty.shape[2:],
+                              dtype=empty.dtype)
         for i, row in enumerate(x):
-            draw = router.draw_noise(
-                layer_rng.derive_from_bytes(np.ascontiguousarray(row).tobytes()),
-                (passes,), 1)
-            if i == 0:
-                plans[idx] = np.empty((passes, len(x)) + draw.shape[1:],
-                                      dtype=draw.dtype)
-            plans[idx][:, i] = draw
+            plans[idx][:, i] = router.draw_noise(
+                layer_rng.derive_from_bytes(row.tobytes()), (passes,), 1)
     return plans
 
 
@@ -405,20 +401,18 @@ def predict_with_uncertainty(model: MoEClassifier, x, rng: RngStream,
     layers = model.stochastic_blocks()
     prefix = model.prefix(x, layers[0], experts=True) if layers else None
     layers = layers or range(len(model.blocks))
-    prob_sum = None
+    prob_sum = 0.0
     kl_sum = np.zeros(x.shape[0])
     route_prob_sum = dict.fromkeys(layers, 0.0)
     # Per layer, the passes' sampled logits in one C-contiguous [B, S, N]
     # buffer: the layout mc_logit_var reduces.
     logit_samples: dict = {}
-    first_records = None
     for s in range(passes):
         with T.no_grad():
             logits, records = model.forward(
                 x, "eval", router_noise={i: v[s] for i, v in plan.items()},
                 prefix=prefix)
-            p = T.softmax_last(logits.data)
-        prob_sum = p if prob_sum is None else prob_sum + p
+        prob_sum = prob_sum + T.softmax_last(logits.data)
         for rec in records:
             if rec is not None and rec.kl is not None:
                 kl_sum += rec.kl.data
@@ -426,23 +420,22 @@ def predict_with_uncertainty(model: MoEClassifier, x, rng: RngStream,
             route_prob_sum[i] = route_prob_sum[i] + records[i].probs
             sampled = records[i].logits_sampled
             if sampled is not None and passes >= 2:
-                if i not in logit_samples:
+                if s == 0:
                     logit_samples[i] = np.empty(
                         (x.shape[0], passes, sampled.shape[2]))
                 logit_samples[i][:, s, :] = sampled[:, 0, :]
-        if first_records is None:
-            first_records = records
-    per_layer = []
-    for i in layers:
-        sig = dict.fromkeys(SIGNAL_NAMES)
-        sig.update(first_records[i].signals)
-        sig["gate_entropy"] = shannon_entropy(route_prob_sum[i] / passes)
-        if i in logit_samples:
-            sig["mc_logit_var"] = mc_logit_var(logit_samples[i])
-        per_layer.append(sig)
+        if s == 0:
+            first = records
     signals: dict = {}
     for key in SIGNAL_NAMES:
-        values = [sig[key] for sig in per_layer if sig[key] is not None]
+        if key == "gate_entropy":
+            values = [shannon_entropy(route_prob_sum[i] / passes)
+                      for i in layers]
+        elif key == "mc_logit_var":
+            values = [mc_logit_var(v) for v in logit_samples.values()]
+        else:
+            values = [first[i].signals[key] for i in layers
+                      if key in first[i].signals]
         signals[key] = np.mean(values, axis=0) if values else None
     return Prediction(probs=prob_sum / passes, signals=signals,
                       kl_per_token=kl_sum / passes)

@@ -302,9 +302,9 @@ class TemperatureNet:
 
     def __init__(self, dim: int, hidden: int, rng: RngStream):
         self.w1 = Tensor(rng.normal((dim, hidden)) / math.sqrt(dim), requires_grad=True)
-        self.b1 = T.zeros((hidden,), requires_grad=True)
+        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.w2 = Tensor(rng.normal((hidden, 1)) / math.sqrt(hidden), requires_grad=True)
-        self.b2 = T.zeros((1,), requires_grad=True)
+        self.b2 = Tensor(np.zeros(1), requires_grad=True)
 
     def param_items(self) -> list[tuple[str, Tensor]]:
         return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]

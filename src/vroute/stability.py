@@ -50,6 +50,10 @@ class PerturbationSpec:
         if not all(0 < g < math.inf
                    for g in self.gamma_levels + (self.diagnostic_gamma,)):
             raise ValueError("noise levels must be finite and > 0")
+        twice = sorted({g for g in self.gamma_levels
+                        if self.gamma_levels.count(g) > 1})
+        if twice:
+            raise ValueError(f"gamma_levels {twice} given more than once")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 

@@ -735,10 +735,3 @@ def cross_entropy(logits, labels) -> Tensor:
         return (p * (g / n),)
 
     return _result(data, (logits,), backward, "cross_entropy")
-
-
-# -- constructors -------------------------------------------------------------
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)

@@ -196,12 +196,15 @@ def test_bad_router_setting_rejected_at_load(section, bad, message):
     ({"n_ood": 0}, "n_ood must be >= 1"),
     ({"n_test": -5}, "n_test must be >= 1"),
     ({"delta_near": 3, "delta_far": 1},
-     "ordering violation: require 0 <= delta_near < delta_far"),
+     "ordering violation: require 0 < delta_near < delta_far"),
+    # A zero near shift draws the in-distribution pool's own rows.
+    ({"delta_near": 0},
+     "ordering violation: require 0 < delta_near < delta_far"),
     ({"modes_per_class": 0},
      "num_classes, modes_per_class, feature_dim must be >= 1"),
     ({"noise_scale": 0}, "noise_scale must be > 0"),
-], ids=["no-val", "no-ood", "negative-test", "deltas-reversed", "no-modes",
-        "no-noise"])
+], ids=["no-val", "no-ood", "negative-test", "deltas-reversed",
+        "zero-near-shift", "no-modes", "no-noise"])
 def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
                                                     message):
     # Checked when the config loads, before any command does work.
@@ -247,8 +250,11 @@ def test_empty_layers_accepted_for_map_only():
     ("train", {"epochs_stage1": -1}, "epoch counts must be >= 0"),
     ("train", {"batch_size": 0}, "batch_size must be >= 1"),
     ("model", {"hidden_dim": 0}, "all model dimensions must be >= 1"),
+    # stability would write two rows per layer at the repeated gamma.
+    ("perturbation", {"gamma_levels": [0.05, 0.01, 0.05]},
+     "gamma_levels [0.05] given more than once"),
 ], ids=["no-eval-samples", "no-repeats", "negative-epochs", "no-batch",
-        "no-hidden"])
+        "no-hidden", "repeated-gamma"])
 def test_bad_section_setting_is_one_error_line_at_load(tmp_path, capsys,
                                                        section, bad, message):
     out = tmp_path / "run"

@@ -82,17 +82,11 @@ class TestOodSuite:
         with pytest.raises(DataError):
             make_ood_suite(_spec(), 2.0, 1.0, 100)
 
-    def test_zero_near_shift_is_second_id_sample(self):
-        suite = make_ood_suite(_spec(), 0.0, 2.0, 4000)
-        in_dist = generate_domain(_spec(), 4000)
-        # distance-to-nearest-centroid scores separate nothing at delta=0
-        means = base_mode_means(_spec())
-
-        def scores(ds):
-            d = ((ds.features[:, None, :] - means[None]) ** 2).sum(-1)
-            return np.sqrt(d.min(1))
-
-        assert abs(auroc(scores(in_dist), scores(suite["near"])) - 0.5) < 0.02
+    def test_zero_near_shift_rejected(self):
+        # At shift 0 the near set's stream is the in-distribution pool's,
+        # so its rows would be the pool's first (training) rows.
+        with pytest.raises(DataError, match="0 < delta_near < delta_far"):
+            make_ood_suite(_spec(), 0.0, 2.0, 100)
 
     def test_far_domain_separable_by_centroid_distance(self):
         spec = _spec(noise_scale=0.5)

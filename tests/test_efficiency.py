@@ -7,6 +7,9 @@ import pytest
 
 from vroute.efficiency import (VARIANT_ORDER, ArchSpec, added_params,
                                cost_report, granite_preset, macs_per_token)
+from vroute.rng import RngStream
+from vroute.routers import RouterSettings, make_router
+from vroute.tensor import Tensor
 
 
 GRANITE = granite_preset()
@@ -49,12 +52,24 @@ class TestParameterCounts:
                 added_params(spec, "vglr_mf")
 
     def test_granite_temperature(self):
-        assert added_params(GRANITE, "vtsr") == 5_902_080
+        assert added_params(GRANITE, "vtsr") == 5_905_930
         assert round(added_params(GRANITE, "vtsr") / 1e6, 1) == 5.9
 
     def test_temperature_width_one(self):
+        # Trunk D*H and its H biases, head H and its one bias.
         spec = ArchSpec(4, 9, 33, 1, 35, 800e6, 800e6)
-        assert added_params(spec, "vtsr") == 4 * (33 + 1)
+        assert added_params(spec, "vtsr") == 4 * (33 + 1 + 1 + 1)
+
+    @pytest.mark.parametrize("dim, experts, width",
+                             [(32, 8, 8), (11, 7, 1), (16, 3, 5)])
+    @pytest.mark.parametrize("variant", ["vglr_mf", "vglr_fc", "vtsr"])
+    def test_counts_the_parameters_the_router_builds(self, variant, dim,
+                                                     experts, width):
+        router = make_router(variant, Tensor(np.zeros((dim, experts))), 1,
+                             RouterSettings(), width, RngStream(0))
+        built = sum(p.data.size for _, p in router.phi_items())
+        spec = ArchSpec(3, experts, dim, width, 35, 800e6, 800e6)
+        assert added_params(spec, variant) == 3 * built
 
     def test_temperature_independent_of_samples(self):
         a = ArchSpec(10, 40, 1536, 384, 1, 800e6, 800e6)

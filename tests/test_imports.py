@@ -1,6 +1,7 @@
 """Every name a `vroute` module imports is used in that module, every
-option a `vroute` function offers is set by some caller in the package, and
-no module uses another module's private names.
+option a `vroute` function offers is set by some caller in the package, no
+module uses another module's private names, no function returns a value
+its callers all discard, and no parameter is one literal at every call.
 
 A stdlib-only stand-in for a linter's unused-import rule: each module under
 ``src/vroute`` is parsed with :mod:`ast`, and every name bound by an import
@@ -18,6 +19,16 @@ The private-name rule: no module under ``src/vroute`` imports a
 ``_``-prefixed name from another `vroute` module, or reads one as an
 attribute of an imported `vroute` module (``T._name``).  Dunders such as
 ``__version__`` are exempt.  A name another module needs is public.
+
+The discarded-return rule: no module-level function or method under
+``src/vroute`` returns a value that every call to it in ``src/vroute``
+throws away as an expression statement.  Nested functions, dunders,
+functions no `vroute` code calls and functions some code reads as a value
+(a callback, an alias, a property) are exempt.
+
+The fixed-argument rule: no parameter of such a function is set to the same
+literal by every call in ``src/vroute``, given or by its default.  That
+parameter is a constant dressed as a knob; ``cli.main`` is exempt.
 """
 import ast
 import pathlib
@@ -229,3 +240,175 @@ def test_scan_flags_a_foreign_private_name():
         "self._own = Prefix._fields\n")
     assert sorted(_foreign_private_names(tree)) == [
         "T._tracked (line 5)", "_plan (line 2)", "vroute.rng._key (line 5)"]
+
+
+def _functions(tree):
+    """(class name or None, function) for each module-level function and
+    method of a module-level class; nested functions are exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, child
+
+
+def _call_name(call):
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else func.attr
+            if isinstance(func, ast.Attribute) else None)
+
+
+def _calls(trees):
+    """Called name -> [(call, its parent node)] over every call in ``trees``,
+    and the names some code reads other than as a call's function."""
+    calls, read = {}, set()
+    for tree in trees:
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            parent = parents.get(node)
+            if isinstance(node, ast.Call) and _call_name(node):
+                calls.setdefault(_call_name(node), []).append((node, parent))
+            elif (isinstance(node, (ast.Name, ast.Attribute))
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(parent, ast.Call)
+                           and parent.func is node)):
+                read.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return calls, read
+
+
+def _returns_value(fn):
+    """Whether ``fn``'s own body (not a nested function's) returns a value."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Return) and not (
+                node.value is None or (isinstance(node.value, ast.Constant)
+                                       and node.value.value is None)):
+            return True
+        todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _discarded_returns(sources: dict) -> list:
+    """``file:line name`` of each function whose value every call in
+    ``sources`` (file name -> text) discards."""
+    trees = {name: ast.parse(text, filename=name)
+             for name, text in sources.items()}
+    calls, read = _calls(trees.values())
+    found = []
+    for file, tree in trees.items():
+        for cls, fn in _functions(tree):
+            sites = calls.get(fn.name, [])
+            if (sites and fn.name not in read and _returns_value(fn)
+                    and not fn.name.startswith("__")
+                    and all(isinstance(p, ast.Expr) for _, p in sites)):
+                found.append(f"{file}:{fn.lineno} "
+                             + (f"{cls}.{fn.name}" if cls else fn.name))
+    return found
+
+
+def test_no_function_returns_a_value_every_caller_discards():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = _discarded_returns(sources)
+    assert not found, ("functions whose value every vroute call discards "
+                       "(return nothing): " + ", ".join(found))
+
+
+def test_scan_flags_a_discarded_return():
+    source = (
+        "def f(x):\n    return x\n"
+        "def g():\n    return None\n"
+        "def h():\n    def inner():\n        return 1\n    inner()\n"
+        "def cb():\n    return 2\n"
+        "class K:\n"
+        "    def m(self):\n        return self\n"
+        "    def n(self):\n        return 3\n"
+        "f(1)\ng()\nh()\ncb()\nk = K()\nk.m()\ny = k.n()\nk.n()\n"
+        "use = cb\n")
+    assert _discarded_returns({"mod.py": source}) == [
+        "mod.py:1 f", "mod.py:12 K.m"]
+
+
+_FIXED_EXEMPT = {("cli.py", "main")}
+_NOT_LITERAL = object()
+
+
+def _literal(node):
+    """``node``'s value as (type name, repr) if it is a literal, else (also
+    for None) a marker."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
+        return _NOT_LITERAL
+    return type(value).__name__, repr(value)
+
+
+def _argument(call, param, pos, default):
+    """The expression ``call`` binds to ``param`` (at ``pos``, or keyword
+    only), its default when it passes none, or None when it cannot be
+    told."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg is None for kw in call.keywords)):
+        return None
+    if pos is not None and pos < len(call.args):
+        return call.args[pos]
+    return next((kw.value for kw in call.keywords if kw.arg == param),
+                default)
+
+
+def _fixed_arguments(sources: dict) -> list:
+    """``file:line name(param)`` of each parameter that every call in
+    ``sources`` sets to one literal."""
+    trees = {name: ast.parse(text, filename=name)
+             for name, text in sources.items()}
+    calls, _ = _calls(trees.values())
+    found = []
+    for file, tree in trees.items():
+        for cls, fn in _functions(tree):
+            label = f"{cls}.{fn.name}" if cls else fn.name
+            names = {fn.name} | ({cls} if fn.name == "__init__" else set())
+            sites = [c for n in names for c, _ in calls.get(n, [])]
+            if not sites or (file, label) in _FIXED_EXEMPT:
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+            params = [(arg.arg, pos - skip, d) for pos, (arg, d) in
+                      enumerate(zip(positional, defaults)) if pos >= skip]
+            params += [(arg.arg, None, d)
+                       for arg, d in zip(a.kwonlyargs, a.kw_defaults)]
+            for param, pos, default in params:
+                values = {_literal(_argument(c, param, pos, default))
+                          for c in sites}
+                if len(values) == 1 and _NOT_LITERAL not in values:
+                    found.append(f"{file}:{fn.lineno} {label}({param})")
+    return found
+
+
+def test_no_parameter_is_set_to_one_literal_by_every_caller():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    found = _fixed_arguments(sources)
+    assert not found, ("parameters every vroute call sets to the same "
+                       "literal (make them constants): " + ", ".join(found))
+
+
+def test_scan_flags_a_fixed_argument():
+    source = (
+        "def f(a, b, c=2, *, d=3):\n    return a\n"
+        "def g(x, y=0):\n    return x\n"
+        "class K:\n"
+        "    def __init__(self, v, w=None):\n        self.v = v\n"
+        "f(1, 'label', d=4)\nf(2, 'label', 2, d=-4)\n"
+        "g(1, y=0)\ng(*[2])\nK(None)\nK(None, w=None)\n")
+    assert _fixed_arguments({"mod.py": source}) == [
+        "mod.py:1 f(b)", "mod.py:1 f(c)", "mod.py:6 K.__init__(v)",
+        "mod.py:6 K.__init__(w)"]
