@@ -285,8 +285,9 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
     grid = _comma_list("--grid", args.grid, _temperature, "temperatures "
                        "must be comma-separated finite numbers > 0")
     # Whether each block is in the checkpoint is checked once it is loaded.
-    layers = (_comma_list("--layers", args.layers, int, "blocks must be "
-                          "comma-separated integers") if args.layers else None)
+    layers = (None if args.layers is None else _comma_list(
+        "--layers", args.layers, int, "blocks must be comma-separated "
+        "integers"))
     model = _load_model(args, cfg)
     dataset = build_splits(cfg)["test"]
     if layers is None:
@@ -312,19 +313,20 @@ def cmd_efficiency(args, cfg, writer) -> None:
                 else _comma_list("--variants", args.variants, _variant,
                                  "choose comma-separated names from "
                                  + ",".join(VARIANT_ORDER)))
+    # The dimension and base-cost flags in ArchSpec's field order.
+    dims = [args.layers, args.experts, args.dim, args.width, args.samples]
+    bases = [args.base_params, args.base_macs]
     if args.granite:
+        if any(v is not None for v in dims + bases):
+            raise ConfigError("--granite takes no --layers, --experts, --dim, "
+                              "--width, --samples, --base-params or "
+                              "--base-macs")
         spec = granite_preset()
+    elif None in dims:
+        raise ConfigError("either --granite or all of --layers, "
+                          "--experts, --dim, --width, --samples")
     else:
-        required = [args.layers, args.experts, args.dim, args.width,
-                    args.samples]
-        if any(v is None for v in required):
-            raise ConfigError("either --granite or all of --layers, "
-                              "--experts, --dim, --width, --samples")
-        spec = ArchSpec(layers=args.layers, num_experts=args.experts,
-                        hidden_dim=args.dim, inference_width=args.width,
-                        samples=args.samples,
-                        base_active_params=args.base_params,
-                        base_macs_per_token=args.base_macs)
+        spec = ArchSpec(*dims, *(800e6 if v is None else v for v in bases))
     report = cost_report(spec, variants, flops=args.flops)
     writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",
@@ -394,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--base-params", type=float, default=800e6)
-    p.add_argument("--base-macs", type=float, default=800e6)
+    p.add_argument("--base-params", type=float, help="default 800e6")
+    p.add_argument("--base-macs", type=float, help="default 800e6")
     p.add_argument("--variants", default=None,
                    help="comma-separated subset of "
                         + ",".join(VARIANT_ORDER))

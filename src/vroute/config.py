@@ -97,6 +97,9 @@ class ExperimentConfig:
                                   "would leave every router MAP")
         if self.auto_top_k < 1:
             raise ConfigError("auto_top_k must be >= 1")
+        if self.layers == "auto" and self.auto_top_k > self.model.num_blocks:
+            raise ConfigError(f"auto_top_k {self.auto_top_k} exceeds the "
+                              f"{self.model.num_blocks} blocks")
 
 
 _NESTED = {"model": ModelConfig, "router": RouterSettings, "train": TrainConfig,

@@ -129,11 +129,6 @@ def _renorm_gates(probs, mask: np.ndarray):
     return masked / masked.sum(axis=-1, keepdims=True)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-
-
 # --------------------------------------------------------------------------
 # KL terms
 # --------------------------------------------------------------------------
@@ -220,20 +215,21 @@ def build_cholesky(flat) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def gumbel_top_k(scaled_logits, k: int, uniforms: np.ndarray,
-                 relaxed: bool = False) -> tuple[np.ndarray, Tensor | None]:
+def gumbel_top_k(scaled_logits, k: int,
+                 uniforms: np.ndarray) -> tuple[np.ndarray, Tensor | None]:
     """Perturb each row of logits with one Gumbel vector and take the top k.
 
     ``uniforms`` (same shape as the logits) become the Gumbels.  The selected
     set is distributed exactly as sequential sampling of k experts without
     replacement from softmax(scaled_logits) (Kool, van Hoof & Welling, 2019),
-    with ties broken as in :func:`top_k_mask`.  With ``relaxed`` it also
-    returns softmax((scaled_logits + g) / tau) at tau = 1, which carries the
-    gradient in straight-through training; otherwise that slot is None.
+    with ties broken as in :func:`top_k_mask`.  When the tape records the
+    logits it also returns softmax((scaled_logits + g) / tau) at tau = 1,
+    which carries the gradient in straight-through training; otherwise that
+    slot is None.
     """
     logits = T.as_tensor(scaled_logits)
     gumbels = gumbel_from_uniform(uniforms)
-    if not relaxed:
+    if not T.recording((logits,)):
         return top_k_mask(logits.data + gumbels, k), None
     perturbed = logits + Tensor(gumbels)
     relaxed_weights = T.softmax(perturbed)
@@ -356,7 +352,7 @@ class RouterBase:
         encoding."""
         return None
 
-    def route(self, u: Tensor, mode: str, noise=None,
+    def route(self, u: Tensor, noise=None,
               encoding=None) -> BatchRouteResult:
         """Route the batch ``u`` with ``noise``, one :meth:`draw_noise` array
         for its tokens (None for MAP)."""
@@ -375,8 +371,7 @@ class MapRouter(RouterBase):
 
     variant = "map"
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
+    def route(self, u, noise=None, encoding=None):
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits)
         mask = top_k_mask(probs.data, self.top_k)
@@ -403,8 +398,7 @@ class TempScaleRouter(RouterBase):
         scaled = l_det / self.settings.global_temperature
         return scaled, T.softmax_last(scaled), T.softmax_last(l_det)
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
+    def route(self, u, noise=None, encoding=None):
         scaled, probs, gate_probs = (self.encode(u) if encoding is None
                                      else encoding)
         mask, _ = gumbel_top_k(scaled, self.top_k, noise)
@@ -438,10 +432,9 @@ class McDropoutRouter(RouterBase):
         return (rng.uniform((*lead, samples, self.w_r.shape[0]))
                 >= self.settings.dropout_rate)
 
-    def route(self, u, mode, noise=None, encoding=None):
+    def route(self, u, noise=None, encoding=None):
         """Route with ``noise`` [B, S, D], the boolean keep mask of
         :meth:`draw_noise`."""
-        _check_mode(mode)
         if noise.dtype != np.bool_:
             raise TypeError("mc_dropout noise must be a boolean keep mask, "
                             f"not {noise.dtype}")
@@ -500,12 +493,11 @@ class VglrRouter(RouterBase):
         return (centre, T.transpose(scale.reshape((batch, 1, n))),
                 kl_mf_per_token(dmu, scale), (scale.data ** 2).sum(axis=1))
 
-    def route(self, u, mode, noise=None, encoding=None):
+    def route(self, u, noise=None, encoding=None):
         """Route with ``noise`` [B, S, N] of standard normals: sample s of
         token b is centre + sigma * eps (mean field) or centre + L @ eps
         (full covariance; :func:`vroute.tensor.spread`, which skips the
         zeros above the diagonal), and the S softmaxes are averaged."""
-        _check_mode(mode)
         eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
@@ -525,10 +517,10 @@ class VglrRouter(RouterBase):
 class VtsrRouter(RouterBase):
     """Learned per-input temperature with stochastic expert selection.
 
-    Both modes select k experts by Gumbel-top-k on logits / T, which samples
-    them without replacement from softmax(logits / T).  Training also routes
-    through the straight-through relaxation.  The KL slot holds the
-    regulariser -log T in both modes.
+    It selects k experts by Gumbel-top-k on logits / T, which samples them
+    without replacement from softmax(logits / T).  On the tape it also
+    routes through the straight-through relaxation, whose forward value is
+    exactly zero.  The KL slot holds the regulariser -log T.
     """
 
     variant = "vtsr"
@@ -550,14 +542,12 @@ class VtsrRouter(RouterBase):
         return (scaled, T.softmax_last(scaled.data),
                 -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
-        train = mode == "train"
+    def route(self, u, noise=None, encoding=None):
         scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
                                            else encoding)
-        mask, relaxed = gumbel_top_k(scaled, self.top_k, noise, relaxed=train)
+        mask, relaxed = gumbel_top_k(scaled, self.top_k, noise)
         gates = Tensor(_renorm_gates(probs, mask))
-        if train:
+        if relaxed is not None:
             gates = (relaxed - relaxed.detach()) + gates
         return BatchRouteResult(
             probs=probs, selection=mask, gate_weights=gates, kl=kl_tok,

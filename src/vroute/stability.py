@@ -76,18 +76,6 @@ def perturbation_noise(shape: tuple, gamma: float, mean_norm: float,
     return gamma * mean_norm * rng.normal(shape)
 
 
-def _route_records(model: MoEClassifier, x: np.ndarray, rng_base: RngStream,
-                   **kwargs):
-    # A fresh stream derived with fixed tags replays the same router draws on
-    # every call: the common-random-numbers policy between passes.  The
-    # perturbed passes at one layer pass that layer's noise array, drawn once
-    # by ``model.layer_noise`` from this same stream, as ``router_noise``,
-    # which gives the same bits as drawing it again.  Returns the records
-    # list, or with ``route_only`` the one record.
-    with T.no_grad():
-        return model.forward(x, "eval", rng=rng_base.derive("route"), **kwargs)[1]
-
-
 def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                         seed: int) -> list[StabilityCell]:
     """Mean and quantiles of per-token Jaccard for every (layer, gamma) cell,
@@ -103,14 +91,19 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
     for all of them (one layer's draw held at a time).
     """
     base = RngStream(seed)
+    route = base.derive("route")
     x = dataset.features
     block_inputs: list[np.ndarray] = []
-    clean = _route_records(model, x, base, block_inputs=block_inputs)
+    with T.no_grad():
+        _, clean = model.forward(x, "eval", rng=route,
+                                 block_inputs=block_inputs)
     mean_norms = [float(np.linalg.norm(h, axis=1).mean()) for h in block_inputs]
     cells = []
     for layer in range(len(model.blocks)):
-        held = {layer: model.layer_noise(layer, base.derive("route"), len(x),
-                                         "eval")}
+        # Common random numbers: a layer derives its noise from ``route`` by
+        # its own index, so this draw has the bits the clean pass routed the
+        # layer with, and every pass perturbed at the layer replays it.
+        held = {layer: model.layer_noise(layer, route, len(x), "eval")}
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
@@ -118,8 +111,10 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                                            mean_norms[layer],
                                            base.derive("noise", layer, gi, rep))
                 prefix = Prefix(layer, block_inputs[layer] + noise)
-                perturbed = _route_records(model, x, base, prefix=prefix,
-                                           route_only=True, router_noise=held)
+                with T.no_grad():
+                    _, perturbed = model.forward(
+                        x, "eval", prefix=prefix, route_only=True,
+                        router_noise=held)
                 values.append(jaccard_rows(clean[layer].selection,
                                            perturbed.selection))
             j = np.concatenate(values)

@@ -125,20 +125,23 @@ class Tensor:
             for p in node._parents:
                 if p not in seen and _tracked(p):
                     stack.append((p, False))
+        # Each gradient is checked once, summed, where the sweep reads it,
+        # so an overflowing sum of finite contributions is caught too.
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(node, None)
-            if g is None:
-                continue
-            if node._backward is not None:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not _tracked(parent):
-                        continue
-                    _check_finite(pg, "backward")
-                    acc = grads.get(parent)
-                    grads[parent] = pg if acc is None else acc + pg
-            elif node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+        with np.errstate(over="ignore"):
+            for node in reversed(order):
+                g = grads.pop(node, None)
+                if g is None:
+                    continue
+                _check_finite(g, "backward")
+                if node._backward is not None:
+                    for parent, pg in zip(node._parents, node._backward(g)):
+                        if pg is None or not _tracked(parent):
+                            continue
+                        acc = grads.get(parent)
+                        grads[parent] = pg if acc is None else acc + pg
+                elif node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
         self._done = True
 
     # -- operator sugar -----------------------------------------------------
@@ -181,7 +184,8 @@ def _tracked(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-def _recording(parents: tuple) -> bool:
+def recording(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records onto the tape."""
     if _grad_enabled:
         for p in parents:
             if _tracked(p):
@@ -198,7 +202,7 @@ _FINITE_PRESERVING = frozenset({"reshape", "transpose", "gather", "scatter",
 def _result(data: np.ndarray, parents: tuple, backward_fn, op: str) -> Tensor:
     if op not in _FINITE_PRESERVING:
         _check_finite(data, op)
-    track = _recording(parents)
+    track = recording(parents)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -452,7 +456,7 @@ def expert_mix(u, gates, w1, w2, outputs: np.ndarray | None = None,
     last bits differ from a gemm row's.
     """
     u, gates, w1, w2 = parents = tuple(as_tensor(t) for t in (u, gates, w1, w2))
-    keep = _recording(parents)
+    keep = recording(parents)
     if outputs is not None:
         if keep:
             raise NumericsError("stored expert outputs carry no tape")

@@ -225,13 +225,15 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
     ({"layers": [1, 0, 1]}, "layers [1] given more than once"),
     ({"variants": ["bogus"]}, "unknown variant 'bogus'"),
     ({"layers": "auto", "auto_top_k": 0}, "auto_top_k must be >= 1"),
+    ({"layers": "auto", "auto_top_k": 9}, "auto_top_k 9 exceeds the 2 blocks"),
 ], ids=["no-variants", "repeated-variant", "no-layers", "repeated-layer",
-        "unknown-variant", "no-auto-layers"])
+        "unknown-variant", "no-auto-layers", "too-many-auto-layers"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant
-    # trained twice, with a "variational" checkpoint that is all MAP, or
-    # with a repeated layer silently attached once.
+    # trained twice, with a "variational" checkpoint that is all MAP, with
+    # a repeated layer silently attached once, or with every block selected
+    # for fewer than asked.
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -324,6 +326,31 @@ def test_efficiency_without_granite_or_every_dimension_is_one_error_line(
         "error: either --granite or all of --layers, --experts, --dim, "
         "--width, --samples"]
     assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--experts", "8", "--dim", "32", "--width", "8", "--samples", "35",
+     "--base-params", "1e6"],
+    ["--layers", "2"], ["--base-macs", "800e6"],
+], ids=["dimensions", "layers", "base-macs"])
+def test_efficiency_granite_with_a_dimension_flag_is_one_error_line(
+        tmp_path, capsys, flags):
+    # Each would write the Granite table as if the flags were not given.
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--granite", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --granite takes no --layers, --experts, --dim, --width, "
+        "--samples, --base-params or --base-macs"]
+    assert _left_behind(out) == []
+
+
+def test_efficiency_dimensions_default_to_an_800m_base(tmp_path):
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--layers", "2", "--experts", "4",
+                     "--dim", "8", "--width", "4", "--samples", "3",
+                     "--out", str(out)]) == 0
+    spec = json.loads((out / "efficiency.json").read_text())["spec"]
+    assert spec["base_active_params"] == spec["base_macs_per_token"] == 800e6
 
 
 @pytest.mark.parametrize("flag, value", [("--base-params", "nan"),
@@ -494,7 +521,8 @@ def test_bad_sweep_grid_is_one_error_line_before_any_work(tmp_path, capsys,
     assert _left_behind(out) == []
 
 
-@pytest.mark.parametrize("layers", ["1,x", "x", "1,", ",", "0.5", "1;2"])
+# An empty --layers is a list with no valid block, not the default.
+@pytest.mark.parametrize("layers", ["1,x", "x", "1,", ",", "0.5", "1;2", ""])
 def test_bad_sweep_layers_is_one_error_line_before_any_work(tmp_path, capsys,
                                                             monkeypatch,
                                                             layers):

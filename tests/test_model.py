@@ -49,7 +49,7 @@ class TestMoELayerForward:
         model.blocks[0].moe.router.top_k = 4
         layer = model.blocks[0].moe
         u = Tensor(np.zeros((3, 8)))       # zero input -> uniform router probs
-        out, rec = layer.forward(u, "eval")
+        out, rec = layer.forward(u)
         np.testing.assert_allclose(rec.gate_weights.data, 0.25, atol=1e-12)
         mean = np.mean([expert_out(layer, i, u.data) for i in range(4)], axis=0)
         np.testing.assert_allclose(out.data, mean, atol=1e-12)
@@ -58,7 +58,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=1, top_k=1)
         layer = model.blocks[0].moe
         u = Tensor(np_rng.normal(size=(4, 8)))
-        out, _ = layer.forward(u, "eval")
+        out, _ = layer.forward(u)
         np.testing.assert_allclose(out.data, expert_out(layer, 0, u.data),
                                    atol=1e-12)
 
@@ -66,7 +66,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=4)
         layer = model.blocks[0].moe
         u = np_rng.normal(size=(2, 8))
-        out, rec = layer.forward(Tensor(u), "eval")
+        out, rec = layer.forward(Tensor(u))
         expected = np.zeros((2, 8))
         for b in range(2):
             for i in np.nonzero(rec.selection[b])[0]:
@@ -77,7 +77,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=4)
         layer = model.blocks[0].moe
         u = Tensor(np_rng.normal(size=(3, 8)), requires_grad=True)
-        out, rec = layer.forward(u, "train")
+        out, rec = layer.forward(u)
         assert out._parents == (u, rec.gate_weights, layer.w1, layer.w2)
         assert layer.w1.shape == (4, 8, 8) and layer.w2.shape == (4, 8, 8)
 
@@ -86,6 +86,13 @@ class TestMoELayerForward:
         x = np_rng.uniform(-50, 50, size=(6, 5))
         logits, _ = model.forward(x, "eval")
         assert np.isfinite(logits.data).all()
+
+    @pytest.mark.parametrize("route_only", [False, True])
+    def test_unknown_mode_is_rejected(self, route_only):
+        with pytest.raises(ValueError, match="^mode must be 'train' or "
+                           "'eval', got 'predict'$"):
+            tiny_model().forward(np.zeros((2, 5)), "predict",
+                                 route_only=route_only)
 
 
 class TestElboLoss:
@@ -489,7 +496,7 @@ class TestElboGradients:
                                 blk.dense))
             temp = router.temperature_net.temperature(u)
             scaled = Tensor(u.data @ router.w_r.data) / temp
-            _, relaxed = gumbel_top_k(scaled, 2, uniforms, relaxed=True)
+            _, relaxed = gumbel_top_k(scaled, 2, uniforms)
             out = T.expert_mix(u, relaxed, blk.moe.w1, blk.moe.w2)
             reg = (-T.log(temp).reshape((4,))).mean()
             return (T.cross_entropy(T.matmul(out, model.head), self.Y)
@@ -504,33 +511,33 @@ class TestFiniteGuardPin:
     tracer counts, so a dropped, added or moved check changes these."""
 
     COUNTS = {
-        ("map", 1): {"backward": 32, "cross_entropy": 1, "div": 2,
+        ("map", 1): {"backward": 29, "cross_entropy": 1, "div": 2,
                      "expert_mix": 2, "matmul": 6, "mul": 2, "sum": 2,
                      "tensor construction": 3},
-        ("temp_scale", 1): {"backward": 24, "cross_entropy": 1, "div": 1,
+        ("temp_scale", 1): {"backward": 23, "cross_entropy": 1, "div": 1,
                             "expert_mix": 2, "matmul": 5, "mul": 1, "sum": 1,
                             "tensor construction": 4},
-        ("mc_dropout", 1): {"backward": 24, "cross_entropy": 1, "div": 1,
+        ("mc_dropout", 1): {"backward": 23, "cross_entropy": 1, "div": 1,
                             "expert_mix": 2, "matmul": 5, "mul": 1, "sum": 1,
                             "tensor construction": 4},
-        ("vglr_mf", 1): {"add": 4, "backward": 54, "cross_entropy": 1,
+        ("vglr_mf", 1): {"add": 4, "backward": 48, "cross_entropy": 1,
                          "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
                          "matmul": 8, "mean": 2, "mul": 8, "sqrt": 1,
                          "sub": 2, "sum": 3, "tensor construction": 9},
-        ("vglr_fc", 1): {"add": 5, "backward": 61, "cross_entropy": 1,
+        ("vglr_fc", 1): {"add": 5, "backward": 54, "cross_entropy": 1,
                          "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
                          "matmul": 8, "mean": 2, "mul": 7, "spread": 1,
                          "sqrt": 1, "sub": 2, "sum": 5,
                          "tensor construction": 8},
-        ("vtsr", 1): {"add": 6, "backward": 48, "cross_entropy": 1, "div": 3,
+        ("vtsr", 1): {"add": 6, "backward": 44, "cross_entropy": 1, "div": 3,
                       "expert_mix": 2, "log": 1, "matmul": 7, "mean": 2,
                       "mul": 3, "softplus": 1, "sqrt": 1, "sub": 1, "sum": 1,
                       "tensor construction": 9},
-        ("vglr_mf", 2): {"add": 5, "backward": 41, "cross_entropy": 1,
+        ("vglr_mf", 2): {"add": 5, "backward": 35, "cross_entropy": 1,
                          "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
                          "matmul": 8, "mean": 2, "mul": 9, "sqrt": 1,
                          "sub": 2, "sum": 3, "tensor construction": 10},
-        ("vglr_fc", 2): {"add": 6, "backward": 52, "cross_entropy": 1,
+        ("vglr_fc", 2): {"add": 6, "backward": 45, "cross_entropy": 1,
                          "div": 3, "exp": 1, "expert_mix": 2, "log": 1,
                          "matmul": 8, "mean": 2, "mul": 8, "spread": 1,
                          "sqrt": 1, "sub": 2, "sum": 5,

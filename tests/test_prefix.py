@@ -24,8 +24,7 @@ from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           predict_with_uncertainty, shannon_entropy)
 from vroute.rng import RngStream
 from vroute.routers import SIGNAL_NAMES, RouterSettings, TempScaleRouter
-from vroute.stability import (PerturbationSpec, _route_records,
-                              fixed_temperature_layer_sweep,
+from vroute.stability import (PerturbationSpec, fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise)
 from vroute.tensor import Tensor
 from vroute.training import (TrainConfig, predictive_nll_acc,
@@ -232,6 +231,13 @@ def test_stage_with_one_row_last_batch_matches_full_forward(variant,
     assert got_log == want_log
     for g, w in zip(got_phi, want_phi):
         np.testing.assert_array_equal(g, w)
+
+
+def _route_records(model, x, base, **kwargs):
+    """The route records of a whole eval pass on the report's router
+    stream."""
+    with T.no_grad():
+        return model.forward(x, "eval", rng=base.derive("route"), **kwargs)[1]
 
 
 def _perturbed_records(model, x, base, layer, noise):

@@ -5,7 +5,7 @@ import pytest
 
 from vroute.rng import RngStream
 from vroute.routers import gumbel_top_k, top_k_mask
-from vroute.tensor import Tensor
+from vroute.tensor import Tensor, no_grad
 
 from conftest import (ZERO_GUMBEL_UNIFORM, assert_grad_close,
                       central_difference, enumerate_subset_probs,
@@ -61,7 +61,18 @@ class TestGumbelTopK:
         masks, relaxed = gumbel_top_k(logits, 2,
                                       np.full((10, 6), ZERO_GUMBEL_UNIFORM))
         np.testing.assert_array_equal(masks, top_k_mask(logits, 2))
-        assert relaxed is None          # no relaxation unless asked for
+        assert relaxed is None          # no relaxation off the tape
+
+    def test_relaxation_follows_the_tape(self, np_rng):
+        # Tracked logits get the relaxation on the tape and none under
+        # no_grad; the selection is the same either way.
+        logits = Tensor(np_rng.normal(size=(3, 5)), requires_grad=True)
+        v = np_rng.uniform(size=(3, 5))
+        taped, relaxed = gumbel_top_k(logits, 2, v)
+        with no_grad():
+            plain, none = gumbel_top_k(logits, 2, v)
+        assert relaxed is not None and none is None
+        np.testing.assert_array_equal(plain, taped)
 
     def test_matches_sequential_sampler_distribution(self):
         p = np.array([0.5, 0.3, 0.2])
@@ -73,7 +84,7 @@ class TestGumbelTopK:
         logits = Tensor(np_rng.uniform(-1, 1, size=(1, 5)), requires_grad=True)
         v = np_rng.uniform(size=(1, 5))
         w = np_rng.normal(size=(1, 5))
-        _, relaxed = gumbel_top_k(logits, 2, v, relaxed=True)
+        _, relaxed = gumbel_top_k(logits, 2, v)
         (relaxed * Tensor(w)).sum().backward()
 
         def ref():
@@ -88,8 +99,7 @@ class TestGumbelTopK:
         # The relaxation runs at temperature 1, so no op stands between the
         # perturbed logits and their softmax.
         logits = Tensor(np_rng.normal(size=(3, 5)), requires_grad=True)
-        _, relaxed = gumbel_top_k(logits, 2, np_rng.uniform(size=(3, 5)),
-                                  relaxed=True)
+        _, relaxed = gumbel_top_k(logits, 2, np_rng.uniform(size=(3, 5)))
         (perturbed,) = relaxed._parents
         assert perturbed._parents[0] is logits
 

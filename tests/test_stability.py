@@ -11,6 +11,7 @@ from vroute.stability import (PerturbationSpec, StabilityCell,
                               fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise,
                               sensitivity_ranking)
+from vroute.tensor import no_grad
 from vroute.training import TrainConfig, predictive_nll_acc, stage1_train
 
 
@@ -97,13 +98,13 @@ class TestLayerwiseStability:
 
     def test_clean_vs_clean_is_exactly_one_for_stochastic_routers(self):
         from vroute.metrics import jaccard_rows
-        from vroute.stability import _route_records
         model, splits = small_trained_model()
         attach_variational_routers(model, [0, 1, 2], "vtsr", RngStream(3),
                                    RouterSettings())
-        base = RngStream(11)
-        rec_a = _route_records(model, splits["test"].features, base)
-        rec_b = _route_records(model, splits["test"].features, base)
+        x, base = splits["test"].features, RngStream(11)
+        with no_grad():
+            _, rec_a = model.forward(x, "eval", rng=base.derive("route"))
+            _, rec_b = model.forward(x, "eval", rng=base.derive("route"))
         for a, b in zip(rec_a, rec_b):
             assert jaccard_rows(a.selection, b.selection).min() == 1.0
 

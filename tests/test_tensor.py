@@ -874,6 +874,15 @@ class TestFiniteGuard:
                 pytest.raises(NumericsError, match="backward"):
             loss.backward()
 
+    def test_overflowing_gradient_sum_aborts(self):
+        # Two finite contributions to x's gradient whose sum overflows.
+        x = Tensor([1e-300], requires_grad=True)
+        loss = (x * 1e308).sum() + (x * 1e308).sum()
+        assert loss.item() == 2e8
+        with pytest.raises(NumericsError, match="backward"):
+            loss.backward()
+        assert x.grad is None
+
 
 def test_no_grad_blocks_tape():
     x = Tensor([1.0, 2.0], requires_grad=True)
