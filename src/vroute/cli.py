@@ -313,20 +313,23 @@ def cmd_efficiency(args, cfg, writer) -> None:
                 else _comma_list("--variants", args.variants, _variant,
                                  "choose comma-separated names from "
                                  + ",".join(VARIANT_ORDER)))
-    # The dimension and base-cost flags in ArchSpec's field order.
-    dims = [args.layers, args.experts, args.dim, args.width, args.samples]
-    bases = [args.base_params, args.base_macs]
+    sizes = [args.layers, args.experts, args.dim, args.width, args.samples]
+    bases = {"base_active_params": args.base_params,
+             "base_macs_per_token": args.base_macs}
     if args.granite:
-        if any(v is not None for v in dims + bases):
+        if any(v is not None for v in sizes + list(bases.values())):
             raise ConfigError("--granite takes no --layers, --experts, --dim, "
                               "--width, --samples, --base-params or "
                               "--base-macs")
         spec = granite_preset()
-    elif None in dims:
+    elif None in sizes:
         raise ConfigError("either --granite or all of --layers, "
                           "--experts, --dim, --width, --samples")
     else:
-        spec = ArchSpec(*dims, *(800e6 if v is None else v for v in bases))
+        spec = ArchSpec(layers=args.layers, num_experts=args.experts,
+                        hidden_dim=args.dim, inference_width=args.width,
+                        samples=args.samples,
+                        **{k: v for k, v in bases.items() if v is not None})
     report = cost_report(spec, variants, flops=args.flops)
     writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",
@@ -396,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--base-params", type=float, help="default 800e6")
-    p.add_argument("--base-macs", type=float, help="default 800e6")
+    p.add_argument("--base-params", type=float)
+    p.add_argument("--base-macs", type=float)
     p.add_argument("--variants", default=None,
                    help="comma-separated subset of "
                         + ",".join(VARIANT_ORDER))

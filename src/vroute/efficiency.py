@@ -21,8 +21,8 @@ class ArchSpec:
     hidden_dim: int
     inference_width: int             # trunk width of the inference nets
     samples: int                     # Monte Carlo samples at inference
-    base_active_params: float
-    base_macs_per_token: float
+    base_active_params: float = 800e6   # Granite-3B-MoE's base costs
+    base_macs_per_token: float = 800e6
 
     def __post_init__(self):
         if min(self.layers, self.num_experts, self.hidden_dim,
@@ -38,8 +38,7 @@ class ArchSpec:
 def granite_preset() -> ArchSpec:
     """Granite-3B-MoE deployment dimensions (800M active parameters)."""
     return ArchSpec(layers=10, num_experts=40, hidden_dim=1536,
-                    inference_width=384, samples=35,
-                    base_active_params=800e6, base_macs_per_token=800e6)
+                    inference_width=384, samples=35)
 
 
 def _tri(n: int) -> int:

@@ -57,14 +57,13 @@ class MoELayer:
         self.w2 = w2
         self.router = router
 
-    def forward(self, u: Tensor, noise=None, encoding=None,
+    def forward(self, u: Tensor, mode: str, noise=None, encoding=None,
                 experts: np.ndarray | None = None
                 ) -> tuple[Tensor, BatchRouteResult]:
         """Route ``u`` with the router ``noise`` and mix the experts;
         ``encoding`` and ``experts`` are the router's encoding and the
         experts' outputs on ``u``, when a prefix holds them."""
-        # By keyword: benchmarks/tracer.py reads a third positional as a mode.
-        rec = self.router.route(u, noise=noise, encoding=encoding)
+        rec = self.router.route(u, mode, noise, encoding)
         return (T.expert_mix(u, rec.gate_weights, self.w1, self.w2,
                              outputs=experts, selection=rec.selection), rec)
 
@@ -154,9 +153,8 @@ class MoEClassifier:
                 prefix: Prefix | None = None, route_only: bool = False):
         """Run a batch; returns class logits and the per-layer route records.
 
-        ``mode`` ('train' or 'eval') sets the samples per token a block
-        draws from ``rng``, and ``router_noise`` maps block index -> that
-        block's pre-drawn noise array (:meth:`layer_noise`);
+        ``router_noise`` maps block index -> that block's pre-drawn router
+        noise array (:meth:`layer_noise`);
         ``block_inputs``, when a list, is filled with each expert layer's
         input activations.  A ``prefix`` stands in for the blocks before
         ``prefix.block``: the pass starts at that block's MoE layer, ``x`` is
@@ -170,15 +168,13 @@ class MoEClassifier:
         noise from ``rng`` by its own index (:meth:`layer_noise`), so either
         cut gives the layers it routes the whole pass's records.
         """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if prefix is None:
             h, start = self._entry(x), 0
         else:
             h, start = Tensor(prefix.h), prefix.block
         if route_only:
             return None, self.blocks[start].moe.router.route(
-                h, noise=self.layer_noise(start, rng, h.shape[0], mode,
+                h, mode, self.layer_noise(start, rng, h.shape[0], mode,
                                           router_noise))
         records: list = [None] * start
         h = self._run_blocks(h, start, len(self.blocks), mode, rng, records,
@@ -238,7 +234,8 @@ class MoEClassifier:
                 block_inputs.append(h.data)
             at_prefix = prefix is not None and prefix.block == idx
             h, rec = self.blocks[idx].moe.forward(
-                h, self.layer_noise(idx, rng, h.shape[0], mode, router_noise),
+                h, mode, self.layer_noise(idx, rng, h.shape[0], mode,
+                                          router_noise),
                 prefix.encoding if at_prefix else None,
                 prefix.experts if at_prefix else None)
             records.append(rec)

@@ -129,6 +129,11 @@ def _renorm_gates(probs, mask: np.ndarray):
     return masked / masked.sum(axis=-1, keepdims=True)
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+
+
 # --------------------------------------------------------------------------
 # KL terms
 # --------------------------------------------------------------------------
@@ -352,7 +357,7 @@ class RouterBase:
         encoding."""
         return None
 
-    def route(self, u: Tensor, noise=None,
+    def route(self, u: Tensor, mode: str, noise=None,
               encoding=None) -> BatchRouteResult:
         """Route the batch ``u`` with ``noise``, one :meth:`draw_noise` array
         for its tokens (None for MAP)."""
@@ -371,7 +376,8 @@ class MapRouter(RouterBase):
 
     variant = "map"
 
-    def route(self, u, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
+        _check_mode(mode)
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits)
         mask = top_k_mask(probs.data, self.top_k)
@@ -398,7 +404,8 @@ class TempScaleRouter(RouterBase):
         scaled = l_det / self.settings.global_temperature
         return scaled, T.softmax_last(scaled), T.softmax_last(l_det)
 
-    def route(self, u, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
+        _check_mode(mode)
         scaled, probs, gate_probs = (self.encode(u) if encoding is None
                                      else encoding)
         mask, _ = gumbel_top_k(scaled, self.top_k, noise)
@@ -432,9 +439,10 @@ class McDropoutRouter(RouterBase):
         return (rng.uniform((*lead, samples, self.w_r.shape[0]))
                 >= self.settings.dropout_rate)
 
-    def route(self, u, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         """Route with ``noise`` [B, S, D], the boolean keep mask of
         :meth:`draw_noise`."""
+        _check_mode(mode)
         if noise.dtype != np.bool_:
             raise TypeError("mc_dropout noise must be a boolean keep mask, "
                             f"not {noise.dtype}")
@@ -493,11 +501,12 @@ class VglrRouter(RouterBase):
         return (centre, T.transpose(scale.reshape((batch, 1, n))),
                 kl_mf_per_token(dmu, scale), (scale.data ** 2).sum(axis=1))
 
-    def route(self, u, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
         """Route with ``noise`` [B, S, N] of standard normals: sample s of
         token b is centre + sigma * eps (mean field) or centre + L @ eps
         (full covariance; :func:`vroute.tensor.spread`, which skips the
         zeros above the diagonal), and the S softmaxes are averaged."""
+        _check_mode(mode)
         eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
         centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
                                           else encoding)
@@ -542,7 +551,8 @@ class VtsrRouter(RouterBase):
         return (scaled, T.softmax_last(scaled.data),
                 -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
 
-    def route(self, u, noise=None, encoding=None):
+    def route(self, u, mode, noise=None, encoding=None):
+        _check_mode(mode)
         scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
                                            else encoding)
         mask, relaxed = gumbel_top_k(scaled, self.top_k, noise)

@@ -236,7 +236,8 @@ def _inferred_variance(n, **posterior) -> float:
     posterior: the trace of its covariance."""
     phi = FixedGaussianPhi(np.zeros(n), **posterior)
     router = VglrRouter(Tensor(np.eye(n)), 1, RouterSettings(), phi)
-    res = router.route(Tensor(np.zeros((1, n))), noise=np.zeros((1, 1, n)))
+    res = router.route(Tensor(np.zeros((1, n))), "eval",
+                       noise=np.zeros((1, 1, n)))
     return float(res.signals["inf_logit_var"][0])
 
 

@@ -49,7 +49,7 @@ class TestMoELayerForward:
         model.blocks[0].moe.router.top_k = 4
         layer = model.blocks[0].moe
         u = Tensor(np.zeros((3, 8)))       # zero input -> uniform router probs
-        out, rec = layer.forward(u)
+        out, rec = layer.forward(u, "eval")
         np.testing.assert_allclose(rec.gate_weights.data, 0.25, atol=1e-12)
         mean = np.mean([expert_out(layer, i, u.data) for i in range(4)], axis=0)
         np.testing.assert_allclose(out.data, mean, atol=1e-12)
@@ -58,7 +58,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=1, top_k=1)
         layer = model.blocks[0].moe
         u = Tensor(np_rng.normal(size=(4, 8)))
-        out, _ = layer.forward(u)
+        out, _ = layer.forward(u, "eval")
         np.testing.assert_allclose(out.data, expert_out(layer, 0, u.data),
                                    atol=1e-12)
 
@@ -66,7 +66,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=4)
         layer = model.blocks[0].moe
         u = np_rng.normal(size=(2, 8))
-        out, rec = layer.forward(Tensor(u))
+        out, rec = layer.forward(Tensor(u), "eval")
         expected = np.zeros((2, 8))
         for b in range(2):
             for i in np.nonzero(rec.selection[b])[0]:
@@ -77,7 +77,7 @@ class TestMoELayerForward:
         model = tiny_model(num_blocks=1, experts=4)
         layer = model.blocks[0].moe
         u = Tensor(np_rng.normal(size=(3, 8)), requires_grad=True)
-        out, rec = layer.forward(u)
+        out, rec = layer.forward(u, "train")
         assert out._parents == (u, rec.gate_weights, layer.w1, layer.w2)
         assert layer.w1.shape == (4, 8, 8) and layer.w2.shape == (4, 8, 8)
 

@@ -34,7 +34,7 @@ def _route(router, u, mode, seed=None, **kw):
         samples = 1 if mode == "train" else router.settings.eval_samples
         kw["noise"] = router.draw_noise(RngStream(seed), (u.shape[0],),
                                         samples)
-    return router.route(u, **kw)
+    return router.route(u, mode, **kw)
 
 
 def _route_one(router, u, mode="eval", **kw):
@@ -259,7 +259,7 @@ class TestVglrRoute:
         phi = FixedGaussianPhi(dmu, sigma=np.ones(n))
         router = self._router(w, phi)
         noise = np.zeros((1, 1, n))
-        res = router.route(Tensor(u[None, :]), noise=noise)
+        res = router.route(Tensor(u[None, :]), "train", noise=noise)
         np.testing.assert_allclose(res.logits_sampled[0, 0],
                                    u @ w + dmu, atol=1e-12)
 
@@ -317,7 +317,7 @@ class TestVglrRoute:
         with T.no_grad():
             tracemalloc.start()
             try:
-                res = router.route(u, noise=noise)
+                res = router.route(u, "eval", noise=noise)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -351,7 +351,7 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 2.0)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), noise=np.full(
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
             (1, n), ZERO_GUMBEL_UNIFORM))
         np.testing.assert_array_equal(res.selection[0], [1, 1, 0, 0])
 
@@ -360,7 +360,7 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([1.0, 0.0, -1.0]))
         net = _const_temp_net(n, 0.5)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), noise=np.full(
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
             (1, n), ZERO_GUMBEL_UNIFORM))
         assert res.kl.data[0] == pytest.approx(math.log(2.0), abs=1e-9)
 
@@ -371,9 +371,9 @@ class TestVtsrRoute:
                              RouterSettings(), 4, RngStream(2))
         u = Tensor(np_rng.normal(size=(7, 6)))
         noise = router.draw_noise(RngStream(3), (7,), 1)
-        taped = router.route(u, noise=noise)
+        taped = router.route(u, "train", noise=noise)
         with T.no_grad():
-            plain = router.route(u, noise=noise)
+            plain = router.route(u, "train", noise=noise)
         assert taped.gate_weights._parents and not plain.gate_weights._parents
         np.testing.assert_array_equal(taped.gate_weights.data,
                                       plain.gate_weights.data)
@@ -383,7 +383,7 @@ class TestVtsrRoute:
         u, w = _logit_router(np.array([2.0, 1.0, 0.5, 0.0]))
         net = _const_temp_net(n, 1.5)
         router = self._router(w, net)
-        res = router.route(Tensor(u[None, :]), noise=np.full(
+        res = router.route(Tensor(u[None, :]), "train", noise=np.full(
             (1, n), ZERO_GUMBEL_UNIFORM))
         p = np.exp((u @ w) / 1.5)
         p /= p.sum()
@@ -413,7 +413,7 @@ class TestMcDropoutRoute:
         router = self._router(w, 0.5, s=6)
         # every mask keeps every coordinate
         noise = np.ones((1, 6, n), dtype=bool)
-        res = router.route(Tensor(u[None, :]), noise=noise)
+        res = router.route(Tensor(u[None, :]), "eval", noise=noise)
         assert mc_logit_var(res.logits_sampled)[0] == pytest.approx(0.0, abs=1e-18)
 
     def test_two_coordinate_enumeration(self):
@@ -435,7 +435,8 @@ class TestMcDropoutRoute:
         n, b = 4, 3
         router = self._router(np_rng.normal(size=(n, n)), 0.5, s=35)
         noise = np_rng.uniform(size=(b, 1, n)) >= 0.5
-        res = router.route(Tensor(np_rng.normal(size=(b, n))), noise=noise)
+        res = router.route(Tensor(np_rng.normal(size=(b, n))), "eval",
+                           noise=noise)
         assert res.logits_sampled.shape == (b, 1, n)
         assert res.kl is None and res.signals == {}
 
@@ -449,7 +450,8 @@ class TestMcDropoutRoute:
     def test_float_noise_is_rejected(self):
         router = self._router(np.eye(4), 0.5, s=2)
         with pytest.raises(TypeError, match="boolean keep mask, not float64"):
-            router.route(Tensor(np.ones((1, 4))), noise=np.full((1, 2, 4), 0.9))
+            router.route(Tensor(np.ones((1, 4))), "eval",
+                         noise=np.full((1, 2, 4), 0.9))
 
     def test_eval_route_holds_one_dropped_input(self):
         # At B=500, S=35, D=32 one float [B, S, D] array takes 4.48 MB.  The
@@ -462,7 +464,7 @@ class TestMcDropoutRoute:
         with T.no_grad():
             tracemalloc.start()
             try:
-                res = router.route(u, noise=noise)
+                res = router.route(u, "eval", noise=noise)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -503,7 +505,8 @@ class TestKeepMaskRoute:
                                  RouterSettings(eval_samples=s,
                                                 dropout_rate=rate))
         u = Tensor(self._u(b, d))
-        res = router.route(u, noise=router.draw_noise(RngStream(4), (b,), s))
+        res = router.route(u, "eval",
+                           noise=router.draw_noise(RngStream(4), (b,), s))
         v = RngStream(4).uniform((b, s, d))
         dropped = (v >= rate).astype(float) / (1 - rate) * u.data[:, None, :]
         logits = (dropped.reshape(-1, d) @ router.w_r.data).reshape(b, s, n)
@@ -578,7 +581,7 @@ class TestSampleMajorRoute:
         u = Tensor(RngStream(3).normal((b, 16)))
         samples = 1 if mode == "train" else s
         noise = router.draw_noise(RngStream(4), (b,), samples)
-        res = router.route(u, noise=noise)
+        res = router.route(u, mode, noise=noise)
         if variant == "mc_dropout":
             noise = RngStream(4).uniform(noise.shape)
         probs, mask, gates, logits, kl = _c_layout_route(router, u, noise)
@@ -709,13 +712,14 @@ class TestTopKMask:
 
 def test_every_route_takes_the_base_parameters():
     # A layer calls every router alike, so a parameter one variant adds (a
-    # mode, a flag) would reach no caller.
+    # flag, say) would reach no caller.
     def params(route):
         return [(p.name, p.kind, p.default)
                 for p in inspect.signature(route).parameters.values()]
 
     want = params(RouterBase.route)
-    assert [name for name, _, _ in want] == ["self", "u", "noise", "encoding"]
+    assert [name for name, _, _ in want] == ["self", "u", "mode", "noise",
+                                          "encoding"]
     defining = [c for c in vars(R).values()
                 if isinstance(c, type) and issubclass(c, RouterBase)
                 and c is not RouterBase and "route" in vars(c)]
