@@ -5,7 +5,8 @@ a JSON metadata record (format version, model dimensions, and per-layer
 router variant and settings), so a model can be rebuilt without any
 out-of-band information.  The stochastic layers are the ones whose variant
 is not ``map``; the attached-layer list that earlier format-3 archives
-also carry restates that and is not read.
+also carry restates that and is not read.  Loading rejects an archive
+whose parameters are not exactly the model's, or not all finite.
 """
 from __future__ import annotations
 
@@ -50,9 +51,19 @@ def load_checkpoint(path) -> MoEClassifier:
                 attach_variational_routers(
                     model, [idx], entry["variant"], RngStream(0).derive("attach"),
                     RouterSettings(**entry["settings"]))
-        for name, p in model.param_items():
-            stored = archive[f"param:{name}"]
-            if stored.shape != p.data.shape:
+        params = dict(model.param_items())
+        stored = {k[len("param:"):] for k in archive.files
+                  if k.startswith("param:")}
+        unmatched = sorted(stored ^ set(params))
+        if unmatched:
+            name = unmatched[0]
+            state = "missing" if name in params else "not in the model"
+            raise ValueError(f"checkpoint parameter {name} is {state}")
+        for name, p in params.items():
+            data = archive[f"param:{name}"].astype(np.float64)
+            if data.shape != p.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}")
-            p.data = stored.astype(np.float64)
+            if not np.isfinite(data).all():
+                raise ValueError(f"checkpoint parameter {name} is not finite")
+            p.data = data
     return model

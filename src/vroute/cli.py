@@ -32,7 +32,7 @@ from .checkpoint import load_checkpoint
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      atomic_open, load_config, write_manifest)
 from .data import load_csv
-from .efficiency import ArchSpec, VARIANT_ORDER, cost_report, granite_preset
+from .efficiency import ArchSpec, cost_report, granite_preset
 from .experiment import (build_splits, build_suite, evaluate_calibration,
                          ood_detection_rows, run_training)
 from .stability import fixed_temperature_layer_sweep, layerwise_stability
@@ -191,34 +191,32 @@ def cmd_train(args, cfg, writer) -> None:
     writer.write_csv("metrics_train.csv",
                      ["stage", "variant", "epoch", "train_loss",
                       "val_nll", "val_acc", "val_kl"],
-                     [{"stage": log.stage, "variant": variant,
-                       "epoch": stats.epoch, "train_loss": stats.train_loss,
-                       "val_nll": stats.val_nll, "val_acc": stats.val_acc,
-                       "val_kl": stats.val_kl}
+                     [{"variant": variant, **dataclasses.asdict(stats)}
                       for variant, log in logs for stats in log.epochs])
     if outcome.ranking_cells:
         writer.write_csv(
             "ranking.csv",
             ["layer", "gamma", "mean_jaccard", "selected"],
-            [{"layer": c.layer, "gamma": c.gamma,
-              "mean_jaccard": c.mean_jaccard,
+            [{**dataclasses.asdict(c),
               "selected": int(c.layer in outcome.selected_layers)}
              for c in outcome.ranking_cells])
     writer.write_json("config_resolved.json", dataclasses.asdict(cfg))
 
 
 def cmd_eval(args, cfg, writer) -> None:
+    if args.data and args.split:
+        raise ConfigError("--data takes no --split")
     model = _load_model(args, cfg)
     if args.data:
         dataset = load_csv(args.data, cfg.model.feature_dim,
                            cfg.model.num_classes)
     else:
-        dataset = build_splits(cfg)[args.split]
+        dataset = build_splits(cfg)[args.split or "test"]
     report = evaluate_calibration(model, dataset, cfg.seed)
     tag = cfg.variants[0]
     writer.write_json(f"eval_{tag}.json", dataclasses.asdict(report))
     writer.write_csv(f"eval_{tag}.csv", ["accuracy", "nll", "ece", "mce"],
-                     [report.csv_row()])
+                     [dataclasses.asdict(report)])
     writer.write_csv(f"eval_bins_{tag}.csv",
                      ["bin_lo", "bin_hi", "confidence", "accuracy", "count"],
                      [{"bin_lo": report.bin_edges[i],
@@ -247,10 +245,7 @@ def cmd_stability(args, cfg, writer) -> None:
     tag = cfg.variants[0]
     writer.write_csv(f"stability_{tag}.csv",
                      ["layer", "gamma", "mean_jaccard", "q10", "q50", "q90"],
-                     [{"layer": c.layer, "gamma": c.gamma,
-                       "mean_jaccard": c.mean_jaccard, "q10": c.q10,
-                       "q50": c.q50, "q90": c.q90}
-                      for c in cells])
+                     [dataclasses.asdict(c) for c in cells])
     if args.svg:
         series = {}
         for c in cells:
@@ -302,17 +297,7 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
                      ["layer", "temperature", "accuracy", "ece"], rows)
 
 
-def _variant(name: str) -> str:
-    if name not in VARIANT_ORDER:
-        raise ValueError(name)
-    return name
-
-
 def cmd_efficiency(args, cfg, writer) -> None:
-    variants = (list(VARIANT_ORDER) if args.variants is None
-                else _comma_list("--variants", args.variants, _variant,
-                                 "choose comma-separated names from "
-                                 + ",".join(VARIANT_ORDER)))
     sizes = [args.layers, args.experts, args.dim, args.width, args.samples]
     bases = {"base_active_params": args.base_params,
              "base_macs_per_token": args.base_macs}
@@ -330,15 +315,12 @@ def cmd_efficiency(args, cfg, writer) -> None:
                         hidden_dim=args.dim, inference_width=args.width,
                         samples=args.samples,
                         **{k: v for k, v in bases.items() if v is not None})
-    report = cost_report(spec, variants, flops=args.flops)
+    report = cost_report(spec)
     writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",
                      ["variant", "params", "params_pct", "macs_per_token",
                       "macs_pct"],
-                     [{"variant": r.variant, "params": r.params,
-                       "params_pct": r.params_pct,
-                       "macs_per_token": r.macs_per_token,
-                       "macs_pct": r.macs_pct} for r in report.rows])
+                     [dataclasses.asdict(r) for r in report.rows])
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="calibration report on a dataset")
     _add_common(p)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default=None, choices=["train", "val", "test"],
+                   help="synthetic split (default: test)")
     p.add_argument("--data", default=None, help="CSV dataset instead of split")
     p.set_defaults(fn=cmd_eval, manifest="manifest_eval.json")
 
@@ -401,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--base-params", type=float)
     p.add_argument("--base-macs", type=float)
-    p.add_argument("--variants", default=None,
-                   help="comma-separated subset of "
-                        + ",".join(VARIANT_ORDER))
-    p.add_argument("--flops", action="store_true",
-                   help="report 2x FLOPs instead of MACs")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_efficiency, manifest="manifest_efficiency.json")
     return parser

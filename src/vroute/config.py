@@ -71,6 +71,13 @@ class ExperimentConfig:
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
 
     def __post_init__(self):
+        # A Philox key can pass through float64 (RngStream._generator), which
+        # rounds a seed from 2**53 up, or a negative one wrapped to 2**64 - n.
+        if not 0 <= self.seed < 2**53:
+            raise ConfigError(f"seed must be in [0, 2**53), got {self.seed}")
+        if not isinstance(self.variants, list):
+            raise ConfigError("variants must be a list of variant names, "
+                              f"got {self.variants!r}")
         if not self.variants:
             raise ConfigError("variants must name at least one variant")
         for v in self.variants:

@@ -3,8 +3,8 @@
 Counts what each routing scheme adds on top of a base model when applied
 to L modified layers: weight-space sampling stores S-1 extra copies of the
 router projection, while the inference-net variants pay once for a small
-trunk plus heads.  Counts use the multiply-accumulate convention (one MAC
-per multiply-add); a flag doubles them for the 2-FLOPs-per-MAC convention.
+trunk plus heads.  Counts are MACs (one per multiply-add); a FLOP count is
+twice the MAC count, so the percentages are the same in both units.
 """
 from __future__ import annotations
 
@@ -75,10 +75,9 @@ def _costs(spec: ArchSpec, variant: str) -> tuple[int, int]:
     return params, params + extra
 
 
-def macs_per_token(spec: ArchSpec, variant: str, flops: bool = False) -> int:
-    """Added multiply-accumulates per token; ``flops`` doubles the count."""
-    count = _costs(spec, variant)[1]
-    return 2 * count if flops else count
+def macs_per_token(spec: ArchSpec, variant: str) -> int:
+    """Added multiply-accumulates per token."""
+    return _costs(spec, variant)[1]
 
 
 def added_params(spec: ArchSpec, variant: str) -> int:
@@ -98,23 +97,16 @@ class CostRow:
 class CostReport:
     spec: ArchSpec
     rows: list[CostRow]
-    convention: str     # "mac" or "flop2"
 
 
-def cost_report(spec: ArchSpec, variants=VARIANT_ORDER,
-                flops: bool = False) -> CostReport:
-    if not variants:
-        raise ValueError("variant list must not be empty")
+def cost_report(spec: ArchSpec) -> CostReport:
     rows = []
-    for v in variants:
-        p = added_params(spec, v)
-        m = macs_per_token(spec, v, flops=flops)
+    for v in VARIANT_ORDER:
+        p, m = added_params(spec, v), macs_per_token(spec, v)
         rows.append(CostRow(
             variant=v, params=p,
             params_pct=100.0 * p / spec.base_active_params,
             macs_per_token=m,
-            macs_pct=100.0 * m / ((2 if flops else 1)
-                                  * spec.base_macs_per_token)))
-    return CostReport(spec=spec, rows=rows,
-                      convention="flop2" if flops else "mac")
+            macs_pct=100.0 * m / spec.base_macs_per_token))
+    return CostReport(spec=spec, rows=rows)
 

@@ -29,10 +29,6 @@ class CalibrationReport:
     bin_accuracy: list[float]
     bin_count: list[int]
 
-    def csv_row(self) -> dict:
-        return {"accuracy": self.accuracy, "nll": self.nll,
-                "ece": self.ece, "mce": self.mce}
-
 
 @dataclass
 class DetectionReport:

@@ -123,3 +123,41 @@ def test_archive_with_extra_metadata_still_loads(tmp_path):
     for (name, want), (_, got) in zip(model.param_items(),
                                       loaded.param_items(), strict=True):
         np.testing.assert_array_equal(got.data, want.data, err_msg=name)
+
+
+def _set(name, value):
+    def edit(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("param:head", np.nan), "checkpoint parameter head is not finite"),
+    (_set("param:block1.experts.w2", -np.inf),
+     "checkpoint parameter block1.experts.w2 is not finite"),
+    (lambda arrays: arrays.update({"param:bogus": np.zeros(3)}),
+     "checkpoint parameter bogus is not in the model"),
+    (lambda arrays: arrays.pop("param:head"),
+     "checkpoint parameter head is missing"),
+], ids=["nan", "inf", "extra", "missing"])
+def test_archive_with_other_or_non_finite_parameters_is_one_error_line(
+        tmp_path, capsys, edit, message):
+    # A non-finite weight used to load and fail at the first forward, in
+    # the op that met it; an extra array used to load silently.
+    _, model = _model("map")
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CONFIG))
+    out = tmp_path / "run"
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+                     "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists() or list(out.iterdir()) == []

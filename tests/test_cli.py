@@ -2,6 +2,7 @@
 from ``metrics_train.csv`` and ``config_resolved.json`` alone, a failed run
 prints one error line, exits 1 and leaves no artifacts, and a write that
 fails midway leaves no partial file."""
+import argparse
 import csv
 import hashlib
 import json
@@ -226,14 +227,17 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
     ({"variants": ["bogus"]}, "unknown variant 'bogus'"),
     ({"layers": "auto", "auto_top_k": 0}, "auto_top_k must be >= 1"),
     ({"layers": "auto", "auto_top_k": 9}, "auto_top_k 9 exceeds the 2 blocks"),
+    ({"variants": "vglr_mf"},
+     "variants must be a list of variant names, got 'vglr_mf'"),
 ], ids=["no-variants", "repeated-variant", "no-layers", "repeated-layer",
-        "unknown-variant", "no-auto-layers", "too-many-auto-layers"])
+        "unknown-variant", "no-auto-layers", "too-many-auto-layers",
+        "variants-string"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant
     # trained twice, with a "variational" checkpoint that is all MAP, with
     # a repeated layer silently attached once, or with every block selected
-    # for fewer than asked.
+    # for fewer than asked; a string of variants was read letter by letter.
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, **overrides)
     assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -244,6 +248,59 @@ def test_bad_variant_or_layer_list_is_one_error_line_at_load(
 
 def test_empty_layers_accepted_for_map_only():
     assert config_from_dict(dict(TINY, variants=["map"], layers=[])).layers == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**53, 2**53 + 1, 2**64])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_seed_outside_exact_range_is_one_error_line_at_load(tmp_path, capsys,
+                                                            seed, where):
+    # -1 wrapped to 2**64 - 1 and warned in a float64 cast; 2**53 + 1 drew
+    # the numbers of 2**53, since a Philox key can pass through float64.
+    ckpt = tmp_path / "model_map.npz"
+    save_checkpoint(experiment.build_model(config_from_dict(TINY)), ckpt)
+    overrides = {"seed": seed} if where == "config" else {}
+    cfg_path = _write_config(tmp_path, **overrides)
+    out = tmp_path / "run"
+    argv = ["eval", "--config", str(cfg_path), "--variant", "map",
+            "--checkpoint", str(ckpt), "--out", str(out)]
+    if where == "flag":
+        argv.append(f"--seed={seed}")
+    assert cli.main(argv) == 1
+    message = f"seed must be in [0, 2**53), got {seed}"
+    if where == "config":
+        message = f"invalid config: {message}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert _left_behind(out) == []
+
+
+def test_largest_exact_seed_accepted():
+    assert config_from_dict(dict(TINY, seed=2**53 - 1)).seed == 2**53 - 1
+
+
+# Each subcommand's options as build_parser() builds them.  An option added
+# or removed fails here until this table, the README and CHANGES.md say so.
+CLI_OPTIONS = {
+    "train": ["--config", "--seed", "--out", "--variant"],
+    "eval": ["--config", "--seed", "--out", "--variant", "--checkpoint",
+             "--split", "--data"],
+    "ood": ["--config", "--seed", "--out", "--variant", "--checkpoint"],
+    "stability": ["--config", "--seed", "--out", "--variant", "--checkpoint",
+                  "--svg"],
+    "sweep-temp": ["--config", "--seed", "--out", "--variant", "--checkpoint",
+                   "--grid", "--layers"],
+    "efficiency": ["--granite", "--layers", "--experts", "--dim", "--width",
+                   "--samples", "--base-params", "--base-macs", "--out"],
+}
+
+
+def test_every_subcommand_takes_the_listed_options():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [o for a in p._actions for o in a.option_strings
+                  if o not in ("-h", "--help")]
+           for name, p in sub.choices.items()}
+    assert got == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("section, bad, message", [
@@ -366,37 +423,6 @@ def test_non_finite_base_cost_is_one_error_line(tmp_path, capsys, flag,
     assert _left_behind(out) == []
 
 
-
-@pytest.mark.parametrize("value, message", [
-    ("", "choose comma-separated names from "
-         "weight_space,vglr_mf,vglr_fc,vtsr"),
-    ("vtsr,", "choose comma-separated names from "
-              "weight_space,vglr_mf,vglr_fc,vtsr"),
-    ("vtsr,vglr_fx", "choose comma-separated names from "
-                     "weight_space,vglr_mf,vglr_fc,vtsr"),
-    ("map", "choose comma-separated names from "
-            "weight_space,vglr_mf,vglr_fc,vtsr"),
-    ("vtsr,vtsr", "vtsr given more than once"),
-    ("vglr_fc,vtsr,vglr_fc,vtsr", "vglr_fc,vtsr given more than once"),
-], ids=["empty", "trailing-comma", "unknown", "router-variant", "duplicate",
-        "two-duplicates"])
-def test_bad_efficiency_variants_is_one_error_line(tmp_path, capsys, value,
-                                                   message):
-    out = tmp_path / "eff"
-    assert cli.main(["efficiency", "--granite", f"--variants={value}",
-                     "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: --variants {value!r}: {message}"]
-    assert _left_behind(out) == []
-
-
-def test_efficiency_variants_subset_in_the_given_order(tmp_path):
-    out = tmp_path / "eff"
-    assert cli.main(["efficiency", "--granite", "--variants=vtsr,vglr_mf",
-                     "--out", str(out)]) == 0
-    with open(out / "efficiency.csv", encoding="utf-8") as fh:
-        assert [r["variant"] for r in csv.DictReader(fh)] == ["vtsr",
-                                                             "vglr_mf"]
 
 def test_int_accepted_for_float_setting():
     assert config_from_dict({"train": {"kl_weight": 1}}).train.kl_weight == 1

@@ -194,6 +194,23 @@ class TestEvalFromCsv:
             want = (tmp_path / "split" / name).read_bytes()
             assert (tmp_path / "csv" / name).read_bytes() == want, name
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_data_with_split_is_one_error_line(self, tmp_path, capsys, split):
+        # The CSV was scored and --split ignored, with exit 0.
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.CONFIG))
+        cfg = config_from_dict(self.CONFIG)
+        save_checkpoint(build_model(cfg), tmp_path / "model.npz")
+        save_csv(build_splits(cfg)["test"], tmp_path / "test.csv")
+        out = tmp_path / "run"
+        assert cli.main(["eval", "--config", str(cfg_path),
+                         "--checkpoint", str(tmp_path / "model.npz"),
+                         "--data", str(tmp_path / "test.csv"),
+                         "--split", split, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --data takes no --split"]
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 def test_dataset_invariants():
     with pytest.raises(DataError):

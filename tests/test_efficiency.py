@@ -112,11 +112,6 @@ class TestMacs:
         ref = self.REPORTED[variant]
         assert abs(ours - ref) / ref < 0.15
 
-    def test_flops_flag_doubles(self):
-        for v in self.REPORTED:
-            assert macs_per_token(GRANITE, v, flops=True) == \
-                2 * macs_per_token(GRANITE, v)
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             macs_per_token(GRANITE, "swag")
@@ -154,22 +149,13 @@ class TestReport:
         report = cost_report(GRANITE)
         payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert payload == dataclasses.asdict(report)
-        assert set(payload) == {"convention", "spec", "rows"}
-        assert payload["convention"] == "mac"
+        assert set(payload) == {"spec", "rows"}
         assert set(payload["spec"]) == {
             f.name for f in dataclasses.fields(ArchSpec)}
         assert [r["variant"] for r in payload["rows"]] == list(VARIANT_ORDER)
         for row in payload["rows"]:
             assert set(row) == {"variant", "params", "params_pct",
                                 "macs_per_token", "macs_pct"}
-
-    def test_empty_variant_list_rejected(self):
-        with pytest.raises(ValueError):
-            cost_report(GRANITE, variants=())
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="unknown variant 'swag'"):
-            cost_report(GRANITE, variants=("vglr_mf", "swag"))
 
     def test_rows_match_functions(self):
         report = cost_report(GRANITE)
