@@ -28,7 +28,7 @@ import sys
 import time
 
 from . import __version__
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ConfigError, ExperimentConfig, RunManifest, config_hash,
                      atomic_open, load_config, write_manifest)
 from .data import load_csv
@@ -44,33 +44,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-class ArtifactWriter:
-    """Tracks written files so a failed run can clean up after itself."""
+# The name patterns each subcommand may write, ``{variant}`` for a variant,
+# its manifest last; the command decides when a conditional file is written.
+CHECKPOINT = "model_{variant}.npz"
+ARTIFACTS = {
+    "train": (CHECKPOINT, "metrics_train.csv", "ranking.csv",
+              "config_resolved.json", "manifest_train.json"),
+    "eval": ("eval_{variant}.json", "eval_{variant}.csv",
+             "eval_bins_{variant}.csv", "manifest_eval.json"),
+    "ood": ("ood_{variant}.csv", "ood_{variant}.json", "manifest_ood.json"),
+    "stability": ("stability_{variant}.csv", "stability_{variant}.svg",
+                  "manifest_stability.json"),
+    "sweep-temp": ("sweep_temp.csv", "manifest_sweep.json"),
+    "efficiency": ("efficiency.json", "efficiency.csv",
+                   "manifest_efficiency.json"),
+}
 
-    def __init__(self, out_dir: str):
+
+class ArtifactWriter:
+    """Writes the files of ``command``'s :data:`ARTIFACTS` row and tracks
+    them, so a failed run can clean up after itself."""
+
+    def __init__(self, out_dir: str, command: str, variant: str | None):
         self.out_dir = out_dir
+        self.command = command
+        self.variant = variant
         self.files: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def claim(self, name: str) -> str:
-        """Track ``name`` before it is written, so cleanup also removes it
-        when a later step fails; returns its path."""
-        path = os.path.join(self.out_dir, name)
+    def claim(self, pattern: str, variant: str | None = None) -> str:
+        """Track the file ``pattern`` names, for ``variant`` or the run's,
+        before it is written, so a failed run removes it; returns its path."""
+        if pattern not in ARTIFACTS[self.command]:
+            raise ValueError(f"{self.command} writes no {pattern}")
+        variant = variant or self.variant
+        if "{variant}" in pattern and variant is None:
+            raise ValueError(f"{pattern} needs a variant")
+        path = os.path.join(self.out_dir, pattern.format(variant=variant))
         self.files.append(path)
         return path
 
-    def write_csv(self, name: str, columns: list[str], rows: list[dict]) -> None:
+    def write_csv(self, pattern: str, columns: list[str],
+                  rows: list[dict]) -> None:
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row[c]) for c in columns))
-        self.write_text(name, "\n".join(lines) + "\n")
+        self.write_text(pattern, "\n".join(lines) + "\n")
 
-    def write_json(self, name: str, payload: dict) -> None:
-        self.write_text(name, json.dumps(payload, indent=2, sort_keys=True)
+    def write_json(self, pattern: str, payload: dict) -> None:
+        self.write_text(pattern, json.dumps(payload, indent=2, sort_keys=True)
                         + "\n")
 
-    def write_text(self, name: str, text: str) -> None:
-        with atomic_open(self.claim(name)) as fh:
+    def write_text(self, pattern: str, text: str) -> None:
+        with atomic_open(self.claim(pattern)) as fh:
             fh.write(text.encode("utf-8"))
 
     def cleanup(self) -> None:
@@ -128,6 +154,9 @@ def _load_experiment(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, out_dir=args.out)
     if args.variant:
         cfg = dataclasses.replace(cfg, variants=[args.variant])
+    if hasattr(args, "checkpoint") and len(cfg.variants) != 1:
+        raise ConfigError(f"{args.command} runs one variant: give --variant "
+                          f"(the config names {', '.join(cfg.variants)})")
     return cfg
 
 
@@ -139,7 +168,9 @@ def _run(args) -> int:
     writer = None
     try:
         cfg = _load_experiment(args) if hasattr(args, "config") else None
-        writer = ArtifactWriter(cfg.out_dir if cfg else args.out or ".")
+        variant = cfg.variants[0] if hasattr(args, "checkpoint") else None
+        writer = ArtifactWriter(cfg.out_dir if cfg else args.out or ".",
+                                args.command, variant)
         manifest = RunManifest(
             config_hash=config_hash(cfg) if cfg else "-",
             code_version=__version__, seed=cfg.seed if cfg else 0,
@@ -148,7 +179,7 @@ def _run(args) -> int:
         for path in writer.files:
             manifest.add_file(path)
         manifest.finish()
-        write_manifest(manifest, writer.claim(args.manifest))
+        write_manifest(manifest, writer.claim(ARTIFACTS[args.command][-1]))
         return 0
     except Exception as exc:                                # noqa: BLE001
         if writer is not None:
@@ -157,15 +188,15 @@ def _run(args) -> int:
         return 1
 
 
-def _load_model(args, cfg):
+def _load_model(args, cfg, variant):
     """``--checkpoint``, or OUT/model_VARIANT.npz.  The data is built from
     the config's ``model`` section, so the checkpoint must agree with it on
     the feature and class counts.  The artifacts are tagged with the
     variant, so the checkpoint's routers must be of that variant: a MAP
     checkpoint has only MAP routers, any other has MAP routers and routers
     of its variant."""
-    tag = cfg.variants[0]
-    path = args.checkpoint or os.path.join(cfg.out_dir, f"model_{tag}.npz")
+    path = args.checkpoint or os.path.join(cfg.out_dir,
+                                           CHECKPOINT.format(variant=variant))
     model = load_checkpoint(path)
     for key in ("feature_dim", "num_classes"):
         have, want = getattr(model.config, key), getattr(cfg.model, key)
@@ -174,9 +205,9 @@ def _load_model(args, cfg):
                               f"config's model.{key} is {want}")
     routed = sorted({model.blocks[i].moe.router.variant
                      for i in model.stochastic_blocks()}) or ["map"]
-    if routed != [tag]:
+    if routed != [variant]:
         raise ConfigError(f"checkpoint {path} routes with "
-                          f"{','.join(routed)}, but the variant is {tag}")
+                          f"{','.join(routed)}, but the variant is {variant}")
     return model
 
 
@@ -186,7 +217,8 @@ def _load_model(args, cfg):
 
 
 def cmd_train(args, cfg, writer) -> None:
-    outcome = run_training(cfg, writer)
+    outcome = run_training(cfg, lambda model, variant: save_checkpoint(
+        model, writer.claim(CHECKPOINT, variant)))
     logs = [("map", outcome.stage1)] + list(outcome.stage2.items())
     writer.write_csv("metrics_train.csv",
                      ["stage", "variant", "epoch", "train_loss",
@@ -206,18 +238,17 @@ def cmd_train(args, cfg, writer) -> None:
 def cmd_eval(args, cfg, writer) -> None:
     if args.data and args.split:
         raise ConfigError("--data takes no --split")
-    model = _load_model(args, cfg)
+    model = _load_model(args, cfg, writer.variant)
     if args.data:
         dataset = load_csv(args.data, cfg.model.feature_dim,
                            cfg.model.num_classes)
     else:
         dataset = build_splits(cfg)[args.split or "test"]
     report = evaluate_calibration(model, dataset, cfg.seed)
-    tag = cfg.variants[0]
-    writer.write_json(f"eval_{tag}.json", dataclasses.asdict(report))
-    writer.write_csv(f"eval_{tag}.csv", ["accuracy", "nll", "ece", "mce"],
+    writer.write_json("eval_{variant}.json", dataclasses.asdict(report))
+    writer.write_csv("eval_{variant}.csv", ["accuracy", "nll", "ece", "mce"],
                      [dataclasses.asdict(report)])
-    writer.write_csv(f"eval_bins_{tag}.csv",
+    writer.write_csv("eval_bins_{variant}.csv",
                      ["bin_lo", "bin_hi", "confidence", "accuracy", "count"],
                      [{"bin_lo": report.bin_edges[i],
                        "bin_hi": report.bin_edges[i + 1],
@@ -228,22 +259,20 @@ def cmd_eval(args, cfg, writer) -> None:
 
 
 def cmd_ood(args, cfg, writer) -> None:
-    model = _load_model(args, cfg)
+    model = _load_model(args, cfg, writer.variant)
     suite = build_suite(cfg)
     id_test = build_splits(cfg)["test"]
     rows = ood_detection_rows(model, id_test, suite, cfg.seed)
-    tag = cfg.variants[0]
-    writer.write_csv(f"ood_{tag}.csv", ["signal", "domain", "auroc", "auprc"],
-                     rows)
-    writer.write_json(f"ood_{tag}.json", {"rows": rows})
+    writer.write_csv("ood_{variant}.csv",
+                     ["signal", "domain", "auroc", "auprc"], rows)
+    writer.write_json("ood_{variant}.json", {"rows": rows})
 
 
 def cmd_stability(args, cfg, writer) -> None:
-    model = _load_model(args, cfg)
+    model = _load_model(args, cfg, writer.variant)
     dataset = build_splits(cfg)["test"]
     cells = layerwise_stability(model, dataset, cfg.perturbation, cfg.seed)
-    tag = cfg.variants[0]
-    writer.write_csv(f"stability_{tag}.csv",
+    writer.write_csv("stability_{variant}.csv",
                      ["layer", "gamma", "mean_jaccard", "q10", "q50", "q90"],
                      [dataclasses.asdict(c) for c in cells])
     if args.svg:
@@ -251,7 +280,7 @@ def cmd_stability(args, cfg, writer) -> None:
         for c in cells:
             series.setdefault(f"layer{c.layer}", []).append(
                 (c.gamma, c.mean_jaccard))
-        writer.write_text(f"stability_{tag}.svg", _svg_line_chart(series))
+        writer.write_text("stability_{variant}.svg", _svg_line_chart(series))
 
 
 def _comma_list(flag: str, text: str, parse, rule: str) -> list:
@@ -283,7 +312,7 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
     layers = (None if args.layers is None else _comma_list(
         "--layers", args.layers, int, "blocks must be comma-separated "
         "integers"))
-    model = _load_model(args, cfg)
+    model = _load_model(args, cfg, writer.variant)
     dataset = build_splits(cfg)["test"]
     if layers is None:
         layers = list(range(len(model.blocks)))
@@ -347,23 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="two-stage training run")
     _add_common(p, checkpoint=False)
-    p.set_defaults(fn=cmd_train, manifest="manifest_train.json")
+    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="calibration report on a dataset")
     _add_common(p)
     p.add_argument("--split", default=None, choices=["train", "val", "test"],
                    help="synthetic split (default: test)")
     p.add_argument("--data", default=None, help="CSV dataset instead of split")
-    p.set_defaults(fn=cmd_eval, manifest="manifest_eval.json")
+    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ood", help="detection AUROC/AUPRC per signal")
     _add_common(p)
-    p.set_defaults(fn=cmd_ood, manifest="manifest_ood.json")
+    p.set_defaults(fn=cmd_ood)
 
     p = sub.add_parser("stability", help="layer-wise routing stability")
     _add_common(p)
     p.add_argument("--svg", action="store_true", help="also emit a line chart")
-    p.set_defaults(fn=cmd_stability, manifest="manifest_stability.json")
+    p.set_defaults(fn=cmd_stability)
 
     p = sub.add_parser("sweep-temp", help="fixed-temperature layer sweep")
     _add_common(p)
@@ -371,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated temperatures")
     p.add_argument("--layers", default=None,
                    help="comma-separated block indices (default: all)")
-    p.set_defaults(fn=cmd_sweep_temp, manifest="manifest_sweep.json")
+    p.set_defaults(fn=cmd_sweep_temp)
 
     p = sub.add_parser("efficiency", help="analytic parameter/MAC table")
     p.add_argument("--granite", action="store_true",
@@ -385,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-params", type=float)
     p.add_argument("--base-macs", type=float)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_efficiency, manifest="manifest_efficiency.json")
+    p.set_defaults(fn=cmd_efficiency)
     return parser
 
 

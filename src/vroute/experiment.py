@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .checkpoint import save_checkpoint
 from .config import ExperimentConfig
 from .data import generate_domain, make_ood_suite, split_dataset
 from .metrics import CalibrationReport, calibration_report, detection_report
@@ -60,15 +59,15 @@ class TrainOutcome:
     stage2: dict[str, TrainLog] = field(default_factory=dict)   # by variant
 
 
-def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
+def run_training(cfg: ExperimentConfig, save) -> TrainOutcome:
     """Stage-1 MAP fit, optional layer selection, then one stage-2 pass per
     requested variant.
 
     Every variant shares the same stage-1 weights: each non-deterministic
     variant gets a fresh model rebuilt from the stage-1 parameters before its
-    routers are attached, so runs never contaminate one another.  With an
-    artifact writer (``cli.ArtifactWriter``), a checkpoint is written per
-    variant, each tracked before it is written.
+    routers are attached, so runs never contaminate one another.  Each
+    variant's model goes to ``save(model, variant)`` once it is trained, so
+    only one stage-2 model is held at a time.
     """
     splits = build_splits(cfg)
     base = build_model(cfg)
@@ -76,10 +75,6 @@ def run_training(cfg: ExperimentConfig, writer=None) -> TrainOutcome:
                           cfg.seed)
     stage1_params = {n: p.data.copy() for n, p in base.param_items()}
     outcome = TrainOutcome(stage1=stage1, selected_layers=[])
-
-    def save(model, variant):
-        if writer is not None:
-            save_checkpoint(model, writer.claim(f"model_{variant}.npz"))
 
     if "map" in cfg.variants:
         save(base, "map")

@@ -37,7 +37,7 @@ class ModelConfig:
             self.phi_hidden = max(1, self.hidden_dim // 4)
         if min(self.feature_dim, self.hidden_dim, self.expert_hidden,
                self.num_blocks, self.num_experts, self.top_k,
-               self.num_classes) < 1:
+               self.num_classes, self.phi_hidden) < 1:
             raise ValueError("all model dimensions must be >= 1")
         if self.top_k > self.num_experts:
             raise ValueError("top_k must not exceed num_experts")

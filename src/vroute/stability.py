@@ -44,6 +44,12 @@ class PerturbationSpec:
     repeats: int = 3
 
     def __post_init__(self):
+        # A str iterates by character and a bool is an int: neither is a level.
+        if not isinstance(self.gamma_levels, (list, tuple)) or any(
+                isinstance(g, bool) or not isinstance(g, (int, float))
+                for g in self.gamma_levels):
+            raise ValueError("gamma_levels must be a list of numbers, got "
+                             f"{self.gamma_levels!r}")
         self.gamma_levels = tuple(float(g) for g in self.gamma_levels)
         if not self.gamma_levels:
             raise ValueError("gamma_levels must not be empty")

@@ -309,11 +309,25 @@ def test_every_subcommand_takes_the_listed_options():
     ("train", {"epochs_stage1": -1}, "epoch counts must be >= 0"),
     ("train", {"batch_size": 0}, "batch_size must be >= 1"),
     ("model", {"hidden_dim": 0}, "all model dimensions must be >= 1"),
+    # A width-0 inference net trained; a negative one failed after stage 1.
+    ("model", {"phi_hidden": 0}, "all model dimensions must be >= 1"),
+    ("model", {"phi_hidden": -1}, "all model dimensions must be >= 1"),
     # stability would write two rows per layer at the repeated gamma.
     ("perturbation", {"gamma_levels": [0.05, 0.01, 0.05]},
      "gamma_levels [0.05] given more than once"),
+    # "12" loaded as (1.0, 2.0), [true, 0.5] as (1.0, 0.5), ["0.5"] as
+    # (0.5,); a bare number failed on iterating a float.
+    ("perturbation", {"gamma_levels": "12"},
+     "gamma_levels must be a list of numbers, got '12'"),
+    ("perturbation", {"gamma_levels": [True, 0.5]},
+     "gamma_levels must be a list of numbers, got [True, 0.5]"),
+    ("perturbation", {"gamma_levels": ["0.5"]},
+     "gamma_levels must be a list of numbers, got ['0.5']"),
+    ("perturbation", {"gamma_levels": 0.01},
+     "gamma_levels must be a list of numbers, got 0.01"),
 ], ids=["no-eval-samples", "no-repeats", "negative-epochs", "no-batch",
-        "no-hidden", "repeated-gamma"])
+        "no-hidden", "no-phi-hidden", "negative-phi-hidden", "repeated-gamma",
+        "gamma-string", "gamma-bool", "gamma-of-strings", "gamma-number"])
 def test_bad_section_setting_is_one_error_line_at_load(tmp_path, capsys,
                                                        section, bad, message):
     out = tmp_path / "run"
@@ -463,11 +477,44 @@ def test_checkpoint_disagreeing_with_config_is_one_error_line(
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, model=dict(TINY["model"], **{key: value}))
     assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
-                     "--checkpoint", str(checkpoint)]) == 1
+                     "--variant", "map", "--checkpoint", str(checkpoint)]) == 1
     have = TINY["model"][key]
     assert capsys.readouterr().err.splitlines() == [
         f"error: checkpoint {checkpoint} has {key} {have}, but the config's "
         f"model.{key} is {value}"]
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("command", ["eval", "ood", "stability", "sweep-temp"])
+def test_per_variant_command_on_several_variants_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command):
+    # It ran the first variant only, with exit 0.
+    def no_load(path):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path, variants=["map", "vglr_mf", "vtsr"])
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {command} runs one variant: give --variant (the config "
+        "names map, vglr_mf, vtsr)"]
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("row, message", [
+    (("efficiency.json", "manifest_efficiency.json"),
+     "efficiency writes no efficiency.csv"),
+    (("efficiency.json", "efficiency.csv", "manifest_{variant}.json"),
+     "manifest_{variant}.json needs a variant"),
+], ids=["not-in-row", "no-variant"])
+def test_artifact_outside_the_table_is_one_error_line(tmp_path, capsys,
+                                                      monkeypatch, row,
+                                                      message):
+    monkeypatch.setitem(cli.ARTIFACTS, "efficiency", row)
+    out = tmp_path / "run"
+    assert cli.main(["efficiency", "--granite", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert _left_behind(out) == []
 
 
@@ -509,7 +556,8 @@ def _sweep(tmp_path, *extra, **config):
     out = tmp_path / "run"
     cfg_path = _write_config(tmp_path, **config)
     code = cli.main(["sweep-temp", "--config", str(cfg_path), "--out", str(out),
-                     "--checkpoint", str(checkpoint), "--grid", "0.5", *extra])
+                     "--variant", "map", "--checkpoint", str(checkpoint),
+                     "--grid", "0.5", *extra])
     return code, out
 
 

@@ -29,11 +29,18 @@ functions no `vroute` code calls and functions some code reads as a value
 The fixed-argument rule: no parameter of such a function is set to the same
 literal by every call in ``src/vroute``, given or by its default.  That
 parameter is a constant dressed as a knob; ``cli.main`` is exempt.
+
+The artifact-name rule: ``cli.ARTIFACTS`` is the one place that names a file
+a command writes.  A string constant shaped like such a name must be one of
+its patterns and sit in ``cli.py``, and no f-string builds such a name.
 """
 import ast
 import pathlib
+import re
 
 import pytest
+
+from vroute import cli
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "vroute"
 
@@ -412,3 +419,49 @@ def test_scan_flags_a_fixed_argument():
     assert _fixed_arguments({"mod.py": source}) == [
         "mod.py:1 f(b)", "mod.py:1 f(c)", "mod.py:6 K.__init__(v)",
         "mod.py:6 K.__init__(w)"]
+
+
+_FILE_NAME = re.compile(r"[\w{}]+\.(npz|csv|json|svg)")
+_FILE_SUFFIX = re.compile(r"\.(npz|csv|json|svg)$")
+
+
+def _named_artifacts(sources: dict, patterns: set) -> list:
+    """File-name-shaped string constants that are not ``patterns`` in
+    ``cli.py``, and f-strings whose literal text ends in a file suffix."""
+    found = []
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        parts = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr)
+                 for v in n.values}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr):
+                literal = "".join(v.value for v in node.values
+                                  if isinstance(v, ast.Constant))
+                if _FILE_SUFFIX.search(literal):
+                    found.append(f"{file}:{node.lineno} f-string {literal!r}")
+            elif (isinstance(node, ast.Constant) and id(node) not in parts
+                  and isinstance(node.value, str)
+                  and _FILE_NAME.fullmatch(node.value)
+                  and (file != "cli.py" or node.value not in patterns)):
+                found.append(f"{file}:{node.lineno} {node.value!r}")
+    return sorted(found)
+
+
+def test_only_the_artifact_table_names_a_file():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    patterns = {p for row in cli.ARTIFACTS.values() for p in row}
+    found = _named_artifacts(sources, patterns)
+    assert not found, ("artifact names outside cli.ARTIFACTS: "
+                       + ", ".join(found))
+
+
+def test_scan_flags_an_artifact_name_outside_the_table():
+    source = ('A = ("model_{variant}.npz", "runs.csv")\n'
+              'f"model_{v}.npz"\nf"{v}.tmp"\n'
+              '"defaults to OUT/model_VARIANT.npz"\n')
+    patterns = {"model_{variant}.npz"}
+    assert _named_artifacts({"cli.py": source, "experiment.py": source},
+                            patterns) == [
+        "cli.py:1 'runs.csv'", "cli.py:2 f-string 'model_.npz'",
+        "experiment.py:1 'model_{variant}.npz'", "experiment.py:1 'runs.csv'",
+        "experiment.py:2 f-string 'model_.npz'"]

@@ -1,6 +1,6 @@
 """README.md's CLI walkthrough runs as written: its ``vroute`` commands exit
-0 on its config, and the run directory holds exactly the files its
-artifact table names."""
+0 on its config, the run directory holds exactly the files its artifact
+table names, and that table agrees with ``cli.ARTIFACTS``."""
 import json
 import pathlib
 import re
@@ -38,3 +38,17 @@ def test_walkthrough_commands_write_the_named_files(tmp_path, monkeypatch):
     named = set().union(*table.values())
     assert sorted(p.name for p in (tmp_path / "runs" / "tiny").iterdir()) \
         == sorted(named)
+
+
+def test_artifact_table_names_each_pattern_of_its_command():
+    _, _, table = _walkthrough()
+    assert set(table) == set(cli.ARTIFACTS)
+    for cmd, named in table.items():
+        patterns = {p: re.compile(re.escape(p).replace(r"\{variant\}", r"\w+"))
+                    for p in cli.ARTIFACTS[cmd]}
+        for name in named:
+            assert any(r.fullmatch(name) for r in patterns.values()), \
+                f"{cmd} writes no {name}"
+        for p, r in patterns.items():
+            assert any(r.fullmatch(name) for name in named), \
+                f"the README names no {p} for {cmd}"
