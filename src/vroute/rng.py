@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 
 import numpy as np
 
@@ -44,6 +45,10 @@ _KEY = _STATE["state"]["key"]
 _COUNTER = _STATE["state"]["counter"]
 # float64 staging for a key that numpy would round (see _generator).
 _ROUNDED_KEY = np.zeros(2)
+# Raw words per block of a thresholded uniform draw: 64 KiB, under glibc's
+# default 128 KiB mmap threshold, above which a fresh array is mmapped and
+# faulted in page by page.
+_RAW_BLOCK = 1 << 13
 
 
 def _splitmix64(x: int) -> int:
@@ -138,9 +143,28 @@ class RngStream:
         """I.i.d. standard normal draws."""
         return self._tick().standard_normal(shape, dtype=np.float64)
 
-    def uniform(self, shape=()) -> np.ndarray:
-        """I.i.d. uniform draws on [0, 1)."""
-        return self._tick().random(shape, dtype=np.float64)
+    def uniform(self, shape=(), at_least=None) -> np.ndarray:
+        """I.i.d. uniform draws on [0, 1); with ``at_least=t``, the boolean
+        array ``uniform(shape) >= t`` of the same draws, bit for bit, with
+        no float64 array of ``shape``.
+
+        numpy's ``random()`` maps a raw Philox word w to
+        ``(w >> 11) * 2**-53``, so ``v >= t`` is
+        ``w >= ceil(t * 2**53) * 2**11``: the mask is compared from the raw
+        words, a block at a time.  t must lie in [0, 1), where that bound
+        fits in 64 bits."""
+        if at_least is None:
+            return self._tick().random(shape, dtype=np.float64)
+        if not 0.0 <= at_least < 1.0:
+            raise ValueError(f"at_least must be in [0, 1), got {at_least!r}")
+        bound = np.uint64(math.ceil(at_least * 2.0**53) << 11)
+        self._tick()
+        out = np.empty(shape, dtype=np.bool_)
+        flat = out.reshape(-1)
+        for i in range(0, flat.size, _RAW_BLOCK):
+            words = _PHILOX.random_raw(min(_RAW_BLOCK, flat.size - i))
+            np.greater_equal(words, bound, out=flat[i:i + words.size])
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         return self._tick().permutation(n)

@@ -413,31 +413,44 @@ class TempScaleRouter(RouterBase):
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
 
 
-def kept_inputs(keep: np.ndarray, u: np.ndarray, rate: float) -> np.ndarray:
+def kept_inputs(keep: np.ndarray, u: np.ndarray, rate: float,
+                out: np.ndarray | None = None) -> np.ndarray:
     """The inverted-dropout inputs [B, S, D] of ``u`` [B, D] under the
-    boolean keep mask ``keep`` [B, S, D]: one multiply of the mask by
-    ``u / (1 - rate)``.  A kept entry is 1.0 times that, a dropped one 0.0
-    times it, a zero with u's sign: the bits of the float mask scaled by
-    ``1 / (1 - rate)`` and times ``u``."""
-    return np.multiply(keep, (u * (1.0 / (1.0 - rate)))[:, None, :])
+    boolean keep mask ``keep`` [B, S, D], written to ``out`` when given:
+    one multiply of the mask by ``u / (1 - rate)``.  A kept entry is 1.0
+    times that, a dropped one 0.0 times it, a zero with u's sign: the bits
+    of the float mask scaled by ``1 / (1 - rate)`` and times ``u``.  Each
+    token's entries depend on its own row alone, so a block of tokens gets
+    the same bits as the whole batch."""
+    return np.multiply(keep, (u * (1.0 / (1.0 - rate)))[:, None, :], out=out)
+
+
+# The most rows of the [B·S, D] dropped inputs one block of a mc_dropout
+# route holds (a block takes whole tokens, at least one).  At D = 32 that is
+# 256 KiB, and each block's gemm stays on one BLAS thread.
+_DROPOUT_BLOCK_ROWS = 1024
 
 
 class McDropoutRouter(RouterBase):
     """Averages routing over S input-dropout passes of the projection.
 
-    The S sampled logit vectors of a token are one [B·S, D] @ [D, N] gemm,
-    transposed to C-contiguous [N, S, B] (experts, samples, rows) for
-    :func:`vroute.tensor.softmax_mean`; ``logits_sampled`` is a [B, S, N]
-    view of that array, and ``probs`` a C-contiguous [B, N].
+    A route fills one [B·S, N] array of sampled logits a block of whole
+    tokens at a time, each block's dropped inputs through one gemm, so it
+    holds no [B, S, D] float array.  The blocks split the batch evenly, so
+    none is one row (which numpy hands to gemv) unless the whole array is.
+    The array is transposed to C-contiguous [N, S, B] (experts, samples,
+    rows) for :func:`vroute.tensor.softmax_mean`; ``logits_sampled`` is a
+    [B, S, N] view of that array, and ``probs`` a C-contiguous [B, N].
     """
 
     variant = "mc_dropout"
 
     def draw_noise(self, rng, lead, samples):
         """The boolean keep mask ``v >= dropout_rate`` of one uniform ``v``
-        per token, sample and input coordinate."""
-        return (rng.uniform((*lead, samples, self.w_r.shape[0]))
-                >= self.settings.dropout_rate)
+        per token, sample and input coordinate, drawn with no float array
+        (:meth:`RngStream.uniform` with ``at_least``)."""
+        return rng.uniform((*lead, samples, self.w_r.shape[0]),
+                           at_least=self.settings.dropout_rate)
 
     def route(self, u, mode, noise=None, encoding=None):
         """Route with ``noise`` [B, S, D], the boolean keep mask of
@@ -446,11 +459,24 @@ class McDropoutRouter(RouterBase):
         if noise.dtype != np.bool_:
             raise TypeError("mc_dropout noise must be a boolean keep mask, "
                             f"not {noise.dtype}")
-        dim, n = self.w_r.shape
+        (b, dim), n = u.shape, self.w_r.shape[1]
+        if (noise.ndim != 3 or noise.shape[::2] != (b, dim)
+                or not noise.shape[1]):
+            raise ValueError(f"mc_dropout keep mask {noise.shape} does not "
+                             f"fit inputs {u.shape}: it must be [B, S, D], "
+                             "S >= 1")
         s = noise.shape[1]
-        logits_s = (kept_inputs(noise, u.data, self.settings.dropout_rate)
-                    .reshape(-1, dim) @ self.w_r.data)
-        logits_s = np.ascontiguousarray(logits_s.reshape(u.shape[0], s, n).T)
+        blocks = max(1, -(-b // max(1, _DROPOUT_BLOCK_ROWS // s)))
+        edges = [b * i // blocks for i in range(blocks + 1)]
+        dropped = np.empty((-(-b // blocks), s, dim))
+        logits_s = np.empty((b * s, n))
+        for b0, b1 in zip(edges, edges[1:]):
+            block = kept_inputs(noise[b0:b1], u.data[b0:b1],
+                                self.settings.dropout_rate,
+                                out=dropped[:b1 - b0])
+            np.matmul(block.reshape(-1, dim), self.w_r.data,
+                      out=logits_s[b0 * s:b1 * s])
+        logits_s = np.ascontiguousarray(logits_s.reshape(b, s, n).T)
         p_bar = T.transpose(T.softmax_mean(logits_s)).data
         mask = top_k_mask(p_bar, self.top_k)
         gates = Tensor(_renorm_gates(p_bar, mask))

@@ -166,30 +166,39 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
         assert _left_behind(out) == []
 
 
-@pytest.mark.parametrize("section, bad, message", [
-    ("router", {"dropout_rate": 1.5}, "dropout_rate must be in [0, 1)"),
-    ("router", {"global_temperature": 0}, "global_temperature must be > 0"),
+@pytest.mark.parametrize("section, bad, error", [
+    ("router", {"dropout_rate": 1.5},
+     "invalid router: dropout_rate must be in [0, 1)"),
+    ("router", {"global_temperature": 0},
+     "invalid router: global_temperature must be > 0"),
     ("model", {"num_experts": 4, "top_k": 5},
-     "top_k must not exceed num_experts"),
+     "invalid model: top_k must not exceed num_experts"),
+    # Every expert always selected: stability wrote 1.0 in every cell.
+    ("model", {"num_experts": 4, "top_k": 4},
+     "invalid config: model.top_k 4 must be below model.num_experts 4, "
+     "or every expert is always selected"),
     ("perturbation", {"gamma_levels": [float("nan")]},
-     "noise levels must be finite and > 0"),
+     "invalid perturbation: noise levels must be finite and > 0"),
     ("perturbation", {"gamma_levels": [0.01, float("inf")]},
-     "noise levels must be finite and > 0"),
-    ("perturbation", {"gamma_levels": []}, "gamma_levels must not be empty"),
-    ("train", {"learning_rate": -0.001}, "learning rates must be > 0"),
-    ("train", {"learning_rate_stage2": 0.0}, "learning rates must be > 0"),
-    ("train", {"kl_weight": -1.0}, "kl_weight must be >= 0"),
+     "invalid perturbation: noise levels must be finite and > 0"),
+    ("perturbation", {"gamma_levels": []},
+     "invalid perturbation: gamma_levels must not be empty"),
+    ("train", {"learning_rate": -0.001},
+     "invalid train: learning rates must be > 0"),
+    ("train", {"learning_rate_stage2": 0.0},
+     "invalid train: learning rates must be > 0"),
+    ("train", {"kl_weight": -1.0}, "invalid train: kl_weight must be >= 0"),
     ("train", {"early_stop_patience": -2},
-     "early_stop_patience must be >= 1"),
-], ids=["dropout_rate", "global_temperature", "top_k", "nan-gamma",
-        "inf-gamma", "no-gamma", "negative-lr", "zero-lr-stage2",
+     "invalid train: early_stop_patience must be >= 1"),
+], ids=["dropout_rate", "global_temperature", "top_k", "top_k-all-experts",
+        "nan-gamma", "inf-gamma", "no-gamma", "negative-lr", "zero-lr-stage2",
         "negative-kl_weight", "negative-patience"])
-def test_bad_router_setting_rejected_at_load(section, bad, message):
+def test_bad_router_setting_rejected_at_load(section, bad, error):
     # Checked when the config is built, before any stage trains.
     payload = dict(TINY, **{section: dict(TINY.get(section, {}), **bad)})
     with pytest.raises(ConfigError) as err:
         config_from_dict(payload)
-    assert str(err.value) == f"invalid {section}: {message}"
+    assert str(err.value) == error
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -229,9 +238,12 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
     ({"layers": "auto", "auto_top_k": 9}, "auto_top_k 9 exceeds the 2 blocks"),
     ({"variants": "vglr_mf"},
      "variants must be a list of variant names, got 'vglr_mf'"),
+    ({"model": dict(TINY["model"], top_k=4)},
+     "model.top_k 4 must be below model.num_experts 4, "
+     "or every expert is always selected"),
 ], ids=["no-variants", "repeated-variant", "no-layers", "repeated-layer",
         "unknown-variant", "no-auto-layers", "too-many-auto-layers",
-        "variants-string"])
+        "variants-string", "top_k-all-experts"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant

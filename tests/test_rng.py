@@ -3,7 +3,7 @@ bit, whatever other stream drew before it."""
 import numpy as np
 import pytest
 
-from vroute.rng import _PHILOX, RngStream, gumbel_from_uniform
+from vroute.rng import _PHILOX, _RAW_BLOCK, RngStream, gumbel_from_uniform
 
 pytestmark = pytest.mark.blas_bitwise
 
@@ -144,3 +144,55 @@ def test_reused_state_matches_the_per_draw_dict(seed, stream_id, counter):
         np.testing.assert_array_equal(
             values, ref.random(5) if draw == "uniform" else ref.standard_normal(5))
     assert s.counter == (counter + 3) % (1 << 64)
+
+
+# Thresholds of a keep mask: on numpy's 2**-53 grid of uniform values (the
+# least, a middle one, the greatest below 1) and off it.
+_THRESHOLDS = [0.0, 0.1, 0.5, 2.0**-53, 3 * 2.0**-53, 0.5 + 2.0**-53,
+               1.0 - 2.0**-53, 5e-324]
+# No element, under one block of raw words, and several blocks plus a
+# remainder.
+_MASK_SHAPES = [(0,), (3, 0, 4), (), (5,), (7, 35, 16),
+                (3 * _RAW_BLOCK + 17,), (2, _RAW_BLOCK + 5, 3)]
+
+
+class TestThresholdedUniform:
+    """``uniform(shape, at_least=t)`` is ``uniform(shape) >= t`` on the
+    same stream, compared from the raw Philox words."""
+
+    @pytest.mark.parametrize("shape", _MASK_SHAPES)
+    @pytest.mark.parametrize("t", _THRESHOLDS)
+    def test_matches_the_float_comparison(self, t, shape):
+        got = RngStream(4, 9, 2).uniform(shape, at_least=t)
+        want = RngStream(4, 9, 2).uniform(shape) >= t
+        assert got.dtype == np.bool_ and got.shape == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [0, 1, -1])
+    def test_threshold_equal_to_a_drawn_value(self, offset):
+        # A threshold each drawn value meets exactly, or misses by one step
+        # of the grid, tests the rounding of the word bound.
+        values = RngStream(8).uniform((4_000,))
+        for v in values[:50]:
+            t = v + offset * 2.0**-53
+            if 0.0 <= t < 1.0:
+                got = RngStream(8).uniform((4_000,), at_least=t)
+                np.testing.assert_array_equal(got, values >= t)
+
+    def test_one_counter_tick_per_draw(self):
+        s = RngStream(5, 3)
+        s.uniform((2, _RAW_BLOCK + 1), at_least=0.3)
+        assert s.counter == 1
+        ref = RngStream(5, 3)
+        ref.uniform((2, _RAW_BLOCK + 1))
+        np.testing.assert_array_equal(s.uniform((6,)), ref.uniform((6,)))
+        s.uniform((0,), at_least=0.3)
+        assert s.counter == 3
+
+    @pytest.mark.parametrize("t", [-0.1, -5e-324, 1.0, 1.5, float("nan"),
+                                   float("inf")])
+    def test_threshold_outside_the_unit_interval_is_rejected(self, t):
+        s = RngStream(5)
+        with pytest.raises(ValueError, match=r"at_least must be in \[0, 1\)"):
+            s.uniform((3,), at_least=t)
+        assert s.counter == 0

@@ -453,23 +453,40 @@ class TestMcDropoutRoute:
             router.route(Tensor(np.ones((1, 4))), "eval",
                          noise=np.full((1, 2, 4), 0.9))
 
-    def test_eval_route_holds_one_dropped_input(self):
+    def test_draw_and_eval_route_hold_no_float_sample_array(self):
         # At B=500, S=35, D=32 one float [B, S, D] array takes 4.48 MB.  The
-        # boolean keep mask times the scaled u is the route's one such array;
-        # a float mask and a separate product would hold two.
+        # draw compares raw words a block at a time and the route drops
+        # and projects a block of tokens at a time, so neither holds one.
         b, s, d, n = 500, 35, 32, 8
         router = self._router(RngStream(1).normal((d, n)), 0.1, s=s)
         u = Tensor(RngStream(3).normal((b, d)))
-        noise = router.draw_noise(RngStream(4), (b,), s)
         with T.no_grad():
             tracemalloc.start()
             try:
+                noise = router.draw_noise(RngStream(4), (b,), s)
+                draw_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
                 res = router.route(u, "eval", noise=noise)
-                peak = tracemalloc.get_traced_memory()[1]
+                route_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert res.logits_sampled.shape == (b, s, n)
-        assert peak < 2 * (b * s * d * 8)
+        assert draw_peak < b * s * d * 8
+        assert route_peak < b * s * d * 8
+
+    @pytest.mark.parametrize("shape", [(1, 35, 16), (8, 35, 16), (7, 35, 15),
+                                       (7, 16), (7, 0, 16)],
+                             ids=["one-row", "extra-row", "short-row",
+                                  "no-sample-axis", "no-samples"])
+    def test_keep_mask_of_the_wrong_shape_is_rejected(self, shape):
+        # A one-row mask used to route every token with one mask.
+        router = self._router(np.ones((16, 8)), 0.1, s=35)
+        u = Tensor(np.ones((7, 16)))
+        with pytest.raises(ValueError) as err:
+            router.route(u, "eval", noise=np.ones(shape, dtype=bool))
+        assert str(err.value) == (
+            f"mc_dropout keep mask {shape} does not fit inputs (7, 16): "
+            "it must be [B, S, D], S >= 1")
 
 
 @pytest.mark.bitwise
@@ -500,21 +517,39 @@ class TestKeepMaskRoute:
     @pytest.mark.parametrize("s", [1, 35])
     @pytest.mark.parametrize("rate", [0.0, 0.1, 0.5])
     def test_route_matches_the_float_formula(self, rate, s):
-        b, d, n = 7, 16, 8
-        router = McDropoutRouter(Tensor(RngStream(1).normal((d, n))), 2,
-                                 RouterSettings(eval_samples=s,
-                                                dropout_rate=rate))
-        u = Tensor(self._u(b, d))
-        res = router.route(u, "eval",
-                           noise=router.draw_noise(RngStream(4), (b,), s))
-        v = RngStream(4).uniform((b, s, d))
-        dropped = (v >= rate).astype(float) / (1 - rate) * u.data[:, None, :]
-        logits = (dropped.reshape(-1, d) @ router.w_r.data).reshape(b, s, n)
-        np.testing.assert_array_equal(res.logits_sampled, logits)
-        np.testing.assert_array_equal(np.signbit(res.logits_sampled),
-                                      np.signbit(logits))
-        np.testing.assert_array_equal(
-            res.probs, T.softmax_last(logits).mean(axis=1))
+        _check_route_against_the_float_formula(self._u(7, 16), rate, s)
+
+
+def _check_route_against_the_float_formula(u, rate, s, n=8):
+    """mc_dropout's route on ``u`` [B, D] gives the logits and probs of the
+    float mask formula, dropped and projected in one gemm."""
+    b, d = u.shape
+    router = McDropoutRouter(Tensor(RngStream(1).normal((d, n))), 2,
+                             RouterSettings(eval_samples=s, dropout_rate=rate))
+    res = router.route(Tensor(u), "eval",
+                       noise=router.draw_noise(RngStream(4), (b,), s))
+    v = RngStream(4).uniform((b, s, d))
+    dropped = (v >= rate).astype(float) / (1 - rate) * u[:, None, :]
+    logits = (dropped.reshape(-1, d) @ router.w_r.data).reshape(b, s, n)
+    np.testing.assert_array_equal(res.logits_sampled, logits)
+    np.testing.assert_array_equal(np.signbit(res.logits_sampled),
+                                  np.signbit(logits))
+    np.testing.assert_array_equal(res.probs,
+                                  T.softmax_last(logits).mean(axis=1))
+
+
+@pytest.mark.blas_bitwise
+class TestBlockedKeepMaskRoute:
+    """Past 1,024 rows of dropped inputs the route projects a block of whole
+    tokens at a time (at most 29 at S=35) and still gives the one-gemm
+    formula's bits, since gemm gives a row the same bits in any row
+    block."""
+
+    @pytest.mark.parametrize("b", [1, 28, 29, 30, 59, 500])
+    @pytest.mark.parametrize("rate", [0.1, 0.5])
+    def test_route_matches_the_float_formula(self, rate, b):
+        _check_route_against_the_float_formula(TestKeepMaskRoute._u(b, 16),
+                                               rate, 35)
 
 
 def _c_layout_route(router, u, noise):
