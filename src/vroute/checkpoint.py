@@ -5,8 +5,11 @@ a JSON metadata record (format version, model dimensions, and per-layer
 router variant and settings), so a model can be rebuilt without any
 out-of-band information.  The stochastic layers are the ones whose variant
 is not ``map``; the attached-layer list that earlier format-3 archives
-also carry restates that and is not read.  Loading rejects an archive
-whose parameters are not exactly the model's, or not all finite.
+also carry restates that and is not read.  Loading builds the model
+dimensions and each router's settings as the config builds its sections,
+with the same type checks, and rejects an archive whose metadata lacks an
+entry, whose router list is not one entry per block, or whose parameters
+are not exactly the model's, or not all finite.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import json
 
 import numpy as np
 
-from .config import atomic_open
+from .config import atomic_open, strict_build
 from .model import ModelConfig, MoEClassifier, attach_variational_routers
 from .rng import RngStream
 from .routers import RouterSettings
@@ -38,19 +41,38 @@ def save_checkpoint(model: MoEClassifier, path) -> None:
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+def _entries(record, where: str, *keys):
+    """The values of ``keys`` in the metadata object ``record`` found at
+    ``where``; a missing one raises ValueError naming it."""
+    if not isinstance(record, dict):
+        raise ValueError(f"checkpoint {where} must be an object")
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"checkpoint {where} has no {key}")
+    return [record[key] for key in keys]
+
+
 def load_checkpoint(path) -> MoEClassifier:
     with np.load(path, allow_pickle=False) as archive:
         meta = json.loads(str(archive["__meta__"]))
-        if meta["format_version"] != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format "
-                             f"{meta['format_version']}")
-        model = MoEClassifier(ModelConfig(**meta["model_config"]),
-                              RngStream(0).derive("checkpoint-rebuild"))
-        for idx, entry in enumerate(meta["routers"]):
-            if entry["variant"] != "map":
+        version, model_meta, routers = _entries(
+            meta, "metadata", "format_version", "model_config", "routers")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported checkpoint format {version}")
+        config = strict_build(ModelConfig, model_meta, "model_config")
+        if not isinstance(routers, list) or len(routers) != config.num_blocks:
+            raise ValueError(f"checkpoint routers must be a list of "
+                             f"{config.num_blocks} entries, one per block")
+        model = MoEClassifier(config, RngStream(0).derive("checkpoint-rebuild"))
+        for idx, entry in enumerate(routers):
+            where = f"routers[{idx}]"
+            variant, settings = _entries(entry, where, "variant", "settings")
+            settings = strict_build(RouterSettings, settings,
+                                    f"{where}.settings")
+            if variant != "map":
                 attach_variational_routers(
-                    model, [idx], entry["variant"], RngStream(0).derive("attach"),
-                    RouterSettings(**entry["settings"]))
+                    model, [idx], variant, RngStream(0).derive("attach"),
+                    settings)
         params = dict(model.param_items())
         stored = {k[len("param:"):] for k in archive.files
                   if k.startswith("param:")}

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -35,6 +34,7 @@ from .data import load_csv
 from .efficiency import ArchSpec, cost_report, granite_preset
 from .experiment import (build_splits, build_suite, evaluate_calibration,
                          ood_detection_rows, run_training)
+from .routers import TEMPERATURE_RULE, RouterSettings
 from .stability import fixed_temperature_layer_sweep, layerwise_stability
 
 
@@ -298,16 +298,12 @@ def _comma_list(flag: str, text: str, parse, rule: str) -> list:
     return items
 
 
-def _temperature(text: str) -> float:
-    t = float(text)
-    if not 0 < t < math.inf:
-        raise ValueError(text)
-    return t
-
-
 def cmd_sweep_temp(args, cfg, writer) -> None:
-    grid = _comma_list("--grid", args.grid, _temperature, "temperatures "
-                       "must be comma-separated finite numbers > 0")
+    # Each temperature keeps the rule of the config's global_temperature.
+    grid = _comma_list(
+        "--grid", args.grid,
+        lambda t: RouterSettings(global_temperature=float(t)).global_temperature,
+        f"temperatures must be comma-separated numbers, each {TEMPERATURE_RULE}")
     # Whether each block is in the checkpoint is checked once it is loaded.
     layers = (None if args.layers is None else _comma_list(
         "--layers", args.layers, int, "blocks must be comma-separated "

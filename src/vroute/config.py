@@ -138,7 +138,10 @@ def _check_type(key: str, value, annotation: str) -> None:
         raise ConfigError(f"{key} must be a finite {annotation}, got {value!r}")
 
 
-def _strict_build(cls, payload: dict, path: str):
+def strict_build(cls, payload: dict, path: str):
+    """``cls`` built from the JSON object ``payload`` found at ``path``
+    (dotted, "" for the whole config): an unknown key, a value of the wrong
+    type or one ``cls`` rejects raises :class:`ConfigError` naming it."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path or 'config'} must be an object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -151,7 +154,7 @@ def _strict_build(cls, payload: dict, path: str):
         _check_type(where + key, value, fields[key].type)
         sub = _NESTED.get(key)
         if cls is ExperimentConfig and sub is not None:
-            kwargs[key] = _strict_build(sub, value, key)
+            kwargs[key] = strict_build(sub, value, key)
         else:
             kwargs[key] = value
     try:
@@ -161,7 +164,7 @@ def _strict_build(cls, payload: dict, path: str):
 
 
 def config_from_dict(payload: dict) -> ExperimentConfig:
-    return _strict_build(ExperimentConfig, payload, "")
+    return strict_build(ExperimentConfig, payload, "")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -28,8 +28,12 @@ from .tensor import Tensor
 
 VARIANTS = ("map", "temp_scale", "mc_dropout", "vglr_mf", "vglr_fc", "vtsr")
 
-# Additive floor keeping the learned temperature strictly positive.
+# Additive floor keeping the learned temperature strictly positive, and the
+# least fixed temperature a config or a sweep may set: far below it the
+# scaled logits overflow.
 TEMPERATURE_FLOOR = 1e-6
+# The rule every fixed temperature keeps (RouterSettings checks it).
+TEMPERATURE_RULE = f"finite and >= {TEMPERATURE_FLOOR:g}"
 # Init scale of the Gaussian nets' heads: the posterior opens next to the
 # deterministic logits with unit covariance.
 HEAD_INIT_STD = 1e-3
@@ -44,7 +48,8 @@ class RouterSettings:
     """Router knobs shared by every variant (the config's ``router`` section).
 
     Each variant reads the ones it uses: ``dropout_rate`` (mc_dropout) and
-    ``global_temperature`` (temp_scale).  Every stochastic variant reads
+    ``global_temperature`` (temp_scale), which keeps
+    :data:`TEMPERATURE_RULE`.  Every stochastic variant reads
     ``eval_samples``: the largest one sets the pass count of
     :func:`vroute.model.predict_with_uncertainty`, and in any other eval
     forward vglr and mc_dropout draw that many samples per token.  The
@@ -60,10 +65,9 @@ class RouterSettings:
             raise ValueError("eval_samples must be >= 1")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.global_temperature <= 0:
-            raise ValueError("global_temperature must be > 0")
-        if not math.isfinite(self.global_temperature):
-            raise ValueError("global_temperature must be finite")
+        if not TEMPERATURE_FLOOR <= self.global_temperature < math.inf:
+            raise ValueError(f"global_temperature must be {TEMPERATURE_RULE}"
+                             f", got {self.global_temperature!r}")
 
 
 @dataclass
@@ -127,11 +131,6 @@ def _renorm_gates(probs, mask: np.ndarray):
     a taped result for a :class:`~vroute.tensor.Tensor`."""
     masked = probs * mask
     return masked / masked.sum(axis=-1, keepdims=True)
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
 
 
 # --------------------------------------------------------------------------
@@ -360,7 +359,22 @@ class RouterBase:
     def route(self, u: Tensor, mode: str, noise=None,
               encoding=None) -> BatchRouteResult:
         """Route the batch ``u`` with ``noise``, one :meth:`draw_noise` array
-        for its tokens (None for MAP)."""
+        for its tokens (None for MAP), and ``encoding``, the :meth:`encode`
+        of ``u`` when the caller holds it.  Every variant routes through
+        here: the checks and the encoding are done once, then the
+        variant's :meth:`_select` routes."""
+        if mode not in ("train", "eval"):
+            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+        if noise is not None and np.shape(noise)[:1] != u.shape[:1]:
+            raise ValueError(f"{self.variant} noise {np.shape(noise)} does "
+                             f"not fit inputs {u.shape}: it must hold one "
+                             "row per token")
+        return self._select(u, noise,
+                            self.encode(u) if encoding is None else encoding)
+
+    def _select(self, u: Tensor, noise, encoding) -> BatchRouteResult:
+        """The variant's routing of ``u`` with ``noise`` and the
+        :meth:`encode` of ``u``."""
         raise NotImplementedError
 
 
@@ -376,8 +390,7 @@ class MapRouter(RouterBase):
 
     variant = "map"
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
+    def _select(self, u, noise, encoding):
         logits = T.matmul(u, self.w_r)
         probs = T.softmax(logits)
         mask = top_k_mask(probs.data, self.top_k)
@@ -404,10 +417,8 @@ class TempScaleRouter(RouterBase):
         scaled = l_det / self.settings.global_temperature
         return scaled, T.softmax_last(scaled), T.softmax_last(l_det)
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
-        scaled, probs, gate_probs = (self.encode(u) if encoding is None
-                                     else encoding)
+    def _select(self, u, noise, encoding):
+        scaled, probs, gate_probs = encoding
         mask, _ = gumbel_top_k(scaled, self.top_k, noise)
         gates = Tensor(_renorm_gates(gate_probs, mask))
         return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
@@ -452,16 +463,14 @@ class McDropoutRouter(RouterBase):
         return rng.uniform((*lead, samples, self.w_r.shape[0]),
                            at_least=self.settings.dropout_rate)
 
-    def route(self, u, mode, noise=None, encoding=None):
+    def _select(self, u, noise, encoding):
         """Route with ``noise`` [B, S, D], the boolean keep mask of
         :meth:`draw_noise`."""
-        _check_mode(mode)
         if noise.dtype != np.bool_:
             raise TypeError("mc_dropout noise must be a boolean keep mask, "
                             f"not {noise.dtype}")
         (b, dim), n = u.shape, self.w_r.shape[1]
-        if (noise.ndim != 3 or noise.shape[::2] != (b, dim)
-                or not noise.shape[1]):
+        if noise.ndim != 3 or noise.shape[2] != dim or not noise.shape[1]:
             raise ValueError(f"mc_dropout keep mask {noise.shape} does not "
                              f"fit inputs {u.shape}: it must be [B, S, D], "
                              "S >= 1")
@@ -527,15 +536,13 @@ class VglrRouter(RouterBase):
         return (centre, T.transpose(scale.reshape((batch, 1, n))),
                 kl_mf_per_token(dmu, scale), (scale.data ** 2).sum(axis=1))
 
-    def route(self, u, mode, noise=None, encoding=None):
+    def _select(self, u, noise, encoding):
         """Route with ``noise`` [B, S, N] of standard normals: sample s of
         token b is centre + sigma * eps (mean field) or centre + L @ eps
         (full covariance; :func:`vroute.tensor.spread`, which skips the
         zeros above the diagonal), and the S softmaxes are averaged."""
-        _check_mode(mode)
         eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
-        centre, scale, kl_tok, inf_var = (self.encode(u) if encoding is None
-                                          else encoding)
+        centre, scale, kl_tok, inf_var = encoding
         if self.phi.full_cov:
             l_samples = centre + T.spread(scale, eps)               # [N,S,B]
         else:
@@ -577,10 +584,8 @@ class VtsrRouter(RouterBase):
         return (scaled, T.softmax_last(scaled.data),
                 -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
 
-    def route(self, u, mode, noise=None, encoding=None):
-        _check_mode(mode)
-        scaled, probs, kl_tok, inf_temp = (self.encode(u) if encoding is None
-                                           else encoding)
+    def _select(self, u, noise, encoding):
+        scaled, probs, kl_tok, inf_temp = encoding
         mask, relaxed = gumbel_top_k(scaled, self.top_k, noise)
         gates = Tensor(_renorm_gates(probs, mask))
         if relaxed is not None:

@@ -4,13 +4,19 @@
 renamed function would drop its per-layer metric without a word.  This
 reads the tracer's hook tables and looks each name up the way the tracer
 does: module functions with ``getattr``, methods in the class's own
-``__dict__``.
+``__dict__``.  Routing is found by a rule, not a name, so it is checked by
+running the tracer.
 """
 import importlib
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
+
+from vroute import routers
+from vroute.rng import RngStream
+from vroute.tensor import Tensor
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -47,3 +53,28 @@ def test_hooked_name_exists(hook):
     else:
         cls = getattr(module, hook[1], None)
         assert cls is not None and callable(vars(cls).get(hook[2]))
+
+
+def test_route_discovery_times_every_variant():
+    # The tracer hooks each vroute.routers class whose own ``__dict__`` has
+    # ``route``.  Should that find nothing, every routers.* per-layer metric
+    # would read 0, so the one route must be RouterBase's, inherited by
+    # every router make_router builds.
+    tracer = _tracer()
+    mods = {name: importlib.import_module(f"vroute.{name}")
+            for name in ("routers", "tensor", "rng")}
+    built = [routers.make_router(v, Tensor(np.ones((4, 3))), 1,
+                                 routers.RouterSettings(eval_samples=2), 2,
+                                 RngStream(0)) for v in routers.VARIANTS]
+    u = Tensor(RngStream(1).normal((5, 4)))
+    with tracer.Tracer(mods) as traced:
+        assert [owner for owner, attr, _ in traced._patches
+                if attr == "route"] == [routers.RouterBase]
+        for router in built:
+            router.route(u, "eval", router.draw_noise(RngStream(2), (5,), 2))
+    got = traced.metrics({})
+    for v in routers.VARIANTS:
+        assert got[f"routers.{v}.route_calls"] == (1, "count"), v
+    # The tracer reads an eval route's mode from route's third argument.
+    for v in routers.VARIANTS[1:]:
+        assert got[f"routers.{v}.cost_vs_map"][0] > 0, v

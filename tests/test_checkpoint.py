@@ -1,6 +1,6 @@
 """Checkpoints: save then load rebuilds a model whose predictive pass is bit
 for bit the same, for every router variant, and an archive of the earlier
-format is refused with one error line."""
+format or with bad metadata is refused with one error line."""
 import json
 
 import numpy as np
@@ -159,5 +159,49 @@ def test_archive_with_other_or_non_finite_parameters_is_one_error_line(
     out = tmp_path / "run"
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
                      "--checkpoint", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["routers"][1]["settings"].update(eval_samples=4.0),
+     "routers[1].settings.eval_samples must be int, got 4.0"),
+    (lambda meta: meta["model_config"].update(hidden_dim=8.0),
+     "model_config.hidden_dim must be int, got 8.0"),
+    (lambda meta: meta["model_config"].update(width=8),
+     "unknown key model_config.width"),
+    (lambda meta: meta["routers"][0]["settings"].update(
+        global_temperature=1e-310),
+     "invalid routers[0].settings: global_temperature must be finite and "
+     ">= 1e-06, got 1e-310"),
+    (lambda meta: meta.pop("format_version"),
+     "checkpoint metadata has no format_version"),
+    (lambda meta: meta["routers"][1].pop("settings"),
+     "checkpoint routers[1] has no settings"),
+    (lambda meta: meta["routers"].append(meta["routers"][1]),
+     "checkpoint routers must be a list of 2 entries, one per block"),
+], ids=["float-eval_samples", "float-hidden_dim", "unknown-key",
+        "tiny-temperature", "no-format_version", "no-settings",
+        "extra-router"])
+def test_archive_with_bad_metadata_is_one_error_line(tmp_path, capsys, edit,
+                                                     message):
+    # Metadata used to be read without the config's checks: a float
+    # eval_samples or hidden_dim loaded and failed in predict, and an extra
+    # router entry failed as an invalid block index.
+    _, model = _model("vglr_mf")
+    path = tmp_path / "model.npz"
+    save_checkpoint(model, path)
+    with np.load(path) as archive:
+        meta = json.loads(str(archive["__meta__"]))
+        arrays = {k: archive[k] for k in archive.files if k != "__meta__"}
+    edit(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CONFIG))
+    out = tmp_path / "run"
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out),
+                     "--variant", "vglr_mf", "--checkpoint", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists() or list(out.iterdir()) == []

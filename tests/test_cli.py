@@ -170,7 +170,13 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
     ("router", {"dropout_rate": 1.5},
      "invalid router: dropout_rate must be in [0, 1)"),
     ("router", {"global_temperature": 0},
-     "invalid router: global_temperature must be > 0"),
+     "invalid router: global_temperature must be finite and >= 1e-06, "
+     "got 0"),
+    # Below the floor the scaled logits overflow: this loaded and trained,
+    # then eval --variant temp_scale failed on non-finite values.
+    ("router", {"global_temperature": 1e-310},
+     "invalid router: global_temperature must be finite and >= 1e-06, "
+     "got 1e-310"),
     ("model", {"num_experts": 4, "top_k": 5},
      "invalid model: top_k must not exceed num_experts"),
     # Every expert always selected: stability wrote 1.0 in every cell.
@@ -190,7 +196,8 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
     ("train", {"kl_weight": -1.0}, "invalid train: kl_weight must be >= 0"),
     ("train", {"early_stop_patience": -2},
      "invalid train: early_stop_patience must be >= 1"),
-], ids=["dropout_rate", "global_temperature", "top_k", "top_k-all-experts",
+], ids=["dropout_rate", "global_temperature", "tiny-global_temperature",
+        "top_k", "top_k-all-experts",
         "nan-gamma", "inf-gamma", "no-gamma", "negative-lr", "zero-lr-stage2",
         "negative-kl_weight", "negative-patience"])
 def test_bad_router_setting_rejected_at_load(section, bad, error):
@@ -591,7 +598,9 @@ def test_sweep_defaults_to_the_checkpoint_blocks(tmp_path):
         assert [row["layer"] for row in csv.DictReader(fh)] == ["0", "1"]
 
 
-@pytest.mark.parametrize("grid", ["nan", "inf", "0", "-1", "", "0.5,", "x"])
+# 1e-310 passed the check and failed mid-sweep on non-finite values.
+@pytest.mark.parametrize("grid", ["nan", "inf", "0", "-1", "", "0.5,", "x",
+                                  "1e-310", "0.1,1e-310", "9e-7"])
 def test_bad_sweep_grid_is_one_error_line_before_any_work(tmp_path, capsys,
                                                           monkeypatch, grid):
     def no_load(*args):
@@ -602,7 +611,7 @@ def test_bad_sweep_grid_is_one_error_line_before_any_work(tmp_path, capsys,
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: --grid {grid!r}: temperatures must be comma-separated "
-        "finite numbers > 0"]
+        "numbers, each finite and >= 1e-06"]
     assert not (out / "sweep_temp.csv").exists()
     assert _left_behind(out) == []
 
@@ -644,8 +653,15 @@ def test_repeated_sweep_entry_is_one_error_line_before_any_work(
 @pytest.mark.parametrize("value, message", [
     (float("nan"), "global_temperature must be finite"),
     (float("inf"), "global_temperature must be finite"),
-    (-float("inf"), "global_temperature must be > 0"),
+    (-float("inf"), "global_temperature must be finite and >= 1e-06"),
 ])
 def test_router_settings_reject_non_finite_temperature(value, message):
     with pytest.raises(ValueError, match=message):
         RouterSettings(global_temperature=value)
+
+
+def test_sweep_runs_at_the_temperature_floor(tmp_path):
+    code, out = _sweep(tmp_path, "--grid=1e-06")
+    assert code == 0
+    with open(out / "sweep_temp.csv", encoding="utf-8") as fh:
+        assert {row["temperature"] for row in csv.DictReader(fh)} == {"1e-06"}

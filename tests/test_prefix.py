@@ -167,11 +167,13 @@ def test_predict_encodes_the_prefix_block_once(variant, monkeypatch):
                              rng=RngStream(3))
     # Block 0 runs once, in the prefix.  Block 1 is encoded once and routed
     # and mixed from its stored expert outputs in each of the 4 passes;
-    # block 2's route encodes in every pass (mc_dropout has nothing to
-    # encode).
-    assert encodes[0] == {}
-    assert encodes[1] == {0: 1}
-    assert encodes[2] == ({} if variant == "mc_dropout" else {0: 4})
+    # block 2's route encodes in every pass.  Every route handed no
+    # encoding calls ``encode``: MAP's and mc_dropout's is the base one,
+    # which returns None, so a mc_dropout block 1 calls it again in each
+    # pass.
+    assert encodes[0] == {0: 1}
+    assert encodes[1] == ({0: 5} if variant == "mc_dropout" else {0: 1})
+    assert encodes[2] == {0: 4}
     assert [routes[i] for i in (1, 2)] == [{0: 4}, {0: 4}]
     assert [mixes[id(blk.moe.w1)] for blk in model.blocks] == [1, 4, 4]
 

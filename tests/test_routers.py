@@ -479,12 +479,15 @@ class TestMcDropoutRoute:
                              ids=["one-row", "extra-row", "short-row",
                                   "no-sample-axis", "no-samples"])
     def test_keep_mask_of_the_wrong_shape_is_rejected(self, shape):
-        # A one-row mask used to route every token with one mask.
+        # A one-row mask used to route every token with one mask.  The row
+        # count is the check every router shares (RouterBase.route).
         router = self._router(np.ones((16, 8)), 0.1, s=35)
         u = Tensor(np.ones((7, 16)))
         with pytest.raises(ValueError) as err:
             router.route(u, "eval", noise=np.ones(shape, dtype=bool))
         assert str(err.value) == (
+            f"mc_dropout noise {shape} does not fit inputs (7, 16): it must "
+            "hold one row per token" if shape[0] != 7 else
             f"mc_dropout keep mask {shape} does not fit inputs (7, 16): "
             "it must be [B, S, D], S >= 1")
 
@@ -746,18 +749,38 @@ class TestTopKMask:
 
 
 def test_every_route_takes_the_base_parameters():
-    # A layer calls every router alike, so a parameter one variant adds (a
-    # flag, say) would reach no caller.
-    def params(route):
-        return [(p.name, p.kind, p.default)
-                for p in inspect.signature(route).parameters.values()]
+    # A layer calls every router alike, so the one route is the base's: it
+    # checks the mode and the noise rows and fills in the encoding once, and
+    # a variant supplies only its ``_select``.
+    routes = [c for c in vars(R).values()
+              if isinstance(c, type) and "route" in vars(c)]
+    assert routes == [RouterBase]
+    assert [(p.name, p.default) for p in
+            inspect.signature(RouterBase.route).parameters.values()] == [
+        ("self", inspect.Parameter.empty), ("u", inspect.Parameter.empty),
+        ("mode", inspect.Parameter.empty), ("noise", None),
+        ("encoding", None)]
+    for variant in R.VARIANTS:
+        router = make_router(variant, Tensor(np.ones((4, 3))), 1,
+                             RouterSettings(), 2, RngStream(0))
+        assert type(router).route is RouterBase.route, variant
+        assert list(inspect.signature(router._select).parameters) == [
+            "u", "noise", "encoding"], variant
 
-    want = params(RouterBase.route)
-    assert [name for name, _, _ in want] == ["self", "u", "mode", "noise",
-                                          "encoding"]
-    defining = [c for c in vars(R).values()
-                if isinstance(c, type) and issubclass(c, RouterBase)
-                and c is not RouterBase and "route" in vars(c)]
-    assert len(defining) == 5
-    for cls in defining:
-        assert params(cls.route) == want, cls.__name__
+
+@pytest.mark.parametrize("variant", R.VARIANTS[1:])
+@pytest.mark.parametrize("rows", [1, 6], ids=["one-row", "extra-row"])
+def test_noise_of_another_row_count_is_rejected(variant, rows):
+    # temp_scale, vglr and vtsr used to route every token of a batch with a
+    # one-row noise array's single draw.
+    router = make_router(variant, Tensor(RngStream(1).normal((4, 3))), 1,
+                         RouterSettings(eval_samples=2), 2, RngStream(0))
+    u = Tensor(RngStream(2).normal((5, 4)))
+    noise = router.draw_noise(RngStream(3), (rows,), 2)
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError) as err:
+            router.route(u, mode, noise=noise)
+        assert str(err.value) == (
+            f"{variant} noise {noise.shape} does not fit inputs (5, 4): it "
+            "must hold one row per token")
+
