@@ -163,8 +163,9 @@ def _load_experiment(args) -> ExperimentConfig:
 def _run(args) -> int:
     """Run one subcommand: load and validate its config (subcommands with
     ``--config``), let it compute and write its artifacts, then write the
-    manifest listing them.  On any failure, remove every tracked file,
-    print ``error: ...`` and return 1."""
+    manifest listing them.  On any exception, remove every tracked file;
+    then print ``error: ...`` and return 1 for an :class:`Exception`, and
+    re-raise anything else (a Ctrl-C still ends the process)."""
     writer = None
     try:
         cfg = _load_experiment(args) if hasattr(args, "config") else None
@@ -181,9 +182,11 @@ def _run(args) -> int:
         manifest.finish()
         write_manifest(manifest, writer.claim(ARTIFACTS[args.command][-1]))
         return 0
-    except Exception as exc:                                # noqa: BLE001
+    except BaseException as exc:
         if writer is not None:
             writer.cleanup()
+        if not isinstance(exc, Exception):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -102,12 +102,6 @@ class ExperimentConfig:
             if not self.layers and routed:
                 raise ConfigError(f"layers is empty, so variant {routed[0]!r} "
                                   "would leave every router MAP")
-        # ModelConfig allows it for a one-expert layer; an experiment would
-        # then measure routing that never chooses.
-        if self.model.top_k >= self.model.num_experts:
-            raise ConfigError(f"model.top_k {self.model.top_k} must be below "
-                              f"model.num_experts {self.model.num_experts}, "
-                              "or every expert is always selected")
         if self.auto_top_k < 1:
             raise ConfigError("auto_top_k must be >= 1")
         if self.layers == "auto" and self.auto_top_k > self.model.num_blocks:

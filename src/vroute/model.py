@@ -39,8 +39,12 @@ class ModelConfig:
                self.num_blocks, self.num_experts, self.top_k,
                self.num_classes, self.phi_hidden) < 1:
             raise ValueError("all model dimensions must be >= 1")
-        if self.top_k > self.num_experts:
-            raise ValueError("top_k must not exceed num_experts")
+        # At k = N every expert is always selected, so there is no routing
+        # to measure (stability would read 1.0 in every cell).
+        if self.top_k >= self.num_experts:
+            raise ValueError(f"top_k {self.top_k} must be below num_experts "
+                             f"{self.num_experts}, or every expert is always "
+                             "selected")
 
 
 class MoELayer:

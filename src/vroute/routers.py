@@ -5,7 +5,10 @@ temperature, input dropout), and the two variational routers: Gaussian
 posteriors over routing logits (mean-field or full-covariance via a
 Cholesky factor) and a learned per-input temperature with stochastic
 selection.  Includes the Gumbel-top-k sampler, the closed-form KL terms,
-and the Cholesky construction they rely on.
+and the Cholesky construction they rely on.  The five stochastic routers
+share two selection rules: Gumbel-top-k on scaled logits (temp_scale,
+vtsr) and top-k of the mean softmax over sampled logits (mc_dropout,
+vglr_mf, vglr_fc).
 
 Conventions shared by every variant:
 
@@ -361,28 +364,18 @@ class RouterBase:
         """Route the batch ``u`` with ``noise``, one :meth:`draw_noise` array
         for its tokens (None for MAP), and ``encoding``, the :meth:`encode`
         of ``u`` when the caller holds it.  Every variant routes through
-        here: the checks and the encoding are done once, then the
-        variant's :meth:`_select` routes."""
+        here: the checks and the encoding are done once, then
+        ``_select(u, noise, encoding)`` routes, MAP's or its family's."""
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         if noise is not None and np.shape(noise)[:1] != u.shape[:1]:
-            raise ValueError(f"{self.variant} noise {np.shape(noise)} does "
-                             f"not fit inputs {u.shape}: it must hold one "
-                             "row per token")
+            raise self._noise_error(noise, u, "hold one row per token")
         return self._select(u, noise,
                             self.encode(u) if encoding is None else encoding)
 
-    def _select(self, u: Tensor, noise, encoding) -> BatchRouteResult:
-        """The variant's routing of ``u`` with ``noise`` and the
-        :meth:`encode` of ``u``."""
-        raise NotImplementedError
-
-
-def _gumbel_noise(router, rng, lead, samples):
-    """The :meth:`RouterBase.draw_noise` of the routers that select by
-    :func:`gumbel_top_k`: one uniform per token and expert, since they draw
-    one selection per token whatever ``samples`` is."""
-    return rng.uniform((*lead, router.w_r.shape[1]))
+    def _noise_error(self, noise, u: Tensor, rule: str) -> ValueError:
+        return ValueError(f"{self.variant} noise {np.shape(noise)} does not "
+                          f"fit inputs {u.shape}: it must {rule}")
 
 
 class MapRouter(RouterBase):
@@ -399,7 +392,71 @@ class MapRouter(RouterBase):
                                 gate_weights=gates)
 
 
-class TempScaleRouter(RouterBase):
+class _GumbelTopKRouter(RouterBase):
+    """Stochastic selection by Gumbel-top-k (temp_scale, vtsr): k experts
+    without replacement from p = softmax(scaled logits), one selection per
+    token whatever the sample count.
+
+    A variant supplies only :meth:`encode`: the scaled logits, p, the base
+    q that the gates renormalise over the sampled set, the KL slot and the
+    readout dict.  On the tape the gates pass straight through the
+    relaxation of :func:`gumbel_top_k`, whose forward value is exactly
+    zero.
+    """
+
+    def draw_noise(self, rng, lead, samples):
+        """One uniform per token and expert."""
+        return rng.uniform((*lead, self.w_r.shape[1]))
+
+    def _select(self, u, noise, encoding):
+        """Route with ``noise`` [B, N] of uniforms.  The readout dict is
+        copied, since passes over one ``u`` may share the encoding."""
+        if np.shape(noise) != (u.shape[0], self.w_r.shape[1]):
+            raise self._noise_error(noise, u, "be [B, N]")
+        scaled, probs, gate_probs, kl, readouts = encoding
+        mask, relaxed = gumbel_top_k(scaled, self.top_k, noise)
+        gates = Tensor(_renorm_gates(gate_probs, mask))
+        if relaxed is not None:
+            gates = (relaxed - relaxed.detach()) + gates
+        return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates,
+                                kl=kl, signals=dict(readouts))
+
+
+class _SampledLogitRouter(RouterBase):
+    """Top-k of the mean softmax over S sampled logit vectors per token
+    (mc_dropout, vglr_mf, vglr_fc); the gates are that mean renormalised
+    over the selection.
+
+    A variant supplies :meth:`draw_noise`, :meth:`encode` (None, or a
+    tuple that ends with the KL slot and the readout dict) and
+    ``_samples(u, noise, encoding)``, the Tensor of the logits sampled
+    with ``noise``.  The noise is [B, S, K], S >= 1, with K the size of
+    ``w_r``'s axis ``_noise_axis``: the expert count N, or the input width
+    D for mc_dropout.  The samples stay C-contiguous [N, S, B] (experts,
+    samples, rows) up to the sample mean, so each operation over the
+    expert or sample axis reads whole slabs; ``probs`` and the gates come
+    back as C-contiguous [B, N], and ``logits_sampled`` is a [B, S, N]
+    view of the samples.
+    """
+
+    _noise_axis = 1
+
+    def _select(self, u, noise, encoding):
+        shape, axis = np.shape(noise), self._noise_axis
+        if len(shape) != 3 or not shape[1] or shape[2] != self.w_r.shape[axis]:
+            raise self._noise_error(noise, u,
+                                    f"be [B, S, {'DN'[axis]}], S >= 1")
+        samples = self._samples(u, noise, encoding)                  # [N,S,B]
+        p_bar = T.transpose(T.softmax_mean(samples))                 # [B,N]
+        mask = top_k_mask(p_bar.data, self.top_k)
+        kl, readouts = (None, {}) if encoding is None else encoding[-2:]
+        return BatchRouteResult(
+            probs=p_bar.data, selection=mask,
+            gate_weights=_renorm_gates(p_bar, mask), kl=kl,
+            signals=dict(readouts), logits_sampled=samples.data.T)
+
+
+class TempScaleRouter(_GumbelTopKRouter):
     """Stochastic selection from softmax(logits / T) at a fixed global T.
 
     Temperature shapes the selection distribution only; the mixing weights
@@ -409,19 +466,12 @@ class TempScaleRouter(RouterBase):
 
     variant = "temp_scale"
 
-    draw_noise = _gumbel_noise
-
     def encode(self, u):
-        """The scaled logits, their softmax and the unscaled softmax."""
+        """The scaled logits, their softmax and the unscaled softmax; no KL
+        and no readout."""
         l_det = u.data @ self.w_r.data
         scaled = l_det / self.settings.global_temperature
-        return scaled, T.softmax_last(scaled), T.softmax_last(l_det)
-
-    def _select(self, u, noise, encoding):
-        scaled, probs, gate_probs = encoding
-        mask, _ = gumbel_top_k(scaled, self.top_k, noise)
-        gates = Tensor(_renorm_gates(gate_probs, mask))
-        return BatchRouteResult(probs=probs, selection=mask, gate_weights=gates)
+        return scaled, T.softmax_last(scaled), T.softmax_last(l_det), None, {}
 
 
 def kept_inputs(keep: np.ndarray, u: np.ndarray, rate: float,
@@ -442,19 +492,17 @@ def kept_inputs(keep: np.ndarray, u: np.ndarray, rate: float,
 _DROPOUT_BLOCK_ROWS = 1024
 
 
-class McDropoutRouter(RouterBase):
+class McDropoutRouter(_SampledLogitRouter):
     """Averages routing over S input-dropout passes of the projection.
 
     A route fills one [B·S, N] array of sampled logits a block of whole
     tokens at a time, each block's dropped inputs through one gemm, so it
     holds no [B, S, D] float array.  The blocks split the batch evenly, so
     none is one row (which numpy hands to gemv) unless the whole array is.
-    The array is transposed to C-contiguous [N, S, B] (experts, samples,
-    rows) for :func:`vroute.tensor.softmax_mean`; ``logits_sampled`` is a
-    [B, S, N] view of that array, and ``probs`` a C-contiguous [B, N].
     """
 
     variant = "mc_dropout"
+    _noise_axis = 0
 
     def draw_noise(self, rng, lead, samples):
         """The boolean keep mask ``v >= dropout_rate`` of one uniform ``v``
@@ -463,18 +511,13 @@ class McDropoutRouter(RouterBase):
         return rng.uniform((*lead, samples, self.w_r.shape[0]),
                            at_least=self.settings.dropout_rate)
 
-    def _select(self, u, noise, encoding):
-        """Route with ``noise`` [B, S, D], the boolean keep mask of
-        :meth:`draw_noise`."""
+    def _samples(self, u, noise, encoding):
+        """The logits of ``u`` under ``noise`` [B, S, D], the boolean keep
+        mask of :meth:`draw_noise`."""
         if noise.dtype != np.bool_:
             raise TypeError("mc_dropout noise must be a boolean keep mask, "
                             f"not {noise.dtype}")
-        (b, dim), n = u.shape, self.w_r.shape[1]
-        if noise.ndim != 3 or noise.shape[2] != dim or not noise.shape[1]:
-            raise ValueError(f"mc_dropout keep mask {noise.shape} does not "
-                             f"fit inputs {u.shape}: it must be [B, S, D], "
-                             "S >= 1")
-        s = noise.shape[1]
+        (b, dim), (s, n) = u.shape, (noise.shape[1], self.w_r.shape[1])
         blocks = max(1, -(-b // max(1, _DROPOUT_BLOCK_ROWS // s)))
         edges = [b * i // blocks for i in range(blocks + 1)]
         dropped = np.empty((-(-b // blocks), s, dim))
@@ -485,28 +528,18 @@ class McDropoutRouter(RouterBase):
                                 out=dropped[:b1 - b0])
             np.matmul(block.reshape(-1, dim), self.w_r.data,
                       out=logits_s[b0 * s:b1 * s])
-        logits_s = np.ascontiguousarray(logits_s.reshape(b, s, n).T)
-        p_bar = T.transpose(T.softmax_mean(logits_s)).data
-        mask = top_k_mask(p_bar, self.top_k)
-        gates = Tensor(_renorm_gates(p_bar, mask))
-        return BatchRouteResult(probs=p_bar, selection=mask, gate_weights=gates,
-                                logits_sampled=logits_s.T)
+        return Tensor(np.ascontiguousarray(logits_s.reshape(b, s, n).T))
 
 
-class VglrRouter(RouterBase):
+class VglrRouter(_SampledLogitRouter):
     """Gaussian posterior over logits, reparameterised sampling, averaged softmax.
 
     The base projection stays frozen; only the inference net (trunk plus
-    mean/scale heads) trains.  A route averages the softmax outputs of its
-    samples before top-k.  One sample per token drives training; an eval
-    forward of the stability and sweep harnesses draws ``eval_samples``,
-    while each pass of :func:`vroute.model.predict_with_uncertainty` is
-    handed one sample per token from its noise plan.  Both modes hold the
-    samples C-contiguous as [N, S, B] (experts, samples, rows) from the
-    noise to the sample mean, so each operation over the expert or sample
-    axis reads whole slabs; ``probs`` and the gates come back as
-    C-contiguous [B, N], and ``logits_sampled`` is a [B, S, N] view of the
-    sample-major logits.
+    mean/scale heads) trains.  One sample per token drives training; an
+    eval forward of the stability and sweep harnesses draws
+    ``eval_samples``, while each pass of
+    :func:`vroute.model.predict_with_uncertainty` is handed one sample per
+    token from its noise plan.
     """
 
     def __init__(self, w_r, top_k, settings, phi: GaussianInferenceNet):
@@ -523,7 +556,7 @@ class VglrRouter(RouterBase):
     def encode(self, u):
         """The posterior's centre [N, 1, B] and scale ([N, 1, B] standard
         deviations or [N, N, 1, B] axis-reversed Cholesky factors), the
-        per-token KL and the inferred logit variance."""
+        per-token KL and the inferred logit variance readout."""
         batch, n = u.shape[0], self.w_r.shape[1]
         l_det = u.data @ self.w_r.data
         dmu, scale = self.phi.posterior(u)
@@ -532,37 +565,30 @@ class VglrRouter(RouterBase):
         if self.phi.full_cov:
             return (centre, T.transpose(scale.reshape((batch, 1, n, n))),
                     kl_fc_per_token(dmu, scale),
-                    (scale.data ** 2).sum(axis=(1, 2)))
+                    {"inf_logit_var": (scale.data ** 2).sum(axis=(1, 2))})
         return (centre, T.transpose(scale.reshape((batch, 1, n))),
-                kl_mf_per_token(dmu, scale), (scale.data ** 2).sum(axis=1))
+                kl_mf_per_token(dmu, scale),
+                {"inf_logit_var": (scale.data ** 2).sum(axis=1)})
 
-    def _select(self, u, noise, encoding):
-        """Route with ``noise`` [B, S, N] of standard normals: sample s of
-        token b is centre + sigma * eps (mean field) or centre + L @ eps
+    def _samples(self, u, noise, encoding):
+        """Sample s of token b under ``noise`` [B, S, N] of standard
+        normals: centre + sigma * eps (mean field) or centre + L @ eps
         (full covariance; :func:`vroute.tensor.spread`, which skips the
-        zeros above the diagonal), and the S softmaxes are averaged."""
+        zeros above the diagonal)."""
         eps = np.ascontiguousarray(np.asarray(noise, dtype=np.float64).T)
-        centre, scale, kl_tok, inf_var = encoding
+        centre, scale = encoding[:2]
         if self.phi.full_cov:
-            l_samples = centre + T.spread(scale, eps)               # [N,S,B]
-        else:
-            l_samples = centre + scale * Tensor(eps)
-        p_bar = T.transpose(T.softmax_mean(l_samples))                # [B,N]
-        mask = top_k_mask(p_bar.data, self.top_k)
-        gates = _renorm_gates(p_bar, mask)
-        return BatchRouteResult(
-            probs=p_bar.data, selection=mask, gate_weights=gates, kl=kl_tok,
-            signals={"inf_logit_var": inf_var},
-            logits_sampled=l_samples.data.T)
+            return centre + T.spread(scale, eps)
+        return centre + scale * Tensor(eps)
 
 
-class VtsrRouter(RouterBase):
+class VtsrRouter(_GumbelTopKRouter):
     """Learned per-input temperature with stochastic expert selection.
 
     It selects k experts by Gumbel-top-k on logits / T, which samples them
-    without replacement from softmax(logits / T).  On the tape it also
-    routes through the straight-through relaxation, whose forward value is
-    exactly zero.  The KL slot holds the regulariser -log T.
+    without replacement from softmax(logits / T), and the gates are that
+    softmax renormalised over the sampled set.  The KL slot holds the
+    regulariser -log T.
     """
 
     variant = "vtsr"
@@ -574,25 +600,14 @@ class VtsrRouter(RouterBase):
     def phi_items(self):
         return self.temperature_net.param_items()
 
-    draw_noise = _gumbel_noise
-
     def encode(self, u):
-        """The scaled logits, their softmax, the regulariser and the
-        temperature readout."""
+        """The scaled logits, their softmax twice (p, and q for the gates),
+        the regulariser and the temperature readout."""
         temp = self.temperature_net.temperature(u)                   # [B,1]
         scaled = Tensor(u.data @ self.w_r.data) / temp
-        return (scaled, T.softmax_last(scaled.data),
-                -T.log(temp).reshape((u.shape[0],)), temp.data[:, 0].copy())
-
-    def _select(self, u, noise, encoding):
-        scaled, probs, kl_tok, inf_temp = encoding
-        mask, relaxed = gumbel_top_k(scaled, self.top_k, noise)
-        gates = Tensor(_renorm_gates(probs, mask))
-        if relaxed is not None:
-            gates = (relaxed - relaxed.detach()) + gates
-        return BatchRouteResult(
-            probs=probs, selection=mask, gate_weights=gates, kl=kl_tok,
-            signals={"inf_temp": inf_temp})
+        probs = T.softmax_last(scaled.data)
+        return (scaled, probs, probs, -T.log(temp).reshape((u.shape[0],)),
+                {"inf_temp": temp.data[:, 0].copy()})
 
 
 def make_router(variant: str, w_r: Tensor, top_k: int,

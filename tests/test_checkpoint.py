@@ -180,9 +180,14 @@ def test_archive_with_other_or_non_finite_parameters_is_one_error_line(
      "checkpoint routers[1] has no settings"),
     (lambda meta: meta["routers"].append(meta["routers"][1]),
      "checkpoint routers must be a list of 2 entries, one per block"),
+    # Checked in the experiment config alone, this loaded: eval and
+    # sweep-temp ran, and stability read 1.0 in every cell.
+    (lambda meta: meta["model_config"].update(top_k=4),
+     "invalid model_config: top_k 4 must be below num_experts 4, or every "
+     "expert is always selected"),
 ], ids=["float-eval_samples", "float-hidden_dim", "unknown-key",
         "tiny-temperature", "no-format_version", "no-settings",
-        "extra-router"])
+        "extra-router", "top_k-all-experts"])
 def test_archive_with_bad_metadata_is_one_error_line(tmp_path, capsys, edit,
                                                      message):
     # Metadata used to be read without the config's checks: a float

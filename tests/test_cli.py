@@ -17,7 +17,7 @@ from vroute.config import ConfigError, config_from_dict
 from vroute.experiment import build_splits
 from vroute.model import attach_variational_routers
 from vroute.rng import RngStream
-from vroute.routers import RouterSettings
+from vroute.routers import VARIANTS, RouterSettings
 from vroute.training import predictive_nll_acc
 
 TINY = {
@@ -101,6 +101,65 @@ def test_failed_run_removes_checkpoints_already_written(tmp_path, monkeypatch,
     assert _left_behind(out) == []
 
 
+def test_interrupted_run_removes_checkpoints_already_written(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # A KeyboardInterrupt in the second variant's stage 2 used to leave
+    # model_map.npz and model_vglr_mf.npz and no manifest.
+    out = tmp_path / "run"
+    seen = []
+    stage2 = experiment.stage2_train
+
+    def interrupted_stage2(*args, **kwargs):
+        seen.append(sorted(p.name for p in out.glob("model_*.npz")))
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        return stage2(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "stage2_train", interrupted_stage2)
+    cfg_path = _write_config(tmp_path, variants=["map", "vglr_mf", "vtsr"])
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert seen == [["model_map.npz"], ["model_map.npz", "model_vglr_mf.npz"]]
+    assert capsys.readouterr().err == ""
+    assert _left_behind(out) == []
+
+
+@pytest.mark.parametrize("overrides", [
+    {"model": dict(TINY["model"], num_experts=2, top_k=1)},
+    # 16 experts take tensor._pairwise's running sums; one sample per token
+    # makes predict one pass.
+    {"model": dict(TINY["model"], num_experts=16),
+     "router": {"eval_samples": 1}},
+    {"model": dict(TINY["model"], num_blocks=1), "layers": [0]},
+], ids=["two-experts-top-1", "sixteen-experts-one-sample", "one-block"])
+def test_every_variant_through_every_subcommand(tmp_path, overrides):
+    # Shapes the golden pin (4 experts, top-2, 2 blocks, 4 samples) does not
+    # cover.
+    cfg_path = _write_config(tmp_path, variants=list(VARIANTS),
+                             train={"epochs_stage1": 1, "epochs_stage2": 1},
+                             **overrides)
+    cfg = config_from_dict(json.loads(cfg_path.read_text()))
+    out = tmp_path / "run"
+
+    def vroute(command, *argv):
+        args = [command, *argv, "--out", str(out)]
+        if command != "efficiency":
+            args += ["--config", str(cfg_path)]
+        assert cli.main(args) == 0, args
+        assert (out / cli.ARTIFACTS[command][-1]).exists(), args
+
+    vroute("train")
+    for variant in VARIANTS:
+        for command in ("eval", "ood", "stability", "sweep-temp"):
+            vroute(command, "--variant", variant)
+    vroute("efficiency", "--layers", str(len(cfg.layers)),
+           "--experts", str(cfg.model.num_experts),
+           "--dim", str(cfg.model.hidden_dim),
+           "--width", str(cfg.model.phi_hidden),
+           "--samples", str(cfg.router.eval_samples))
+
+
 def _stability_svg(out, cfg_path):
     return cli.main(["stability", "--config", str(cfg_path), "--out", str(out),
                      "--variant", "vglr_mf", "--svg"])
@@ -178,11 +237,12 @@ def test_config_error_is_one_error_line(tmp_path, capsys, command):
      "invalid router: global_temperature must be finite and >= 1e-06, "
      "got 1e-310"),
     ("model", {"num_experts": 4, "top_k": 5},
-     "invalid model: top_k must not exceed num_experts"),
+     "invalid model: top_k 5 must be below num_experts 4, or every expert "
+     "is always selected"),
     # Every expert always selected: stability wrote 1.0 in every cell.
     ("model", {"num_experts": 4, "top_k": 4},
-     "invalid config: model.top_k 4 must be below model.num_experts 4, "
-     "or every expert is always selected"),
+     "invalid model: top_k 4 must be below num_experts 4, or every expert "
+     "is always selected"),
     ("perturbation", {"gamma_levels": [float("nan")]},
      "invalid perturbation: noise levels must be finite and > 0"),
     ("perturbation", {"gamma_levels": [0.01, float("inf")]},
@@ -245,12 +305,9 @@ def test_bad_data_setting_is_one_error_line_at_load(tmp_path, capsys, bad,
     ({"layers": "auto", "auto_top_k": 9}, "auto_top_k 9 exceeds the 2 blocks"),
     ({"variants": "vglr_mf"},
      "variants must be a list of variant names, got 'vglr_mf'"),
-    ({"model": dict(TINY["model"], top_k=4)},
-     "model.top_k 4 must be below model.num_experts 4, "
-     "or every expert is always selected"),
 ], ids=["no-variants", "repeated-variant", "no-layers", "repeated-layer",
         "unknown-variant", "no-auto-layers", "too-many-auto-layers",
-        "variants-string", "top_k-all-experts"])
+        "variants-string"])
 def test_bad_variant_or_layer_list_is_one_error_line_at_load(
         tmp_path, capsys, overrides, message):
     # Each would train and exit 0 with nothing to evaluate, with a variant
@@ -344,9 +401,13 @@ def test_every_subcommand_takes_the_listed_options():
      "gamma_levels must be a list of numbers, got ['0.5']"),
     ("perturbation", {"gamma_levels": 0.01},
      "gamma_levels must be a list of numbers, got 0.01"),
+    ("model", {"top_k": 4},
+     "top_k 4 must be below num_experts 4, or every expert is always "
+     "selected"),
 ], ids=["no-eval-samples", "no-repeats", "negative-epochs", "no-batch",
         "no-hidden", "no-phi-hidden", "negative-phi-hidden", "repeated-gamma",
-        "gamma-string", "gamma-bool", "gamma-of-strings", "gamma-number"])
+        "gamma-string", "gamma-bool", "gamma-of-strings", "gamma-number",
+        "top_k-all-experts"])
 def test_bad_section_setting_is_one_error_line_at_load(tmp_path, capsys,
                                                        section, bad, message):
     out = tmp_path / "run"

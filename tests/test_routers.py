@@ -480,16 +480,16 @@ class TestMcDropoutRoute:
                                   "no-sample-axis", "no-samples"])
     def test_keep_mask_of_the_wrong_shape_is_rejected(self, shape):
         # A one-row mask used to route every token with one mask.  The row
-        # count is the check every router shares (RouterBase.route).
+        # count is the check every router shares (RouterBase.route), the
+        # per-token shape the one of the sampled-logit family.
         router = self._router(np.ones((16, 8)), 0.1, s=35)
         u = Tensor(np.ones((7, 16)))
         with pytest.raises(ValueError) as err:
             router.route(u, "eval", noise=np.ones(shape, dtype=bool))
         assert str(err.value) == (
             f"mc_dropout noise {shape} does not fit inputs (7, 16): it must "
-            "hold one row per token" if shape[0] != 7 else
-            f"mc_dropout keep mask {shape} does not fit inputs (7, 16): "
-            "it must be [B, S, D], S >= 1")
+            + ("hold one row per token" if shape[0] != 7 else
+               "be [B, S, D], S >= 1"))
 
 
 @pytest.mark.bitwise
@@ -784,3 +784,54 @@ def test_noise_of_another_row_count_is_rejected(variant, rows):
             f"{variant} noise {noise.shape} does not fit inputs (5, 4): it "
             "must hold one row per token")
 
+
+
+# The noise each family's rule reads per token: [N] uniforms, or [S, K]
+# with K the input width (mc_dropout) or the expert count (vglr).
+FAMILIES = {"temp_scale": (R._GumbelTopKRouter, "[B, N]"),
+            "vtsr": (R._GumbelTopKRouter, "[B, N]"),
+            "mc_dropout": (R._SampledLogitRouter, "[B, S, D], S >= 1"),
+            "vglr_mf": (R._SampledLogitRouter, "[B, S, N], S >= 1"),
+            "vglr_fc": (R._SampledLogitRouter, "[B, S, N], S >= 1")}
+
+
+def test_two_selection_rules_for_the_stochastic_variants():
+    # One ``_select`` per family, so an eval rule is written once for
+    # temp_scale and vtsr and once for mc_dropout and vglr.
+    selects = sorted(name for name, c in vars(R).items()
+                     if isinstance(c, type) and "_select" in vars(c))
+    assert selects == ["MapRouter", "_GumbelTopKRouter", "_SampledLogitRouter"]
+    assert sorted(FAMILIES) == sorted(R.VARIANTS[1:])
+    for variant, (family, _) in FAMILIES.items():
+        router = make_router(variant, Tensor(np.ones((4, 3))), 1,
+                             RouterSettings(), 2, RngStream(0))
+        assert isinstance(router, family), variant
+        assert type(router)._select is family._select, variant
+    for klass in (TempScaleRouter, VtsrRouter):
+        assert "draw_noise" not in vars(klass)
+    assert not hasattr(R, "_gumbel_noise")
+
+
+@pytest.mark.parametrize("variant, shape", [
+    ("temp_scale", (5, 1)), ("vtsr", (5, 1)), ("temp_scale", (5, 2, 3)),
+    ("mc_dropout", (5, 6, 1)), ("vglr_mf", (5, 6, 1)), ("vglr_fc", (5, 6, 1)),
+    ("vglr_mf", (5, 3)), ("vglr_fc", (5, 0, 3))],
+    ids=["temp_scale-one-uniform", "vtsr-one-uniform", "temp_scale-samples",
+         "mc_dropout-one-draw", "vglr_mf-one-draw", "vglr_fc-one-draw",
+         "vglr_mf-no-sample-axis", "vglr_fc-no-samples"])
+def test_noise_that_only_broadcasts_is_rejected(variant, shape):
+    # vglr routed [B, S, 1] normals with one draw per sample shared by every
+    # expert (vglr_fc read only L's first column), and temp_scale and vtsr
+    # routed [B, 1] uniforms with one Gumbel per token, i.e. the top-k of
+    # the scaled logits.
+    router = make_router(variant, Tensor(RngStream(1).normal((4, 3))), 1,
+                         RouterSettings(eval_samples=6), 2, RngStream(0))
+    u = Tensor(RngStream(2).normal((5, 4)))
+    dtype = bool if variant == "mc_dropout" else np.float64
+    noise = np.full(shape, 0.5, dtype=dtype)
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError) as err:
+            router.route(u, mode, noise=noise)
+        assert str(err.value) == (
+            f"{variant} noise {shape} does not fit inputs (5, 4): it must be "
+            + FAMILIES[variant][1])
