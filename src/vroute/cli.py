@@ -12,9 +12,10 @@ line endings, and fixed column orders; floats are written in shortest
 round-trip form.
 
 The config's ``model`` and ``router`` sections are read at train time and
-stored in each checkpoint; the other commands use the checkpoint's values,
-so a stochastic model's number of predictive passes is its routers'
-``eval_samples``.  The synthetic data and an ``eval --data`` CSV take their
+stored in each checkpoint; the per-variant commands use the checkpoint's
+values, so a stochastic model's number of predictive passes is its
+routers' ``eval_samples``.  ``efficiency`` reads its dimensions from the
+config.  The synthetic data and an ``eval --data`` CSV take their
 feature and class counts from the config's ``model`` section.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -161,22 +163,23 @@ def _load_experiment(args) -> ExperimentConfig:
 
 
 def _run(args) -> int:
-    """Run one subcommand: load and validate its config (subcommands with
-    ``--config``), let it compute and write its artifacts, then write the
-    manifest listing them.  On any exception, remove every tracked file;
-    then print ``error: ...`` and return 1 for an :class:`Exception`, and
-    re-raise anything else (a Ctrl-C still ends the process)."""
+    """Run one subcommand: load and validate its config, let it compute and
+    write its artifacts, then write the manifest listing them.  A
+    RuntimeWarning in the command (numpy's overflow or invalid value) is an
+    error.  On any exception, remove every tracked file; then print
+    ``error: ...`` and return 1 for an :class:`Exception`, and re-raise
+    anything else (a Ctrl-C still ends the process)."""
     writer = None
     try:
-        cfg = _load_experiment(args) if hasattr(args, "config") else None
+        cfg = _load_experiment(args)
         variant = cfg.variants[0] if hasattr(args, "checkpoint") else None
-        writer = ArtifactWriter(cfg.out_dir if cfg else args.out or ".",
-                                args.command, variant)
-        manifest = RunManifest(
-            config_hash=config_hash(cfg) if cfg else "-",
-            code_version=__version__, seed=cfg.seed if cfg else 0,
-            started_at=time.time())
-        args.fn(args, cfg, writer)
+        writer = ArtifactWriter(cfg.out_dir, args.command, variant)
+        manifest = RunManifest(config_hash=config_hash(cfg),
+                               code_version=__version__, seed=cfg.seed,
+                               started_at=time.time())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            args.fn(args, cfg, writer)
         for path in writer.files:
             manifest.add_file(path)
         manifest.finish()
@@ -326,23 +329,10 @@ def cmd_sweep_temp(args, cfg, writer) -> None:
 
 
 def cmd_efficiency(args, cfg, writer) -> None:
-    sizes = [args.layers, args.experts, args.dim, args.width, args.samples]
-    bases = {"base_active_params": args.base_params,
-             "base_macs_per_token": args.base_macs}
-    if args.granite:
-        if any(v is not None for v in sizes + list(bases.values())):
-            raise ConfigError("--granite takes no --layers, --experts, --dim, "
-                              "--width, --samples, --base-params or "
-                              "--base-macs")
-        spec = granite_preset()
-    elif None in sizes:
-        raise ConfigError("either --granite or all of --layers, "
-                          "--experts, --dim, --width, --samples")
-    else:
-        spec = ArchSpec(layers=args.layers, num_experts=args.experts,
-                        hidden_dim=args.dim, inference_width=args.width,
-                        samples=args.samples,
-                        **{k: v for k, v in bases.items() if v is not None})
+    spec = granite_preset() if args.granite else ArchSpec(
+        layers=cfg.auto_top_k if cfg.layers == "auto" else len(cfg.layers),
+        num_experts=cfg.model.num_experts, hidden_dim=cfg.model.hidden_dim,
+        inference_width=cfg.model.phi_hidden, samples=cfg.router.eval_samples)
     report = cost_report(spec)
     writer.write_json("efficiency.json", dataclasses.asdict(report))
     writer.write_csv("efficiency.csv",
@@ -402,18 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep_temp)
 
     p = sub.add_parser("efficiency", help="analytic parameter/MAC table")
+    p.add_argument("--config", required=True, help="experiment config JSON")
+    p.add_argument("--out", default=None, help="override output directory")
     p.add_argument("--granite", action="store_true",
                    help="Granite-3B-MoE preset (L=10, N=40, D=1536, H=384, "
-                        "S=35, 800M active)")
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--experts", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--base-params", type=float)
-    p.add_argument("--base-macs", type=float)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_efficiency)
+                        "S=35, 800M active) instead of the config's "
+                        "dimensions")
+    p.set_defaults(fn=cmd_efficiency, seed=None, variant=None)
     return parser
 
 

@@ -161,10 +161,21 @@ def config_from_dict(payload: dict) -> ExperimentConfig:
     return strict_build(ExperimentConfig, payload, "")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ``json`` would keep the last of two
+    equal keys, silently dropping the first value."""
+    payload = {}
+    for key, value in pairs:
+        if key in payload:
+            raise ConfigError(f"config gives key {key!r} more than once")
+        payload[key] = value
+    return payload
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(payload)

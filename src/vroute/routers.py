@@ -248,13 +248,23 @@ def gumbel_top_k(scaled_logits, k: int,
 # --------------------------------------------------------------------------
 
 
+# Squares overflow float64 above about 1.3e154; below this bound the mean
+# square of a row is computed as it is.
+_RMS_RESCALE_ABOVE = 2.0 ** 500
+
+
 def _rms_normalise(u: Tensor) -> Tensor:
     """Scale each row to unit root-mean-square activation.
 
     The inference nets consume normalised representations, as they would
     inside a pre-norm transformer block; this keeps their outputs a function
-    of activation direction rather than raw magnitude.
+    of activation direction rather than raw magnitude.  A row whose largest
+    |value| passes ``_RMS_RESCALE_ABOVE`` is first divided by that value, so
+    squaring it cannot overflow; no other row changes by a bit.
     """
+    if np.abs(u.data).max(initial=0.0) > _RMS_RESCALE_ABOVE:
+        peak = np.abs(u.data).max(axis=-1, keepdims=True)
+        u = u / Tensor(np.where(peak > _RMS_RESCALE_ABOVE, peak, 1.0))
     ms = (u * u).mean(axis=-1, keepdims=True)
     return u / T.sqrt(ms + 1e-12)
 

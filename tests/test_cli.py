@@ -6,6 +6,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 from xml.etree import ElementTree
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_interrupted_run_removes_checkpoints_already_written(tmp_path,
     assert _left_behind(out) == []
 
 
+def _finite_csv_cells(path):
+    """Whether every numeric cell of the CSV at ``path`` is finite."""
+    with open(path, encoding="utf-8") as fh:
+        cells = [c for row in csv.reader(fh) for c in row]
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    return all(math.isfinite(x) for x in numbers)
+
+
 @pytest.mark.parametrize("overrides", [
     {"model": dict(TINY["model"], num_experts=2, top_k=1)},
     # 16 experts take tensor._pairwise's running sums; one sample per token
@@ -132,10 +146,16 @@ def test_interrupted_run_removes_checkpoints_already_written(tmp_path,
     {"model": dict(TINY["model"], num_experts=16),
      "router": {"eval_samples": 1}},
     {"model": dict(TINY["model"], num_blocks=1), "layers": [0]},
-], ids=["two-experts-top-1", "sixteen-experts-one-sample", "one-block"])
+    # Block inputs past 1.3e154 overflowed the inference nets' RMS norm:
+    # each trained, then ood (far shift) or stability (gamma) failed for
+    # vglr_mf, vglr_fc and vtsr with "mul produced non-finite values".
+    {"data": dict(TINY["data"], delta_far=1e300)},
+    {"perturbation": {"gamma_levels": [1e300]}},
+], ids=["two-experts-top-1", "sixteen-experts-one-sample", "one-block",
+        "far-shift-1e300", "gamma-1e300"])
 def test_every_variant_through_every_subcommand(tmp_path, overrides):
-    # Shapes the golden pin (4 experts, top-2, 2 blocks, 4 samples) does not
-    # cover.
+    # Shapes and scales the golden pin (4 experts, top-2, 2 blocks, 4
+    # samples, unit-scale data) does not cover.
     cfg_path = _write_config(tmp_path, variants=list(VARIANTS),
                              train={"epochs_stage1": 1, "epochs_stage2": 1},
                              **overrides)
@@ -143,21 +163,25 @@ def test_every_variant_through_every_subcommand(tmp_path, overrides):
     out = tmp_path / "run"
 
     def vroute(command, *argv):
-        args = [command, *argv, "--out", str(out)]
-        if command != "efficiency":
-            args += ["--config", str(cfg_path)]
+        args = [command, *argv, "--config", str(cfg_path), "--out", str(out)]
         assert cli.main(args) == 0, args
-        assert (out / cli.ARTIFACTS[command][-1]).exists(), args
+        manifest = json.loads((out / cli.ARTIFACTS[command][-1]).read_text())
+        for entry in manifest["files"]:
+            if entry["path"].endswith(".csv"):
+                assert _finite_csv_cells(out / entry["path"]), (args, entry)
 
     vroute("train")
     for variant in VARIANTS:
         for command in ("eval", "ood", "stability", "sweep-temp"):
             vroute(command, "--variant", variant)
-    vroute("efficiency", "--layers", str(len(cfg.layers)),
-           "--experts", str(cfg.model.num_experts),
-           "--dim", str(cfg.model.hidden_dim),
-           "--width", str(cfg.model.phi_hidden),
-           "--samples", str(cfg.router.eval_samples))
+    vroute("efficiency")
+    spec = json.loads((out / "efficiency.json").read_text())["spec"]
+    assert spec == {"layers": len(cfg.layers),
+                    "num_experts": cfg.model.num_experts,
+                    "hidden_dim": cfg.model.hidden_dim,
+                    "inference_width": cfg.model.phi_hidden,
+                    "samples": cfg.router.eval_samples,
+                    "base_active_params": 800e6, "base_macs_per_token": 800e6}
 
 
 def _stability_svg(out, cfg_path):
@@ -195,7 +219,7 @@ def test_failed_stability_svg_run_leaves_no_svg(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "ood", "stability",
-                                     "sweep-temp"])
+                                     "sweep-temp", "efficiency"])
 def test_config_error_is_one_error_line(tmp_path, capsys, command):
     cfg_path = tmp_path / "config.json"
     out = tmp_path / "run"
@@ -364,19 +388,22 @@ CLI_OPTIONS = {
                   "--svg"],
     "sweep-temp": ["--config", "--seed", "--out", "--variant", "--checkpoint",
                    "--grid", "--layers"],
-    "efficiency": ["--granite", "--layers", "--experts", "--dim", "--width",
-                   "--samples", "--base-params", "--base-macs", "--out"],
+    "efficiency": ["--config", "--out", "--granite"],
 }
 
 
-def test_every_subcommand_takes_the_listed_options():
+def cli_options() -> dict:
+    """Each subcommand's options, as build_parser() builds them."""
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions
               if isinstance(a, argparse._SubParsersAction)]
-    got = {name: [o for a in p._actions for o in a.option_strings
-                  if o not in ("-h", "--help")]
-           for name, p in sub.choices.items()}
-    assert got == CLI_OPTIONS
+    return {name: [o for a in p._actions for o in a.option_strings
+                   if o not in ("-h", "--help")]
+            for name, p in sub.choices.items()}
+
+
+def test_every_subcommand_takes_the_listed_options():
+    assert cli_options() == CLI_OPTIONS
 
 
 @pytest.mark.parametrize("section, bad, message", [
@@ -442,6 +469,45 @@ def test_malformed_config_file_is_one_error_line(tmp_path, capsys, text,
     assert _left_behind(out) == []
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "seed": 2}', "seed"),
+    ('{"train": {"epochs_stage1": 1}, "train": {"epochs_stage2": 1}}',
+     "train"),
+    ('{"model": {"hidden_dim": 8, "hidden_dim": 16}}', "hidden_dim"),
+], ids=["top-level", "section", "nested"])
+def test_repeated_json_key_is_one_error_line(tmp_path, capsys, text, key):
+    # json kept the last value: these trained with seed 2, with the second
+    # train section alone, or with hidden_dim 16.
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(text)
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config gives key {key!r} more than once"]
+    assert _left_behind(out) == []
+
+
+@pytest.mark.filterwarnings("default")
+@pytest.mark.parametrize("section, bad, op", [
+    ("data", {"mean_scale": 1e300}, "multiply"),
+    ("data", {"noise_scale": 1e300}, "multiply"),
+    ("train", {"learning_rate": 1e300}, "matmul"),
+], ids=["mean_scale", "noise_scale", "learning_rate"])
+def test_numeric_failure_is_one_error_line_with_warnings_shown(
+        tmp_path, capsys, recwarn, section, bad, op):
+    # With numpy's RuntimeWarnings shown, as outside pytest, each printed
+    # its warnings before the finite guard's error line; for mean_scale the
+    # first was Adam's second moment overflowing, which zeroes the step.
+    out = tmp_path / "run"
+    cfg_path = _write_config(tmp_path,
+                             **{section: dict(TINY[section], **bad)})
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: overflow encountered in {op}"]
+    assert [str(w.message) for w in recwarn] == []
+    assert _left_behind(out) == []
+
+
 @pytest.mark.parametrize("payload, key", [
     ({"router": {"eval_samples": 2.5}}, "router.eval_samples"),
     ({"router": {"eval_samples": True}}, "router.eval_samples"),
@@ -466,56 +532,24 @@ def test_value_of_wrong_type_rejected_at_load(payload, key):
     assert str(err.value).startswith(f"{key} must be ")
 
 
-@pytest.mark.parametrize("dims", [
-    [], ["--layers", "2", "--experts", "4", "--dim", "8", "--width", "4"],
-], ids=["none", "no-samples"])
-def test_efficiency_without_granite_or_every_dimension_is_one_error_line(
-        tmp_path, capsys, dims):
-    out = tmp_path / "eff"
-    assert cli.main(["efficiency", *dims, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: either --granite or all of --layers, --experts, --dim, "
-        "--width, --samples"]
-    assert _left_behind(out) == []
-
-
-@pytest.mark.parametrize("flags", [
-    ["--experts", "8", "--dim", "32", "--width", "8", "--samples", "35",
-     "--base-params", "1e6"],
-    ["--layers", "2"], ["--base-macs", "800e6"],
-], ids=["dimensions", "layers", "base-macs"])
-def test_efficiency_granite_with_a_dimension_flag_is_one_error_line(
-        tmp_path, capsys, flags):
-    # Each would write the Granite table as if the flags were not given.
-    out = tmp_path / "eff"
-    assert cli.main(["efficiency", "--granite", *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: --granite takes no --layers, --experts, --dim, --width, "
-        "--samples, --base-params or --base-macs"]
-    assert _left_behind(out) == []
-
-
 def test_efficiency_dimensions_default_to_an_800m_base(tmp_path):
     out = tmp_path / "eff"
-    assert cli.main(["efficiency", "--layers", "2", "--experts", "4",
-                     "--dim", "8", "--width", "4", "--samples", "3",
+    cfg_path = _write_config(tmp_path)
+    assert cli.main(["efficiency", "--config", str(cfg_path),
                      "--out", str(out)]) == 0
     spec = json.loads((out / "efficiency.json").read_text())["spec"]
     assert spec["base_active_params"] == spec["base_macs_per_token"] == 800e6
 
 
-@pytest.mark.parametrize("flag, value", [("--base-params", "nan"),
-                                         ("--base-macs", "inf")])
-def test_non_finite_base_cost_is_one_error_line(tmp_path, capsys, flag,
-                                                 value):
+def test_efficiency_of_a_config_with_no_attached_layer_is_one_error_line(
+        tmp_path, capsys):
     out = tmp_path / "eff"
-    assert cli.main(["efficiency", "--layers", "2", "--experts", "4",
-                     "--dim", "8", "--width", "4", "--samples", "3",
-                     f"{flag}={value}", "--out", str(out)]) == 1
+    cfg_path = _write_config(tmp_path, variants=["map"], layers=[])
+    assert cli.main(["efficiency", "--config", str(cfg_path),
+                     "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: base costs must be finite and > 0"]
+        "error: all architecture counts must be >= 1"]
     assert _left_behind(out) == []
-
 
 
 def test_int_accepted_for_float_setting():
@@ -593,7 +627,9 @@ def test_artifact_outside_the_table_is_one_error_line(tmp_path, capsys,
                                                       message):
     monkeypatch.setitem(cli.ARTIFACTS, "efficiency", row)
     out = tmp_path / "run"
-    assert cli.main(["efficiency", "--granite", "--out", str(out)]) == 1
+    cfg_path = _write_config(tmp_path)
+    assert cli.main(["efficiency", "--config", str(cfg_path), "--granite",
+                     "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert _left_behind(out) == []
 

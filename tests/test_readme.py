@@ -52,3 +52,23 @@ def test_artifact_table_names_each_pattern_of_its_command():
         for p, r in patterns.items():
             assert any(r.fullmatch(name) for name in named), \
                 f"the README names no {p} for {cmd}"
+
+
+def test_efficiency_follows_the_walkthrough_config(tmp_path):
+    # 1 attached layer, 4 experts, width 8, inference width 2, 4 samples.
+    config, _, _ = _walkthrough()
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "eff"
+    assert cli.main(["efficiency", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+    assert (out / "efficiency.csv").read_text(encoding="utf-8") == (
+        "variant,params,params_pct,macs_per_token,macs_pct\n"
+        "weight_space,96,1.2e-05,128,1.6e-05\n"
+        "vglr_mf,32,4e-06,48,6e-06\n"
+        "vglr_fc,44,5.5e-06,84,1.05e-05\n"
+        "vtsr,21,2.625e-06,22,2.75e-06\n")
+    assert json.loads((out / "efficiency.json").read_text())["spec"] == {
+        "layers": 1, "num_experts": 4, "hidden_dim": 8, "inference_width": 2,
+        "samples": 4, "base_active_params": 800e6,
+        "base_macs_per_token": 800e6}
