@@ -39,6 +39,10 @@ class ModelConfig:
                self.num_blocks, self.num_experts, self.top_k,
                self.num_classes, self.phi_hidden) < 1:
             raise ValueError("all model dimensions must be >= 1")
+        # The cost model counts an inference net no wider than the block.
+        if self.phi_hidden > self.hidden_dim:
+            raise ValueError(f"phi_hidden {self.phi_hidden} must not exceed "
+                             f"hidden_dim {self.hidden_dim}")
         # At k = N every expert is always selected, so there is no routing
         # to measure (stability would read 1.0 in every cell).
         if self.top_k >= self.num_experts:

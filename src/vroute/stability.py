@@ -8,14 +8,14 @@ gamma), layer-major.  A pass perturbed at layer L starts from the clean
 pass's input to L plus the noise and only routes layer L
 (``forward(route_only=True)``), the only selection it is read at, for the
 last layer as for the others: it mixes no experts and runs no later block or
-head.  Stochastic routers replay identical streams in the clean and
+head.  Stochastic routers replay one draw per layer in the clean and
 perturbed passes (common random numbers): a report draws each stochastic
-layer's router noise once in the clean pass and once more for the passes
-perturbed at that layer, which all replay that one draw.  That removes the
-sampler's pass-to-pass spread, but not its coupling: for the Gumbel-top-k
-routers (temp_scale, vtsr) the Jaccard also reflects how the sampler maps
-one noise draw at two nearby logit vectors, so it is not the router's
-stability alone.
+layer's router noise once, before the clean pass, and routes that layer with
+the same array in the clean pass and in every pass perturbed at it.  That
+removes the sampler's pass-to-pass spread, but not its coupling: for the
+Gumbel-top-k routers (temp_scale, vtsr) the Jaccard also reflects how the
+sampler maps one noise draw at two nearby logit vectors, so it is not the
+router's stability alone.
 
 The fixed-temperature sweep runs whole passes, since it reads accuracy;
 the MAP blocks before the swapped layer (and before the first stochastic
@@ -89,27 +89,28 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
 
     Noise enters at one block input at a time, everything else stays clean,
     and the comparison is made at the perturbed layer's own selection.
-    ``seed`` keys the input noise and the router draws.  A pass perturbed at
-    layer L repeats the clean pass before L, so it starts from a prefix: the
-    clean pass's input to L plus the noise.  No later block feeds back into
-    L's selection, so it only routes layer L.  Every pass at layer L
-    replays the clean pass's router draw there, so that draw is made once
-    for all of them (one layer's draw held at a time).
+    ``seed`` keys the input noise and the router draws.  Each stochastic
+    layer's router noise is drawn once, from the report's route stream by
+    the layer's own index, and the one clean pass and every pass perturbed
+    at that layer route it; a layer's draw is dropped once its passes are
+    done, and of the clean pass only each layer's selection is kept.  A
+    pass perturbed at layer L repeats the clean pass before L, so it starts
+    from a prefix: the clean pass's input to L plus the noise.  No later
+    block feeds back into L's selection, so it only routes layer L.
     """
     base = RngStream(seed)
     route = base.derive("route")
     x = dataset.features
+    draws = {i: model.layer_noise(i, route, len(x), "eval")
+             for i in model.stochastic_blocks()}
     block_inputs: list[np.ndarray] = []
     with T.no_grad():
-        _, clean = model.forward(x, "eval", rng=route,
-                                 block_inputs=block_inputs)
+        # Only the selections: the records' sampled logits are not read.
+        clean = [r.selection for r in model.forward(
+            x, "eval", router_noise=draws, block_inputs=block_inputs)[1]]
     mean_norms = [float(np.linalg.norm(h, axis=1).mean()) for h in block_inputs]
     cells = []
     for layer in range(len(model.blocks)):
-        # Common random numbers: a layer derives its noise from ``route`` by
-        # its own index, so this draw has the bits the clean pass routed the
-        # layer with, and every pass perturbed at the layer replays it.
-        held = {layer: model.layer_noise(layer, route, len(x), "eval")}
         for gi, gamma in enumerate(spec.gamma_levels):
             values = []
             for rep in range(spec.repeats):
@@ -120,15 +121,14 @@ def layerwise_stability(model: MoEClassifier, dataset, spec: PerturbationSpec,
                 with T.no_grad():
                     _, perturbed = model.forward(
                         x, "eval", prefix=prefix, route_only=True,
-                        router_noise=held)
-                values.append(jaccard_rows(clean[layer].selection,
-                                           perturbed.selection))
+                        router_noise=draws)
+                values.append(jaccard_rows(clean[layer], perturbed.selection))
             j = np.concatenate(values)
             q10, q50, q90 = np.quantile(j, (0.10, 0.50, 0.90)).tolist()
             cells.append(StabilityCell(
                 layer=layer, gamma=gamma, mean_jaccard=float(j.mean()),
                 q10=q10, q50=q50, q90=q90))
-        del held                     # free it before the next layer's draw
+        draws.pop(layer, None)       # no later pass routes this layer
     return cells
 
 

@@ -2,8 +2,33 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, settings
 
 from vroute.tensor import Tensor
+
+# tests/test_cli.py's config fuzz: derandomised, with an example count that
+# keeps it near 5 s in tier-1.  CI reruns that test alone with
+# ``--hypothesis-profile=config-fuzz-long``, ten times as many examples.
+# Each example shares the test's capsys, which it reads first.  No shrink
+# phase: each step reruns train and 25 commands, so shrinking one failure
+# took minutes, and the derandomised example is printed as drawn.
+settings.register_profile(
+    "config-fuzz", max_examples=40, derandomize=True, deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                           HealthCheck.too_slow])
+settings.register_profile("config-fuzz-long",
+                          settings.get_profile("config-fuzz"),
+                          max_examples=400)
+
+
+def fuzz_profile() -> settings:
+    """The config fuzz's settings: the long profile when pytest loaded it,
+    else the tier-1 one."""
+    name = settings.get_current_profile_name()
+    return settings.get_profile(
+        name if name == "config-fuzz-long" else "config-fuzz")
+
 
 # Uniform draw whose Gumbel transform is exactly zero: -log(-log(e^-1)) = 0.
 ZERO_GUMBEL_UNIFORM = np.exp(-1.0)

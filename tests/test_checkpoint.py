@@ -185,9 +185,11 @@ def test_archive_with_other_or_non_finite_parameters_is_one_error_line(
     (lambda meta: meta["model_config"].update(top_k=4),
      "invalid model_config: top_k 4 must be below num_experts 4, or every "
      "expert is always selected"),
+    (lambda meta: meta["model_config"].update(phi_hidden=16),
+     "invalid model_config: phi_hidden 16 must not exceed hidden_dim 8"),
 ], ids=["float-eval_samples", "float-hidden_dim", "unknown-key",
         "tiny-temperature", "no-format_version", "no-settings",
-        "extra-router", "top_k-all-experts"])
+        "extra-router", "top_k-all-experts", "phi_hidden-above-hidden"])
 def test_archive_with_bad_metadata_is_one_error_line(tmp_path, capsys, edit,
                                                      message):
     # Metadata used to be read without the config's checks: a float

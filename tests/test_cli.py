@@ -7,10 +7,14 @@ import csv
 import hashlib
 import json
 import math
+import pathlib
+import tempfile
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vroute import cli, experiment
 from vroute.checkpoint import load_checkpoint, save_checkpoint
@@ -20,6 +24,10 @@ from vroute.model import attach_variational_routers
 from vroute.rng import RngStream
 from vroute.routers import VARIANTS, RouterSettings
 from vroute.training import predictive_nll_acc
+
+from conftest import fuzz_profile
+
+ONE_EPOCH = {"epochs_stage1": 1, "epochs_stage2": 1}
 
 TINY = {
     "seed": 0, "variants": ["map", "vglr_mf"], "layers": [1],
@@ -157,24 +165,11 @@ def test_every_variant_through_every_subcommand(tmp_path, overrides):
     # Shapes and scales the golden pin (4 experts, top-2, 2 blocks, 4
     # samples, unit-scale data) does not cover.
     cfg_path = _write_config(tmp_path, variants=list(VARIANTS),
-                             train={"epochs_stage1": 1, "epochs_stage2": 1},
-                             **overrides)
+                             train=ONE_EPOCH, **overrides)
     cfg = config_from_dict(json.loads(cfg_path.read_text()))
     out = tmp_path / "run"
-
-    def vroute(command, *argv):
-        args = [command, *argv, "--config", str(cfg_path), "--out", str(out)]
-        assert cli.main(args) == 0, args
-        manifest = json.loads((out / cli.ARTIFACTS[command][-1]).read_text())
-        for entry in manifest["files"]:
-            if entry["path"].endswith(".csv"):
-                assert _finite_csv_cells(out / entry["path"]), (args, entry)
-
-    vroute("train")
-    for variant in VARIANTS:
-        for command in ("eval", "ood", "stability", "sweep-temp"):
-            vroute(command, "--variant", variant)
-    vroute("efficiency")
+    assert _vroute("train", cfg_path, out) == 0
+    _every_later_command(cfg_path, out)
     spec = json.loads((out / "efficiency.json").read_text())["spec"]
     assert spec == {"layers": len(cfg.layers),
                     "num_experts": cfg.model.num_experts,
@@ -182,6 +177,67 @@ def test_every_variant_through_every_subcommand(tmp_path, overrides):
                     "inference_width": cfg.model.phi_hidden,
                     "samples": cfg.router.eval_samples,
                     "base_active_params": 800e6, "base_macs_per_token": 800e6}
+
+
+def _vroute(command, cfg_path, out, *argv):
+    """Run ``vroute command`` and return its exit code; on exit 0 every CSV
+    its manifest lists must hold finite numbers."""
+    args = [command, *argv, "--config", str(cfg_path), "--out", str(out)]
+    code = cli.main(args)
+    if code == 0:
+        manifest = json.loads((out / cli.ARTIFACTS[command][-1]).read_text())
+        for entry in manifest["files"]:
+            if entry["path"].endswith(".csv"):
+                assert _finite_csv_cells(out / entry["path"]), (args, entry)
+    return code
+
+
+def _every_later_command(cfg_path, out):
+    """Every per-variant command on every variant, then efficiency, after a
+    train into ``out``; each must exit 0."""
+    for variant in VARIANTS:
+        for command in ("eval", "ood", "stability", "sweep-temp"):
+            assert _vroute(command, cfg_path, out, "--variant", variant) == 0, \
+                (command, variant)
+    assert _vroute("efficiency", cfg_path, out) == 0
+
+
+def _sizes(first):
+    """{1, 2, 3, 8, 16} with ``first`` first.  Hypothesis leans toward a
+    strategy's first value, so each model field lists first a cheap value
+    with which the tiny config loads: in natural order about 1 example in
+    40 got past load."""
+    return st.sampled_from([first] + [v for v in (1, 2, 3, 8, 16)
+                                      if v != first])
+
+
+@settings(fuzz_profile())
+@given(model=st.fixed_dictionaries({
+           "hidden_dim": _sizes(8), "phi_hidden": _sizes(1),
+           "expert_hidden": _sizes(1), "num_experts": _sizes(3),
+           "top_k": _sizes(1), "num_blocks": _sizes(2),
+           "feature_dim": _sizes(1), "num_classes": _sizes(1)}),
+       router=st.fixed_dictionaries({
+           "eval_samples": st.sampled_from((1, 2, 4)),
+           "dropout_rate": st.sampled_from((0.0, 0.5, 0.99)),
+           "global_temperature": st.sampled_from((1e-6, 0.7, 1e3))}))
+def test_every_config_fails_train_or_runs_every_command(capsys, model, router):
+    # A config that trains and then fails a later command is a defect:
+    # phi_hidden above hidden_dim trained, then efficiency failed.
+    capsys.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        cfg_path = _write_config(tmp, variants=list(VARIANTS),
+                                 train=ONE_EPOCH, model=model, router=router)
+        out = tmp / "run"
+        code = _vroute("train", cfg_path, out)
+        if code == 1:
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("error: ")
+            assert _left_behind(out) == []
+            return
+        assert code == 0
+        _every_later_command(cfg_path, out)
 
 
 def _stability_svg(out, cfg_path):
@@ -415,6 +471,10 @@ def test_every_subcommand_takes_the_listed_options():
     # A width-0 inference net trained; a negative one failed after stage 1.
     ("model", {"phi_hidden": 0}, "all model dimensions must be >= 1"),
     ("model", {"phi_hidden": -1}, "all model dimensions must be >= 1"),
+    # A wider inference net trained and evaluated, then efficiency failed
+    # with "inference width must not exceed the hidden dim".
+    ("model", {"hidden_dim": 8, "phi_hidden": 16},
+     "phi_hidden 16 must not exceed hidden_dim 8"),
     # stability would write two rows per layer at the repeated gamma.
     ("perturbation", {"gamma_levels": [0.05, 0.01, 0.05]},
      "gamma_levels [0.05] given more than once"),
@@ -432,7 +492,8 @@ def test_every_subcommand_takes_the_listed_options():
      "top_k 4 must be below num_experts 4, or every expert is always "
      "selected"),
 ], ids=["no-eval-samples", "no-repeats", "negative-epochs", "no-batch",
-        "no-hidden", "no-phi-hidden", "negative-phi-hidden", "repeated-gamma",
+        "no-hidden", "no-phi-hidden", "negative-phi-hidden",
+        "phi-hidden-above-hidden", "repeated-gamma",
         "gamma-string", "gamma-bool", "gamma-of-strings", "gamma-number",
         "top_k-all-experts"])
 def test_bad_section_setting_is_one_error_line_at_load(tmp_path, capsys,

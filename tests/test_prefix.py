@@ -23,7 +23,8 @@ from vroute.model import (ModelConfig, MoEClassifier, Prefix,
                           attach_variational_routers, elbo_loss,
                           predict_with_uncertainty, shannon_entropy)
 from vroute.rng import RngStream
-from vroute.routers import SIGNAL_NAMES, RouterSettings, TempScaleRouter
+from vroute.routers import (SIGNAL_NAMES, RouterBase, RouterSettings,
+                            TempScaleRouter)
 from vroute.stability import (PerturbationSpec, fixed_temperature_layer_sweep,
                               layerwise_stability, perturbation_noise)
 from vroute.tensor import Tensor
@@ -325,7 +326,7 @@ def test_perturbed_pass_stops_at_the_layer_it_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", STOCHASTIC)
-def test_report_draws_each_layers_router_noise_twice(variant, monkeypatch):
+def test_report_draws_each_layers_router_noise_once(variant, monkeypatch):
     model = _model(variant, layers=(0, 2))
     # Each variant overrides draw_noise, so the calls are counted per router.
     draws = [_count_calls(monkeypatch, blk.moe.router, "draw_noise",
@@ -333,8 +334,32 @@ def test_report_draws_each_layers_router_noise_twice(variant, monkeypatch):
     spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
                             repeats=2)
     layerwise_stability(model, _splits(40)["test"], spec, seed=7)
-    # Once in the clean pass, once held for the passes perturbed there.
-    assert [draws[b].get(0) for b in model.stochastic_blocks()] == [2, 2]
+    # Once, before the clean pass; the perturbed passes replay that draw.
+    assert [draws[b].get(0) for b in model.stochastic_blocks()] == [1, 1]
+
+
+@pytest.mark.parametrize("variant", STOCHASTIC)
+def test_perturbed_passes_replay_the_clean_draw(variant, monkeypatch):
+    model = _model(variant, layers=(0, 2))
+    calls = []
+    route = RouterBase.route
+
+    def recording(router, u, mode, noise=None, *args):
+        calls.append((router, noise))
+        return route(router, u, mode, noise, *args)
+
+    monkeypatch.setattr(RouterBase, "route", recording)
+    spec = PerturbationSpec(gamma_levels=(0.05, 0.5), diagnostic_gamma=0.05,
+                            repeats=2)
+    layerwise_stability(model, _splits(40)["test"], spec, seed=7)
+    # The clean pass and the 2 * 2 passes perturbed at a block route one
+    # array there: the block's single draw.
+    for b in model.stochastic_blocks():
+        router = model.blocks[b].moe.router
+        seen = [noise for r, noise in calls if r is router]
+        assert len(seen) == 1 + 2 * 2
+        assert isinstance(seen[0], np.ndarray)
+        assert all(noise is seen[0] for noise in seen)
 
 
 @pytest.mark.parametrize("variant", STOCHASTIC)
